@@ -15,8 +15,9 @@ hold any of the long options as JSON keys; explicit flags win.
 
 Exit codes: 0 all good, 1 at least one verification check failed, 2 usage
 or configuration error, 3 domain error (invalid mathematical input).
-Outputs are byte-identical across runs with the same configuration; the
-environment variable FRACEXT_THREADS caps check parallelism (default 1).
+Outputs are byte-identical across runs with the same configuration.  Checks
+run sequentially; the environment variable FRACEXT_THREADS is accepted for
+compatibility and has no effect.
 """
 
 from __future__ import annotations
@@ -198,9 +199,8 @@ def _cmd_verify(args):
     tol = _merged(args, "tol")
     if tol is not None:
         cfg.tol = float(tol)
-    threads = int(os.environ.get("FRACEXT_THREADS", "1") or "1")
     try:
-        reports = run_checks(checks, cfg, threads=max(1, threads))
+        reports = run_checks(checks, cfg)
     except ValueError as err:
         if "unknown check name" in str(err):
             raise UsageError(str(err)) from err

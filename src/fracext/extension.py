@@ -14,8 +14,10 @@ Limits at y = 0 are extracted by fitting the known leading power laws on a
 small geometric sample (the curve behaves like L + A y^{p1} + B y^{p2}),
 which converges much faster than plain Richardson with guessed exponents.
 
-Curve assembly is independent per (mode, grid point) and deterministic;
-all results are pure functions of the inputs.
+Curve assembly is independent per (mode, grid point): every routine makes
+one profile call on the whole (mode, abscissa) matrix, with kernel modes
+and zero coefficients masked out.  All results are deterministic pure
+functions of the inputs.
 """
 
 from __future__ import annotations
@@ -71,7 +73,10 @@ def default_grid(spectrum: Spectrum, n: int = 160) -> np.ndarray:
 
     Runs from 1e-4 / sqrt(lambda_max) out to 40 / sqrt(lambda_min) so the
     fastest mode is resolved near 0 and the slowest has decayed at the end.
+    At least three points are required, as :func:`trace0` needs them.
     """
+    if n < 3:
+        raise ValueError(f"default_grid needs n >= 3 points, got n={n}")
     lam = spectrum.positive
     if lam.size == 0:
         lo, hi = 1e-4, 40.0
@@ -91,6 +96,14 @@ def _check_grid(grid):
     return grid
 
 
+def _active(u):
+    """Mask of the modes with a positive eigenvalue and a nonzero coefficient,
+    with their square-root eigenvalues as a column."""
+    lam = u.spectrum.eigenvalues
+    mask = (lam != 0.0) & (u.coeffs != 0.0)
+    return mask, np.sqrt(lam[mask])[:, None]
+
+
 def extend(u: ModalVector, s: float, grid=None) -> ExtensionCurve:
     """Extension curve of u: per-mode profile samples scaled by u_j.
 
@@ -101,15 +114,11 @@ def extend(u: ModalVector, s: float, grid=None) -> ExtensionCurve:
     if grid is None:
         grid = default_grid(u.spectrum)
     grid = _check_grid(grid)
-    lam = u.spectrum.eigenvalues
-    values = np.empty((u.spectrum.size, grid.size))
-    for j in range(u.spectrum.size):
-        if u.coeffs[j] == 0.0:
-            values[j] = 0.0
-        elif lam[j] == 0.0:
-            values[j] = u.coeffs[j]
-        else:
-            values[j] = u.coeffs[j] * psi(s, math.sqrt(lam[j]) * grid)
+    values = np.zeros((u.spectrum.size, grid.size))
+    kernel = u.spectrum.eigenvalues == 0.0
+    values[kernel] = u.coeffs[kernel, None]
+    mask, root = _active(u)
+    values[mask] = u.coeffs[mask, None] * psi(s, root * grid)
     return ExtensionCurve(spectrum=u.spectrum, grid=grid, values=values,
                           params=params, source=u)
 
@@ -136,8 +145,9 @@ def trace0(curve: CurveSamples, tol_hint: float = 1e-3) -> ModalVector:
     """Boundary value of the curve, extrapolated from the smallest abscissae.
 
     Fits value + A y^{p1} + B y^{p2} per mode on the three lowest grid
-    points.  The grid must reach below tol_hint / sqrt(lambda_max), else the
-    extrapolation is unreliable and a ValueError reports it.
+    points; the fit matrix depends only on the grid, so one solve serves
+    every mode.  The grid must reach below tol_hint / sqrt(lambda_max),
+    else the extrapolation is unreliable and a ValueError reports it.
     """
     lam = curve.spectrum.positive
     lam_max = lam[-1] if lam.size else 1.0
@@ -151,11 +161,7 @@ def trace0(curve: CurveSamples, tol_hint: float = 1e-3) -> ModalVector:
         exponents = _origin_exponents(curve.params.s)
     else:
         exponents = (2.0, 4.0)
-    ys = curve.grid[:3]
-    out = np.array([
-        power_fit_limit(ys, curve.values[j, :3], exponents)
-        for j in range(curve.spectrum.size)
-    ])
+    out = power_fit_limit(curve.grid[:3], curve.values[:, :3].T, exponents)
     return ModalVector(out, curve.spectrum)
 
 
@@ -172,7 +178,6 @@ def conormal_trace(u: ModalVector, s: float, y0: float | None = None) -> ModalVe
     order--s functional).
     """
     params = FracParams.from_order(s)
-    lam = u.spectrum.eigenvalues
     lam_pos = u.spectrum.positive
     lam_max = lam_pos[-1] if lam_pos.size else 1.0
     if y0 is None:
@@ -180,13 +185,11 @@ def conormal_trace(u: ModalVector, s: float, y0: float | None = None) -> ModalVe
     s_rem = params.ceil_s - s  # in (0, 1)
     exponents = (2.0 * s_rem, 2.0)
     ys = np.array([y0, 0.5 * y0, 0.25 * y0])
+    mask, root = _active(u)
+    amp = -params.d_s * u.spectrum.eigenvalues[mask] ** s * u.coeffs[mask]
+    vals = amp[:, None] * psi(s_rem, root * ys)
     out = np.zeros(u.spectrum.size)
-    for j in range(u.spectrum.size):
-        if lam[j] == 0.0 or u.coeffs[j] == 0.0:
-            continue
-        root = math.sqrt(lam[j])
-        vals = -params.d_s * lam[j] ** s * u.coeffs[j] * psi(s_rem, root * ys)
-        out[j] = power_fit_limit(ys, vals, exponents)
+    out[mask] = power_fit_limit(ys, vals.T, exponents)
     return ModalVector(out, u.spectrum, order=-s)
 
 
@@ -202,14 +205,10 @@ def derivative_curve(u: ModalVector, s: float, k: int, grid=None) -> CurveSample
     if grid is None:
         grid = default_grid(u.spectrum)
     grid = _check_grid(grid)
-    lam = u.spectrum.eigenvalues
     values = np.zeros((u.spectrum.size, grid.size))
-    for j in range(u.spectrum.size):
-        if lam[j] == 0.0 or u.coeffs[j] == 0.0:
-            continue
-        root = math.sqrt(lam[j])
-        amp = u.coeffs[j] * lam[j] ** (0.5 * k)
-        values[j] = amp * np.array([psi_deriv(s, root * y, k) for y in grid])
+    mask, root = _active(u)
+    amp = u.coeffs[mask] * u.spectrum.eigenvalues[mask] ** (0.5 * k)
+    values[mask] = amp[:, None] * psi_deriv(s, root * grid, k)
     return CurveSamples(spectrum=u.spectrum, grid=grid, values=values)
 
 

@@ -78,16 +78,24 @@ def power_fit_limit(ys, vals, exponents):
 
     ``ys`` must contain exactly ``len(exponents) + 1`` distinct positive
     abscissae; the function solves the small Vandermonde-type system for L.
+    ``vals`` may hold one column of samples per curve, shape (len(ys), J);
+    the limits of all J curves then come back as an array.
     """
     ys = np.asarray(ys, dtype=float)
     vals = np.asarray(vals, dtype=float)
     exponents = list(exponents)
     if ys.size != len(exponents) + 1:
         raise ValueError("need one sample per fitted exponent plus one")
-    cols = [np.ones_like(ys)] + [ys ** p for p in exponents]
+    # columns scaled to 1 at the first abscissa: the limit is unchanged,
+    # while unscaled columns at abscissae near 1e-6 give condition ~1e13
+    cols = [np.ones_like(ys)] + [(ys / ys[0]) ** p for p in exponents]
     m = np.column_stack(cols)
-    sol = np.linalg.solve(m, vals)
-    return float(sol[0])
+    # L is the first row of m^{-1} applied to the samples: one solve serves
+    # every curve, and each limit is the same weighted sum however many
+    # curves share the call
+    weights = np.linalg.solve(m.T, np.eye(ys.size)[0])
+    limit = sum(w * v for w, v in zip(weights, vals))
+    return float(limit) if vals.ndim == 1 else limit
 
 
 def apply_db(f, y, b, lam=0.0, accuracy=8, h=None):

@@ -20,11 +20,14 @@ the trace constant
 Everything here is a pure function of its arguments; no state is shared, so
 all routines are safe to call concurrently.
 
-``bessel_k`` uses the classic two-regime scheme: the Temme (1975) series
-around a seed order ``mu`` in ``[-1/2, 1/2]`` for arguments below 2 and the
-Steed/Thompson-Barnett continued fraction above, followed by forward
-recurrence in the order, which is stable for K (see DLMF 10.25-10.41 and
-Numerical Recipes ch. 6.7 for the underlying identities).
+``psi`` evaluates a whole argument array with one call of the exponentially
+scaled ``scipy.special.kve``, as ``c_s y^s kve(s, y) e^{-y}``; where a
+factor or the product leaves the normal double range it switches to log
+space.  At large order near the origin ``K_s`` itself overflows while the
+profile is still of order 1; there the profile comes from the upward order
+recurrence (DLMF 10.29.1) started at two orders in (0, 2], a sum of positive
+terms that keeps full accuracy at any order.  ``psi_series`` evaluates the
+ascending series (DLMF 10.25.2 / 10.27.4) as an independent oracle.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import kv, kve
 
 __all__ = [
     "FracParams",
@@ -52,138 +56,20 @@ __all__ = [
     "beta_fn",
 ]
 
-_MAXIT = 600
-_SERIES_EPS = 1e-17
-
-# Taylor coefficients of 1/Gamma(1+x) = sum_j _INV_GAMMA[j] x^j, |x| <= 1
-# (Abramowitz & Stegun 6.1.34, shifted by one index).
-_INV_GAMMA = (
-    1.0, 0.5772156649015329, -0.6558780715202538, -0.0420026350340952,
-    0.1665386113822915, -0.0421977345555443, -0.0096219715278770,
-    0.0072189432466630, -0.0011651675918591, -0.0002152416741149,
-    0.0001280502823882, -0.0000201348547807, -0.0000012504934821,
-    0.0000011330272320, -0.0000002056338417, 0.0000000061160950,
-    0.0000000050020075, -0.0000000011812746, 0.0000000001043427,
-    0.0000000000077823, -0.0000000000036968, 0.0000000000005100,
-    -0.0000000000000206, -0.0000000000000054, 0.0000000000000014,
-    0.0000000000000001,
-)
-
-
-def _inv_gamma1p(x):
-    """1/Gamma(1+x) for |x| <= 0.5, via the Taylor series (exact to ~1 ulp)."""
-    acc = 0.0
-    for c in reversed(_INV_GAMMA):
-        acc = acc * x + c
-    return acc
-
-
-def _temme_gammas(mu):
-    """The two auxiliary Gamma combinations of Temme's series.
-
-    Returns ``G1 = (1/Gamma(1-mu) - 1/Gamma(1+mu)) / (2 mu)`` and
-    ``G2 = (1/Gamma(1-mu) + 1/Gamma(1+mu)) / 2`` without cancellation,
-    by splitting the 1/Gamma Taylor series into odd and even parts.
-    """
-    g1 = 0.0
-    g2 = 0.0
-    m2 = mu * mu
-    p = 1.0
-    n = len(_INV_GAMMA)
-    for j in range(0, n, 2):
-        g2 += _INV_GAMMA[j] * p
-        if j + 1 < n:
-            g1 -= _INV_GAMMA[j + 1] * p
-        p *= m2
-    return g1, g2
-
-
-def _k_series_pair(mu, x):
-    """(K_mu, K_{mu+1}) by Temme's series; requires 0 < x <= 2, |mu| <= 1/2."""
-    pimu = math.pi * mu
-    fact = pimu / math.sin(pimu) if abs(pimu) > 1e-30 else 1.0
-    d = -math.log(0.5 * x)
-    e = mu * d
-    fact2 = math.sinh(e) / e if abs(e) > 1e-10 else 1.0 + e * e / 6.0
-    g1, g2 = _temme_gammas(mu)
-    ff = fact * (g1 * math.cosh(e) + g2 * fact2 * d)
-    total = ff
-    ee = math.exp(e)
-    p = 0.5 * ee / _inv_gamma1p(mu)
-    q = 0.5 / (ee * _inv_gamma1p(-mu))
-    c = 1.0
-    x2q = 0.25 * x * x
-    total1 = p
-    mu2 = mu * mu
-    for k in range(1, _MAXIT):
-        ff = (k * ff + p + q) / (k * k - mu2)
-        c *= x2q / k
-        p /= (k - mu)
-        q /= (k + mu)
-        delta = c * ff
-        total += delta
-        total1 += c * (p - k * ff)
-        if abs(delta) < abs(total) * _SERIES_EPS:
-            break
-    return total, total1 * 2.0 / x
-
-
-def _k_cf2_pair(mu, x):
-    """(K_mu, K_{mu+1}) by the CF2 continued fraction; requires x >= 2."""
-    mu2 = mu * mu
-    b = 2.0 * (1.0 + x)
-    d = 1.0 / b
-    h = delh = d
-    q1, q2 = 0.0, 1.0
-    a1 = 0.25 - mu2
-    q = c = a1
-    a = -a1
-    s = 1.0 + q * delh
-    for i in range(2, _MAXIT):
-        a -= 2 * (i - 1)
-        c = -a * c / i
-        qnew = (q1 - b * q2) / a
-        q1, q2 = q2, qnew
-        q += c * qnew
-        b += 2.0
-        d = 1.0 / (b + a * d)
-        delh = (b * d - 1.0) * delh
-        h += delh
-        dels = q * delh
-        s += dels
-        if abs(dels) < abs(s) * _SERIES_EPS:
-            break
-    h = a1 * h
-    kmu = math.sqrt(math.pi / (2.0 * x)) * math.exp(-x) / s
-    k1 = kmu * (mu + x + 0.5 - h) / x
-    return kmu, k1
-
-
 def bessel_k(nu: float, x: float) -> float:
     """Modified Bessel function of the second kind K_nu(x), x > 0.
 
-    Accurate to better than 1e-12 relative over x in [1e-6, 700] and orders
-    up to 60 (K is even in the order, so negative ``nu`` is folded back).
+    A thin wrapper over ``scipy.special.kv`` (K is even in the order).
     Raises ``ValueError`` for x <= 0 and ``OverflowError`` when the result
     exceeds the double range (small x at large order).
     """
     if x <= 0.0:
         raise ValueError(f"bessel_k requires x > 0, got x={x}")
-    nu = abs(float(nu))
-    nl = int(nu + 0.5)
-    mu = nu - nl
-    if x < 2.0:
-        kmu, kp = _k_series_pair(mu, x)
-    else:
-        kmu, kp = _k_cf2_pair(mu, x)
-    for i in range(1, nl + 1):
-        kmu, kp = kp, kp * (2.0 * (mu + i) / x) + kmu
-        if kp > 1e305:
-            raise OverflowError(
-                f"K_nu({nu}, {x}) exceeds the double-precision range "
-                f"during order recurrence"
-            )
-    return kmu
+    k = float(kv(nu, x))
+    if math.isinf(k):
+        raise OverflowError(
+            f"K_nu({nu}, {x}) exceeds the double-precision range")
+    return k
 
 
 # ---------------------------------------------------------------------------
@@ -265,23 +151,25 @@ class ProfileSample:
 # below this threshold the |y|^s K_s product is numerically indeterminate,
 # while the analytic limit is exactly 1
 _PSI_ORIGIN_CUTOFF = 1e-8
+_LN2 = math.log(2.0)
+_TINY = np.finfo(float).tiny
+_HUGE = np.finfo(float).max
 
 
-def _psi_scalar(s, y):
-    ay = abs(y)
-    if ay < _PSI_ORIGIN_CUTOFF:
-        return 1.0
-    try:
-        k = bessel_k(s, ay)
-    except OverflowError:
-        # K_s alone can overflow at large order while the normalised product
-        # is still ~1; fall back to the flat limit only where the leading
-        # correction y^2/(4(s-1)) is provably negligible
-        if ay * ay / (4.0 * max(s - 1.0, 0.5)) < 1e-10:
-            return 1.0
-        raise
-    c_s = math.exp((1.0 - s) * math.log(2.0) - math.lgamma(s))
-    return c_s * ay ** s * k
+def _upward(s, z):
+    """psi_s(z) by upward order recurrence from two orders in (0, 2].
+
+    K_{v+1} = K_{v-1} + (2v/z) K_v (DLMF 10.29.1) becomes
+    psi_{v+1} = psi_v + z^2/(4 v (v-1)) psi_{v-1}.  Every term is positive,
+    so rounding errors do not grow, and K stays finite at the starting
+    orders for every z above the origin cutoff.
+    """
+    s0 = s - math.floor(s) or 1.0
+    lo, hi = psi(s0, z), psi(s0 + 1.0, z)
+    t = 0.25 * z * z
+    for v in np.arange(s0 + 1.0, s - 0.5):
+        lo, hi = hi, hi + t / (v * (v - 1.0)) * lo
+    return hi
 
 
 def psi(s: float, y):
@@ -293,15 +181,29 @@ def psi(s: float, y):
     s = float(s)
     if not s > 0.0:
         raise ValueError(f"psi requires s > 0, got {s}")
-    arr = np.asarray(y, dtype=float)
-    if arr.ndim == 0:
-        return _psi_scalar(s, float(arr))
-    out = np.empty(arr.shape)
-    flat = arr.ravel()
-    oflat = out.ravel()
-    for i in range(flat.size):
-        oflat[i] = _psi_scalar(s, flat[i])
-    return out
+    ay = np.abs(np.asarray(y, dtype=float))
+    out = np.ones(ay.shape)
+    away = ~(ay < _PSI_ORIGIN_CUTOFF)  # NaN stays on the Bessel route
+    z = ay[away]
+    k = kve(s, z)
+    log_c = (1.0 - s) * _LN2 - math.lgamma(s)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        head = math.exp(log_c) * z ** s
+        decay = np.exp(-z)
+        val = head * k * decay
+        # log space wherever a factor or the product left the normal range
+        # (an overflowing head overflows val; decay <= 1)
+        redo = np.isfinite(k) & ~((np.minimum(head, decay) >= _TINY)
+                                  & (val >= _TINY) & (val <= _HUGE))
+        if redo.any():
+            zr = z[redo]
+            val[redo] = np.exp(log_c + s * np.log(zr) + np.log(k[redo]) - zr)
+    # K_s overflows at large order near the origin
+    over = np.isinf(k)
+    if over.any():
+        val[over] = _upward(s, z[over])
+    out[away] = val
+    return float(out) if out.ndim == 0 else out
 
 
 def psi_lambda(s: float, lam: float, y):
@@ -327,18 +229,22 @@ def _psi_first_deriv(s, y):
     return -d * y ** (2.0 * s - 1.0) * psi(1.0 - s, y)
 
 
-def psi_deriv(s: float, y: float, order: int) -> float:
+def psi_deriv(s: float, y, order: int):
     """Exact derivative d^k/dy^k psi_s(y) on y > 0 via order recurrences.
 
-    Admissible k: 1 (always), even orders 2..2*floor(s), odd orders
-    3..2*floor(s)-1, and 2*floor(s)+1 when the fractional part of s is at
-    least 1/2.  Beyond that range the derivatives are unbounded near the
-    origin and no closed form is provided.
+    ``y`` may be a scalar or an array of positive abscissae; every term of
+    the recurrence is one ``psi`` call on the whole array.  Admissible k: 1
+    (always), even orders 2..2*floor(s), odd orders 3..2*floor(s)-1, and
+    2*floor(s)+1 when the fractional part of s is at least 1/2.  Beyond that
+    range the derivatives are unbounded near the origin and no closed form
+    is provided.
     """
     s = _check_noninteger_order(s)
-    y = float(y)
-    if y <= 0.0:
-        raise ValueError(f"psi_deriv requires y > 0, got {y}")
+    y = np.asarray(y, dtype=float)
+    if np.any(y <= 0.0):
+        raise ValueError(f"psi_deriv requires y > 0, got min {np.min(y)}")
+    if y.ndim == 0:
+        y = float(y)
     order = int(order)
     fl = math.floor(s)
     frac = s - fl

@@ -394,12 +394,10 @@ _REGISTRY = (
 CHECK_NAMES = tuple(name for name, _ in _REGISTRY)
 
 
-def run_checks(names=None, cfg: RunConfig | None = None, threads: int = 1):
+def run_checks(names=None, cfg: RunConfig | None = None):
     """Run the selected checks and return reports in registry order.
 
-    Unknown names raise ValueError listing the valid ones.  With threads > 1
-    the checks execute concurrently (they are pure), but the report order
-    stays fixed by the registry index.
+    Unknown names raise ValueError listing the valid ones.
     """
     cfg = cfg or RunConfig()
     if names is None or not names:
@@ -414,14 +412,7 @@ def run_checks(names=None, cfg: RunConfig | None = None, threads: int = 1):
         order = {name: i for i, (name, _) in enumerate(_REGISTRY)}
         selected = sorted(((n, lookup[n]) for n in set(names)),
                           key=lambda kv: order[kv[0]])
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [(name, pool.submit(fn, cfg)) for name, fn in selected]
-        results = [(name, fut.result()) for name, fut in futures]
-    else:
-        results = [(name, fn(cfg)) for name, fn in selected]
     reports = []
-    for _, batch in results:
-        reports.extend(batch)
+    for _, fn in selected:
+        reports.extend(fn(cfg))
     return reports

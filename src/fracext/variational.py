@@ -77,8 +77,9 @@ def graded_mesh(y_max: float, n: int, y_first: float | None = None) -> np.ndarra
     return mesh
 
 
-def _assemble(mesh, b, lam):
-    """Tridiagonal stiffness+mass arrays of the form 2*int y^b (f'g' + lam f g).
+def _elements(mesh, b):
+    """Per-element stiffness k_el and mass entries (m00, m01, m11) of
+    int y^b (f'g' + f g) on each cell.
 
     Element integrals use the exact moments int y^{b+k} dy, k = 0,1,2, so
     the singular weight never gets sampled; the leading cell is exact for
@@ -95,7 +96,14 @@ def _assemble(mesh, b, lam):
     mass00 = (y1 * y1 * m0 - 2.0 * y1 * m1 + m2) / h2
     mass01 = ((y0 + y1) * m1 - y0 * y1 * m0 - m2) / h2
     mass11 = (m2 - 2.0 * y0 * m1 + y0 * y0 * m0) / h2
-    n = mesh.size
+    return k_el, mass00, mass01, mass11
+
+
+def _assemble(elements, lam):
+    """Tridiagonal arrays of the form 2*int y^b (f'g' + lam f g), built from
+    the element arrays of :func:`_elements`."""
+    k_el, mass00, mass01, mass11 = elements
+    n = k_el.size + 1
     diag = np.zeros(n)
     off = np.zeros(n - 1)
     diag[:-1] += k_el + lam * mass00
@@ -123,8 +131,18 @@ def _thomas(diag, off, rhs):
     return x
 
 
-def _tri_quad_form(diag, off, x):
-    return float(np.sum(diag * x * x) + 2.0 * np.sum(off * x[:-1] * x[1:]))
+def _energy(elements, lam, f):
+    """2 int y^b (|f'|^2 + lam f^2) of the P1 function with nodal values f.
+
+    Summed element by element, each term nonnegative, so no cancellation
+    between the large diagonal and off-diagonal entries of the assembled
+    form can push the discrete minimum below the closed form.
+    """
+    k_el, mass00, mass01, mass11 = elements
+    f0 = f[:-1]
+    f1 = f[1:]
+    mass = mass00 * f0 * f0 + 2.0 * mass01 * f0 * f1 + mass11 * f1 * f1
+    return 2.0 * float(np.sum(k_el * (f1 - f0) ** 2 + lam * mass))
 
 
 def minimize_profile(s: float, lam: float, mesh=None, n_nodes: int = 2000):
@@ -143,7 +161,8 @@ def minimize_profile(s: float, lam: float, mesh=None, n_nodes: int = 2000):
     if mesh is None:
         mesh = graded_mesh(40.0 / math.sqrt(lam), n_nodes)
     mesh = np.asarray(mesh, dtype=float)
-    diag, off = _assemble(mesh, b, lam)
+    elements = _elements(mesh, b)
+    diag, off = _assemble(elements, lam)
     n = mesh.size
     # Dirichlet data: f(0) = 1, f(y_max) = 0; unknowns are the interior nodes
     rhs = np.zeros(n - 2)
@@ -153,7 +172,7 @@ def minimize_profile(s: float, lam: float, mesh=None, n_nodes: int = 2000):
     full[0] = 1.0
     full[-1] = 0.0
     full[1:-1] = x
-    value = _tri_quad_form(diag, off, full)
+    value = _energy(elements, lam, full)
     return value, ProfileFE(grid=mesh, values=full, b=b, lam=lam)
 
 
@@ -199,7 +218,7 @@ def minimize_negative(zeta: ModalVector, s: float, n_nodes: int = 2000,
             continue
         lj = float(lam[j])
         mesh = graded_mesh(40.0 / math.sqrt(lj), n_nodes)
-        diag, off = _assemble(mesh, params.b, lj)
+        diag, off = _assemble(_elements(mesh, params.b), lj)
         n = mesh.size
         # far-field f(y_max) = 0 only; node 0 is a genuine unknown
         rhs = np.zeros(n - 1)

@@ -215,6 +215,19 @@ def test_minimize_subcommand(capsys):
     assert report["pass"] is True
 
 
+def test_minimize_stays_above_closed_form_at_fine_mesh(capsys):
+    # Galerkin bound: the discrete minimum never undercuts 2 d_s lam^s; an
+    # energy summed from the assembled form lost this to cancellation here
+    code, out, _ = run_cli(capsys, "minimize", "--op", "explicit:1",
+                           "--u", "1", "--s", "0.95", "--nodes", "8000")
+    assert code == 0
+    report = json.loads(out.strip().split("\n")[0])
+    d_s = 2.0 ** (1.0 - 1.9) * math.gamma(0.05) / math.gamma(0.95)
+    assert report["rhs"] == pytest.approx(2.0 * d_s, rel=1e-12)
+    assert report["lhs"] >= 2.0 * d_s
+    assert report["lhs"] - 2.0 * d_s < 1e-5 * d_s
+
+
 def test_minimize_negative_subcommand(capsys):
     code, out, _ = run_cli(capsys, "minimize", "--op", "explicit:1",
                            "--u", "1", "--s", "0.5", "--nodes", "2000",

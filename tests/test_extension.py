@@ -25,7 +25,12 @@ from fracext.numdiff import (
     central_derivative,
     power_fit_limit,
 )
-from fracext.special import psi, psi_taylor_remainder, trace_constant
+from fracext.special import (
+    psi,
+    psi_deriv,
+    psi_taylor_remainder,
+    trace_constant,
+)
 from fracext.spectral import (
     ModalVector,
     apply_power,
@@ -372,6 +377,99 @@ def test_default_grid_coverage():
     grid = default_grid(spec)
     assert grid[0] <= 1e-4 / 10.0 * (1 + 1e-12)
     assert grid[-1] >= 40.0 * (1 - 1e-12)
+
+
+@pytest.mark.parametrize("n", [-1, 0, 1, 2])
+def test_default_grid_needs_three_points(n):
+    with pytest.raises(ValueError, match="n >= 3"):
+        default_grid(explicit_spectrum([1.0, 100.0]), n)
+    assert default_grid(explicit_spectrum([1.0, 100.0]), 3).size == 3
+
+
+def test_extend_at_large_order():
+    # K_s overflows near the origin at s = 100.5; the curve stays finite,
+    # decreasing, bounded by |u_j| and traces back to u
+    u = ModalVector(np.array([1.0, -2.0, 0.5]),
+                    explicit_spectrum([1.0, 4.0, 9.0]))
+    curve = extend(u, 100.5)
+    prof = curve.values / u.coeffs[:, None]
+    assert np.all(np.isfinite(prof))
+    assert np.all((prof > 0.0) & (prof <= 1.0))
+    assert np.all(np.diff(prof, axis=1) <= 0.0)
+    np.testing.assert_allclose(trace0(curve).coeffs, u.coeffs, rtol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# batched curve layer against a per-mode loop over the scalar kernels
+
+
+def _spread_vector():
+    rng = np.random.default_rng(64)
+    lam = np.concatenate([[0.0], np.geomspace(1e-2, 1e4, 64)])
+    coeffs = rng.normal(size=lam.size)
+    coeffs[[5, 40]] = 0.0
+    return ModalVector(coeffs, explicit_spectrum(lam))
+
+
+def _loop_profiles(u, fn, grid):
+    """fn(sqrt(lambda_j) y) point by point for every mode with a positive
+    eigenvalue and a nonzero coefficient; zero rows elsewhere."""
+    lam = u.spectrum.eigenvalues
+    out = np.zeros((lam.size, grid.size))
+    for j in range(lam.size):
+        if lam[j] == 0.0 or u.coeffs[j] == 0.0:
+            continue
+        root = math.sqrt(lam[j])
+        out[j] = [fn(root * y) for y in grid]
+    return out
+
+
+def _assert_batched_equal(got, want):
+    # below the normal range doubles carry fewer digits: no relative bound
+    np.testing.assert_allclose(got, want, rtol=1e-14,
+                               atol=np.finfo(float).tiny)
+
+
+@pytest.mark.parametrize("s", [0.3, 1.3, 2.5, 3.7])
+def test_batched_extend_and_trace0_match_per_mode_loop(s):
+    u = _spread_vector()
+    curve = extend(u, s)
+    want = u.coeffs[:, None] * _loop_profiles(u, lambda z: psi(s, z),
+                                              curve.grid)
+    kernel = u.spectrum.eigenvalues == 0.0
+    want[kernel] = u.coeffs[kernel, None]
+    _assert_batched_equal(curve.values, want)
+    exponents = (2.0 * s, 2.0) if s < 1 else (2.0, 2.0 * s) if s < 2 \
+        else (2.0, 4.0)
+    want0 = [power_fit_limit(curve.grid[:3], row[:3], exponents)
+             for row in want]
+    _assert_batched_equal(trace0(curve).coeffs, want0)
+
+
+@pytest.mark.parametrize("s", [0.3, 1.3, 2.5, 3.7])
+def test_batched_conormal_trace_matches_per_mode_loop(s):
+    u = _spread_vector()
+    lam = u.spectrum.eigenvalues
+    d_s = trace_constant(s)
+    s_rem = math.ceil(s) - s
+    y0 = 2e-3 / math.sqrt(lam[-1])
+    ys = np.array([y0, 0.5 * y0, 0.25 * y0])
+    profiles = _loop_profiles(u, lambda z: psi(s_rem, z), ys)
+    want = [power_fit_limit(ys, -d_s * lam[j] ** s * u.coeffs[j] * row,
+                            (2.0 * s_rem, 2.0)) if row.any() else 0.0
+            for j, row in enumerate(profiles)]
+    _assert_batched_equal(conormal_trace(u, s).coeffs, want)
+
+
+@pytest.mark.parametrize("s,k", [(0.3, 1), (1.3, 1), (1.3, 2), (2.5, 1),
+                                 (2.5, 2)])
+def test_batched_derivative_curve_matches_per_mode_loop(s, k):
+    u = _spread_vector()
+    got = derivative_curve(u, s, k)
+    amp = u.coeffs * u.spectrum.eigenvalues ** (0.5 * k)
+    want = amp[:, None] * _loop_profiles(u, lambda z: psi_deriv(s, z, k),
+                                         got.grid)
+    _assert_batched_equal(got.values, want)
 
 
 # ---------------------------------------------------------------------------

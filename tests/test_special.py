@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -121,13 +122,68 @@ def test_psi_underflows_to_zero_for_huge_argument():
     assert psi(0.5, 800.0) == 0.0
 
 
+def psi_mp(s, y):
+    """c_s y^s K_s(y) in 30-digit arithmetic, independent of fracext."""
+    with mpmath.workdps(30):
+        s, y = mpmath.mpf(s), mpmath.mpf(y)
+        return float(2 ** (1 - s) / mpmath.gamma(s) * y ** s
+                     * mpmath.besselk(s, y))
+
+
 def test_psi_large_order_flat_region():
-    # at large order the profile flattens: K overflows near the origin but
-    # the normalised product is 1 to far below double precision there, and
-    # the ascending series confirms the moderate-argument values
-    assert psi(60.5, 1e-5) == 1.0
+    # at large order the profile flattens: K overflows near the origin, yet
+    # the profile still sits 4.2e-13 below 1 there, and the ascending series
+    # confirms the moderate-argument values
+    assert psi(60.5, 1e-5) == pytest.approx(psi_mp(60.5, 1e-5), rel=1e-13)
+    assert psi(60.5, 1e-5) < 1.0
     assert psi(60.5, 1.0) == pytest.approx(psi_series(60.5, 1.0), rel=1e-12)
     assert psi(60.5, 1.0) == pytest.approx(1.0 - 1.0 / (4.0 * 59.5), rel=1e-4)
+
+
+@pytest.mark.parametrize("s", [60.5, 100.5, 200.5])
+@pytest.mark.parametrize("y", [0.01, 1.0, 30.0])
+def test_psi_large_order_against_mpmath(s, y):
+    # covers both routes: K_s overflows at the small arguments (ascending
+    # series) and stays finite at y = 30 (kve in log space)
+    assert psi(s, y) == pytest.approx(psi_mp(s, y), rel=1e-13)
+
+
+@pytest.mark.parametrize("s,y", [(60.0, 1e-5), (400.5, 48.0), (700.5, 150.0)])
+def test_psi_overflow_route_against_mpmath(s, y):
+    # K_s overflows at these points, also where y^2 > 4s and the ascending
+    # series would cancel catastrophically; integer orders included
+    from scipy.special import kve
+    assert math.isinf(kve(s, y))
+    assert psi(s, y) == pytest.approx(psi_mp(s, y), rel=1e-13)
+
+
+def test_psi_random_pairs_against_mpmath():
+    rng = np.random.default_rng(20221)
+    orders = rng.uniform(0.01, 20.0, 400)
+    ys = np.exp(rng.uniform(math.log(1e-5), math.log(300.0), 400))
+    for s, y in zip(orders, ys):
+        assert psi(s, y) == pytest.approx(psi_mp(s, y), rel=1e-13), (s, y)
+
+
+def test_psi_array_matches_elementwise():
+    ys = np.geomspace(1e-9, 700.0, 60).reshape(6, 10)
+    ys[0, :3] = (0.0, -1e-3, -2.0)
+    for s in (0.3, 2.5, 100.5):
+        vals = psi(s, ys)
+        assert vals.shape == ys.shape
+        ref = np.array([[psi(s, float(y)) for y in row] for row in ys])
+        np.testing.assert_array_equal(vals, ref)
+
+
+def test_psi_deriv_array_matches_scalar():
+    ys = np.geomspace(1e-3, 30.0, 24).reshape(4, 6)
+    for s, k in ((0.3, 1), (2.5, 1), (2.5, 2), (2.5, 3), (2.5, 5), (3.7, 6)):
+        vals = psi_deriv(s, ys, k)
+        ref = np.array([[psi_deriv(s, float(y), k) for y in row]
+                        for row in ys])
+        np.testing.assert_allclose(vals, ref, rtol=1e-14, atol=0.0)
+    with pytest.raises(ValueError):
+        psi_deriv(1.5, np.array([1.0, 0.0]), 1)
 
 
 @pytest.mark.parametrize("s", [0.25, 0.5, 0.75, 1.3, 2.5, 3.7])

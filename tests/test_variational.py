@@ -9,6 +9,7 @@ from fracext.spectral import ModalVector, apply_power, explicit_spectrum
 from fracext.special import psi_lambda
 from fracext.variational import (
     _assemble,
+    _elements,
     _thomas,
     graded_mesh,
     minimize_curve,
@@ -41,7 +42,7 @@ def test_assemble_matches_adaptive_quadrature():
 
     b, lam = -0.4, 2.0
     mesh = graded_mesh(6.0, 14, y_first=0.05)
-    diag, off = _assemble(mesh, b, lam)
+    diag, off = _assemble(_elements(mesh, b), lam)
     f = np.exp(-mesh ** 2)
     quad_form = float(np.sum(diag * f * f)
                       + 2.0 * np.sum(off * f[:-1] * f[1:]))
@@ -105,7 +106,7 @@ def test_minimize_profile_rejects_large_order():
 def test_zero_trace_constraint_gives_zero_minimum():
     # with f(0) = 0 imposed as well, the quadratic form minimum is 0 at f = 0
     mesh = graded_mesh(40.0, 200)
-    diag, off = _assemble(mesh, 0.0, 1.0)
+    diag, off = _assemble(_elements(mesh, 0.0), 1.0)
     x = _thomas(diag[1:-1].copy(), off[1:-1].copy(), np.zeros(mesh.size - 2))
     assert np.all(x == 0.0)
 
