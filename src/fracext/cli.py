@@ -31,7 +31,13 @@ import sys
 import numpy as np
 
 from .extension import curve_to_csv, curve_to_json, extend, extend_negative
-from .spectral import ModalVector, apply_power, build_operator, sobolev_norm
+from .spectral import (
+    _BUILDERS,
+    ModalVector,
+    apply_power,
+    build_operator,
+    sobolev_norm,
+)
 from .suite import CHECK_NAMES, RunConfig, run_checks
 from .variational import minimize_curve, minimize_negative, minimize_profile
 
@@ -89,8 +95,7 @@ def _parse_operator(text):
         raise
     except (json.JSONDecodeError, IndexError, KeyError) as err:
         raise UsageError(f"bad operator descriptor {text!r}: {err}") from err
-    if kind not in ("dirichlet_laplacian_1d", "neumann_laplacian_1d",
-                    "tridiagonal", "explicit_eigenvalues"):
+    if kind not in _BUILDERS:
         raise UsageError(f"unknown operator kind {kind!r}")
     return build_operator(kind, **desc)
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numdiff import apply_db, apply_db_power, power_fit_limit
-from .special import FracParams, psi, psi_deriv, trace_constant
+from .special import FracParams, _taylor_coeff, psi, psi_deriv, trace_constant
 from .spectral import ModalVector, Spectrum, apply_power
 
 __all__ = [
@@ -227,11 +227,9 @@ def taylor_expand(u: ModalVector, s: float, k: int) -> list:
         raise ValueError(f"expansion order k={k} outside 1..floor(s)")
     terms = [ModalVector(u.coeffs.copy(), u.spectrum, u.order)]
     for m in range(1, k + 1):
-        coef = (-1.0) ** m * math.exp(
-            math.lgamma(s - m) - math.lgamma(s)
-            - 2.0 * m * math.log(2.0) - math.lgamma(m + 1.0))
         powered = apply_power(u, float(m))
-        terms.append(ModalVector(coef * powered.coeffs, u.spectrum))
+        terms.append(ModalVector(_taylor_coeff(s, m) * powered.coeffs,
+                                 u.spectrum))
     return terms
 
 

@@ -40,6 +40,7 @@ _D2_WEIGHTS = {
 def central_derivative(f, y, k=1, accuracy=8, h=None):
     """k-th derivative (k = 1 or 2) of f at y by a central stencil.
 
+    ``f`` must accept an array: it is called once on all stencil points.
     The default step balances truncation against roundoff for smooth
     order-one profiles; for y close to 0 it shrinks so the stencil stays on
     the positive half line.
@@ -55,8 +56,7 @@ def central_derivative(f, y, k=1, accuracy=8, h=None):
         h = max(1e-4, 1e-3 * abs(y))
     if y - half * h <= 0.0 < y:
         h = y / (half + 1)
-    offs = np.arange(-half, half + 1)
-    vals = np.array([f(y + o * h) for o in offs])
+    vals = np.asarray(f(y + np.arange(-half, half + 1) * h), dtype=float)
     return float(weights @ vals) / h ** k
 
 
@@ -116,7 +116,8 @@ def apply_db_power(f, y, b, lam, times, accuracy=8, h=None):
     Each application consumes half a stencil width on both sides, so the
     sampled window is (y - times*half*h, y + times*half*h) and must stay on
     the positive axis.  Noise grows like h^{-2*times}; this path exists for
-    cross-validation, not production accuracy.
+    cross-validation, not production accuracy.  ``f`` must accept an
+    array: it is called once on the whole window.
     """
     if times < 1:
         raise ValueError("times must be >= 1")
@@ -134,14 +135,11 @@ def apply_db_power(f, y, b, lam, times, accuracy=8, h=None):
         raise ValueError("stencil window leaves the positive half line")
     offs = np.arange(-times * half, times * half + 1)
     ts = y + offs * h
-    vals = np.array([f(t) for t in ts], dtype=float)
+    vals = np.asarray(f(ts), dtype=float)
     for _ in range(times):
-        n = vals.size
-        core = slice(half, n - half)
-        d1 = np.array([w1 @ vals[i - half:i + half + 1]
-                       for i in range(half, n - half)]) / h
-        d2 = np.array([w2 @ vals[i - half:i + half + 1]
-                       for i in range(half, n - half)]) / (h * h)
+        core = slice(half, vals.size - half)
+        d1 = np.correlate(vals, w1, "valid") / h
+        d2 = np.correlate(vals, w2, "valid") / (h * h)
         ts_in = ts[core]
         vals = -d2 - b * d1 / ts_in + lam * vals[core]
         ts = ts_in

@@ -41,7 +41,6 @@ from scipy.special import kv, kve
 __all__ = [
     "FracParams",
     "ProfileConstants",
-    "ProfileSample",
     "bessel_k",
     "psi",
     "psi_lambda",
@@ -65,7 +64,9 @@ def bessel_k(nu: float, x: float) -> float:
     """
     if x <= 0.0:
         raise ValueError(f"bessel_k requires x > 0, got x={x}")
-    k = float(kv(nu, x))
+    # kv gives inf or nan at subnormal orders, where K_nu = K_0 to double
+    # precision (K_nu - K_0 = O(nu^2))
+    k = float(kv(nu if abs(nu) >= _TINY else 0.0, x))
     if math.isinf(k):
         raise OverflowError(
             f"K_nu({nu}, {x}) exceeds the double-precision range")
@@ -74,6 +75,8 @@ def bessel_k(nu: float, x: float) -> float:
 
 # ---------------------------------------------------------------------------
 # order-dependent constants
+
+_LN2 = math.log(2.0)
 
 
 def _check_noninteger_order(s):
@@ -93,14 +96,32 @@ def weight_exponent(s: float) -> float:
 
 def trace_constant(s: float) -> float:
     """Trace normalisation d_s = 2^b Gamma((1+b)/2) floor(s)! / Gamma(s)."""
-    s = _check_noninteger_order(s)
-    b = 1.0 - 2.0 * (s - math.floor(s))
+    b = weight_exponent(s)
     return math.exp(
-        b * math.log(2.0)
+        b * _LN2
         + math.lgamma(0.5 * (1.0 + b))
         + math.lgamma(math.floor(s) + 1.0)
         - math.lgamma(s)
     )
+
+
+def _log_c(s):
+    """log c_s, the profile normalisation c_s = 2^{1-s} / Gamma(s)."""
+    return (1.0 - s) * _LN2 - math.lgamma(s)
+
+
+def _m_b(b):
+    """Best constant m_b = 2^{1+b} Gamma((1+b)/2) / Gamma((1-b)/2) of the
+    weighted trace inequality."""
+    return math.exp((1.0 + b) * _LN2 + math.lgamma(0.5 * (1.0 + b))
+                    - math.lgamma(0.5 * (1.0 - b)))
+
+
+def _taylor_coeff(s, m):
+    """kappa_{s,m}/(2m)! = (-1)^m Gamma(s-m) / (Gamma(s) 2^{2m} m!)."""
+    return (-1.0) ** m * math.exp(
+        math.lgamma(s - m) - math.lgamma(s)
+        - 2.0 * m * _LN2 - math.lgamma(m + 1.0))
 
 
 def beta_fn(a: float, b: float) -> float:
@@ -130,19 +151,8 @@ class FracParams:
     def from_order(cls, s: float) -> "FracParams":
         s = _check_noninteger_order(s)
         fl = math.floor(s)
-        b = 1.0 - 2.0 * (s - fl)
-        c_s = math.exp((1.0 - s) * math.log(2.0) - math.lgamma(s))
-        return cls(s=s, floor_s=fl, ceil_s=fl + 1, b=b, c_s=c_s,
-                   d_s=trace_constant(s))
-
-
-@dataclass(frozen=True)
-class ProfileSample:
-    """psi_s evaluated at one abscissa, optionally with derivatives."""
-
-    y: float
-    value: float
-    derivatives: tuple = ()
+        return cls(s=s, floor_s=fl, ceil_s=fl + 1, b=weight_exponent(s),
+                   c_s=math.exp(_log_c(s)), d_s=trace_constant(s))
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +161,6 @@ class ProfileSample:
 # below this threshold the |y|^s K_s product is numerically indeterminate,
 # while the analytic limit is exactly 1
 _PSI_ORIGIN_CUTOFF = 1e-8
-_LN2 = math.log(2.0)
 _TINY = np.finfo(float).tiny
 _HUGE = np.finfo(float).max
 
@@ -186,7 +195,7 @@ def psi(s: float, y):
     away = ~(ay < _PSI_ORIGIN_CUTOFF)  # NaN stays on the Bessel route
     z = ay[away]
     k = kve(s, z)
-    log_c = (1.0 - s) * _LN2 - math.lgamma(s)
+    log_c = _log_c(s)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         head = math.exp(log_c) * z ** s
         decay = np.exp(-z)
@@ -221,12 +230,17 @@ def _gamma_coeff(s, ell):
     )
 
 
-def _psi_first_deriv(s, y):
-    # d/dy psi_s on y > 0: two closed-form branches around s = 1
+def _first_deriv_factors(s):
+    """(coef, expo, order) with psi_s'(y) = coef y^expo psi_order(y), y > 0:
+    the two closed-form branches around s = 1."""
     if s > 1.0:
-        return -y * psi(s - 1.0, y) / (2.0 * (s - 1.0))
-    d = trace_constant(s)
-    return -d * y ** (2.0 * s - 1.0) * psi(1.0 - s, y)
+        return -1.0 / (2.0 * (s - 1.0)), 1.0, s - 1.0
+    return -trace_constant(s), 2.0 * s - 1.0, 1.0 - s
+
+
+def _psi_first_deriv(s, y):
+    coef, expo, order = _first_deriv_factors(s)
+    return coef * y ** expo * psi(order, y)
 
 
 def psi_deriv(s: float, y, order: int):
@@ -294,16 +308,26 @@ def psi_deriv(s: float, y, order: int):
     return y * total
 
 
-def sample_profile(s: float, y: float, max_order: int = 0) -> ProfileSample:
-    """psi_s(y) together with all admissible derivatives up to max_order."""
-    derivs = []
-    for k in range(1, max_order + 1):
-        try:
-            derivs.append(psi_deriv(s, y, k))
-        except ValueError:
-            break
-    return ProfileSample(y=float(y), value=float(psi(s, y)),
-                         derivatives=tuple(derivs))
+def _singular_branch(s, y, n_terms):
+    """The y^{2s} branch of the ascending series,
+
+        (Gamma(-s)/Gamma(s)) (|y|/2)^{2s}
+            sum_{k<n_terms} (y^2/4)^k / (k! (1+s)_k),
+
+    with the Gamma ratio and the power in log space, so that it stays finite
+    where Gamma(s) overflows; sign(Gamma(-s)) = (-1)^{floor(s)+1}.
+    """
+    if y == 0.0:
+        return 0.0
+    t = 0.25 * y * y
+    term = 1.0
+    series = 1.0
+    for k in range(1, n_terms):
+        term *= t / (k * (k + s))
+        series += term
+    sign = (-1.0) ** (math.floor(s) + 1)
+    return sign * math.exp(math.lgamma(-s) - math.lgamma(s)
+                           + 2.0 * s * math.log(0.5 * abs(y))) * series
 
 
 def psi_series(s: float, y: float, n_terms: int = 18) -> float:
@@ -326,13 +350,7 @@ def psi_series(s: float, y: float, n_terms: int = 18) -> float:
     for k in range(1, n_terms):
         term *= t / (k * (k - s))
         analytic += term
-    term = 1.0
-    singular = 1.0
-    for k in range(1, n_terms):
-        term *= t / (k * (k + s))
-        singular += term
-    g = math.gamma(-s) / math.gamma(s)
-    return analytic + g * (0.5 * abs(y)) ** (2.0 * s) * singular
+    return analytic + _singular_branch(s, y, n_terms)
 
 
 def psi_taylor_remainder(s: float, y: float, k: int) -> float:
@@ -355,23 +373,14 @@ def psi_taylor_remainder(s: float, y: float, k: int) -> float:
     term = 1.0
     for m in range(1, k + 1):
         term *= t / (m * (m - s))
-        taylor = (-1.0) ** m * math.exp(
-            math.lgamma(s - m) - math.lgamma(s)
-            - 2.0 * m * math.log(2.0) - math.lgamma(m + 1.0)) * y ** (2 * m)
-        total += term - taylor
+        total += term - _taylor_coeff(s, m) * y ** (2 * m)
     # unmatched analytic tail
     tail_term = term
     for m in range(k + 1, k + 20):
         tail_term *= t / (m * (m - s))
         total += tail_term
     # singular branch y^{2s} (entirely beyond the polynomial part)
-    term = 1.0
-    singular = 1.0
-    for m in range(1, 20):
-        term *= t / (m * (m + s))
-        singular += term
-    g = math.gamma(-s) / math.gamma(s)
-    return total + g * (0.5 * abs(y)) ** (2.0 * s) * singular
+    return total + _singular_branch(s, y, 20)
 
 
 @dataclass(frozen=True)
@@ -391,22 +400,13 @@ class ProfileConstants:
 
 def constants(params: FracParams) -> ProfileConstants:
     """All closed-form constants for the order bundled in ``params``."""
-    b = params.b
-    m_b = math.exp(
-        (1.0 + b) * math.log(2.0)
-        + math.lgamma(0.5 * (1.0 + b)) - math.lgamma(0.5 * (1.0 - b))
-    )
     s = params.s
-    kappa = tuple(
-        (-1.0) ** m
-        * math.exp(math.lgamma(s - m) - math.lgamma(s)
-                   + math.lgamma(2 * m + 1.0) - math.lgamma(m + 1.0)
-                   - 2.0 * m * math.log(2.0))
-        for m in range(1, params.floor_s + 1)
-    )
+    kappa = tuple(math.factorial(2 * m) * _taylor_coeff(s, m)
+                  for m in range(1, params.floor_s + 1))
     gamma_coeff = tuple(_gamma_coeff(s, ell)
                         for ell in range(params.floor_s + 1))
-    return ProfileConstants(m_b=m_b, kappa=kappa, gamma_coeff=gamma_coeff)
+    return ProfileConstants(m_b=_m_b(params.b), kappa=kappa,
+                            gamma_coeff=gamma_coeff)
 
 
 # ---------------------------------------------------------------------------

@@ -161,64 +161,15 @@ def explicit_spectrum(values, label: str = "explicit_eigenvalues") -> Spectrum:
 def tridiag_eigh(diag, off):
     """Eigen-decomposition of a symmetric tridiagonal matrix.
 
-    Implicit-shift QL iteration with plane rotations accumulated into the
-    eigenvector matrix (the classic tql2 scheme).  Returns ``(w, v)`` with
-    eigenvalues ``w`` sorted nondecreasing (stable, so exact ties keep their
-    input order) and orthonormal eigenvectors in the columns of ``v``.
+    Returns ``(w, v)`` with eigenvalues ``w`` in ascending order and
+    orthonormal eigenvectors in the columns of ``v``, from
+    ``numpy.linalg.eigh`` on the dense matrix.
     """
-    d = np.array(diag, dtype=float)
-    n = d.size
-    e = np.zeros(n)
+    d = np.asarray(diag, dtype=float)
     off = np.asarray(off, dtype=float)
-    if off.shape != (max(n - 1, 0),):
+    if off.shape != (max(d.size - 1, 0),):
         raise ValueError("off-diagonal must have length n - 1")
-    e[: n - 1] = off
-    z = np.eye(n)
-    eps = np.finfo(float).eps
-    for low in range(n):
-        for _ in range(64):
-            # look for a negligible off-diagonal element to split at
-            m = low
-            while m < n - 1:
-                dd = abs(d[m]) + abs(d[m + 1])
-                if abs(e[m]) <= eps * dd:
-                    break
-                m += 1
-            if m == low:
-                break
-            # implicit shift from the 2x2 block at the low end
-            g = (d[low + 1] - d[low]) / (2.0 * e[low])
-            r = math.hypot(g, 1.0)
-            g = d[m] - d[low] + e[low] / (g + math.copysign(r, g))
-            s = c = 1.0
-            p = 0.0
-            for i in range(m - 1, low - 1, -1):
-                f = s * e[i]
-                b = c * e[i]
-                r = math.hypot(f, g)
-                e[i + 1] = r
-                if r == 0.0:
-                    d[i + 1] -= p
-                    e[m] = 0.0
-                    break
-                s = f / r
-                c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - b
-                zi = z[:, i].copy()
-                z[:, i + 1], z[:, i] = s * zi + c * z[:, i + 1], \
-                    c * zi - s * z[:, i + 1]
-            else:
-                d[low] -= p
-                e[low] = g
-                e[m] = 0.0
-        else:
-            raise RuntimeError("QL iteration failed to converge")
-    order = np.argsort(d, kind="stable")
-    return d[order], z[:, order]
+    return np.linalg.eigh(np.diag(d) + np.diag(off, 1) + np.diag(off, -1))
 
 
 def tridiagonal_spectrum(diag, off):

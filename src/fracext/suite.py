@@ -22,6 +22,7 @@ from .extension import (
     taylor_expand,
 )
 from .special import (
+    _m_b,
     psi,
     psi_fourier,
     psi_taylor_remainder,
@@ -203,9 +204,7 @@ def check_trace_ineq(cfg: RunConfig):
     out = []
     for b in (-0.5, 0.0, 0.4):
         out.append(trace_inequality(b, tol=tol))
-        m_b = math.exp((1.0 + b) * math.log(2.0)
-                       + math.lgamma(0.5 * (1.0 + b))
-                       - math.lgamma(0.5 * (1.0 - b)))
+        m_b = _m_b(b)
         worst = math.inf
         for prof in _random_profiles(cfg.seed, 20):
             r = trace_inequality(b, profile=prof)

@@ -31,9 +31,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special import FracParams, psi, trace_constant
+from .special import FracParams, _first_deriv_factors, psi, trace_constant
 from .spectral import ModalVector, sobolev_norm
 from .weighted import (
+    _TAIL_SCALE,
     CheckReport,
     make_grid,
     power_weighted_integral,
@@ -112,6 +113,7 @@ def _assemble(elements, lam):
     return 2.0 * diag, 2.0 * off  # doubled: integrals over R of even profiles
 
 
+# not on scipy.linalg, whose import adds over 10 % to the FE path's peak RSS
 def _thomas(diag, off, rhs):
     """Direct solve of an SPD tridiagonal system (no pivoting needed)."""
     n = diag.size
@@ -258,17 +260,18 @@ def orthogonality_check(u: ModalVector, s: float, v: ModalVector, eta,
         root = math.sqrt(lj)
         if params.ceil_s == 1:
             # gradient part: y^b psi' eta' has the weight exactly cancelled
-            d = params.d_s
+            coef, expo, order = _first_deriv_factors(s)
+            coef *= lj ** (0.5 * (1.0 + expo))
             grad = 2.0 * power_weighted_integral(
-                lambda y: -d * lj ** s * psi(1.0 - s, root * y) * eta.d1(y),
-                0.0, 45.0, n)
-            grid = make_grid(params.b, 45.0, n)
+                lambda y: coef * psi(order, root * y) * eta.d1(y),
+                params.b + expo, _TAIL_SCALE, n)
+            grid = make_grid(params.b, _TAIL_SCALE, n)
             mass = lj * grid.over_r(
                 lambda y: psi(s, root * y) * eta.value(y))
             lhs += u.coeffs[j] * v.coeffs[j] * (grad + mass)
         else:
             ratio = lj * params.d_s / trace_constant(s - 1.0)
-            grid = make_grid(params.b, 45.0, n)
+            grid = make_grid(params.b, _TAIL_SCALE, n)
             b = params.b
             lhs += u.coeffs[j] * v.coeffs[j] * grid.over_r(
                 lambda y: ratio * psi(s - 1.0, root * y)

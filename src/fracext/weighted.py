@@ -44,6 +44,8 @@ from scipy.special import roots_jacobi
 
 from .special import (
     FracParams,
+    _first_deriv_factors,
+    _m_b,
     psi,
     psi_fourier,
     seminorm_sq,
@@ -349,11 +351,9 @@ def _term_derivative(term, lam):
     """d/dy of an expo-0 term, via the two first-derivative branches."""
     if term.expo != 0.0:
         raise ValueError("derivative only needed for pure profile terms")
-    o = term.order
-    if o > 1.0:
-        return _Term(-term.coef * lam / (2.0 * (o - 1.0)), 1.0, o - 1.0)
-    d = trace_constant(o)
-    return _Term(-term.coef * d * lam ** o, 2.0 * o - 1.0, 1.0 - o)
+    coef, expo, order = _first_deriv_factors(term.order)
+    # the chain rule on psi(sqrt(lam) y) brings lam^{(1+expo)/2}
+    return _Term(term.coef * coef * lam ** (0.5 * (1.0 + expo)), expo, order)
 
 
 def _term_l2b_sq(term, lam, b, n):
@@ -480,9 +480,7 @@ def trace_inequality(b: float, profile=None, tol: float = 1e-6,
     """
     if not -1.0 < b < 1.0:
         raise ValueError("b must lie in (-1, 1)")
-    m_b = math.exp((1.0 + b) * math.log(2.0)
-                   + math.lgamma(0.5 * (1.0 + b))
-                   - math.lgamma(0.5 * (1.0 - b)))
+    m_b = _m_b(b)
     if profile is None:
         s = 0.5 * (1.0 - b)
         lhs = mode_energy(PsiProfile(s), 1.0, 1, b, n)
@@ -526,14 +524,9 @@ def parts_check(s: float, eta, b: float | None = None, tol: float = 1e-6,
             "for s < 1 the weighted Laplacian of psi_s is only available "
             "with the matched weight exponent")
     lhs = grid.over_r(lambda y: db_psi(y) * eta.value(y)) + flux
-    if s > 1.0:
-        rhs = grid.over_r(
-            lambda y: -y * psi(s - 1.0, y) / (2.0 * (s - 1.0)) * eta.d1(y))
-    else:
-        d = params.d_s
-        beta = b + 2.0 * s - 1.0
-        rhs = 2.0 * power_weighted_integral(
-            lambda y: -d * psi(1.0 - s, y) * eta.d1(y), beta, _TAIL_SCALE, n)
+    coef, expo, order = _first_deriv_factors(s)
+    rhs = 2.0 * power_weighted_integral(
+        lambda y: coef * psi(order, y) * eta.d1(y), b + expo, _TAIL_SCALE, n)
     return report_equal(f"parts_check(s={s}, b={b})", lhs, rhs, tol,
                         abs_tol=1e-10)
 

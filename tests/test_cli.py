@@ -206,6 +206,14 @@ def test_operator_inline_json(capsys):
                                [1.0, 2.0])
 
 
+def test_operator_unknown_kind_is_usage_error(capsys):
+    op = '{"kind":"banded","values":[1.0,4.0]}'
+    code, _, err = run_cli(capsys, "apply", "--op", op, "--u", "1,1",
+                           "--s", "0.5")
+    assert code == 2
+    assert "unknown operator kind 'banded'" in err
+
+
 def test_minimize_subcommand(capsys):
     code, out, _ = run_cli(capsys, "minimize", "--op", "explicit:1,4",
                            "--u", "1,1", "--s", "0.5", "--nodes", "2000")

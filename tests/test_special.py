@@ -5,7 +5,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fracext.numdiff import first_derivative_richardson
@@ -20,7 +20,6 @@ from fracext.special import (
     psi_lambda,
     psi_series,
     psi_taylor_remainder,
-    sample_profile,
     seminorm_sq,
     trace_constant,
     weight_exponent,
@@ -82,6 +81,7 @@ def test_bessel_k_order_recurrence_against_quadrature():
 
 
 @given(st.floats(0.0, 10.0), st.floats(0.05, 300.0))
+@example(2.2250738585e-313, 0.5)  # subnormal order
 @settings(max_examples=60, deadline=None)
 def test_bessel_k_recurrence_property(nu, x):
     lhs = bessel_k(nu + 2, x) - bessel_k(nu, x)
@@ -186,6 +186,22 @@ def test_psi_deriv_array_matches_scalar():
         psi_deriv(1.5, np.array([1.0, 0.0]), 1)
 
 
+def test_ascending_series_beyond_gamma_overflow():
+    # Gamma(s) overflows above s ~ 171; the singular-branch factor
+    # Gamma(-s)/Gamma(s) must still come out finite (here it underflows)
+    assert psi_series(200.5, 1.0) == pytest.approx(psi_mp(200.5, 1.0),
+                                                   rel=1e-15)
+    s, y = 180.5, 0.5
+    with mpmath.workdps(60):
+        sm, ym = mpmath.mpf(s), mpmath.mpf(y)
+        ref = (2 ** (1 - sm) / mpmath.gamma(sm) * ym ** sm
+               * mpmath.besselk(sm, ym) - 1 + ym ** 2 / (4 * (sm - 1)))
+    # the subtracted Taylor coefficient carries the rounding of
+    # lgamma(180.5) ~ 750: about 1e-16 absolute against a remainder of 6e-8
+    assert psi_taylor_remainder(s, y, 1) == pytest.approx(float(ref),
+                                                          rel=1e-8)
+
+
 @pytest.mark.parametrize("s", [0.25, 0.5, 0.75, 1.3, 2.5, 3.7])
 def test_psi_bounds_and_monotonicity(s):
     ys = np.geomspace(1e-4, 30.0, 120)
@@ -270,13 +286,6 @@ def test_psi_deriv_admissible_range():
     with pytest.raises(ValueError):
         psi_deriv(1.3, 1.0, 3)  # 2 floor(s)+1 needs frac(s) >= 1/2
     psi_deriv(1.7, 1.0, 3)  # ... and is admissible when it is
-
-
-def test_sample_profile_collects_derivatives():
-    prof = sample_profile(2.5, 1.0, max_order=5)
-    assert prof.value == pytest.approx(psi(2.5, 1.0))
-    assert len(prof.derivatives) == 5
-    assert prof.derivatives[0] == pytest.approx(psi_deriv(2.5, 1.0, 1))
 
 
 # ---------------------------------------------------------------------------

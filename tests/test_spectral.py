@@ -68,6 +68,19 @@ def test_ql_against_dense_eigensolver(n, seed):
     assert np.max(np.abs(v @ np.diag(w) @ v.T - full)) < 1e-9
 
 
+@pytest.mark.parametrize("d,e,want", [([3.5], [], [3.5]),
+                                     ([2.0, 2.0], [0.0], [2.0, 2.0])])
+def test_tridiag_eigh_single_entry_and_exact_tie(d, e, want):
+    w, v = tridiag_eigh(d, e)
+    np.testing.assert_array_equal(w, want)
+    n = len(d)
+    full = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+    assert np.max(np.abs(v.T @ v - np.eye(n))) < 1e-15
+    assert np.max(np.abs(v @ np.diag(w) @ v.T - full)) < 1e-15
+    with pytest.raises(ValueError):
+        tridiag_eigh(d, e + [1.0])
+
+
 def test_eigenbasis_expands_physical_vectors():
     spec, basis = tridiagonal_spectrum([2.0, 2.0, 2.0], [-1.0, -1.0])
     x = np.array([1.0, 0.5, -0.25])

@@ -1,10 +1,14 @@
 """Tests for the finite-element variational verifier."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import fracext
 from fracext.spectral import ModalVector, apply_power, explicit_spectrum
 from fracext.special import psi_lambda
 from fracext.variational import (
@@ -32,6 +36,17 @@ def test_thomas_solves_spd_tridiagonal():
     # determinism: repeated solves are bitwise identical
     x2 = _thomas(diag.copy(), off.copy(), rhs)
     assert np.array_equal(x, x2)
+
+
+def test_fe_path_does_not_load_scipy_linalg():
+    # loading scipy.linalg adds over 10 % to the FE path's peak RSS
+    code = ("import sys, fracext\n"
+            "fracext.minimize_profile(0.5, 1.0, n_nodes=200)\n"
+            "assert 'scipy.linalg' not in sys.modules\n")
+    src = os.path.dirname(os.path.dirname(fracext.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                   timeout=60)
 
 
 def test_assemble_matches_adaptive_quadrature():
