@@ -210,6 +210,10 @@ def _cmd_verify(args):
         if "unknown check name" in str(err):
             raise UsageError(str(err)) from err
         raise
+    if not reports:
+        # a selection the checks skip entirely would pass vacuously
+        raise UsageError("the check selection and restrictions leave no "
+                         "check to run")
     lines = [r.to_json() for r in reports]
     n_pass = sum(r.passed for r in reports)
     summary = f"# {n_pass}/{len(reports)} checks passed"

@@ -30,7 +30,7 @@ import numpy as np
 
 from .numdiff import apply_db, apply_db_power, power_fit_limit
 from .special import FracParams, _taylor_coeff, psi, psi_deriv, trace_constant
-from .spectral import ModalVector, Spectrum, apply_power
+from .spectral import ModalVector, Spectrum, _active_modes, apply_power
 
 __all__ = [
     "CurveSamples",
@@ -96,12 +96,10 @@ def _check_grid(grid):
     return grid
 
 
-def _active(u):
-    """Mask of the modes with a positive eigenvalue and a nonzero coefficient,
-    with their square-root eigenvalues as a column."""
-    lam = u.spectrum.eigenvalues
-    mask = (lam != 0.0) & (u.coeffs != 0.0)
-    return mask, np.sqrt(lam[mask])[:, None]
+def _active_roots(u):
+    """Active-mode mask of u and the square roots of its eigenvalues."""
+    mask = _active_modes(u)
+    return mask, np.sqrt(u.spectrum.eigenvalues[mask])[:, None]
 
 
 def extend(u: ModalVector, s: float, grid=None) -> ExtensionCurve:
@@ -117,7 +115,7 @@ def extend(u: ModalVector, s: float, grid=None) -> ExtensionCurve:
     values = np.zeros((u.spectrum.size, grid.size))
     kernel = u.spectrum.eigenvalues == 0.0
     values[kernel] = u.coeffs[kernel, None]
-    mask, root = _active(u)
+    mask, root = _active_roots(u)
     values[mask] = u.coeffs[mask, None] * psi(s, root * grid)
     return ExtensionCurve(spectrum=u.spectrum, grid=grid, values=values,
                           params=params, source=u)
@@ -185,7 +183,7 @@ def conormal_trace(u: ModalVector, s: float, y0: float | None = None) -> ModalVe
     s_rem = params.ceil_s - s  # in (0, 1)
     exponents = (2.0 * s_rem, 2.0)
     ys = np.array([y0, 0.5 * y0, 0.25 * y0])
-    mask, root = _active(u)
+    mask, root = _active_roots(u)
     amp = -params.d_s * u.spectrum.eigenvalues[mask] ** s * u.coeffs[mask]
     vals = amp[:, None] * psi(s_rem, root * ys)
     out = np.zeros(u.spectrum.size)
@@ -206,7 +204,7 @@ def derivative_curve(u: ModalVector, s: float, k: int, grid=None) -> CurveSample
         grid = default_grid(u.spectrum)
     grid = _check_grid(grid)
     values = np.zeros((u.spectrum.size, grid.size))
-    mask, root = _active(u)
+    mask, root = _active_roots(u)
     amp = u.coeffs[mask] * u.spectrum.eigenvalues[mask] ** (0.5 * k)
     values[mask] = amp[:, None] * psi_deriv(s, root * grid, k)
     return CurveSamples(spectrum=u.spectrum, grid=grid, values=values)
@@ -250,9 +248,8 @@ def ode_residual(u: ModalVector, s: float, y: float,
     lam = u.spectrum.eigenvalues
     b = params.b
     res = np.zeros(u.spectrum.size)
-    for j in range(u.spectrum.size):
-        if lam[j] == 0.0 or u.coeffs[j] == 0.0:
-            continue
+    # one stencil per mode: its step depends on the mode's scale
+    for j in np.flatnonzero(_active_modes(u)):
         lj = float(lam[j])
         root = math.sqrt(lj)
         if fully_numerical:

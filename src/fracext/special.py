@@ -194,7 +194,8 @@ def psi(s: float, y):
     out = np.ones(ay.shape)
     away = ~(ay < _PSI_ORIGIN_CUTOFF)  # NaN stays on the Bessel route
     z = ay[away]
-    k = kve(s, z)
+    # kve gives inf at subnormal orders, where K_s = K_0 to double precision
+    k = kve(s if s >= _TINY else 0.0, z)
     log_c = _log_c(s)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         head = math.exp(log_c) * z ** s
@@ -360,25 +361,21 @@ def psi_taylor_remainder(s: float, y: float, k: int) -> float:
         kappa_{s,m}/(2m)! = (-1)^m Gamma(s-m) / (Gamma(s) 2^{2m} m!),
 
     evaluated through the ascending series so that the heavy cancellation at
-    small y never happens in floating point: the analytic series
-    coefficients (Pochhammer route) are subtracted from the expansion
-    coefficients (Gamma route) term by term.  Requires 0 <= k <= floor(s).
+    small y never happens in floating point.  The analytic-series terms of
+    order m <= k equal the Taylor terms, since (1-s)_m = (-1)^m Gamma(s) /
+    Gamma(s-m), so the remainder is the analytic tail from m = k+1 plus the
+    singular branch.  Requires 0 <= k <= floor(s).
     """
     s = _check_noninteger_order(s)
     if not 0 <= k <= math.floor(s):
         raise ValueError(f"remainder order k={k} outside 0..floor(s)")
     t = 0.25 * y * y
-    total = 0.0
-    # matched-order terms: analytic-series coefficient minus Taylor coefficient
     term = 1.0
-    for m in range(1, k + 1):
+    total = 0.0
+    for m in range(1, k + 20):
         term *= t / (m * (m - s))
-        total += term - _taylor_coeff(s, m) * y ** (2 * m)
-    # unmatched analytic tail
-    tail_term = term
-    for m in range(k + 1, k + 20):
-        tail_term *= t / (m * (m - s))
-        total += tail_term
+        if m > k:
+            total += term
     # singular branch y^{2s} (entirely beyond the polynomial part)
     return total + _singular_branch(s, y, 20)
 

@@ -152,10 +152,9 @@ def neumann_laplacian_1d(length: float, modes: int) -> Spectrum:
 
 
 def explicit_spectrum(values, label: str = "explicit_eigenvalues") -> Spectrum:
-    vals = np.sort(np.asarray(values, dtype=float))
-    if vals.size and vals[0] < 0:
-        raise ValueError("explicit spectrum contains a negative eigenvalue")
-    return Spectrum(vals, label=label)
+    """Spectrum of nondecreasing eigenvalues; unsorted input is rejected,
+    as sorting would detach them from the coefficients paired with them."""
+    return Spectrum(values, label=label)
 
 
 def tridiag_eigh(diag, off):
@@ -223,6 +222,15 @@ def _check_kernel_use(u: ModalVector, power: float, what: str):
             raise ValueError(
                 f"{what} with negative power touches kernel mode "
                 f"{bad[0]} (zero eigenvalue, nonzero coefficient)")
+
+
+def _active_modes(u: ModalVector, *others: ModalVector) -> np.ndarray:
+    """Mask of the modes with a positive eigenvalue and a nonzero
+    coefficient in u and in every further vector on its spectrum."""
+    mask = u.spectrum.eigenvalues != 0.0
+    for v in (u,) + others:
+        mask &= v.coeffs != 0.0
+    return mask
 
 
 def sobolev_norm(u: ModalVector, sigma: float) -> float:

@@ -295,8 +295,7 @@ def check_nonexpansive(cfg: RunConfig):
     grid = default_grid(spec, 120)
     out = []
     for s in cfg.pick_s((0.5, 1.5)):
-        psi_mat = np.vstack([
-            psi(s, math.sqrt(lam) * grid) for lam in spec.eigenvalues])
+        psi_mat = psi(s, np.sqrt(spec.eigenvalues)[:, None] * grid)
         excess = -math.inf
         for u in _random_vectors(spec, cfg.seed, 10):
             cols = psi_mat * u.coeffs[:, None]

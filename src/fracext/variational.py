@@ -20,8 +20,9 @@ out of scope (their approximation theory is unsettled for b != 0), which is
 why the constrained solves here stop at ceil(s) = 1 and only the
 orthogonality check accepts ceil(s) = 2.
 
-Per-mode solves are independent (and could run in parallel); each solve is
-a deterministic direct factorisation.
+Each active mode gets its own mesh and one direct tridiagonal solve (a
+sweep batched over modes pays only at many modes); the orthogonality check
+integrates all modes at once, as one (J, N) integrand.
 """
 
 from __future__ import annotations
@@ -32,11 +33,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .special import FracParams, _first_deriv_factors, psi, trace_constant
-from .spectral import ModalVector, sobolev_norm
+from .spectral import ModalVector, _active_modes, sobolev_norm
 from .weighted import (
     _TAIL_SCALE,
     CheckReport,
-    make_grid,
     power_weighted_integral,
     report_equal,
 )
@@ -147,6 +147,19 @@ def _energy(elements, lam, f):
     return 2.0 * float(np.sum(k_el * (f1 - f0) ** 2 + lam * mass))
 
 
+def _fe_form(params, lam, n_nodes, mesh=None):
+    """Mesh, element arrays and assembled form of one mode.  The default
+    mesh ends at 40/sqrt(lam); its first cell's energy scales like
+    delta^{2s}, so delta is 1e-5^{max(1, 1/(2s))} of the range."""
+    if mesh is None:
+        y_max = 40.0 / math.sqrt(lam)
+        mesh = graded_mesh(y_max, n_nodes,
+                           y_max * 1e-5 ** max(1.0, 0.5 / params.s))
+    mesh = np.asarray(mesh, dtype=float)
+    elements = _elements(mesh, params.b)
+    return mesh, elements, _assemble(elements, lam)
+
+
 def minimize_profile(s: float, lam: float, mesh=None, n_nodes: int = 2000):
     """Discrete constrained minimum for one mode, s in (0, 1).
 
@@ -159,23 +172,13 @@ def minimize_profile(s: float, lam: float, mesh=None, n_nodes: int = 2000):
         raise ValueError(
             f"constrained minimisation is implemented for s in (0,1); "
             f"got s={s}")
-    b = params.b
-    if mesh is None:
-        mesh = graded_mesh(40.0 / math.sqrt(lam), n_nodes)
-    mesh = np.asarray(mesh, dtype=float)
-    elements = _elements(mesh, b)
-    diag, off = _assemble(elements, lam)
-    n = mesh.size
+    mesh, elements, (diag, off) = _fe_form(params, lam, n_nodes, mesh)
     # Dirichlet data: f(0) = 1, f(y_max) = 0; unknowns are the interior nodes
-    rhs = np.zeros(n - 2)
-    rhs[0] = -off[0] * 1.0
-    x = _thomas(diag[1:-1].copy(), off[1:-1].copy(), rhs)
-    full = np.empty(n)
-    full[0] = 1.0
-    full[-1] = 0.0
-    full[1:-1] = x
+    rhs = np.zeros(mesh.size - 2)
+    rhs[0] = -off[0]
+    full = np.concatenate(([1.0], _thomas(diag[1:-1], off[1:-1], rhs), [0.0]))
     value = _energy(elements, lam, full)
-    return value, ProfileFE(grid=mesh, values=full, b=b, lam=lam)
+    return value, ProfileFE(grid=mesh, values=full, b=params.b, lam=lam)
 
 
 def minimize_curve(u: ModalVector, s: float, n_nodes: int = 2000,
@@ -184,15 +187,13 @@ def minimize_curve(u: ModalVector, s: float, n_nodes: int = 2000,
     2 d_s |u|^2_{H^s}.  The discrete value sits above the closed form and
     closes in under refinement."""
     params = FracParams.from_order(s)
-    lam = u.spectrum.eigenvalues
     if u.spectrum.kernel_dim and np.any(u.coeffs[:u.spectrum.kernel_dim]):
         raise ValueError("minimize_curve needs zero kernel coefficients")
+    mask = _active_modes(u)
     total = 0.0
-    for j in range(u.spectrum.size):
-        if lam[j] == 0.0 or u.coeffs[j] == 0.0:
-            continue
-        val, _ = minimize_profile(s, float(lam[j]), n_nodes=n_nodes)
-        total += u.coeffs[j] ** 2 * val
+    for lam, c in zip(u.spectrum.eigenvalues[mask], u.coeffs[mask]):
+        val, _ = minimize_profile(s, float(lam), n_nodes=n_nodes)
+        total += c ** 2 * val
     rhs = 2.0 * params.d_s * sobolev_norm(u, s) ** 2
     return report_equal(f"minimize_curve(s={s})", total, rhs, tol)
 
@@ -215,17 +216,12 @@ def minimize_negative(zeta: ModalVector, s: float, n_nodes: int = 2000,
         raise ValueError("minimize_negative needs zero kernel coefficients")
     total = 0.0
     trace = np.zeros(zeta.spectrum.size)
-    for j in range(zeta.spectrum.size):
-        if lam[j] == 0.0 or zeta.coeffs[j] == 0.0:
-            continue
-        lj = float(lam[j])
-        mesh = graded_mesh(40.0 / math.sqrt(lj), n_nodes)
-        diag, off = _assemble(_elements(mesh, params.b), lj)
-        n = mesh.size
+    for j in np.flatnonzero(_active_modes(zeta)):
+        mesh, _, (diag, off) = _fe_form(params, float(lam[j]), n_nodes)
         # far-field f(y_max) = 0 only; node 0 is a genuine unknown
-        rhs = np.zeros(n - 1)
+        rhs = np.zeros(mesh.size - 1)
         rhs[0] = 2.0 * params.d_s * zeta.coeffs[j]
-        x = _thomas(diag[:-1].copy(), off[:-1].copy(), rhs)
+        x = _thomas(diag[:-1], off[:-1], rhs)
         # at the optimum the quadratic form equals half the linear term
         total += -2.0 * params.d_s * zeta.coeffs[j] * x[0]
         trace[j] = x[0]
@@ -251,31 +247,27 @@ def orthogonality_check(u: ModalVector, s: float, v: ModalVector, eta,
         raise ValueError("orthogonality check implemented for ceil(s) <= 2")
     if len(u) != len(v):
         raise ValueError("u and v need matching spectra")
-    lam = u.spectrum.eigenvalues
-    lhs = 0.0
-    for j in range(u.spectrum.size):
-        if lam[j] == 0.0 or u.coeffs[j] == 0.0 or v.coeffs[j] == 0.0:
-            continue
-        lj = float(lam[j])
-        root = math.sqrt(lj)
-        if params.ceil_s == 1:
-            # gradient part: y^b psi' eta' has the weight exactly cancelled
-            coef, expo, order = _first_deriv_factors(s)
-            coef *= lj ** (0.5 * (1.0 + expo))
-            grad = 2.0 * power_weighted_integral(
-                lambda y: coef * psi(order, root * y) * eta.d1(y),
-                params.b + expo, _TAIL_SCALE, n)
-            grid = make_grid(params.b, _TAIL_SCALE, n)
-            mass = lj * grid.over_r(
-                lambda y: psi(s, root * y) * eta.value(y))
-            lhs += u.coeffs[j] * v.coeffs[j] * (grad + mass)
-        else:
-            ratio = lj * params.d_s / trace_constant(s - 1.0)
-            grid = make_grid(params.b, _TAIL_SCALE, n)
-            b = params.b
-            lhs += u.coeffs[j] * v.coeffs[j] * grid.over_r(
-                lambda y: ratio * psi(s - 1.0, root * y)
-                * (-eta.d2(y) - b * eta.d1_over_y(y) + lj * eta.value(y)))
+    mask = _active_modes(u, v)
+    lam = u.spectrum.eigenvalues[mask][:, None]
+    root = np.sqrt(lam)
+    b = params.b
+    if params.ceil_s == 1:
+        # gradient part: y^b psi' eta' has the weight exactly cancelled
+        coef, expo, order = _first_deriv_factors(s)
+        coef = coef * lam ** (0.5 * (1.0 + expo))
+        grad = power_weighted_integral(
+            lambda y: coef * psi(order, root * y) * eta.d1(y),
+            b + expo, _TAIL_SCALE, n)
+        mass = power_weighted_integral(
+            lambda y: psi(s, root * y) * eta.value(y), b, _TAIL_SCALE, n)
+        per_mode = 2.0 * (grad + lam[:, 0] * mass)
+    else:
+        ratio = lam * params.d_s / trace_constant(s - 1.0)
+        per_mode = 2.0 * power_weighted_integral(
+            lambda y: ratio * psi(s - 1.0, root * y)
+            * (-eta.d2(y) - b * eta.d1_over_y(y) + lam * eta.value(y)),
+            b, _TAIL_SCALE, n)
+    lhs = float(u.coeffs[mask] * v.coeffs[mask] @ per_mode)
     eta0 = float(eta.value(0.0))
     # kernel eigenvalues contribute nothing: 0^s = 0 for s > 0
     rhs = 2.0 * params.d_s * eta0 * float(

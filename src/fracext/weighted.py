@@ -28,8 +28,10 @@ valid when b matches the weight exponent of the order s.  The identity suite
 (energy isometry, virial split, trace inequality, integration by parts,
 Fourier isometries) reports results as :class:`CheckReport` records.
 
-Grids are immutable and cached; every routine here is a pure function of
-its arguments, so per-mode quadratures can run concurrently.
+The package integrates only through :func:`power_weighted_integral` on the
+geometric cells.  A curve identity is a sum over modes of one integral, so
+the integrand returns a (J, N) array on the stacked grids of the J modes:
+one profile call and one weighted row sum give all J integrals.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from .special import (
     trace_constant,
     weight_exponent,
 )
-from .spectral import ModalVector, sobolev_norm
+from .spectral import ModalVector, _active_modes, sobolev_norm
 
 __all__ = [
     "WeightedGrid",
@@ -183,11 +185,24 @@ def make_grid(b: float, y_max: float = _TAIL_SCALE, n: int = _DEFAULT_NODES,
 
 
 def power_weighted_integral(g, beta, upper, n=_DEFAULT_NODES):
-    """int_0^upper y^beta g(y) dy for smooth g and any exponent beta > -1."""
+    """int_0^upper y^beta g(y) dy for smooth g and any exponent beta > -1.
+
+    ``g`` may return a (J, N) array on the N nodes, for J integrals at once.
+    ``upper`` may be an array of J limits; ``g`` then receives the (J, N)
+    stack of their grids and returns one row per limit.
+    """
     if beta <= -1.0:
         raise ValueError(f"exponent {beta} is not integrable at the origin")
-    nodes, weights = _cells_geometric(float(beta), float(upper), int(n))
-    return float(weights @ g(nodes))
+    upper = np.asarray(upper, dtype=float)
+    if upper.ndim == 0:
+        nodes, weights = _cells_geometric(float(beta), float(upper), int(n))
+        out = g(nodes) @ weights
+        return float(out) if out.ndim == 0 else out
+    if upper.size == 0:
+        return np.zeros(0)
+    rules = [_cells_geometric(float(beta), float(u), int(n)) for u in upper]
+    nodes, weights = (np.array(a) for a in zip(*rules))
+    return np.einsum("jn,jn->j", g(nodes), weights)
 
 
 # ---------------------------------------------------------------------------
@@ -317,18 +332,13 @@ class CompactBump:
         return out
 
 
-# internal algebra on terms coef * y^expo * psi_order(sqrt(lam) y)
+# internal algebra on terms coef * y^expo * psi_order(sqrt(lam) y); coef
+# holds one entry per mode when lam is an array of eigenvalues
 @dataclass(frozen=True)
 class _Term:
-    coef: float
+    coef: float | np.ndarray
     expo: float
     order: float
-
-    def values(self, lam, y):
-        out = self.coef * psi(self.order, math.sqrt(lam) * y)
-        if self.expo != 0.0:
-            out = out * y ** self.expo
-        return out
 
 
 def _apply_operator_power(s, lam, b, m):
@@ -357,52 +367,49 @@ def _term_derivative(term, lam):
 
 
 def _term_l2b_sq(term, lam, b, n):
-    """int_R |y|^b |term|^2 dy (even integrand, so 2x half line)."""
-    beta = b + 2.0 * term.expo
-    if beta <= -1.0:
-        raise ValueError(
-            f"integrand exponent {beta} is not integrable at the origin")
-    upper = _TAIL_SCALE / math.sqrt(lam)
-    root_lam = math.sqrt(lam)
-    nodes, weights = _cells_geometric(float(beta), float(upper), int(n))
-    vals = psi(term.order, root_lam * nodes) ** 2
-    return 2.0 * term.coef ** 2 * float(weights @ vals)
+    """int_R |y|^b |term|^2 dy (even integrand, so 2x half line) for one
+    eigenvalue lam or an array of them, each on its own grid."""
+    root = np.sqrt(lam)
+    return 2.0 * term.coef ** 2 * power_weighted_integral(
+        lambda y: psi(term.order, root[..., None] * y) ** 2,
+        b + 2.0 * term.expo, _TAIL_SCALE / root, n)
 
 
 # ---------------------------------------------------------------------------
 # energies
 
 
-def mode_energy(profile, lam: float, k: int, b: float,
-                n: int = _DEFAULT_NODES) -> float:
+def mode_energy(profile, lam, k: int, b: float, n: int = _DEFAULT_NODES):
     """Squared weighted energy |profile(sqrt(lam) .)|^2_{lam, H^{k;b}} over R.
 
     ``profile`` is either a :class:`PsiProfile` (all k with an analytic
     operator collapse) or any object with ``value``/``d1`` callables, in
-    which case only k = 1 is available.
+    which case only k = 1 is available.  ``lam`` is one eigenvalue (float
+    result) or an array of them (one energy per entry, one profile call).
     """
-    if not lam > 0:
+    if not np.all(np.asarray(lam) > 0):
         raise ValueError("mode energy needs lam > 0")
     if k < 1:
         raise ValueError("energy order k must be >= 1")
     if isinstance(profile, PsiProfile):
         s = profile.s
-        m = k // 2
+        t = _apply_operator_power(s, lam, b, k // 2)
         if k % 2 == 0:
-            t = _apply_operator_power(s, lam, b, m)
             return _term_l2b_sq(t, lam, b, n)
-        t = _apply_operator_power(s, lam, b, m)
         grad = _term_derivative(t, lam)
         return _term_l2b_sq(grad, lam, b, n) + lam * _term_l2b_sq(t, lam, b, n)
     if k != 1:
         raise ValueError(
             "sampled profiles only support k = 1; higher orders need the "
             "analytic operator powers of a PsiProfile")
-    grid = make_grid(b, _TAIL_SCALE / math.sqrt(lam), n)
-    root = math.sqrt(lam)
-    grad_sq = grid.over_r(lambda y: (root * profile.d1(root * y)) ** 2)
-    val_sq = grid.over_r(lambda y: profile.value(root * y) ** 2)
-    return grad_sq + lam * val_sq
+    root = np.sqrt(lam)
+
+    def energy_density(y):  # (|d/dy f(root y)|^2 + lam f(root y)^2) / lam
+        z = root[..., None] * y
+        return profile.d1(z) ** 2 + profile.value(z) ** 2
+
+    return 2.0 * lam * power_weighted_integral(
+        energy_density, b, _TAIL_SCALE / root, n)
 
 
 def curve_energy(curve, k: int | None = None, b: float | None = None,
@@ -418,17 +425,10 @@ def curve_energy(curve, k: int | None = None, b: float | None = None,
         k = params.ceil_s
     if b is None:
         b = params.b
-    prof = PsiProfile(params.s)
-    lam = curve.spectrum.eigenvalues
-    u = curve.source.coeffs
-    total = 0.0
-    for j in range(curve.spectrum.size):
-        if lam[j] == 0.0:
-            continue
-        if u[j] == 0.0:
-            continue
-        total += u[j] ** 2 * mode_energy(prof, float(lam[j]), k, b, n)
-    return total
+    mask = _active_modes(curve.source)
+    energies = mode_energy(PsiProfile(params.s),
+                           curve.spectrum.eigenvalues[mask], k, b, n)
+    return float(curve.source.coeffs[mask] ** 2 @ energies)
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +507,6 @@ def parts_check(s: float, eta, b: float | None = None, tol: float = 1e-6,
     if b is None:
         b = params.b
     matched = abs(b - params.b) <= 1e-12
-    grid = make_grid(b, _TAIL_SCALE, n)
     flux = 0.0
     if matched:
         if s > 1.0:
@@ -523,7 +522,8 @@ def parts_check(s: float, eta, b: float | None = None, tol: float = 1e-6,
         raise ValueError(
             "for s < 1 the weighted Laplacian of psi_s is only available "
             "with the matched weight exponent")
-    lhs = grid.over_r(lambda y: db_psi(y) * eta.value(y)) + flux
+    lhs = 2.0 * power_weighted_integral(
+        lambda y: db_psi(y) * eta.value(y), b, _TAIL_SCALE, n) + flux
     coef, expo, order = _first_deriv_factors(s)
     rhs = 2.0 * power_weighted_integral(
         lambda y: coef * psi(order, y) * eta.d1(y), b + expo, _TAIL_SCALE, n)
@@ -536,9 +536,8 @@ def psi_fourier_numeric(s: float, xi: float, n: int = _DEFAULT_NODES) -> float:
     xi = abs(float(xi))
     # resolve the oscillation: enough cells for a few panels per wavelength
     n_eff = max(n, int(24 * _TAIL_SCALE * max(xi, 1.0) / math.pi))
-    nodes, weights = _cells_geometric(0.0, _TAIL_SCALE, n_eff)
-    vals = np.cos(xi * nodes) * psi(s, nodes)
-    return math.sqrt(2.0 / math.pi) * float(weights @ vals)
+    return math.sqrt(2.0 / math.pi) * power_weighted_integral(
+        lambda y: np.cos(xi * y) * psi(s, y), 0.0, _TAIL_SCALE, n_eff)
 
 
 def xi_moment(s, q, n=_DEFAULT_NODES):
@@ -576,7 +575,6 @@ def fourier_isometry(u: ModalVector, s: float, sigma: float = 0.0,
         raise ValueError("pass exactly one of alpha (Sobolev) or b (weighted)")
     if not s > 0:
         raise ValueError("fourier_isometry needs s > 0")
-    lam = u.spectrum.eigenvalues
     if u.spectrum.kernel_dim and np.any(u.coeffs[:u.spectrum.kernel_dim]):
         raise ValueError("fourier isometries need zero kernel coefficients")
     norm_sq = sobolev_norm(u, sigma) ** 2
@@ -584,15 +582,13 @@ def fourier_isometry(u: ModalVector, s: float, sigma: float = 0.0,
     if b is not None:
         if not -1.0 < b < 1.0:
             raise ValueError("b must lie in (-1, 1)")
-        lhs = 0.0
-        for j in range(u.spectrum.size):
-            if lam[j] == 0.0 or u.coeffs[j] == 0.0:
-                continue
-            grid = make_grid(b, _TAIL_SCALE / math.sqrt(lam[j]), n)
-            part = grid.over_r(lambda y: psi(s, math.sqrt(lam[j]) * y) ** 2)
-            lhs += lam[j] ** (sigma + 0.5 * (1.0 + b)) * u.coeffs[j] ** 2 * part
-        ref = make_grid(b, _TAIL_SCALE, n).over_r(lambda y: psi(s, y) ** 2)
-        rhs = ref * norm_sq
+        mask = _active_modes(u)
+        lam = u.spectrum.eigenvalues[mask]
+        profile = _Term(1.0, 0.0, s)
+        parts = _term_l2b_sq(profile, lam, b, n)
+        lhs = float(lam ** (sigma + 0.5 * (1.0 + b)) * u.coeffs[mask] ** 2
+                    @ parts)
+        rhs = _term_l2b_sq(profile, 1.0, b, n) * norm_sq
         return report_equal(
             f"fourier_weighted_l2(s={s}, b={b}, sigma={sigma})", lhs, rhs, tol)
 

@@ -2,11 +2,16 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fracext.cli import main
+
+# the names and order of the default `verify` reports, one a line
+VERIFY_NAMES = (Path(__file__).resolve().parents[1]
+                / "perfbench" / "verify_names.txt")
 
 
 def run_cli(capsys, *argv):
@@ -124,6 +129,16 @@ def test_verify_unknown_check_lists_names(capsys):
     assert "energy" in err and "holder_slope" in err
 
 
+def test_verify_selection_without_reports_is_usage_error(capsys):
+    # the virial split needs floor(s) even: restricted to s = 1.5 it runs no
+    # check, and a vacuous "0/0 passed" must not exit 0
+    code, out, err = run_cli(capsys, "verify", "--checks", "virial",
+                             "--s", "1.5")
+    assert code == 2
+    assert out == ""
+    assert "no check" in err
+
+
 def test_verify_overtight_tolerance_fails_with_exit_1(capsys):
     code, out, _ = run_cli(capsys, "verify", "--checks", "energy",
                            "--s", "2.5", "--lambda", "4", "--tol", "1e-16")
@@ -149,7 +164,8 @@ def test_verify_default_suite_all_pass(tmp_path, capsys):
     assert code == 0
     lines = out.read_text().strip().split("\n")
     reports = [json.loads(t) for t in lines if not t.startswith("#")]
-    assert len(reports) > 50
+    names = VERIFY_NAMES.read_text().splitlines()
+    assert [r["name"] for r in reports] == names
     assert all(r["pass"] for r in reports)
     assert lines[-1].endswith("checks passed")
 
@@ -206,6 +222,15 @@ def test_operator_inline_json(capsys):
                                [1.0, 2.0])
 
 
+def test_apply_unsorted_explicit_spectrum_is_domain_error(capsys):
+    # sorting the eigenvalues would pair u = (1, 0) with (1, 4), not (4, 1)
+    code, out, err = run_cli(capsys, "apply", "--op", "explicit:4,1",
+                             "--u", "1,0", "--s", "1")
+    assert code == 3
+    assert out == ""
+    assert "nondecreasing" in err
+
+
 def test_operator_unknown_kind_is_usage_error(capsys):
     op = '{"kind":"banded","values":[1.0,4.0]}'
     code, _, err = run_cli(capsys, "apply", "--op", op, "--u", "1,1",
@@ -234,6 +259,16 @@ def test_minimize_stays_above_closed_form_at_fine_mesh(capsys):
     assert report["rhs"] == pytest.approx(2.0 * d_s, rel=1e-12)
     assert report["lhs"] >= 2.0 * d_s
     assert report["lhs"] - 2.0 * d_s < 1e-5 * d_s
+
+
+def test_minimize_small_order_meets_closed_form(capsys):
+    # at s = 0.2 the first mesh cell must shrink like 1e-5^{1/(2s)}
+    code, out, _ = run_cli(capsys, "minimize", "--op", "explicit:1",
+                           "--u", "1", "--s", "0.2", "--nodes", "4000")
+    assert code == 0
+    report = json.loads(out.strip().split("\n")[0])
+    assert report["lhs"] >= report["rhs"]
+    assert report["pass"] is True
 
 
 def test_minimize_negative_subcommand(capsys):

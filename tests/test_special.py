@@ -186,20 +186,33 @@ def test_psi_deriv_array_matches_scalar():
         psi_deriv(1.5, np.array([1.0, 0.0]), 1)
 
 
+def _taylor_remainder_mp(s, y, k):
+    """psi_s(y) minus its Taylor polynomial of degree 2k, at 60 digits."""
+    with mpmath.workdps(60):
+        sm, ym = mpmath.mpf(s), mpmath.mpf(y)
+        ref = (2 ** (1 - sm) / mpmath.gamma(sm) * ym ** sm
+               * mpmath.besselk(sm, ym))
+        for m in range(k + 1):
+            ref -= ((-1) ** m * mpmath.gamma(sm - m) * ym ** (2 * m)
+                    / (mpmath.gamma(sm) * 4 ** m * mpmath.factorial(m)))
+        return float(ref)
+
+
 def test_ascending_series_beyond_gamma_overflow():
     # Gamma(s) overflows above s ~ 171; the singular-branch factor
     # Gamma(-s)/Gamma(s) must still come out finite (here it underflows)
     assert psi_series(200.5, 1.0) == pytest.approx(psi_mp(200.5, 1.0),
                                                    rel=1e-15)
-    s, y = 180.5, 0.5
-    with mpmath.workdps(60):
-        sm, ym = mpmath.mpf(s), mpmath.mpf(y)
-        ref = (2 ** (1 - sm) / mpmath.gamma(sm) * ym ** sm
-               * mpmath.besselk(sm, ym) - 1 + ym ** 2 / (4 * (sm - 1)))
-    # the subtracted Taylor coefficient carries the rounding of
-    # lgamma(180.5) ~ 750: about 1e-16 absolute against a remainder of 6e-8
-    assert psi_taylor_remainder(s, y, 1) == pytest.approx(float(ref),
-                                                          rel=1e-8)
+    for s, y, k in ((180.5, 0.5, 1), (200.5, 1.0, 2), (2.5, 2.0 ** -8, 2)):
+        assert psi_taylor_remainder(s, y, k) == pytest.approx(
+            _taylor_remainder_mp(s, y, k), rel=1e-14, abs=0.0), (s, y, k)
+
+
+def test_psi_subnormal_order_against_mpmath():
+    # kve is inf at a subnormal order; the value must not go to the order
+    # recurrence, which would start at the same order again
+    assert psi(1e-310, 0.5) == pytest.approx(psi_mp(1e-310, 0.5), rel=1e-12)
+    assert math.isfinite(psi(1e-310, 0.5))
 
 
 @pytest.mark.parametrize("s", [0.25, 0.5, 0.75, 1.3, 2.5, 3.7])

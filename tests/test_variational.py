@@ -10,7 +10,7 @@ import pytest
 
 import fracext
 from fracext.spectral import ModalVector, apply_power, explicit_spectrum
-from fracext.special import psi_lambda
+from fracext.special import FracParams, psi_lambda
 from fracext.variational import (
     _assemble,
     _elements,
@@ -105,6 +105,15 @@ def test_minimizer_weighted_l2_distance_shrinks():
         dist = math.sqrt(grid.over_r(
             lambda y: (prof(y) - psi_lambda(s, 1.0, y)) ** 2))
         assert dist < bound
+
+
+@pytest.mark.parametrize("s", [0.1, 0.2, 0.3])
+def test_minimize_profile_small_order_meets_closed_form(s):
+    # the first cell's energy scales like delta^{2s}: small orders need a
+    # first node far inside 1e-5 of the range
+    target = 2.0 * FracParams.from_order(s).d_s * 2.5 ** s
+    val, _ = minimize_profile(s, 2.5, n_nodes=4000)
+    assert target <= val <= target * (1.0 + 1e-3)
 
 
 def test_minimize_profile_lambda_scaling():

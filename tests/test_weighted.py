@@ -182,6 +182,65 @@ def test_kernel_modes_carry_zero_energy():
 
 
 # ---------------------------------------------------------------------------
+# batched mode integrals against sums of single-mode calls
+
+
+def _spread_modes():
+    """16 log-spread eigenvalues with a kernel mode, coefficients u and v
+    with one zero each, and u0 with the kernel coefficient zeroed too."""
+    rng = np.random.default_rng(16)
+    lam = np.concatenate([[0.0], np.geomspace(1e-2, 1e4, 15)])
+    u, v = rng.normal(size=(2, lam.size))
+    u[6] = 0.0
+    v[11] = 0.0
+    u0 = u.copy()
+    u0[0] = 0.0
+    return lam, u, v, u0
+
+
+def _on(lam, coeffs):
+    return ModalVector(np.asarray(coeffs, dtype=float),
+                       explicit_spectrum(lam))
+
+
+def test_batched_mode_integrals_equal_single_mode_sums():
+    from fracext.variational import (
+        minimize_curve,
+        minimize_negative,
+        orthogonality_check,
+    )
+    lam, u, v, u0 = _spread_modes()
+
+    def single_sum(fn, *coeffs):
+        # the per-mode loop: one call per mode on a one-mode spectrum
+        return sum(fn(*(_on([lam[j]], [c[j]]) for c in coeffs))
+                   for j in range(lam.size))
+
+    def close(got, want):
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    for s in (0.4, 1.6):
+        close(curve_energy(extend(_on(lam, u), s)),
+              single_sum(lambda w: curve_energy(extend(w, s)), u))
+        close(fourier_isometry(_on(lam, u0), s, sigma=0.3, b=-0.2).lhs,
+              single_sum(lambda w: fourier_isometry(
+                  w, s, sigma=0.3, b=-0.2).lhs, u0))
+        eta = GaussianBump()
+        close(orthogonality_check(_on(lam, u), s, _on(lam, v), eta).lhs,
+              single_sum(lambda a, b: orthogonality_check(a, s, b, eta).lhs,
+                         u, v))
+    s, nodes = 0.4, 400
+    close(minimize_curve(_on(lam, u0), s, n_nodes=nodes).lhs,
+          single_sum(lambda w: minimize_curve(w, s, n_nodes=nodes).lhs, u0))
+    rep, trace = minimize_negative(_on(lam, u0), s, n_nodes=nodes)
+    singles = [minimize_negative(_on([lam[j]], [u0[j]]), s, n_nodes=nodes)
+               for j in range(lam.size)]
+    close(rep.lhs, sum(r.lhs for r, _ in singles))
+    np.testing.assert_allclose(
+        trace.coeffs, [t.coeffs[0] for _, t in singles], rtol=1e-13, atol=0)
+
+
+# ---------------------------------------------------------------------------
 # identity suite
 
 
