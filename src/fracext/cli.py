@@ -49,11 +49,30 @@ class UsageError(Exception):
     """Configuration or argument problem: maps to exit code 2."""
 
 
-def _parse_number(text):
-    lowered = str(text).strip().lower()
-    if lowered in ("pi", "+pi"):
+def _parse_number(text, what):
+    """A finite float from a flag, a config value or a descriptor field;
+    ``pi`` is accepted.  Anything else is a usage error."""
+    if str(text).strip().lower() in ("pi", "+pi"):
         return math.pi
-    return float(text)
+    try:
+        value = float(text)
+    except (TypeError, ValueError) as err:
+        raise UsageError(f"bad {what} {text!r}") from err
+    if not math.isfinite(value):
+        raise UsageError(f"{what} must be finite, got {text!r}")
+    return value
+
+
+def _parse_count(text, what):
+    try:
+        return int(str(text))
+    except ValueError as err:
+        raise UsageError(f"bad {what} {text!r}: want an integer") from err
+
+
+def _finite_json(token):
+    """json hook for float literals and NaN/Infinity: only finite numbers."""
+    return _parse_number(token, "number in operator descriptor")
 
 
 def _parse_operator(text):
@@ -67,24 +86,27 @@ def _parse_operator(text):
     text = str(text).strip()
     try:
         if text.startswith("{"):
-            desc = json.loads(text)
+            desc = json.loads(text, parse_float=_finite_json,
+                              parse_constant=_finite_json)
         elif os.path.exists(text):
             with open(text) as fh:
-                desc = json.load(fh)
+                desc = json.load(fh, parse_float=_finite_json,
+                                 parse_constant=_finite_json)
         else:
             parts = text.split(":")
             kind = parts[0].lower()
             if kind in ("dirichlet", "dirichlet_laplacian_1d"):
                 desc = {"kind": "dirichlet_laplacian_1d",
-                        "length": _parse_number(parts[1]),
-                        "modes": int(parts[2])}
+                        "length": _parse_number(parts[1], "length"),
+                        "modes": _parse_count(parts[2], "mode count")}
             elif kind in ("neumann", "neumann_laplacian_1d"):
                 desc = {"kind": "neumann_laplacian_1d",
-                        "length": _parse_number(parts[1]),
-                        "modes": int(parts[2])}
+                        "length": _parse_number(parts[1], "length"),
+                        "modes": _parse_count(parts[2], "mode count")}
             elif kind in ("explicit", "explicit_eigenvalues"):
                 desc = {"kind": "explicit_eigenvalues",
-                        "values": [float(v) for v in parts[1].split(",")]}
+                        "values": [_parse_number(v, "eigenvalue")
+                                   for v in parts[1].split(",")]}
             else:
                 raise UsageError(
                     f"cannot parse operator {text!r}: expected "
@@ -103,10 +125,8 @@ def _parse_operator(text):
 def _parse_vector(text, spectrum):
     if text is None:
         raise UsageError("missing --u")
-    try:
-        coeffs = np.array([float(v) for v in str(text).split(",")])
-    except ValueError as err:
-        raise UsageError(f"bad vector {text!r}: {err}") from err
+    coeffs = np.array([_parse_number(v, "coefficient")
+                       for v in str(text).split(",")])
     if coeffs.size != spectrum.size:
         raise UsageError(
             f"vector has {coeffs.size} entries but the operator has "
@@ -117,10 +137,7 @@ def _parse_vector(text, spectrum):
 def _parse_order(text):
     if text is None:
         raise UsageError("missing --s")
-    try:
-        return float(text)
-    except ValueError as err:
-        raise UsageError(f"bad order {text!r}") from err
+    return _parse_number(text, "order")
 
 
 def _parse_grid(text):
@@ -129,9 +146,10 @@ def _parse_grid(text):
         lo, hi, n = float(lo), float(hi), int(n)
     except ValueError as err:
         raise UsageError(f"bad grid spec {text!r} (want y_min:y_max:n)") from err
-    if n < 2 or lo <= 0 or hi <= lo:
+    if n < 3 or not 0 < lo < hi < math.inf:
         raise UsageError(
-            f"bad grid spec {text!r}: need 0 < y_min < y_max and n >= 2")
+            f"bad grid spec {text!r}: need 0 < y_min < y_max finite and "
+            f"n >= 3")
     ratio = (hi / lo) ** (1.0 / (n - 1))
     return lo * ratio ** np.arange(n)
 
@@ -197,13 +215,13 @@ def _cmd_verify(args):
     cfg = RunConfig()
     s_val = _merged(args, "s")
     if s_val is not None:
-        cfg.s_values = (float(s_val),)
+        cfg.s_values = (_parse_order(s_val),)
     lam = _merged(args, "lam")
     if lam is not None:
-        cfg.lam_values = (float(lam),)
+        cfg.lam_values = (_parse_number(lam, "eigenvalue"),)
     tol = _merged(args, "tol")
     if tol is not None:
-        cfg.tol = float(tol)
+        cfg.tol = _parse_number(tol, "tolerance")
     try:
         reports = run_checks(checks, cfg)
     except ValueError as err:
@@ -227,8 +245,8 @@ def _cmd_minimize(args):
     spectrum, _ = _parse_operator(_merged(args, "op"))
     u = _parse_vector(_merged(args, "u"), spectrum)
     s = _parse_order(_merged(args, "s"))
-    nodes = int(_merged(args, "nodes", 2000))
-    tol = float(_merged(args, "tol", 1e-3))
+    nodes = _parse_count(_merged(args, "nodes", 2000), "node count")
+    tol = _parse_number(_merged(args, "tol", 1e-3), "tolerance")
     if _merged(args, "negative_order", False):
         report, trace = minimize_negative(u, s, n_nodes=nodes, tol=tol)
         lines = [report.to_json(),

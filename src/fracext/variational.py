@@ -8,11 +8,11 @@ trace,
 equals 2 d_s lam^s and is attained by the Macdonald profile.  This module
 rebuilds that minimum from scratch: piecewise-linear elements on a graded
 mesh, element integrals of the weight computed from exact power moments
-(never sampling y = 0), a direct tridiagonal solve, and a far-field cutoff
-f(y_max) = 0 whose committed error is exponentially small.  Because the
-discrete space is a subspace, the discrete minimum always sits on or above
-the closed form and converges to it under refinement — an oracle that knows
-nothing about Bessel functions.
+(never sampling y = 0), a direct tridiagonal solve by odd-even cyclic
+reduction, and a far-field cutoff f(y_max) = 0 whose committed error is
+exponentially small.  Because the discrete space is a subspace, the
+discrete minimum always sits on or above the closed form and converges to
+it under refinement — an oracle that knows nothing about Bessel functions.
 
 Verification of higher orders goes through the energy identities and ODE
 residuals instead; conforming weighted elements for k >= 2 are deliberately
@@ -20,9 +20,11 @@ out of scope (their approximation theory is unsettled for b != 0), which is
 why the constrained solves here stop at ceil(s) = 1 and only the
 orthogonality check accepts ceil(s) = 2.
 
-Each active mode gets its own mesh and one direct tridiagonal solve (a
-sweep batched over modes pays only at many modes); the orthogonality check
-integrates all modes at once, as one (J, N) integrand.
+Each active mode gets its own mesh and one tridiagonal solve of about
+log2(n) vectorised levels.  One stacked (J, n) solve over all modes is
+faster, but its temporaries raised the peak memory of an 8-mode, 4000-node
+call by about 6 %.  The orthogonality check integrates all modes at once,
+as one (J, N) integrand.
 """
 
 from __future__ import annotations
@@ -113,23 +115,41 @@ def _assemble(elements, lam):
     return 2.0 * diag, 2.0 * off  # doubled: integrals over R of even profiles
 
 
-# not on scipy.linalg, whose import adds over 10 % to the FE path's peak RSS
-def _thomas(diag, off, rhs):
-    """Direct solve of an SPD tridiagonal system (no pivoting needed)."""
-    n = diag.size
-    c = np.empty(n - 1)
-    d = np.empty(n)
-    c[0] = off[0] / diag[0]
-    d[0] = rhs[0] / diag[0]
-    for i in range(1, n):
-        denom = diag[i] - off[i - 1] * c[i - 1]
-        if i < n - 1:
-            c[i] = off[i] / denom
-        d[i] = (rhs[i] - off[i - 1] * d[i - 1]) / denom
-    x = np.empty(n)
-    x[-1] = d[-1]
-    for i in range(n - 2, -1, -1):
-        x[i] = d[i] - c[i] * x[i + 1]
+# plain numpy: importing scipy.linalg adds over 10 % to the FE path's peak RSS
+def _solve_spd_tridiagonal(diag, off, rhs):
+    """Solve T x = rhs for the SPD tridiagonal T with main diagonal ``diag``
+    and both off-diagonals ``off``, by odd-even cyclic reduction.
+
+    Each level eliminates the odd rows, leaving an SPD tridiagonal system in
+    the even rows, and fills the odd rows back in once that is solved: about
+    log2(n) levels of slice arithmetic and no loop over rows.  This is
+    Gaussian elimination on an odd-even permutation of T, which is SPD too,
+    so no pivoting is needed.  Leading axes of the arguments are a batch of
+    independent systems.
+    """
+    n = diag.shape[-1]
+    if n == 1:
+        return rhs / diag
+    m = n // 2  # odd rows, eliminated at this level
+    h = n - 1 - m  # odd rows with an even row below them
+    inv = 1.0 / diag[..., 1::2]
+    # row 2k+1 couples to row 2k through off[2k], to row 2k+2 through off[2k+1]
+    lo = off[..., ::2] * inv
+    hi = off[..., 1::2] * inv[..., :h]
+    diag_even = diag[..., ::2].copy()
+    diag_even[..., :m] -= off[..., ::2] * lo
+    diag_even[..., 1:] -= off[..., 1::2] * hi
+    rhs_odd = rhs[..., 1::2]
+    rhs_even = rhs[..., ::2].copy()
+    rhs_even[..., :m] -= lo * rhs_odd
+    rhs_even[..., 1:] -= hi * rhs_odd[..., :h]
+    x_even = _solve_spd_tridiagonal(
+        diag_even, -lo[..., :h] * off[..., 1::2], rhs_even)
+    x = np.empty(rhs.shape, dtype=x_even.dtype)
+    x[..., ::2] = x_even
+    x_odd = rhs_odd * inv - lo * x_even[..., :m]
+    x_odd[..., :h] -= hi * x_even[..., 1:]
+    x[..., 1::2] = x_odd
     return x
 
 
@@ -176,7 +196,8 @@ def minimize_profile(s: float, lam: float, mesh=None, n_nodes: int = 2000):
     # Dirichlet data: f(0) = 1, f(y_max) = 0; unknowns are the interior nodes
     rhs = np.zeros(mesh.size - 2)
     rhs[0] = -off[0]
-    full = np.concatenate(([1.0], _thomas(diag[1:-1], off[1:-1], rhs), [0.0]))
+    inner = _solve_spd_tridiagonal(diag[1:-1], off[1:-1], rhs)
+    full = np.concatenate(([1.0], inner, [0.0]))
     value = _energy(elements, lam, full)
     return value, ProfileFE(grid=mesh, values=full, b=params.b, lam=lam)
 
@@ -217,13 +238,15 @@ def minimize_negative(zeta: ModalVector, s: float, n_nodes: int = 2000,
     total = 0.0
     trace = np.zeros(zeta.spectrum.size)
     for j in np.flatnonzero(_active_modes(zeta)):
-        mesh, _, (diag, off) = _fe_form(params, float(lam[j]), n_nodes)
+        mesh, elements, (diag, off) = _fe_form(params, float(lam[j]), n_nodes)
         # far-field f(y_max) = 0 only; node 0 is a genuine unknown
         rhs = np.zeros(mesh.size - 1)
         rhs[0] = 2.0 * params.d_s * zeta.coeffs[j]
-        x = _thomas(diag[:-1], off[:-1], rhs)
-        # at the optimum the quadratic form equals half the linear term
-        total += -2.0 * params.d_s * zeta.coeffs[j] * x[0]
+        x = _solve_spd_tridiagonal(diag[:-1], off[:-1], rhs)
+        # the functional at the computed x, not its value at the exact
+        # discrete optimum (-rhs[0] x[0]), which moves with solver rounding
+        total += (_energy(elements, float(lam[j]), np.append(x, 0.0))
+                  - 2.0 * rhs[0] * x[0])
         trace[j] = x[0]
     rhs_val = -2.0 * params.d_s * sobolev_norm(zeta, -s) ** 2
     report = report_equal(f"minimize_negative(s={s})", total, rhs_val, tol)

@@ -93,6 +93,44 @@ def test_extend_bad_grid_is_usage_error(capsys):
     assert "grid" in err
 
 
+def test_extend_two_point_grid_is_usage_error(capsys):
+    # default_grid needs n >= 3; the CLI grid follows the same rule
+    code, out, err = run_cli(capsys, "extend", "--op", "explicit:1",
+                             "--u", "1", "--s", "0.5",
+                             "--grid", "0.001:1:2")
+    assert code == 2
+    assert out == ""
+    assert "n >= 3" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("apply", "--op", "explicit:1,4", "--u", "nan,1", "--s", "0.5"),
+    ("apply", "--op", "explicit:1,inf", "--u", "1,1", "--s", "0.5"),
+    ("apply", "--op", "explicit:1,4", "--u", "1,1", "--s", "nan"),
+    ("apply", "--op", '{"kind":"explicit_eigenvalues","values":[1,NaN]}',
+     "--u", "1,1", "--s", "0.5"),
+    ("verify", "--checks", "energy", "--s", "1.5", "--lambda", "1",
+     "--tol", "nan"),
+    ("minimize", "--op", "explicit:1", "--u", "1", "--s", "0.5",
+     "--tol", "nan"),
+], ids=["u", "eigenvalue", "order", "json-eigenvalue", "verify-tol",
+        "minimize-tol"])
+def test_non_finite_input_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "must be finite" in err
+
+
+@pytest.mark.parametrize("nodes", ["abc", "2.5"])
+def test_minimize_non_integer_nodes_is_usage_error(capsys, nodes):
+    code, out, err = run_cli(capsys, "minimize", "--op", "explicit:1",
+                             "--u", "1", "--s", "0.5", "--nodes", nodes)
+    assert code == 2
+    assert out == ""
+    assert "node count" in err
+
+
 def test_extend_integer_order_is_domain_error(capsys):
     code, _, err = run_cli(capsys, "extend", "--op", "explicit:1",
                            "--u", "1", "--s", "2")

@@ -7,6 +7,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fracext
 from fracext.spectral import ModalVector, apply_power, explicit_spectrum
@@ -14,7 +16,9 @@ from fracext.special import FracParams, psi_lambda
 from fracext.variational import (
     _assemble,
     _elements,
-    _thomas,
+    _energy,
+    _fe_form,
+    _solve_spd_tridiagonal,
     graded_mesh,
     minimize_curve,
     minimize_negative,
@@ -24,18 +28,76 @@ from fracext.variational import (
 from fracext.weighted import GaussianBump, QuadraticBump, make_grid
 
 
-def test_thomas_solves_spd_tridiagonal():
-    rng = np.random.default_rng(3)
-    n = 50
-    off = rng.uniform(-0.4, 0.4, n - 1)
-    diag = 2.0 + rng.uniform(0, 1, n)
+def _thomas(diag, off, rhs):
+    """Reference: the per-row Thomas sweep, in the dtype of its inputs."""
+    n = diag.size
+    c = np.empty(n - 1, dtype=diag.dtype)
+    d = np.empty(n, dtype=diag.dtype)
+    c[0] = off[0] / diag[0]
+    d[0] = rhs[0] / diag[0]
+    for i in range(1, n):
+        denom = diag[i] - off[i - 1] * c[i - 1]
+        if i < n - 1:
+            c[i] = off[i] / denom
+        d[i] = (rhs[i] - off[i - 1] * d[i - 1]) / denom
+    x = np.empty(n, dtype=diag.dtype)
+    x[-1] = d[-1]
+    for i in range(n - 2, -1, -1):
+        x[i] = d[i] - c[i] * x[i + 1]
+    return x
+
+
+def _random_spd(rng, shape):
+    # |off| < 1 and diag >= 2 make every row strictly diagonally dominant
+    n = shape[-1]
+    diag = 2.0 + rng.uniform(0.0, 1.0, shape)
+    off = rng.uniform(-1.0, 1.0, shape[:-1] + (n - 1,))
+    return diag, off, rng.standard_normal(shape)
+
+
+def _dense(diag, off):
+    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 4000])
+def test_spd_tridiagonal_solve_matches_dense(n):
+    diag, off, rhs = _random_spd(np.random.default_rng(n), (n,))
+    x = _solve_spd_tridiagonal(diag, off, rhs)
+    want = np.linalg.solve(_dense(diag, off), rhs)
+    np.testing.assert_allclose(x, want, rtol=0, atol=1e-13)
+
+
+def test_spd_tridiagonal_batch_equals_row_solves():
+    for n in (1, 2, 7, 16, 17, 301):
+        diag, off, rhs = _random_spd(np.random.default_rng(n), (3, n))
+        x = _solve_spd_tridiagonal(diag, off, rhs)
+        assert x.shape == (3, n)
+        for row in range(3):
+            assert np.array_equal(
+                x[row], _solve_spd_tridiagonal(diag[row], off[row], rhs[row]))
+
+
+def test_spd_tridiagonal_solve_is_deterministic():
+    diag, off, rhs = _random_spd(np.random.default_rng(3), (1000,))
+    x = _solve_spd_tridiagonal(diag, off, rhs)
+    assert np.array_equal(x, _solve_spd_tridiagonal(diag, off, rhs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 200), st.integers(0, 2 ** 32 - 1),
+       st.floats(1e-6, 1e3))
+def test_spd_tridiagonal_solve_property(n, seed, margin):
+    # diagonally dominant by any margin, with rows of very different scale
+    rng = np.random.default_rng(seed)
+    off = rng.uniform(-1.0, 1.0, n - 1) * 10.0 ** rng.uniform(-3, 3, n - 1)
+    side = np.abs(np.concatenate(([0.0], off))) + np.abs(
+        np.concatenate((off, [0.0])))
+    diag = side * (1.0 + margin) + margin
     rhs = rng.standard_normal(n)
-    x = _thomas(diag.copy(), off.copy(), rhs)
-    full = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-    np.testing.assert_allclose(full @ x, rhs, atol=1e-10)
-    # determinism: repeated solves are bitwise identical
-    x2 = _thomas(diag.copy(), off.copy(), rhs)
-    assert np.array_equal(x, x2)
+    x = _solve_spd_tridiagonal(diag, off, rhs)
+    full = _dense(diag, off)
+    scale = np.abs(full) @ np.abs(x) + np.abs(rhs)
+    assert np.all(np.abs(full @ x - rhs) <= 1e-13 * scale)
 
 
 def test_fe_path_does_not_load_scipy_linalg():
@@ -131,7 +193,7 @@ def test_zero_trace_constraint_gives_zero_minimum():
     # with f(0) = 0 imposed as well, the quadratic form minimum is 0 at f = 0
     mesh = graded_mesh(40.0, 200)
     diag, off = _assemble(_elements(mesh, 0.0), 1.0)
-    x = _thomas(diag[1:-1].copy(), off[1:-1].copy(), np.zeros(mesh.size - 2))
+    x = _solve_spd_tridiagonal(diag[1:-1], off[1:-1], np.zeros(mesh.size - 2))
     assert np.all(x == 0.0)
 
 
@@ -171,6 +233,26 @@ def test_minimize_negative_single_mode():
     zero = ModalVector(np.zeros(1), explicit_spectrum([1.0]))
     rep0, _ = minimize_negative(zero, 0.5, n_nodes=500)
     assert rep0.lhs == 0.0 and rep0.passed
+
+
+@pytest.mark.parametrize("s, n_nodes", [(0.95, 8000), (0.5, 4000)])
+def test_minimize_negative_reports_functional_at_its_solution(s, n_nodes):
+    # the reference solution comes from a Thomas sweep in long double; the
+    # functional is stationary there, so any accurate solve reports the same
+    # value, while the shortcut -2 d_s zeta x[0] moved with solver rounding
+    params = FracParams.from_order(s)
+    zeta = ModalVector(np.array([1.0]), explicit_spectrum([1.0]))
+    rep, _ = minimize_negative(zeta, s, n_nodes=n_nodes)
+    _, elements, (diag, off) = _fe_form(params, 1.0, n_nodes)
+    rhs = np.zeros(n_nodes - 1, dtype=np.longdouble)
+    rhs[0] = 2.0 * params.d_s
+    x = _thomas(diag[:-1].astype(np.longdouble),
+                off[:-1].astype(np.longdouble), rhs)
+    ref = (_energy(elements, 1.0, np.append(x, 0.0))
+           - 4.0 * params.d_s * float(x[0]))
+    assert rep.lhs == pytest.approx(ref, rel=1e-12, abs=0.0)
+    # Galerkin bound of the dual problem
+    assert rep.lhs >= -2.0 * params.d_s
 
 
 def test_minimize_negative_kernel_rejection():
