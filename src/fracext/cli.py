@@ -13,8 +13,10 @@ object like ``{"kind":"dirichlet_laplacian_1d","length":3.14,"modes":64}``,
 or a path to a JSON file with the same content.  A ``--config FILE`` may
 hold any of the long options as JSON keys; explicit flags win.
 
-Exit codes: 0 all good, 1 at least one verification check failed, 2 usage
-or configuration error, 3 domain error (invalid mathematical input).
+Exit codes: 0 all good, 1 at least one verification check failed (a check
+that raises, or whose report holds a NaN or infinity, prints a record with
+an ``"error"`` field and counts as failed), 2 usage or configuration error,
+3 domain error (invalid mathematical input).
 Outputs are byte-identical across runs with the same configuration.  Checks
 run sequentially; the environment variable FRACEXT_THREADS is accepted for
 compatibility and has no effect.
@@ -38,7 +40,7 @@ from .spectral import (
     build_operator,
     sobolev_norm,
 )
-from .suite import CHECK_NAMES, RunConfig, run_checks
+from .suite import CHECK_NAMES, CheckFailure, RunConfig, run_checks
 from .variational import minimize_curve, minimize_negative, minimize_profile
 
 _USAGE_ERROR = 2
@@ -232,8 +234,18 @@ def _cmd_verify(args):
         # a selection the checks skip entirely would pass vacuously
         raise UsageError("the check selection and restrictions leave no "
                          "check to run")
-    lines = [r.to_json() for r in reports]
-    n_pass = sum(r.passed for r in reports)
+    lines, n_pass = [], 0
+    for report in reports:
+        try:
+            line = report.to_json()
+        except ValueError as err:  # a NaN or infinite field
+            report = CheckFailure(report.name, str(err))
+            line = report.to_json()
+        if isinstance(report, CheckFailure):
+            print(f"check {report.name} failed: {report.error}\n"
+                  f"{report.detail}", file=sys.stderr, end="")
+        lines.append(line)
+        n_pass += report.passed
     summary = f"# {n_pass}/{len(reports)} checks passed"
     _write("\n".join(lines + [summary]) + "\n", _merged(args, "out"))
     if _merged(args, "out"):

@@ -58,6 +58,8 @@ class Spectrum:
         object.__setattr__(self, "eigenvalues", vals)
         if vals.ndim != 1 or vals.size < 1:
             raise ValueError("spectrum needs at least one eigenvalue")
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("eigenvalues must be finite")
         if np.any(np.diff(vals) < 0):
             raise ValueError("eigenvalues must be nondecreasing")
         if vals[0] < 0:
@@ -97,6 +99,8 @@ class ModalVector:
             raise ValueError(
                 f"coefficient length {c.shape} does not match spectrum size "
                 f"{self.spectrum.size}")
+        if not np.all(np.isfinite(c)):
+            raise ValueError("coefficients must be finite")
 
     def __len__(self):
         return self.coeffs.size
@@ -241,12 +245,18 @@ def sobolev_norm(u: ModalVector, sigma: float) -> float:
     negative orders undefined unless their coefficients vanish.
     """
     if sigma == 0.0:
-        return float(np.linalg.norm(u.coeffs))
-    _check_kernel_use(u, sigma, "sobolev_norm")
-    kd = u.spectrum.kernel_dim
-    lam = u.spectrum.positive
-    c = u.coeffs[kd:]
-    return float(math.sqrt(np.sum(lam ** sigma * c ** 2)))
+        c, weight = u.coeffs, 1.0
+    else:
+        _check_kernel_use(u, sigma, "sobolev_norm")
+        c = u.coeffs[u.spectrum.kernel_dim:]
+        weight = u.spectrum.positive ** sigma
+    # a power-of-two scale is exact, and keeps squares of coefficients
+    # below about 1e-154 from underflowing
+    peak = float(np.max(np.abs(c), initial=0.0))
+    if peak == 0.0:
+        return 0.0
+    scale = math.ldexp(1.0, math.frexp(peak)[1])
+    return scale * math.sqrt(float(np.sum(weight * (c / scale) ** 2)))
 
 
 def apply_power(u: ModalVector, t: float) -> ModalVector:

@@ -9,8 +9,10 @@ override.
 
 from __future__ import annotations
 
+import json
 import math
-from dataclasses import dataclass
+import traceback
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,7 +56,7 @@ from .weighted import (
     xi_moment,
 )
 
-__all__ = ["RunConfig", "CHECK_NAMES", "run_checks"]
+__all__ = ["RunConfig", "CheckFailure", "CHECK_NAMES", "run_checks"]
 
 _S_MATRIX = (0.25, 0.5, 0.75, 1.5, 2.5, 3.5)
 _LAM_MATRIX = (0.5, 1.0, 4.0, 10.0)
@@ -86,6 +88,22 @@ class RunConfig:
 
     def tolerance(self, default):
         return default if self.tol is None else self.tol
+
+
+@dataclass(frozen=True)
+class CheckFailure:
+    """A check that raised, or a report that cannot be serialised: one
+    failed record naming it and the error.  ``detail`` holds the traceback
+    and is not serialised."""
+
+    name: str
+    error: str
+    detail: str = field(default="", compare=False)
+    passed = False
+
+    def to_json(self) -> str:
+        return json.dumps({"name": self.name, "error": self.error,
+                           "pass": False})
 
 
 def _two_mode(u=(1.0, 1.0)):
@@ -395,7 +413,9 @@ CHECK_NAMES = tuple(name for name, _ in _REGISTRY)
 def run_checks(names=None, cfg: RunConfig | None = None):
     """Run the selected checks and return reports in registry order.
 
-    Unknown names raise ValueError listing the valid ones.
+    Unknown names raise ValueError listing the valid ones.  A check that
+    raises yields one :class:`CheckFailure` in its place, and the other
+    checks still run.
     """
     cfg = cfg or RunConfig()
     if names is None or not names:
@@ -411,6 +431,10 @@ def run_checks(names=None, cfg: RunConfig | None = None):
         selected = sorted(((n, lookup[n]) for n in set(names)),
                           key=lambda kv: order[kv[0]])
     reports = []
-    for _, fn in selected:
-        reports.extend(fn(cfg))
+    for name, fn in selected:
+        try:
+            reports.extend(fn(cfg))
+        except Exception as err:  # one broken check must not hide the rest
+            reports.append(CheckFailure(name, f"{type(err).__name__}: {err}",
+                                        detail=traceback.format_exc()))
     return reports

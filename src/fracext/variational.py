@@ -20,11 +20,11 @@ out of scope (their approximation theory is unsettled for b != 0), which is
 why the constrained solves here stop at ceil(s) = 1 and only the
 orthogonality check accepts ceil(s) = 2.
 
-Each active mode gets its own mesh and one tridiagonal solve of about
-log2(n) vectorised levels.  One stacked (J, n) solve over all modes is
-faster, but its temporaries raised the peak memory of an 8-mode, 4000-node
-call by about 6 %.  The orthogonality check integrates all modes at once,
-as one (J, N) integrand.
+Every mode is the lam = 1 problem rescaled by z = sqrt(lam) y, so the
+curve-level minima make one tridiagonal solve (about log2(n) vectorised
+levels) and weigh it with exact powers of the eigenvalues.  The
+orthogonality check integrates all modes at once, as one (J, N) integrand:
+its test bump is not rescaled with the mode.
 """
 
 from __future__ import annotations
@@ -175,7 +175,14 @@ def _fe_form(params, lam, n_nodes, mesh=None):
         y_max = 40.0 / math.sqrt(lam)
         mesh = graded_mesh(y_max, n_nodes,
                            y_max * 1e-5 ** max(1.0, 0.5 / params.s))
-    mesh = np.asarray(mesh, dtype=float)
+    else:
+        mesh = np.asarray(mesh, dtype=float)
+        # the trace datum sits at the first node, the cutoff at the last
+        if (mesh.ndim != 1 or mesh.size < 3 or mesh[0] != 0.0
+                or not np.all(np.diff(mesh) > 0.0)
+                or not math.isfinite(mesh[-1])):
+            raise ValueError("an FE mesh needs at least 3 finite, strictly "
+                             "increasing nodes, the first at y = 0")
     elements = _elements(mesh, params.b)
     return mesh, elements, _assemble(elements, lam)
 
@@ -204,17 +211,16 @@ def minimize_profile(s: float, lam: float, mesh=None, n_nodes: int = 2000):
 
 def minimize_curve(u: ModalVector, s: float, n_nodes: int = 2000,
                    tol: float = 1e-3) -> CheckReport:
-    """Curve-level minimality: the summed per-mode discrete minima against
-    2 d_s |u|^2_{H^s}.  The discrete value sits above the closed form and
-    closes in under refinement."""
+    """Curve-level minimality: the discrete minimum at lam = 1 times
+    sum_j u_j^2 lam_j^s, against 2 d_s |u|^2_{H^s}.  It sits above the
+    closed form and closes in under refinement."""
     params = FracParams.from_order(s)
     if u.spectrum.kernel_dim and np.any(u.coeffs[:u.spectrum.kernel_dim]):
         raise ValueError("minimize_curve needs zero kernel coefficients")
+    unit, _ = minimize_profile(s, 1.0, n_nodes=n_nodes)
     mask = _active_modes(u)
-    total = 0.0
-    for lam, c in zip(u.spectrum.eigenvalues[mask], u.coeffs[mask]):
-        val, _ = minimize_profile(s, float(lam), n_nodes=n_nodes)
-        total += c ** 2 * val
+    lam = u.spectrum.eigenvalues[mask]
+    total = unit * float(u.coeffs[mask] ** 2 @ lam ** s)
     rhs = 2.0 * params.d_s * sobolev_norm(u, s) ** 2
     return report_equal(f"minimize_curve(s={s})", total, rhs, tol)
 
@@ -226,28 +232,28 @@ def minimize_negative(zeta: ModalVector, s: float, n_nodes: int = 2000,
     Per mode, minimises  |f|^2_{lam,H^{1;b}} - 4 d_s zeta_j f(0)  over the
     discrete space (trace value free), which converges from above to
     -2 d_s |zeta|^2_{H^{-s}}; the minimiser's trace converges to the
-    (-s)-power of zeta.  Returns ``(report, trace_vector)``.
+    (-s)-power of zeta.  Mode j's minimiser is zeta_j lam_j^{-s} times the
+    unit-data minimiser at lam = 1.  Returns ``(report, trace_vector)``.
     """
     params = FracParams.from_order(s)
     if params.ceil_s != 1:
         raise ValueError("negative-order minimisation needs s in (0,1)")
-    lam = zeta.spectrum.eigenvalues
     kd = zeta.spectrum.kernel_dim
     if kd and np.any(zeta.coeffs[:kd]):
         raise ValueError("minimize_negative needs zero kernel coefficients")
-    total = 0.0
+    mesh, elements, (diag, off) = _fe_form(params, 1.0, n_nodes)
+    # unit data; far-field f(y_max) = 0 only, node 0 is a genuine unknown
+    rhs = np.zeros(mesh.size - 1)
+    rhs[0] = 2.0 * params.d_s
+    x = _solve_spd_tridiagonal(diag[:-1], off[:-1], rhs)
+    # the functional at the computed x, not its value at the exact discrete
+    # optimum (-rhs[0] x[0]), which moves with solver rounding
+    unit = _energy(elements, 1.0, np.append(x, 0.0)) - 2.0 * rhs[0] * x[0]
+    mask = _active_modes(zeta)
+    scaled = zeta.coeffs[mask] * zeta.spectrum.eigenvalues[mask] ** -s
+    total = unit * float(zeta.coeffs[mask] @ scaled)
     trace = np.zeros(zeta.spectrum.size)
-    for j in np.flatnonzero(_active_modes(zeta)):
-        mesh, elements, (diag, off) = _fe_form(params, float(lam[j]), n_nodes)
-        # far-field f(y_max) = 0 only; node 0 is a genuine unknown
-        rhs = np.zeros(mesh.size - 1)
-        rhs[0] = 2.0 * params.d_s * zeta.coeffs[j]
-        x = _solve_spd_tridiagonal(diag[:-1], off[:-1], rhs)
-        # the functional at the computed x, not its value at the exact
-        # discrete optimum (-rhs[0] x[0]), which moves with solver rounding
-        total += (_energy(elements, float(lam[j]), np.append(x, 0.0))
-                  - 2.0 * rhs[0] * x[0])
-        trace[j] = x[0]
+    trace[mask] = scaled * x[0]
     rhs_val = -2.0 * params.d_s * sobolev_norm(zeta, -s) ** 2
     report = report_equal(f"minimize_negative(s={s})", total, rhs_val, tol)
     return report, ModalVector(trace, zeta.spectrum, order=s)

@@ -29,9 +29,9 @@ valid when b matches the weight exponent of the order s.  The identity suite
 Fourier isometries) reports results as :class:`CheckReport` records.
 
 The package integrates only through :func:`power_weighted_integral` on the
-geometric cells.  A curve identity is a sum over modes of one integral, so
-the integrand returns a (J, N) array on the stacked grids of the J modes:
-one profile call and one weighted row sum give all J integrals.
+geometric cells.  A pure-profile integral with weight y^beta is its lam = 1
+value times lam^{-(beta+1)/2} (z = sqrt(lam) y); integrands that differ
+between modes (a fixed test bump) return a (J, N) array on one grid.
 """
 
 from __future__ import annotations
@@ -187,22 +187,14 @@ def make_grid(b: float, y_max: float = _TAIL_SCALE, n: int = _DEFAULT_NODES,
 def power_weighted_integral(g, beta, upper, n=_DEFAULT_NODES):
     """int_0^upper y^beta g(y) dy for smooth g and any exponent beta > -1.
 
-    ``g`` may return a (J, N) array on the N nodes, for J integrals at once.
-    ``upper`` may be an array of J limits; ``g`` then receives the (J, N)
-    stack of their grids and returns one row per limit.
+    ``g`` receives the N nodes of the geometric cells on [0, upper] and may
+    return a (J, N) array, for J integrals on the same grid at once.
     """
     if beta <= -1.0:
         raise ValueError(f"exponent {beta} is not integrable at the origin")
-    upper = np.asarray(upper, dtype=float)
-    if upper.ndim == 0:
-        nodes, weights = _cells_geometric(float(beta), float(upper), int(n))
-        out = g(nodes) @ weights
-        return float(out) if out.ndim == 0 else out
-    if upper.size == 0:
-        return np.zeros(0)
-    rules = [_cells_geometric(float(beta), float(u), int(n)) for u in upper]
-    nodes, weights = (np.array(a) for a in zip(*rules))
-    return np.einsum("jn,jn->j", g(nodes), weights)
+    nodes, weights = _cells_geometric(float(beta), float(upper), int(n))
+    out = g(nodes) @ weights
+    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +219,12 @@ class CheckReport:
     note: str = field(default="", compare=False)
 
     def to_json(self) -> str:
+        """One JSON object; like ``allow_nan=False``, a NaN or infinite
+        field raises ValueError, since JSON has no token for it."""
+        if not all(map(math.isfinite,
+                       (self.lhs, self.rhs, self.rel_err, self.tol))):
+            raise ValueError(f"report {self.name!r} has a non-finite field, "
+                             f"which JSON cannot hold")
         return (
             '{{"name": "{}", "lhs": {:.17g}, "rhs": {:.17g}, '
             '"rel_err": {:.17g}, "tol": {:.17g}, "pass": {}}}'
@@ -366,13 +364,20 @@ def _term_derivative(term, lam):
     return _Term(term.coef * coef * lam ** (0.5 * (1.0 + expo)), expo, order)
 
 
+@lru_cache(maxsize=128)
+def _profile_l2_sq(order, beta, n):
+    """int_0^inf z^beta psi_order(z)^2 dz, the lam = 1 integral."""
+    return power_weighted_integral(lambda z: psi(order, z) ** 2, beta,
+                                   _TAIL_SCALE, n)
+
+
 def _term_l2b_sq(term, lam, b, n):
     """int_R |y|^b |term|^2 dy (even integrand, so 2x half line) for one
-    eigenvalue lam or an array of them, each on its own grid."""
-    root = np.sqrt(lam)
-    return 2.0 * term.coef ** 2 * power_weighted_integral(
-        lambda y: psi(term.order, root[..., None] * y) ** 2,
-        b + 2.0 * term.expo, _TAIL_SCALE / root, n)
+    eigenvalue lam or an array of them: z = sqrt(lam) y turns it into the
+    lam = 1 integral times lam^{-(beta+1)/2}, beta = b + 2 expo."""
+    beta = b + 2.0 * term.expo
+    return (2.0 * term.coef ** 2 * lam ** (-0.5 * (beta + 1.0))
+            * _profile_l2_sq(term.order, beta, n))
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +390,7 @@ def mode_energy(profile, lam, k: int, b: float, n: int = _DEFAULT_NODES):
     ``profile`` is either a :class:`PsiProfile` (all k with an analytic
     operator collapse) or any object with ``value``/``d1`` callables, in
     which case only k = 1 is available.  ``lam`` is one eigenvalue (float
-    result) or an array of them (one energy per entry, one profile call).
+    result) or an array of them (one energy per entry, one lam = 1 integral).
     """
     if not np.all(np.asarray(lam) > 0):
         raise ValueError("mode energy needs lam > 0")
@@ -402,14 +407,10 @@ def mode_energy(profile, lam, k: int, b: float, n: int = _DEFAULT_NODES):
         raise ValueError(
             "sampled profiles only support k = 1; higher orders need the "
             "analytic operator powers of a PsiProfile")
-    root = np.sqrt(lam)
-
-    def energy_density(y):  # (|d/dy f(root y)|^2 + lam f(root y)^2) / lam
-        z = root[..., None] * y
-        return profile.d1(z) ** 2 + profile.value(z) ** 2
-
-    return 2.0 * lam * power_weighted_integral(
-        energy_density, b, _TAIL_SCALE / root, n)
+    # z = sqrt(lam) y: the energy is 2 lam^{(1-b)/2} int z^b (f'^2 + f^2) dz
+    return 2.0 * lam ** (0.5 * (1.0 - b)) * power_weighted_integral(
+        lambda z: profile.d1(z) ** 2 + profile.value(z) ** 2,
+        b, _TAIL_SCALE, n)
 
 
 def curve_energy(curve, k: int | None = None, b: float | None = None,
@@ -566,7 +567,8 @@ def fourier_isometry(u: ModalVector, s: float, sigma: float = 0.0,
 
     * ``b``: the weighted L^2 norm of the curve, measured in the fiber of
       order sigma + (1+b)/2, equals |psi_s|_{L^{2;b}(R)} |u|_{H^sigma}
-      (lhs by per-mode y-quadrature, rhs from the reference profile norm);
+      (lhs sums the rescaled lam = 1 quadrature over the modes, rhs takes
+      it once: the two agree by scaling);
     * ``alpha``: the order-(alpha+1/2) Sobolev seminorm of the curve equals
       the closed Gamma form times |u|^2_{H^sigma} (rhs by xi-quadrature of
       the transform profile), for alpha in (-1/2, 2s).

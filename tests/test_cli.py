@@ -186,6 +186,60 @@ def test_verify_overtight_tolerance_fails_with_exit_1(capsys):
     assert report["rel_err"] > 1e-16
 
 
+def _patched_check(monkeypatch, name, fn):
+    from fracext import suite
+    registry = tuple((n, fn if n == name else f) for n, f in suite._REGISTRY)
+    monkeypatch.setattr(suite, "_REGISTRY", registry)
+
+
+def test_verify_raising_check_is_one_failed_record(capsys, monkeypatch):
+    def broken(cfg):
+        raise RuntimeError("boom")
+
+    code, want, _ = run_cli(capsys, "verify", "--checks", "holder_slope")
+    assert code == 0
+    _patched_check(monkeypatch, "taylor", broken)
+    code, out, err = run_cli(capsys, "verify", "--checks",
+                             "taylor,holder_slope")
+    assert code == 1
+    lines = out.strip().split("\n")
+    assert json.loads(lines[0]) == {"name": "taylor",
+                                    "error": "RuntimeError: boom",
+                                    "pass": False}
+    # the other checks still run, and print as before
+    assert lines[1] == want.split("\n")[0]
+    assert lines[2] == "# 1/2 checks passed"
+    assert "boom" in err and "Traceback" in err
+
+
+def test_verify_non_finite_report_is_one_failed_record(capsys, monkeypatch):
+    from fracext.weighted import report_equal
+    _patched_check(monkeypatch, "taylor",
+                   lambda cfg: [report_equal("nan_report", math.nan, 1.0)])
+    code, out, _ = run_cli(capsys, "verify", "--checks",
+                           "taylor,holder_slope")
+    assert code == 1
+    lines = out.strip().split("\n")
+    record = json.loads(lines[0])
+    assert record["name"] == "nan_report" and record["pass"] is False
+    assert "non-finite" in record["error"]
+    assert json.loads(lines[1])["pass"] is True
+    assert lines[2] == "# 1/2 checks passed"
+
+
+@pytest.mark.parametrize("argv", [
+    ("apply", "--op", "explicit:1e300", "--u", "1", "--s", "2"),
+    ("minimize", "--op", "explicit:1e300", "--u", "1e200", "--s", "0.5",
+     "--nodes", "200"),
+], ids=["apply", "minimize"])
+def test_overflow_is_domain_error(capsys, argv):
+    # used to print inf/Infinity/NaN tokens and exit 0 or 1
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("domain error")
+
+
 def test_verify_output_is_reproducible(tmp_path, capsys):
     out_a = tmp_path / "a.jsonl"
     out_b = tmp_path / "b.jsonl"

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fracext.spectral import (
@@ -147,6 +147,7 @@ def test_duality_pairing():
 
 @given(st.lists(st.floats(-5, 5), min_size=2, max_size=6),
        st.floats(-1.5, 1.5), st.floats(-1.0, 1.0))
+@example([1.6713442725241844e-162, 0.0], -1.0, 0.0)  # squares underflow
 @settings(max_examples=60, deadline=None)
 def test_power_shifts_the_sobolev_ladder(coeffs, t, sigma):
     lam = np.linspace(0.5, 3.0, len(coeffs))
@@ -174,6 +175,19 @@ def test_spectrum_validation():
         Spectrum(np.array([]))
     with pytest.raises(ValueError):
         ModalVector(np.ones(3), explicit_spectrum([1.0, 2.0]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_spectrum_and_coefficients_rejected(bad):
+    with pytest.raises(ValueError, match="finite"):
+        explicit_spectrum([1.0, bad])
+    with pytest.raises(ValueError, match="finite"):
+        Spectrum(np.array([bad]))
+    with pytest.raises(ValueError, match="finite"):
+        ModalVector(np.array([bad, 1.0]), explicit_spectrum([1.0, 2.0]))
+    # a power that overflows cannot hand on an infinite vector either
+    with pytest.raises(ValueError, match="finite"):
+        apply_power(ModalVector(np.ones(1), explicit_spectrum([1e300])), 2.0)
 
 
 def test_json_descriptors():

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fracext
+from fracext import variational
 from fracext.spectral import ModalVector, apply_power, explicit_spectrum
 from fracext.special import FracParams, psi_lambda
 from fracext.variational import (
@@ -189,6 +190,22 @@ def test_minimize_profile_rejects_large_order():
         minimize_profile(1.5, 1.0)
 
 
+@pytest.mark.parametrize("mesh", [
+    graded_mesh(40.0, 200)[::-1],  # reversed: the "minimum" came out -2.39
+    np.array([0.0, 1.0]),  # no interior node: IndexError
+    graded_mesh(40.0, 200) + 1.0,  # trace silently imposed at y = 1
+], ids=["reversed", "two_nodes", "shifted"])
+def test_minimize_profile_rejects_invalid_mesh(mesh):
+    with pytest.raises(ValueError, match="mesh"):
+        minimize_profile(0.5, 1.0, mesh=mesh)
+
+
+def test_minimize_profile_smallest_valid_mesh():
+    # one interior node: the hat-like P1 function on [0, 1, 2]
+    val, prof = minimize_profile(0.5, 1.0, mesh=[0.0, 1.0, 2.0])
+    assert val > 2.0 and prof(0.0) == 1.0 and prof(2.0) == 0.0
+
+
 def test_zero_trace_constraint_gives_zero_minimum():
     # with f(0) = 0 imposed as well, the quadratic form minimum is 0 at f = 0
     mesh = graded_mesh(40.0, 200)
@@ -253,6 +270,72 @@ def test_minimize_negative_reports_functional_at_its_solution(s, n_nodes):
     assert rep.lhs == pytest.approx(ref, rel=1e-12, abs=0.0)
     # Galerkin bound of the dual problem
     assert rep.lhs >= -2.0 * params.d_s
+
+
+def _spread_spectrum(modes):
+    """A kernel mode, then ``modes`` log-spread eigenvalues in [0.3, 3e3],
+    one of them with a zero coefficient when there are two or more."""
+    rng = np.random.default_rng(modes)
+    lam = np.concatenate(([0.0], np.geomspace(0.3, 3e3, modes)))
+    coeffs = rng.standard_normal(modes + 1)
+    coeffs[0] = 0.0
+    if modes > 1:
+        coeffs[1 + modes // 2] = 0.0
+    return ModalVector(coeffs, explicit_spectrum(lam))
+
+
+@pytest.mark.parametrize("s", [0.1, 0.5, 0.95])
+def test_curve_minima_match_per_mode_solves(s):
+    # the per-mode route: each mode on its own mesh, ending at 40/sqrt(lam);
+    # the scaled single solve agrees to rounding (measured 1.4e-12 on the
+    # minima, and 5.7e-7 on the traces of the ill-conditioned graded solve)
+    params = FracParams.from_order(s)
+    n = 4000
+    u = _spread_spectrum(16)
+    lam, c = u.spectrum.eigenvalues, u.coeffs
+    active = (lam > 0) & (c != 0)
+    want = sum(c[j] ** 2 * minimize_profile(s, lam[j], n_nodes=n)[0]
+               for j in np.flatnonzero(active))
+    assert minimize_curve(u, s, n_nodes=n).lhs == pytest.approx(
+        want, rel=5e-12, abs=0.0)
+
+    want_min = 0.0
+    want_trace = np.zeros(lam.size)
+    for j in np.flatnonzero(active):
+        _, elements, (diag, off) = _fe_form(params, lam[j], n)
+        rhs = np.zeros(n - 1)
+        rhs[0] = 2.0 * params.d_s * c[j]
+        x = _solve_spd_tridiagonal(diag[:-1], off[:-1], rhs)
+        want_min += (_energy(elements, lam[j], np.append(x, 0.0))
+                     - 2.0 * rhs[0] * x[0])
+        want_trace[j] = x[0]
+    rep, trace = minimize_negative(u, s, n_nodes=n)
+    assert rep.lhs == pytest.approx(want_min, rel=5e-12, abs=0.0)
+    np.testing.assert_allclose(trace.coeffs, want_trace, rtol=2e-6, atol=0)
+    assert np.all(trace.coeffs[~active] == 0.0)
+
+
+@pytest.mark.parametrize("modes", [1, 8, 64])
+def test_curve_minima_make_one_solve(monkeypatch, modes):
+    solve = variational._solve_spd_tridiagonal
+    calls = []
+    depth = [0]
+
+    def counting(diag, off, rhs):  # the solver recurses through this name
+        calls.append(depth[0])
+        depth[0] += 1
+        try:
+            return solve(diag, off, rhs)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(variational, "_solve_spd_tridiagonal", counting)
+    u = _spread_spectrum(modes)
+    minimize_curve(u, 0.4, n_nodes=500)
+    assert calls.count(0) == 1
+    calls.clear()
+    minimize_negative(u, 0.4, n_nodes=500)
+    assert calls.count(0) == 1
 
 
 def test_minimize_negative_kernel_rejection():

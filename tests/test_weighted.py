@@ -1,5 +1,6 @@
 """Tests for weighted quadrature, energies, and the identity suite."""
 
+import dataclasses
 import json
 import math
 
@@ -8,8 +9,12 @@ import pytest
 
 from fracext.spectral import ModalVector, explicit_spectrum, sobolev_norm
 from fracext.extension import extend, trace0
-from fracext.special import FracParams, constants, trace_constant
+from fracext.special import FracParams, constants, psi, trace_constant
 from fracext.weighted import (
+    _apply_operator_power,
+    _cells_geometric,
+    _Term,
+    _term_derivative,
     CheckReport,
     CompactBump,
     GaussianBump,
@@ -241,6 +246,68 @@ def test_batched_mode_integrals_equal_single_mode_sums():
 
 
 # ---------------------------------------------------------------------------
+# scaled lam = 1 integrals against each mode's own grid
+
+
+def _l2b_sq_on_mode_grid(term, lam, b, n):
+    """The per-mode route: int_R |y|^b |term|^2 on the grid of
+    [0, 45/sqrt(lam)]."""
+    root = math.sqrt(lam)
+    nodes, weights = _cells_geometric(b + 2.0 * term.expo, 45.0 / root, n)
+    return 2.0 * term.coef ** 2 * float(
+        weights @ psi(term.order, root * nodes) ** 2)
+
+
+def _energy_on_mode_grid(profile, lam, k, b, n=1024):
+    if isinstance(profile, PsiProfile):
+        t = _apply_operator_power(profile.s, lam, b, k // 2)
+        if k % 2 == 0:
+            return _l2b_sq_on_mode_grid(t, lam, b, n)
+        return (_l2b_sq_on_mode_grid(_term_derivative(t, lam), lam, b, n)
+                + lam * _l2b_sq_on_mode_grid(t, lam, b, n))
+    root = math.sqrt(lam)
+    nodes, weights = _cells_geometric(b, 45.0 / root, n)
+    z = root * nodes
+    return 2.0 * lam * float(
+        weights @ (profile.d1(z) ** 2 + profile.value(z) ** 2))
+
+
+def test_scaled_integrals_match_per_mode_grids():
+    # measured agreement 5.6e-16: the mode grids are the lam = 1 grid
+    # divided by sqrt(lam), up to rounding
+    lam, u, _, u0 = _spread_modes()
+    positive = lam[1:]
+
+    def close(got, want):
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+
+    for s in (0.25, 0.5, 1.5, 2.5, 3.5):
+        params = FracParams.from_order(s)
+        for k in range(1, params.ceil_s + 1):
+            close(mode_energy(PsiProfile(s), positive, k, params.b),
+                  [_energy_on_mode_grid(PsiProfile(s), x, k, params.b)
+                   for x in positive])
+        active = (lam > 0) & (u != 0)
+        close(curve_energy(extend(_on(lam, u), s)),
+              sum(u[j] ** 2 * _energy_on_mode_grid(
+                  PsiProfile(s), lam[j], params.ceil_s, params.b)
+                  for j in np.flatnonzero(active)))
+        for b in (-0.5, 0.0, 0.6):
+            sigma = 0.3
+            close(fourier_isometry(_on(lam, u0), s, sigma=sigma, b=b).lhs,
+                  sum(lam[j] ** (sigma + 0.5 * (1.0 + b)) * u0[j] ** 2
+                      * _l2b_sq_on_mode_grid(_Term(1.0, 0.0, s), lam[j], b,
+                                             1024)
+                      for j in np.flatnonzero(active)))
+    for b in (-0.5, 0.0, 0.4):
+        close(mode_energy(GaussianBump(0.7), positive, 1, b),
+              [_energy_on_mode_grid(GaussianBump(0.7), x, 1, b)
+               for x in positive])
+        close(mode_energy(GaussianBump(0.7), 2.5, 1, b),
+              _energy_on_mode_grid(GaussianBump(0.7), 2.5, 1, b))
+
+
+# ---------------------------------------------------------------------------
 # identity suite
 
 
@@ -372,6 +439,21 @@ def test_check_report_json_shape():
                                  "pass"]
     assert data["pass"] is False
     assert data["rel_err"] == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("name", ["lhs", "rhs", "rel_err", "tol"])
+def test_check_report_json_rejects_non_finite(name, bad):
+    # JSON has no NaN or Infinity token: fail like allow_nan=False
+    report = dataclasses.replace(CheckReport("x", 1.0, 1.0, 0.0, 1e-6, True),
+                                 **{name: bad})
+    with pytest.raises(ValueError, match="non-finite"):
+        report.to_json()
+
+
+def test_check_report_json_of_nan_comparison():
+    with pytest.raises(ValueError):
+        report_equal("x", math.nan, 1.0).to_json()
 
 
 def test_check_report_zero_target_fallback():
