@@ -43,11 +43,9 @@ from .weighted import (
     GaussianBump,
     PsiProfile,
     QuadraticBump,
-    WeightedGrid,
     curve_energy,
     energy_identity,
     fourier_isometry,
-    make_grid,
     mode_energy,
     parts_check,
     psi_fourier_numeric,

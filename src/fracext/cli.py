@@ -5,7 +5,9 @@ Subcommands::
     fracext apply    --op OP --u 1,0,1 --s 0.5 [--out FILE]
     fracext extend   --op OP --u 1,1 --s 0.5 [--grid a:b:n] [--negative-order]
     fracext verify   [--checks energy,virial,...] [--s 1.5] [--lambda 1]
+                     [--tol T]
     fracext minimize --op OP --u 1,1 --s 0.5 [--negative-order] [--nodes N]
+                     [--tol T]
 
 Operator descriptors accept three spellings: a shorthand
 ``dirichlet:pi:3`` / ``neumann:2.0:5`` / ``explicit:1,4,9``, an inline JSON
@@ -291,10 +293,8 @@ def _build_parser():
         p.add_argument("--op", help="operator descriptor (shorthand, JSON, or file)")
         p.add_argument("--u", help="comma-separated modal coefficients")
         p.add_argument("--s", help="fractional order")
-        p.add_argument("--sigma", help="ladder order (where applicable)")
         p.add_argument("--out", help="output file (default stdout)")
         p.add_argument("--config", help="JSON file with default options")
-        p.add_argument("--tol", help="tolerance override")
 
     p_apply = sub.add_parser("apply", help="apply a fractional power to a vector")
     common(p_apply)
@@ -308,12 +308,14 @@ def _build_parser():
 
     p_ver = sub.add_parser("verify", help="run the identity verification suite")
     common(p_ver)
+    p_ver.add_argument("--tol", help="tolerance override for every check")
     p_ver.add_argument("--checks",
                        help=f"comma-separated subset of: {', '.join(CHECK_NAMES)}")
     p_ver.add_argument("--lambda", dest="lam", help="eigenvalue restriction")
 
     p_min = sub.add_parser("minimize", help="variational verification by finite elements")
     common(p_min)
+    p_min.add_argument("--tol", help="relative tolerance of the minima")
     p_min.add_argument("--nodes", help="mesh nodes per mode")
     p_min.add_argument("--negative-order", action="store_true", default=None)
     p_min.add_argument("--dump-profile",

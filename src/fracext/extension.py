@@ -139,20 +139,21 @@ def _origin_exponents(s):
     return (2.0, 4.0)
 
 
-def trace0(curve: CurveSamples, tol_hint: float = 1e-3) -> ModalVector:
+def trace0(curve: CurveSamples) -> ModalVector:
     """Boundary value of the curve, extrapolated from the smallest abscissae.
 
     Fits value + A y^{p1} + B y^{p2} per mode on the three lowest grid
     points; the fit matrix depends only on the grid, so one solve serves
-    every mode.  The grid must reach below tol_hint / sqrt(lambda_max),
-    else the extrapolation is unreliable and a ValueError reports it.
+    every mode.  The grid must reach below 1e-3 / sqrt(lambda_max), else
+    the extrapolation is unreliable and a ValueError reports it.
     """
     lam = curve.spectrum.positive
     lam_max = lam[-1] if lam.size else 1.0
-    if curve.grid[0] > tol_hint / math.sqrt(lam_max):
+    reach = 1e-3 / math.sqrt(lam_max)
+    if curve.grid[0] > reach:
         raise ValueError(
             f"grid too coarse near 0 for trace extrapolation: first point "
-            f"{curve.grid[0]:.3e} exceeds {tol_hint / math.sqrt(lam_max):.3e}")
+            f"{curve.grid[0]:.3e} exceeds {reach:.3e}")
     if curve.grid.size < 3:
         raise ValueError("trace extrapolation needs at least three points")
     if isinstance(curve, ExtensionCurve) and curve.params is not None:
@@ -163,7 +164,7 @@ def trace0(curve: CurveSamples, tol_hint: float = 1e-3) -> ModalVector:
     return ModalVector(out, curve.spectrum)
 
 
-def conormal_trace(u: ModalVector, s: float, y0: float | None = None) -> ModalVector:
+def conormal_trace(u: ModalVector, s: float) -> ModalVector:
     """Weighted Dirichlet-to-Neumann trace of the extension of u.
 
     Evaluates the collapsed conormal expression per mode,
@@ -178,8 +179,7 @@ def conormal_trace(u: ModalVector, s: float, y0: float | None = None) -> ModalVe
     params = FracParams.from_order(s)
     lam_pos = u.spectrum.positive
     lam_max = lam_pos[-1] if lam_pos.size else 1.0
-    if y0 is None:
-        y0 = 2e-3 / math.sqrt(lam_max)
+    y0 = 2e-3 / math.sqrt(lam_max)
     s_rem = params.ceil_s - s  # in (0, 1)
     exponents = (2.0 * s_rem, 2.0)
     ys = np.array([y0, 0.5 * y0, 0.25 * y0])

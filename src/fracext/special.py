@@ -81,6 +81,8 @@ _LN2 = math.log(2.0)
 
 def _check_noninteger_order(s):
     s = float(s)
+    if not math.isfinite(s):
+        raise ValueError(f"order s must be finite, got {s}")
     if not s > 0.0:
         raise ValueError(f"order s must be positive, got {s}")
     if s == math.floor(s):
@@ -188,8 +190,8 @@ def psi(s: float, y):
     1, and decaying like e^{-|y|}.  Underflows to 0 for very large |y|.
     """
     s = float(s)
-    if not s > 0.0:
-        raise ValueError(f"psi requires s > 0, got {s}")
+    if not 0.0 < s < math.inf:
+        raise ValueError(f"psi requires a finite s > 0, got {s}")
     ay = np.abs(np.asarray(y, dtype=float))
     out = np.ones(ay.shape)
     away = ~(ay < _PSI_ORIGIN_CUTOFF)  # NaN stays on the Bessel route

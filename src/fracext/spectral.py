@@ -237,6 +237,13 @@ def _active_modes(u: ModalVector, *others: ModalVector) -> np.ndarray:
     return mask
 
 
+def _require_finite(what, *values):
+    """ValueError naming the overflow when a value computed under
+    ``np.errstate(over="ignore")`` left the floating-point range."""
+    if not all(np.all(np.isfinite(v)) for v in values):
+        raise ValueError(f"{what} overflows: the result must be finite")
+
+
 def sobolev_norm(u: ModalVector, sigma: float) -> float:
     """Norm of u in the sigma-order ladder space of its spectrum.
 
@@ -270,7 +277,9 @@ def apply_power(u: ModalVector, t: float) -> ModalVector:
     _check_kernel_use(u, t, "apply_power")
     kd = u.spectrum.kernel_dim
     out = np.zeros_like(u.coeffs)
-    out[kd:] = u.spectrum.positive ** t * u.coeffs[kd:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        out[kd:] = u.spectrum.positive ** t * u.coeffs[kd:]
+    _require_finite(f"L^{t} u", out)
     return ModalVector(out, u.spectrum, u.order - 2.0 * t)
 
 

@@ -60,6 +60,8 @@ __all__ = ["RunConfig", "CheckFailure", "CHECK_NAMES", "run_checks"]
 
 _S_MATRIX = (0.25, 0.5, 0.75, 1.5, 2.5, 3.5)
 _LAM_MATRIX = (0.5, 1.0, 4.0, 10.0)
+_SEED = 1234  # random test profiles and vectors
+_FE_NODES = 4000  # finest mesh of the minimize check
 
 
 @dataclass
@@ -73,8 +75,6 @@ class RunConfig:
     s_values: tuple = ()
     lam_values: tuple = ()
     tol: float | None = None
-    seed: int = 1234
-    fe_nodes: int = 4000
 
     def pick_s(self, default):
         if not self.s_values:
@@ -224,7 +224,7 @@ def check_trace_ineq(cfg: RunConfig):
         out.append(trace_inequality(b, tol=tol))
         m_b = _m_b(b)
         worst = math.inf
-        for prof in _random_profiles(cfg.seed, 20):
+        for prof in _random_profiles(_SEED, 20):
             r = trace_inequality(b, profile=prof)
             worst = min(worst, r.lhs / (m_b * float(prof.value(0.0)) ** 2))
         out.append(report_lower_bound(
@@ -269,17 +269,17 @@ def check_minimize(cfg: RunConfig):
     tol = cfg.tolerance(1e-3)
     out = []
     u = _two_mode()
-    out.append(minimize_curve(u, 0.5, n_nodes=cfg.fe_nodes, tol=tol))
+    out.append(minimize_curve(u, 0.5, n_nodes=_FE_NODES, tol=tol))
     # empirical convergence: the gap to the closed form shrinks by >= 1.7x
     # per refinement for s >= 1/2
     target = 2.0 * trace_constant(0.5)
     errs = [abs(minimize_profile(0.5, 1.0, n_nodes=n)[0] - target)
-            for n in (cfg.fe_nodes // 4, cfg.fe_nodes // 2, cfg.fe_nodes)]
+            for n in (_FE_NODES // 4, _FE_NODES // 2, _FE_NODES)]
     ratio = min(errs[0] / errs[1], errs[1] / errs[2])
     out.append(report_lower_bound("minimize_refinement_ratio(s=0.5)",
                                   ratio, 1.7))
     zeta = ModalVector(np.array([1.0]), explicit_spectrum([1.0]))
-    rep, tr = minimize_negative(zeta, 0.5, n_nodes=cfg.fe_nodes, tol=tol)
+    rep, tr = minimize_negative(zeta, 0.5, n_nodes=_FE_NODES, tol=tol)
     out.append(rep)
     want = apply_power(zeta, -0.5)
     out.append(report_equal("minimize_negative_trace(s=0.5)",
@@ -315,7 +315,7 @@ def check_nonexpansive(cfg: RunConfig):
     for s in cfg.pick_s((0.5, 1.5)):
         psi_mat = psi(s, np.sqrt(spec.eigenvalues)[:, None] * grid)
         excess = -math.inf
-        for u in _random_vectors(spec, cfg.seed, 10):
+        for u in _random_vectors(spec, _SEED, 10):
             cols = psi_mat * u.coeffs[:, None]
             for sigma in (-1.0, 0.0, 1.0, s):
                 w = spec.eigenvalues ** sigma
@@ -336,7 +336,7 @@ def check_commute(cfg: RunConfig):
     out = []
     for s in cfg.pick_s((0.5, 1.5)):
         worst = 0.0
-        for u in _random_vectors(spec, cfg.seed + 1, 10):
+        for u in _random_vectors(spec, _SEED + 1, 10):
             left = extend(apply_power(u, sigma), s, grid).values
             right = spec.eigenvalues[:, None] ** sigma \
                 * extend(u, s, grid).values

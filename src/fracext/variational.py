@@ -35,7 +35,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .special import FracParams, _first_deriv_factors, psi, trace_constant
-from .spectral import ModalVector, _active_modes, sobolev_norm
+from .spectral import (
+    ModalVector,
+    _active_modes,
+    _require_finite,
+    sobolev_norm,
+)
 from .weighted import (
     _TAIL_SCALE,
     CheckReport,
@@ -51,6 +56,10 @@ __all__ = [
     "minimize_negative",
     "orthogonality_check",
 ]
+
+# quadrature nodes of the orthogonality check: its (J, N) integrand holds a
+# fixed bump against profiles of every mode, finer than the default rule
+_ORTHOGONALITY_NODES = 4096
 
 
 @dataclass(frozen=True)
@@ -220,7 +229,10 @@ def minimize_curve(u: ModalVector, s: float, n_nodes: int = 2000,
     unit, _ = minimize_profile(s, 1.0, n_nodes=n_nodes)
     mask = _active_modes(u)
     lam = u.spectrum.eigenvalues[mask]
-    total = unit * float(u.coeffs[mask] ** 2 @ lam ** s)
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = unit * float(u.coeffs[mask] ** 2 @ lam ** s)
+    # checked before the norm, whose square would raise OverflowError
+    _require_finite(f"minimize_curve(s={s})", total)
     rhs = 2.0 * params.d_s * sobolev_norm(u, s) ** 2
     return report_equal(f"minimize_curve(s={s})", total, rhs, tol)
 
@@ -250,17 +262,19 @@ def minimize_negative(zeta: ModalVector, s: float, n_nodes: int = 2000,
     # optimum (-rhs[0] x[0]), which moves with solver rounding
     unit = _energy(elements, 1.0, np.append(x, 0.0)) - 2.0 * rhs[0] * x[0]
     mask = _active_modes(zeta)
-    scaled = zeta.coeffs[mask] * zeta.spectrum.eigenvalues[mask] ** -s
-    total = unit * float(zeta.coeffs[mask] @ scaled)
     trace = np.zeros(zeta.spectrum.size)
-    trace[mask] = scaled * x[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = zeta.coeffs[mask] * zeta.spectrum.eigenvalues[mask] ** -s
+        total = unit * float(zeta.coeffs[mask] @ scaled)
+        trace[mask] = scaled * x[0]
+    _require_finite(f"minimize_negative(s={s})", total, trace)
     rhs_val = -2.0 * params.d_s * sobolev_norm(zeta, -s) ** 2
     report = report_equal(f"minimize_negative(s={s})", total, rhs_val, tol)
     return report, ModalVector(trace, zeta.spectrum, order=s)
 
 
 def orthogonality_check(u: ModalVector, s: float, v: ModalVector, eta,
-                        tol: float = 1e-5, n: int = 4096) -> CheckReport:
+                        tol: float = 1e-5) -> CheckReport:
     """Weak-form identity of the extension against a factored test curve.
 
     With V_j = v_j eta(y), eta a fixed C^2 even bump, the weighted inner
@@ -280,6 +294,7 @@ def orthogonality_check(u: ModalVector, s: float, v: ModalVector, eta,
     lam = u.spectrum.eigenvalues[mask][:, None]
     root = np.sqrt(lam)
     b = params.b
+    n = _ORTHOGONALITY_NODES
     if params.ceil_s == 1:
         # gradient part: y^b psi' eta' has the weight exactly cancelled
         coef, expo, order = _first_deriv_factors(s)

@@ -1,19 +1,15 @@
 """Weighted half-line quadrature, mode energies, and the identity suite.
 
-All integrals here carry the degenerate/singular weight |y|^b with
-b in (-1, 1).  Every profile in scope is even, so integrals over the whole
-line are computed as twice the half-line value.  Two gradings are offered:
+All integrals here carry a power weight y^beta with beta > -1; every
+profile in scope is even, so integrals over the whole line are twice the
+half-line value.  :func:`power_weighted_integral` is the one integrator.
+It runs on geometric cells: the first cell [0, a] absorbs y^beta exactly
+through a Gauss-Jacobi rule (no sample at y = 0), and the cells growing
+geometrically away from it use Gauss-Legendre with the weight evaluated.
+The log-transformed cells (y = e^t, composite Gauss panels in t) are an
+independent rule kept for the tests to cross-check the geometric one.
 
-``geometric``
-    cells grow geometrically away from the origin; the first cell [0, a]
-    absorbs the y^b factor exactly through a Gauss-Jacobi rule (no sample at
-    y = 0), the remaining cells use Gauss-Legendre with the weight evaluated.
-
-``gauss_transformed``
-    the substitution y = e^t turns the weight into a smooth exponential
-    factor; composite Gauss panels in t.  Mainly a cross-check path.
-
-On top of the grids sit the quadratic energies
+On top of the rule sit the quadratic energies
 
     |psi|^2_{lam, H^{k;b}} = | (D_b+lam)^{k/2} psi |^2_{L^{2;b}}          (k even)
                            = | d/dy (D_b+lam)^{(k-1)/2} psi |^2_{L^{2;b}}
@@ -28,10 +24,9 @@ valid when b matches the weight exponent of the order s.  The identity suite
 (energy isometry, virial split, trace inequality, integration by parts,
 Fourier isometries) reports results as :class:`CheckReport` records.
 
-The package integrates only through :func:`power_weighted_integral` on the
-geometric cells.  A pure-profile integral with weight y^beta is its lam = 1
-value times lam^{-(beta+1)/2} (z = sqrt(lam) y); integrands that differ
-between modes (a fixed test bump) return a (J, N) array on one grid.
+A pure-profile integral with weight y^beta is its lam = 1 value times
+lam^{-(beta+1)/2} (z = sqrt(lam) y); integrands that differ between modes
+(a fixed test bump) return a (J, N) array on one grid.
 """
 
 from __future__ import annotations
@@ -57,13 +52,11 @@ from .special import (
 from .spectral import ModalVector, _active_modes, sobolev_norm
 
 __all__ = [
-    "WeightedGrid",
     "CheckReport",
     "PsiProfile",
     "GaussianBump",
     "CompactBump",
     "QuadraticBump",
-    "make_grid",
     "power_weighted_integral",
     "mode_energy",
     "curve_energy",
@@ -82,29 +75,7 @@ _TAIL_SCALE = 45.0  # e^{-2*45} ~ 8e-40, far below the 1e-18 truncation target
 
 
 # ---------------------------------------------------------------------------
-# grids
-
-
-@dataclass(frozen=True)
-class WeightedGrid:
-    """Quadrature nodes/weights approximating int_0^inf |y|^b f(y) dy.
-
-    ``even_factor`` is fixed at 2: integrals of even profiles over the whole
-    line are twice the half-line value.
-    """
-
-    b: float
-    nodes: np.ndarray
-    weights: np.ndarray
-    even_factor: float = 2.0
-
-    def half_line(self, f) -> float:
-        values = f(self.nodes) if callable(f) else np.asarray(f, dtype=float)
-        return float(self.weights @ values)
-
-    def over_r(self, f) -> float:
-        """Whole-line integral of an even integrand."""
-        return self.even_factor * self.half_line(f)
+# quadrature
 
 
 @lru_cache(maxsize=512)
@@ -114,26 +85,19 @@ def _cells_geometric(beta, upper, n):
     ncells = max(4, int(math.ceil(n / p)))
     a1 = upper * 1e-6
     ratio = (upper / a1) ** (1.0 / (ncells - 1))
-    bounds = np.empty(ncells + 1)
-    bounds[0] = 0.0
-    bounds[1:] = a1 * ratio ** np.arange(ncells)
+    bounds = a1 * ratio ** np.arange(ncells)
     bounds[-1] = upper
 
     xj, wj = roots_jacobi(p, 0.0, beta)
     xl, wl = leggauss(p)
-    nodes = np.empty(ncells * p)
-    weights = np.empty(ncells * p)
-    # singular cell: Gauss-Jacobi soaks up y^beta exactly, never touching y=0
-    c = bounds[1]
-    nodes[:p] = 0.5 * c * (1.0 + xj)
-    weights[:p] = (0.5 * c) ** (beta + 1.0) * wj
-    for i in range(1, ncells):
-        a, cc = bounds[i], bounds[i + 1]
-        mid, hw = 0.5 * (a + cc), 0.5 * (cc - a)
-        ys = mid + hw * xl
-        sl = slice(i * p, (i + 1) * p)
-        nodes[sl] = ys
-        weights[sl] = hw * wl * ys ** beta
+    # singular cell [0, a1]: Gauss-Jacobi soaks up y^beta exactly, never
+    # touching y=0; Gauss-Legendre on the others, one row per cell
+    a, cc = bounds[:-1, None], bounds[1:, None]
+    mid, hw = 0.5 * (a + cc), 0.5 * (cc - a)
+    ys = mid + hw * xl
+    nodes = np.concatenate((0.5 * a1 * (1.0 + xj), ys.ravel()))
+    weights = np.concatenate(((0.5 * a1) ** (beta + 1.0) * wj,
+                              (hw * wl * ys ** beta).ravel()))
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights
@@ -148,40 +112,14 @@ def _cells_log_transformed(beta, upper, n):
     npanels = max(4, int(math.ceil(n / p)), int(math.ceil((t_hi - t_lo))))
     edges = np.linspace(t_lo, t_hi, npanels + 1)
     xl, wl = leggauss(p)
-    nodes = np.empty(npanels * p)
-    weights = np.empty(npanels * p)
-    for i in range(npanels):
-        mid = 0.5 * (edges[i] + edges[i + 1])
-        hw = 0.5 * (edges[i + 1] - edges[i])
-        ts = mid + hw * xl
-        sl = slice(i * p, (i + 1) * p)
-        nodes[sl] = np.exp(ts)
-        weights[sl] = hw * wl * np.exp((beta + 1.0) * ts)
+    a, cc = edges[:-1, None], edges[1:, None]
+    mid, hw = 0.5 * (a + cc), 0.5 * (cc - a)
+    ts = mid + hw * xl
+    nodes = np.exp(ts).ravel()
+    weights = (hw * wl * np.exp((beta + 1.0) * ts)).ravel()
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights
-
-
-def make_grid(b: float, y_max: float = _TAIL_SCALE, n: int = _DEFAULT_NODES,
-              grading: str = "geometric") -> WeightedGrid:
-    """Quadrature grid for int_0^inf |y|^b f(y) dy, f decaying by y_max.
-
-    The weight exponent must lie in (-1, 1) (local integrability); n is the
-    approximate total number of nodes, at least 16.
-    """
-    if not -1.0 < b < 1.0:
-        raise ValueError(f"weight exponent must lie in (-1, 1), got {b}")
-    if n < 16:
-        raise ValueError("need n >= 16 quadrature nodes")
-    if y_max <= 1.0:
-        raise ValueError("y_max must exceed 1")
-    if grading == "geometric":
-        nodes, weights = _cells_geometric(float(b), float(y_max), int(n))
-    elif grading == "gauss_transformed":
-        nodes, weights = _cells_log_transformed(float(b), float(y_max), int(n))
-    else:
-        raise ValueError(f"unknown grading {grading!r}")
-    return WeightedGrid(b=float(b), nodes=nodes, weights=weights)
 
 
 def power_weighted_integral(g, beta, upper, n=_DEFAULT_NODES):
@@ -365,26 +303,26 @@ def _term_derivative(term, lam):
 
 
 @lru_cache(maxsize=128)
-def _profile_l2_sq(order, beta, n):
+def _profile_l2_sq(order, beta):
     """int_0^inf z^beta psi_order(z)^2 dz, the lam = 1 integral."""
     return power_weighted_integral(lambda z: psi(order, z) ** 2, beta,
-                                   _TAIL_SCALE, n)
+                                   _TAIL_SCALE)
 
 
-def _term_l2b_sq(term, lam, b, n):
+def _term_l2b_sq(term, lam, b):
     """int_R |y|^b |term|^2 dy (even integrand, so 2x half line) for one
     eigenvalue lam or an array of them: z = sqrt(lam) y turns it into the
     lam = 1 integral times lam^{-(beta+1)/2}, beta = b + 2 expo."""
     beta = b + 2.0 * term.expo
     return (2.0 * term.coef ** 2 * lam ** (-0.5 * (beta + 1.0))
-            * _profile_l2_sq(term.order, beta, n))
+            * _profile_l2_sq(term.order, beta))
 
 
 # ---------------------------------------------------------------------------
 # energies
 
 
-def mode_energy(profile, lam, k: int, b: float, n: int = _DEFAULT_NODES):
+def mode_energy(profile, lam, k: int, b: float):
     """Squared weighted energy |profile(sqrt(lam) .)|^2_{lam, H^{k;b}} over R.
 
     ``profile`` is either a :class:`PsiProfile` (all k with an analytic
@@ -400,9 +338,9 @@ def mode_energy(profile, lam, k: int, b: float, n: int = _DEFAULT_NODES):
         s = profile.s
         t = _apply_operator_power(s, lam, b, k // 2)
         if k % 2 == 0:
-            return _term_l2b_sq(t, lam, b, n)
+            return _term_l2b_sq(t, lam, b)
         grad = _term_derivative(t, lam)
-        return _term_l2b_sq(grad, lam, b, n) + lam * _term_l2b_sq(t, lam, b, n)
+        return _term_l2b_sq(grad, lam, b) + lam * _term_l2b_sq(t, lam, b)
     if k != 1:
         raise ValueError(
             "sampled profiles only support k = 1; higher orders need the "
@@ -410,11 +348,11 @@ def mode_energy(profile, lam, k: int, b: float, n: int = _DEFAULT_NODES):
     # z = sqrt(lam) y: the energy is 2 lam^{(1-b)/2} int z^b (f'^2 + f^2) dz
     return 2.0 * lam ** (0.5 * (1.0 - b)) * power_weighted_integral(
         lambda z: profile.d1(z) ** 2 + profile.value(z) ** 2,
-        b, _TAIL_SCALE, n)
+        b, _TAIL_SCALE)
 
 
-def curve_energy(curve, k: int | None = None, b: float | None = None,
-                 n: int = _DEFAULT_NODES) -> float:
+def curve_energy(curve, k: int | None = None,
+                 b: float | None = None) -> float:
     """Total energy of an extension curve: sum of per-mode energies.
 
     Defaults to the natural exponents of the curve order (k = ceil(s),
@@ -428,7 +366,7 @@ def curve_energy(curve, k: int | None = None, b: float | None = None,
         b = params.b
     mask = _active_modes(curve.source)
     energies = mode_energy(PsiProfile(params.s),
-                           curve.spectrum.eigenvalues[mask], k, b, n)
+                           curve.spectrum.eigenvalues[mask], k, b)
     return float(curve.source.coeffs[mask] ** 2 @ energies)
 
 
@@ -436,18 +374,18 @@ def curve_energy(curve, k: int | None = None, b: float | None = None,
 # the identity suite
 
 
-def energy_identity(s: float, lam: float, tol: float = 1e-6,
-                    n: int = _DEFAULT_NODES) -> CheckReport:
+def energy_identity(s: float, lam: float, tol: float = 1e-6) -> CheckReport:
     """Quadrature energy of psi_{s,lam} against the closed form 2 d_s lam^s."""
     params = FracParams.from_order(s)
-    lhs = mode_energy(PsiProfile(s), lam, params.ceil_s, params.b, n)
+    lhs = mode_energy(PsiProfile(s), lam, params.ceil_s, params.b)
     rhs = 2.0 * params.d_s * lam ** s
     return report_equal(f"energy_identity(s={s}, lam={lam})", lhs, rhs, tol,
                         note=f"tail truncated at y_max="
-                             f"{_TAIL_SCALE / math.sqrt(lam):.3g}, {n} nodes")
+                             f"{_TAIL_SCALE / math.sqrt(lam):.3g}, "
+                             f"{_DEFAULT_NODES} nodes")
 
 
-def virial_check(s: float, tol: float = 1e-6, n: int = _DEFAULT_NODES):
+def virial_check(s: float, tol: float = 1e-6):
     """Virial split of the minimal energy, for floor(s) even.
 
     The zero-order part carries the fraction s/ceil(s) of 2 d_s and the
@@ -460,8 +398,8 @@ def virial_check(s: float, tol: float = 1e-6, n: int = _DEFAULT_NODES):
     m = params.floor_s // 2
     t = _apply_operator_power(s, 1.0, params.b, m)
     grad = _term_derivative(t, 1.0)
-    zero_part = _term_l2b_sq(t, 1.0, params.b, n)
-    grad_part = _term_l2b_sq(grad, 1.0, params.b, n)
+    zero_part = _term_l2b_sq(t, 1.0, params.b)
+    grad_part = _term_l2b_sq(grad, 1.0, params.b)
     total = 2.0 * params.d_s
     return (
         report_equal(f"virial_zero_order(s={s})", zero_part,
@@ -471,8 +409,8 @@ def virial_check(s: float, tol: float = 1e-6, n: int = _DEFAULT_NODES):
     )
 
 
-def trace_inequality(b: float, profile=None, tol: float = 1e-6,
-                     n: int = _DEFAULT_NODES) -> CheckReport:
+def trace_inequality(b: float, profile=None,
+                     tol: float = 1e-6) -> CheckReport:
     """Weighted trace inequality |f|^2_{H^{1;b}} >= m_b |f(0)|^2.
 
     With the default profile (the Macdonald profile of order (1-b)/2, the
@@ -484,15 +422,15 @@ def trace_inequality(b: float, profile=None, tol: float = 1e-6,
     m_b = _m_b(b)
     if profile is None:
         s = 0.5 * (1.0 - b)
-        lhs = mode_energy(PsiProfile(s), 1.0, 1, b, n)
+        lhs = mode_energy(PsiProfile(s), 1.0, 1, b)
         return report_equal(f"trace_equality(b={b})", lhs, m_b, tol)
-    lhs = mode_energy(profile, 1.0, 1, b, n)
+    lhs = mode_energy(profile, 1.0, 1, b)
     rhs = m_b * float(profile.value(0.0)) ** 2
     return report_lower_bound(f"trace_inequality(b={b})", lhs, rhs)
 
 
-def parts_check(s: float, eta, b: float | None = None, tol: float = 1e-6,
-                n: int = _DEFAULT_NODES) -> CheckReport:
+def parts_check(s: float, eta, b: float | None = None,
+                tol: float = 1e-6) -> CheckReport:
     """Integration by parts against the Macdonald profile:
 
         (psi_s', eta')_{L^{2;b}} = (D_b psi_s, eta)_{L^{2;b}} + flux,
@@ -524,24 +462,24 @@ def parts_check(s: float, eta, b: float | None = None, tol: float = 1e-6,
             "for s < 1 the weighted Laplacian of psi_s is only available "
             "with the matched weight exponent")
     lhs = 2.0 * power_weighted_integral(
-        lambda y: db_psi(y) * eta.value(y), b, _TAIL_SCALE, n) + flux
+        lambda y: db_psi(y) * eta.value(y), b, _TAIL_SCALE) + flux
     coef, expo, order = _first_deriv_factors(s)
     rhs = 2.0 * power_weighted_integral(
-        lambda y: coef * psi(order, y) * eta.d1(y), b + expo, _TAIL_SCALE, n)
+        lambda y: coef * psi(order, y) * eta.d1(y), b + expo, _TAIL_SCALE)
     return report_equal(f"parts_check(s={s}, b={b})", lhs, rhs, tol,
                         abs_tol=1e-10)
 
 
-def psi_fourier_numeric(s: float, xi: float, n: int = _DEFAULT_NODES) -> float:
+def psi_fourier_numeric(s: float, xi: float) -> float:
     """Fourier transform of psi_s by direct cosine quadrature (oracle path)."""
     xi = abs(float(xi))
     # resolve the oscillation: enough cells for a few panels per wavelength
-    n_eff = max(n, int(24 * _TAIL_SCALE * max(xi, 1.0) / math.pi))
+    n = max(_DEFAULT_NODES, int(24 * _TAIL_SCALE * max(xi, 1.0) / math.pi))
     return math.sqrt(2.0 / math.pi) * power_weighted_integral(
-        lambda y: np.cos(xi * y) * psi(s, y), 0.0, _TAIL_SCALE, n_eff)
+        lambda y: np.cos(xi * y) * psi(s, y), 0.0, _TAIL_SCALE, n)
 
 
-def xi_moment(s, q, n=_DEFAULT_NODES):
+def xi_moment(s, q):
     """int_0^inf xi^q (1 + xi^2)^{-(1+2s)} dxi via xi = tan(theta)."""
     if not (-1.0 < q < 4.0 * s + 1.0):
         raise ValueError("xi moment diverges")
@@ -553,14 +491,14 @@ def xi_moment(s, q, n=_DEFAULT_NODES):
         return np.sinc(th / math.pi) ** (4.0 * s - q) * np.cos(th) ** q
 
     quarter = 0.25 * math.pi
-    low = power_weighted_integral(g_low, q, quarter, n)
-    high = power_weighted_integral(g_high, 4.0 * s - q, quarter, n)
+    low = power_weighted_integral(g_low, q, quarter)
+    high = power_weighted_integral(g_high, 4.0 * s - q, quarter)
     return low + high
 
 
 def fourier_isometry(u: ModalVector, s: float, sigma: float = 0.0,
                      alpha: float | None = None, b: float | None = None,
-                     tol: float = 1e-7, n: int = _DEFAULT_NODES) -> CheckReport:
+                     tol: float = 1e-7) -> CheckReport:
     """Fourier-side isometries of the extension transform (integer s allowed).
 
     Exactly one of ``alpha``/``b`` selects the statement:
@@ -587,10 +525,10 @@ def fourier_isometry(u: ModalVector, s: float, sigma: float = 0.0,
         mask = _active_modes(u)
         lam = u.spectrum.eigenvalues[mask]
         profile = _Term(1.0, 0.0, s)
-        parts = _term_l2b_sq(profile, lam, b, n)
+        parts = _term_l2b_sq(profile, lam, b)
         lhs = float(lam ** (sigma + 0.5 * (1.0 + b)) * u.coeffs[mask] ** 2
                     @ parts)
-        rhs = _term_l2b_sq(profile, 1.0, b, n) * norm_sq
+        rhs = _term_l2b_sq(profile, 1.0, b) * norm_sq
         return report_equal(
             f"fourier_weighted_l2(s={s}, b={b}, sigma={sigma})", lhs, rhs, tol)
 
@@ -598,7 +536,7 @@ def fourier_isometry(u: ModalVector, s: float, sigma: float = 0.0,
         raise ValueError(f"alpha must lie in (-1/2, 2s), got {alpha}")
     lhs = seminorm_sq(s, alpha + 0.5) * norm_sq
     amp = psi_fourier(s, 0.0)
-    rhs = 2.0 * amp ** 2 * xi_moment(s, 2.0 * alpha + 1.0, n) * norm_sq
+    rhs = 2.0 * amp ** 2 * xi_moment(s, 2.0 * alpha + 1.0) * norm_sq
     return report_equal(
         f"fourier_seminorm(s={s}, alpha={alpha}, sigma={sigma})",
         lhs, rhs, tol)

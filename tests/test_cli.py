@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -233,11 +234,25 @@ def test_verify_non_finite_report_is_one_failed_record(capsys, monkeypatch):
      "--nodes", "200"),
 ], ids=["apply", "minimize"])
 def test_overflow_is_domain_error(capsys, argv):
-    # used to print inf/Infinity/NaN tokens and exit 0 or 1
-    code, out, err = run_cli(capsys, *argv)
+    # used to print inf/Infinity/NaN tokens and exit 0 or 1, and later a
+    # numpy RuntimeWarning ahead of the error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, *argv)
     assert code == 3
     assert out == ""
     assert err.startswith("domain error")
+    assert "overflow" in err
+
+
+def test_flags_no_subcommand_reads_are_usage_errors(capsys):
+    # --sigma was accepted by every subcommand and --tol by apply, and
+    # neither value was read, so this used to exit 0
+    with pytest.raises(SystemExit) as exc:
+        main(["apply", "--op", "explicit:1,4", "--u", "1,1", "--s", "0.5",
+              "--sigma", "banana", "--tol", "nan"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_verify_output_is_reproducible(tmp_path, capsys):

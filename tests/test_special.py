@@ -317,6 +317,16 @@ def test_frac_params_fields():
             FracParams.from_order(bad)
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_non_finite_order_rejected(bad):
+    # from_order(inf) used to raise OverflowError from math.floor, and
+    # psi(inf, 1.0) to return nan without complaint
+    with pytest.raises(ValueError, match="finite"):
+        FracParams.from_order(bad)
+    with pytest.raises(ValueError, match="finite"):
+        psi(bad, 1.0)
+
+
 @given(st.floats(0.01, 59.99))
 @settings(max_examples=80, deadline=None)
 def test_weight_exponent_range(s):

@@ -26,7 +26,11 @@ from fracext.variational import (
     minimize_profile,
     orthogonality_check,
 )
-from fracext.weighted import GaussianBump, QuadraticBump, make_grid
+from fracext.weighted import (
+    GaussianBump,
+    QuadraticBump,
+    power_weighted_integral,
+)
 
 
 def _thomas(diag, off, rhs):
@@ -164,9 +168,8 @@ def test_minimizer_weighted_l2_distance_shrinks():
     s = 0.5
     for n, bound in ((2000, 1e-2), (4000, 5e-3)):
         _, prof = minimize_profile(s, 1.0, n_nodes=n)
-        grid = make_grid(0.0, 40.0, 2048)
-        dist = math.sqrt(grid.over_r(
-            lambda y: (prof(y) - psi_lambda(s, 1.0, y)) ** 2))
+        dist = math.sqrt(2.0 * power_weighted_integral(
+            lambda y: (prof(y) - psi_lambda(s, 1.0, y)) ** 2, 0.0, 40.0, 2048))
         assert dist < bound
 
 

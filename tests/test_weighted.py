@@ -13,6 +13,7 @@ from fracext.special import FracParams, constants, psi, trace_constant
 from fracext.weighted import (
     _apply_operator_power,
     _cells_geometric,
+    _cells_log_transformed,
     _Term,
     _term_derivative,
     CheckReport,
@@ -23,7 +24,6 @@ from fracext.weighted import (
     curve_energy,
     energy_identity,
     fourier_isometry,
-    make_grid,
     mode_energy,
     parts_check,
     power_weighted_integral,
@@ -35,53 +35,47 @@ from fracext.weighted import (
 
 
 # ---------------------------------------------------------------------------
-# grids
+# quadrature
+
+# (b, n) cases of the moment test; the ids of the n = 1024 cases are the
+# bare exponent
+_MOMENT_CASES = [pytest.param(b, 1024, id=str(b))
+                 for b in (-0.6, -0.5, 0.0, 0.4, 0.9)]
+_MOMENT_CASES.append(pytest.param(-0.5, 512, id="-0.5-n512"))
 
 
-@pytest.mark.parametrize("b", [-0.6, -0.5, 0.0, 0.4, 0.9])
-@pytest.mark.parametrize("grading", ["geometric", "gauss_transformed"])
-def test_gamma_moment_invariant(b, grading):
-    grid = make_grid(b, 45.0, 1024, grading)
-    got = grid.half_line(lambda y: np.exp(-2.0 * y))
+@pytest.mark.parametrize("b, n", _MOMENT_CASES)
+@pytest.mark.parametrize("cells", [_cells_geometric, _cells_log_transformed],
+                         ids=["geometric", "gauss_transformed"])
+def test_gamma_moment_invariant(b, n, cells):
+    nodes, weights = cells(b, 45.0, n)
+    got = weights @ np.exp(-2.0 * nodes)
     ref = math.gamma(1.0 + b) / 2.0 ** (1.0 + b)
     assert got == pytest.approx(ref, rel=1e-10)
-    assert np.all(grid.weights > 0.0)
-    assert grid.even_factor == 2.0
+    assert np.all(weights > 0.0)
 
 
 def test_plain_exponential_moment():
-    grid = make_grid(0.0, 45.0, 512)
-    assert grid.half_line(lambda y: np.exp(-2.0 * y)) == pytest.approx(
-        0.5, rel=1e-10)
+    got = power_weighted_integral(lambda y: np.exp(-2.0 * y), 0.0, 45.0, 512)
+    assert got == pytest.approx(0.5, rel=1e-10)
 
 
 def test_singular_cell_never_samples_origin():
-    grid = make_grid(-0.6, 45.0, 512)
-    assert grid.nodes[0] > 0.0
+    nodes, _ = _cells_geometric(-0.6, 45.0, 512)
+    assert nodes[0] > 0.0
     # integral of y^{-0.6} alone over the leading cell region is finite and
     # the rule reproduces the power-rule antiderivative
     got = power_weighted_integral(lambda y: np.ones_like(y), -0.6, 1.0, 512)
     assert got == pytest.approx(1.0 / 0.4, rel=1e-12)
+    with pytest.raises(ValueError, match="not integrable"):
+        power_weighted_integral(np.ones_like, -1.0, 1.0)
 
 
 def test_grid_doubling_stability():
     for b in (-0.5, 0.4):
-        a = make_grid(b, 45.0, 1024).half_line(lambda y: np.exp(-2.0 * y))
-        c = make_grid(b, 45.0, 2048).half_line(lambda y: np.exp(-2.0 * y))
+        a, c = (power_weighted_integral(lambda y: np.exp(-2.0 * y), b, 45.0, n)
+                for n in (1024, 2048))
         assert abs(a - c) <= 1e-8 * abs(c)
-
-
-def test_make_grid_validation():
-    with pytest.raises(ValueError):
-        make_grid(1.0, 45.0, 512)
-    with pytest.raises(ValueError):
-        make_grid(-1.2, 45.0, 512)
-    with pytest.raises(ValueError):
-        make_grid(0.0, 45.0, 8)
-    with pytest.raises(ValueError):
-        make_grid(0.0, 0.5, 512)
-    with pytest.raises(ValueError):
-        make_grid(0.0, 45.0, 512, "chebyshev")
 
 
 # ---------------------------------------------------------------------------
