@@ -50,7 +50,7 @@ for order in (0.3, 0.5, 1.5, 2.5):
 # For half-integer orders the profile is elementary and the residual is
 # pure floating-point noise.
 for order in (0.5, 1.5, 2.5):
-    worst = max(ode_residual(u, order, y) for y in (0.2, 1.0, 5.0))
+    worst = np.max(ode_residual(u, order, np.array([0.2, 1.0, 5.0])))
     print(f"ODE residual s={order}: {worst:.2e}")
 
 # Boundary Taylor expansion: even powers only, coefficients proportional

@@ -38,6 +38,7 @@ from .extension import curve_to_csv, curve_to_json, extend, extend_negative
 from .spectral import (
     _BUILDERS,
     ModalVector,
+    _require_finite,
     apply_power,
     build_operator,
     sobolev_norm,
@@ -123,7 +124,10 @@ def _parse_operator(text):
         raise UsageError(f"bad operator descriptor {text!r}: {err}") from err
     if kind not in _BUILDERS:
         raise UsageError(f"unknown operator kind {kind!r}")
-    return build_operator(kind, **desc)
+    try:
+        return build_operator(kind, **desc)
+    except TypeError as err:  # a missing or unknown descriptor field
+        raise UsageError(f"bad operator descriptor {text!r}: {err}") from err
 
 
 def _parse_vector(text, spectrum):
@@ -185,12 +189,12 @@ def _cmd_apply(args):
     u = _parse_vector(_merged(args, "u"), spectrum)
     s = _parse_order(_merged(args, "s"))
     result = apply_power(u, s)
+    norms = {"norm_source_hs": sobolev_norm(u, s),
+             "norm_result_dual": sobolev_norm(result, -s)}
+    _require_finite(f"a norm of u or L^{s} u", *norms.values())
     lines = [
         "[" + ", ".join(_fmt(c) for c in result.coeffs) + "]",
-        json.dumps({
-            "norm_source_hs": float(sobolev_norm(u, s)),
-            "norm_result_dual": float(sobolev_norm(result, -s)),
-        }),
+        json.dumps(norms),
     ]
     _write("\n".join(lines) + "\n", _merged(args, "out"))
     return 0

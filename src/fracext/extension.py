@@ -16,8 +16,9 @@ which converges much faster than plain Richardson with guessed exponents.
 
 Curve assembly is independent per (mode, grid point): every routine makes
 one profile call on the whole (mode, abscissa) matrix, with kernel modes
-and zero coefficients masked out.  All results are deterministic pure
-functions of the inputs.
+and zero coefficients masked out; the ODE residual makes one too, on the
+stencil windows of every (mode, point) pair.  All results are deterministic
+pure functions of the inputs.
 """
 
 from __future__ import annotations
@@ -28,8 +29,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numdiff import apply_db, apply_db_power, power_fit_limit
-from .special import FracParams, _taylor_coeff, psi, psi_deriv, trace_constant
+from .numdiff import apply_db, power_fit_limit
+from .special import (
+    FracParams,
+    _apply_operator_power,
+    _taylor_coeff,
+    psi,
+    psi_deriv,
+)
 from .spectral import ModalVector, Spectrum, _active_modes, apply_power
 
 __all__ = [
@@ -231,49 +238,37 @@ def taylor_expand(u: ModalVector, s: float, k: int) -> list:
     return terms
 
 
-def ode_residual(u: ModalVector, s: float, y: float,
-                 fully_numerical: bool = False) -> float:
-    """Residual of the order-ceil(s) extension ODE at one interior point.
+def ode_residual(u: ModalVector, s: float, y):
+    """Residual norm of the order-ceil(s) extension ODE at interior points.
 
-    Default scheme collapses the first floor(s) operator powers through the
-    analytic recurrence and differentiates only the final second-order
-    factor numerically (high-order central stencils); repeated numerical
-    application of the degenerate operator amplifies noise like h^{-2 ceil(s)}
-    and is available behind ``fully_numerical`` for cross-validation.
-    Returns the norm of the modal residual vector at y.
+    The first floor(s) operator powers collapse analytically,
+    (D_b + lam)^{floor(s)} psi_{s,lam} = lam^{floor(s)} (d_s/d_{s-floor(s)})
+    psi_{s-floor(s),lam}, and one 8th-order stencil applies the last factor
+    to every (mode, point) pair at once.  ``y`` is one point (float result)
+    or an array of them (the norm of the modal residual at each point).
     """
     params = FracParams.from_order(s)
-    if y <= 0.05:
+    y = np.asarray(y, dtype=float)
+    if np.any(y <= 0.05):
         raise ValueError("ode_residual needs y bounded away from 0")
-    lam = u.spectrum.eigenvalues
-    b = params.b
-    res = np.zeros(u.spectrum.size)
-    # one stencil per mode: its step depends on the mode's scale
-    for j in np.flatnonzero(_active_modes(u)):
-        lj = float(lam[j])
-        root = math.sqrt(lj)
-        if fully_numerical:
-            f = lambda t: psi(s, root * t)
-            r = apply_db_power(f, y, b, lj, params.ceil_s,
-                               h=min(0.05, y / (4 * params.ceil_s + 2))
-                               / max(1.0, root / 2.0))
-        else:
-            s_rem = s - params.floor_s
-            coef = lj ** params.floor_s * params.d_s / trace_constant(s_rem)
-            g = lambda t: coef * psi(s_rem, root * t)
-            # step size: half-integer orders collapse to elementary
-            # exponential profiles (derivatives bounded), so a wide stencil
-            # minimises roundoff; otherwise the high derivatives grow like
-            # z^{2 frac(s) - k} toward the origin and the stencil must both
-            # shrink and keep its distance
-            scale = max(1.0, root / 2.0)
-            if abs(s_rem - 0.5) < 1e-12:
-                h = min(0.04, y / 4.2) / scale
-            else:
-                h = min(0.01, y / 60.0) / scale
-            r = apply_db(g, y, b, lj, h=h)
-        res[j] = r * u.coeffs[j]
-    return float(np.linalg.norm(res))
+    mask = _active_modes(u)
+    lam = u.spectrum.eigenvalues[mask].reshape((-1,) + (1,) * y.ndim)
+    root = np.sqrt(lam)
+    term = _apply_operator_power(s, lam, params.b, params.floor_s)
+    coef = np.asarray(term.coef)[..., None]  # over the stencil window axis
+    # step size: half-integer orders collapse to elementary exponential
+    # profiles (derivatives bounded), so a wide stencil minimises roundoff;
+    # otherwise the high derivatives grow like z^{2 frac(s) - k} toward the
+    # origin and the stencil must both shrink and keep its distance
+    scale = np.maximum(1.0, root / 2.0)
+    if abs(term.order - 0.5) < 1e-12:
+        h = np.minimum(0.04, y / 4.2) / scale
+    else:
+        h = np.minimum(0.01, y / 60.0) / scale
+    res = apply_db(lambda t: coef * psi(term.order, root[..., None] * t),
+                   y, params.b, lam, h=h)
+    norms = np.linalg.norm(res * u.coeffs[mask].reshape(lam.shape), axis=0)
+    return float(norms) if y.ndim == 0 else norms
 
 
 # ---------------------------------------------------------------------------

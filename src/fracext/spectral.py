@@ -137,8 +137,8 @@ def dirichlet_laplacian_1d(length: float, modes: int) -> Spectrum:
     """Eigenvalues (j pi / L)^2, j = 1..modes, of -d^2/dx^2 with zero BCs."""
     if length <= 0:
         raise ValueError("interval length must be positive")
-    if modes < 1:
-        raise ValueError("need at least one mode")
+    if modes < 1 or modes != int(modes):
+        raise ValueError(f"need a whole number of modes >= 1, got {modes}")
     j = np.arange(1, modes + 1)
     return Spectrum((j * math.pi / length) ** 2, 0,
                     label=f"dirichlet_laplacian_1d(L={length}, J={modes})")
@@ -148,8 +148,8 @@ def neumann_laplacian_1d(length: float, modes: int) -> Spectrum:
     """Eigenvalues 0, (pi/L)^2, (2 pi/L)^2, ... with the constant mode first."""
     if length <= 0:
         raise ValueError("interval length must be positive")
-    if modes < 1:
-        raise ValueError("need at least one mode")
+    if modes < 1 or modes != int(modes):
+        raise ValueError(f"need a whole number of modes >= 1, got {modes}")
     j = np.arange(0, modes)
     return Spectrum((j * math.pi / length) ** 2, 1,
                     label=f"neumann_laplacian_1d(L={length}, J={modes})")
@@ -185,26 +185,32 @@ def tridiagonal_spectrum(diag, off):
     return spec, EigenBasis(v)
 
 
-_BUILDERS = ("dirichlet_laplacian_1d", "neumann_laplacian_1d",
-             "tridiagonal", "explicit_eigenvalues")
+# descriptor kind -> (fields, builder of a Spectrum or (Spectrum, EigenBasis))
+_BUILDERS = {
+    "dirichlet_laplacian_1d": (("length", "modes"), dirichlet_laplacian_1d),
+    "neumann_laplacian_1d": (("length", "modes"), neumann_laplacian_1d),
+    "tridiagonal": (("diag", "off"), tridiagonal_spectrum),
+    "explicit_eigenvalues": (("values",), explicit_spectrum),
+}
 
 
 def build_operator(kind: str, **params):
     """Dispatch on the operator descriptor kind.
 
     Returns ``(Spectrum, EigenBasis | None)``; only the matrix-backed
-    ``tridiagonal`` kind carries a basis.
+    ``tridiagonal`` kind carries a basis.  An unknown kind is a ValueError;
+    a missing or unknown field is a TypeError, as for a call with the wrong
+    keyword arguments.
     """
-    if kind == "dirichlet_laplacian_1d":
-        return dirichlet_laplacian_1d(params["length"], params["modes"]), None
-    if kind == "neumann_laplacian_1d":
-        return neumann_laplacian_1d(params["length"], params["modes"]), None
-    if kind == "explicit_eigenvalues":
-        return explicit_spectrum(params["values"]), None
-    if kind == "tridiagonal":
-        return tridiagonal_spectrum(params["diag"], params["off"])
-    raise ValueError(f"unknown operator kind {kind!r}; expected one of "
-                     f"{_BUILDERS}")
+    if kind not in _BUILDERS:
+        raise ValueError(f"unknown operator kind {kind!r}; expected one of "
+                         f"{tuple(_BUILDERS)}")
+    fields, builder = _BUILDERS[kind]
+    if sorted(params) != sorted(fields):
+        raise TypeError(f"operator kind {kind!r} takes the fields "
+                        f"{fields}, got {tuple(params)}")
+    built = builder(**params)
+    return built if isinstance(built, tuple) else (built, None)
 
 
 def operator_from_json(text: str):
@@ -249,21 +255,24 @@ def sobolev_norm(u: ModalVector, sigma: float) -> float:
 
     sigma = 0 is the plain Euclidean norm (kernel mass included); for
     sigma != 0 the kernel modes contribute nothing when sigma > 0 and make
-    negative orders undefined unless their coefficients vanish.
+    negative orders undefined unless their coefficients vanish.  A norm
+    beyond the double range comes back as inf.
     """
     if sigma == 0.0:
-        c, weight = u.coeffs, 1.0
+        mask = u.coeffs != 0.0
     else:
         _check_kernel_use(u, sigma, "sobolev_norm")
-        c = u.coeffs[u.spectrum.kernel_dim:]
-        weight = u.spectrum.positive ** sigma
-    # a power-of-two scale is exact, and keeps squares of coefficients
-    # below about 1e-154 from underflowing
-    peak = float(np.max(np.abs(c), initial=0.0))
-    if peak == 0.0:
+        mask = _active_modes(u)
+    c = u.coeffs[mask]
+    if c.size == 0:
         return 0.0
-    scale = math.ldexp(1.0, math.frexp(peak)[1])
-    return scale * math.sqrt(float(np.sum(weight * (c / scale) ** 2)))
+    # a power-of-two scale is exact: it keeps the squares of coefficients
+    # below about 1e-154 from underflowing, and with 2^(e-1) <= peak the
+    # scale itself stays finite up to the largest double
+    scale = math.ldexp(1.0, math.frexp(float(np.max(np.abs(c))))[1] - 1)
+    with np.errstate(over="ignore"):
+        weight = u.spectrum.eigenvalues[mask] ** sigma
+        return scale * math.sqrt(float(np.sum(weight * (c / scale) ** 2)))
 
 
 def apply_power(u: ModalVector, t: float) -> ModalVector:
@@ -275,10 +284,11 @@ def apply_power(u: ModalVector, t: float) -> ModalVector:
     if t == 0.0:
         return ModalVector(u.coeffs.copy(), u.spectrum, u.order)
     _check_kernel_use(u, t, "apply_power")
-    kd = u.spectrum.kernel_dim
+    # a zero coefficient stays 0 even where lambda^t overflows
+    mask = _active_modes(u)
     out = np.zeros_like(u.coeffs)
-    with np.errstate(over="ignore", invalid="ignore"):
-        out[kd:] = u.spectrum.positive ** t * u.coeffs[kd:]
+    with np.errstate(over="ignore"):
+        out[mask] = u.spectrum.eigenvalues[mask] ** t * u.coeffs[mask]
     _require_finite(f"L^{t} u", out)
     return ModalVector(out, u.spectrum, u.order - 2.0 * t)
 

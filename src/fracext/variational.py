@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special import FracParams, _first_deriv_factors, psi, trace_constant
+from .special import FracParams, _apply_operator_power, _term_derivative, psi
 from .spectral import (
     ModalVector,
     _active_modes,
@@ -295,20 +295,20 @@ def orthogonality_check(u: ModalVector, s: float, v: ModalVector, eta,
     root = np.sqrt(lam)
     b = params.b
     n = _ORTHOGONALITY_NODES
+    # the profile side collapsed to floor(s) in {0, 1} operator powers
+    t = _apply_operator_power(s, lam, b, params.floor_s)
     if params.ceil_s == 1:
         # gradient part: y^b psi' eta' has the weight exactly cancelled
-        coef, expo, order = _first_deriv_factors(s)
-        coef = coef * lam ** (0.5 * (1.0 + expo))
-        grad = power_weighted_integral(
-            lambda y: coef * psi(order, root * y) * eta.d1(y),
-            b + expo, _TAIL_SCALE, n)
+        grad = _term_derivative(t, lam)
+        grad_part = power_weighted_integral(
+            lambda y: grad.coef * psi(grad.order, root * y) * eta.d1(y),
+            b + grad.expo, _TAIL_SCALE, n)
         mass = power_weighted_integral(
             lambda y: psi(s, root * y) * eta.value(y), b, _TAIL_SCALE, n)
-        per_mode = 2.0 * (grad + lam[:, 0] * mass)
+        per_mode = 2.0 * (grad_part + lam[:, 0] * mass)
     else:
-        ratio = lam * params.d_s / trace_constant(s - 1.0)
         per_mode = 2.0 * power_weighted_integral(
-            lambda y: ratio * psi(s - 1.0, root * y)
+            lambda y: t.coef * psi(t.order, root * y)
             * (-eta.d2(y) - b * eta.d1_over_y(y) + lam * eta.value(y)),
             b, _TAIL_SCALE, n)
     lhs = float(u.coeffs[mask] * v.coeffs[mask] @ per_mode)

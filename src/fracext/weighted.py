@@ -41,13 +41,13 @@ from scipy.special import roots_jacobi
 
 from .special import (
     FracParams,
-    _first_deriv_factors,
+    _apply_operator_power,
     _m_b,
+    _Term,
+    _term_derivative,
     psi,
     psi_fourier,
     seminorm_sq,
-    trace_constant,
-    weight_exponent,
 )
 from .spectral import ModalVector, _active_modes, sobolev_norm
 
@@ -268,40 +268,6 @@ class CompactBump:
         return out
 
 
-# internal algebra on terms coef * y^expo * psi_order(sqrt(lam) y); coef
-# holds one entry per mode when lam is an array of eigenvalues
-@dataclass(frozen=True)
-class _Term:
-    coef: float | np.ndarray
-    expo: float
-    order: float
-
-
-def _apply_operator_power(s, lam, b, m):
-    """(D_b + lam)^m applied to psi_{s,lam}, as a single analytic term."""
-    if m == 0:
-        return _Term(1.0, 0.0, s)
-    if abs(b - weight_exponent(s)) > 1e-12:
-        raise ValueError(
-            "analytic operator powers need the grid weight matched to the "
-            f"order: b={b} vs required {weight_exponent(s)}")
-    if m > math.floor(s):
-        raise ValueError(
-            f"(D_b+lam)^{m} of the order-{s} profile has no analytic "
-            f"collapse (need m <= floor(s))")
-    coef = lam ** m * trace_constant(s) / trace_constant(s - m)
-    return _Term(coef, 0.0, s - m)
-
-
-def _term_derivative(term, lam):
-    """d/dy of an expo-0 term, via the two first-derivative branches."""
-    if term.expo != 0.0:
-        raise ValueError("derivative only needed for pure profile terms")
-    coef, expo, order = _first_deriv_factors(term.order)
-    # the chain rule on psi(sqrt(lam) y) brings lam^{(1+expo)/2}
-    return _Term(term.coef * coef * lam ** (0.5 * (1.0 + expo)), expo, order)
-
-
 @lru_cache(maxsize=128)
 def _profile_l2_sq(order, beta):
     """int_0^inf z^beta psi_order(z)^2 dz, the lam = 1 integral."""
@@ -449,8 +415,9 @@ def parts_check(s: float, eta, b: float | None = None,
     flux = 0.0
     if matched:
         if s > 1.0:
-            ratio = params.d_s / trace_constant(s - 1.0)
-            db_psi = lambda y: ratio * psi(s - 1.0, y) - psi(s, y)
+            # D_b psi_s = (D_b + 1) psi_s - psi_s, the first power collapsed
+            t = _apply_operator_power(s, 1.0, b, 1)
+            db_psi = lambda y: t.coef * psi(t.order, y) - psi(s, y)
         else:
             db_psi = lambda y: -psi(s, y)
             flux = 2.0 * params.d_s * float(eta.value(0.0))
@@ -463,9 +430,10 @@ def parts_check(s: float, eta, b: float | None = None,
             "with the matched weight exponent")
     lhs = 2.0 * power_weighted_integral(
         lambda y: db_psi(y) * eta.value(y), b, _TAIL_SCALE) + flux
-    coef, expo, order = _first_deriv_factors(s)
+    grad = _term_derivative(_Term(1.0, 0.0, s), 1.0)
     rhs = 2.0 * power_weighted_integral(
-        lambda y: coef * psi(order, y) * eta.d1(y), b + expo, _TAIL_SCALE)
+        lambda y: grad.coef * psi(grad.order, y) * eta.d1(y),
+        b + grad.expo, _TAIL_SCALE)
     return report_equal(f"parts_check(s={s}, b={b})", lhs, rhs, tol,
                         abs_tol=1e-10)
 

@@ -16,7 +16,7 @@ from fracext.extension import (
     ode_residual,
     taylor_expand,
 )
-from fracext.numdiff import apply_db, apply_db_power
+from fracext.numdiff import apply_db
 from fracext.special import (
     FracParams,
     psi,
@@ -138,7 +138,7 @@ def test_criterion_05_operator_recurrence():
         m = math.floor(s)
         ratio = trace_constant(s) / trace_constant(s - m)
         for y in (1.0, 2.0, 3.0):
-            got = apply_db_power(lambda t, s=s: psi(s, t), y, b, 1.0, m)
+            got = apply_db(lambda t, s=s: psi(s, t), y, b, 1.0, times=m)
             want = ratio * psi(s - m, y)
             nested_worst = max(nested_worst, abs(got - want) / abs(want))
     report(5, worst <= 1e-5 and nested_worst <= 1e-5,

@@ -232,7 +232,9 @@ def test_verify_non_finite_report_is_one_failed_record(capsys, monkeypatch):
     ("apply", "--op", "explicit:1e300", "--u", "1", "--s", "2"),
     ("minimize", "--op", "explicit:1e300", "--u", "1e200", "--s", "0.5",
      "--nodes", "200"),
-], ids=["apply", "minimize"])
+    # L u is finite, but the weights of its H^-1 norm overflow
+    ("apply", "--op", "explicit:1e308,1.7e308", "--u", "1,1", "--s", "1"),
+], ids=["apply", "minimize", "apply_norm"])
 def test_overflow_is_domain_error(capsys, argv):
     # used to print inf/Infinity/NaN tokens and exit 0 or 1, and later a
     # numpy RuntimeWarning ahead of the error
@@ -243,6 +245,14 @@ def test_overflow_is_domain_error(capsys, argv):
     assert out == ""
     assert err.startswith("domain error")
     assert "overflow" in err
+
+
+def test_apply_zero_coefficient_on_overflowing_mode(capsys):
+    # L^2 u = (1, 0): the overflowing lambda^2 meets a zero coefficient
+    code, out, _ = run_cli(capsys, "apply", "--op", "explicit:1,1e300",
+                           "--u", "1,0", "--s", "2")
+    assert code == 0
+    assert json.loads(out.split("\n")[0]) == [1.0, 0.0]
 
 
 def test_flags_no_subcommand_reads_are_usage_errors(capsys):
@@ -344,6 +354,29 @@ def test_operator_unknown_kind_is_usage_error(capsys):
                            "--s", "0.5")
     assert code == 2
     assert "unknown operator kind 'banded'" in err
+
+
+@pytest.mark.parametrize("op", [
+    '{"kind":"dirichlet_laplacian_1d","length":3}',
+    '{"kind":"dirichlet_laplacian_1d","length":3,"modes":1,"extra":1}',
+], ids=["missing", "unknown"])
+def test_operator_descriptor_field_errors_are_usage_errors(capsys, op):
+    # a missing field used to raise KeyError (exit 1), an unknown one was
+    # silently ignored
+    code, out, err = run_cli(capsys, "apply", "--op", op, "--u", "1",
+                             "--s", "0.5")
+    assert code == 2
+    assert out == ""
+    assert "takes the fields ('length', 'modes')" in err
+
+
+def test_operator_non_integral_mode_count_is_domain_error(capsys):
+    op = '{"kind":"dirichlet_laplacian_1d","length":3,"modes":2.5}'
+    code, out, err = run_cli(capsys, "apply", "--op", op, "--u", "1,1,1",
+                             "--s", "0.5")
+    assert code == 3
+    assert out == ""
+    assert "whole number" in err
 
 
 def test_minimize_subcommand(capsys):

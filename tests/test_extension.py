@@ -21,11 +21,12 @@ from fracext.extension import (
     trace0,
 )
 from fracext.numdiff import (
-    apply_db_power,
+    apply_db,
     central_derivative,
     power_fit_limit,
 )
 from fracext.special import (
+    FracParams,
     psi,
     psi_deriv,
     psi_taylor_remainder,
@@ -39,6 +40,7 @@ from fracext.spectral import (
     neumann_laplacian_1d,
     sobolev_norm,
 )
+from fracext.suite import run_checks
 
 
 def one_mode(lam=1.0, c=1.0):
@@ -292,9 +294,14 @@ def test_ode_residual_zero_data():
 
 
 def test_ode_residual_fully_numerical_cross_check():
-    u = one_mode()
+    # (D_b + 1)^{ceil(s)} psi_s = 0 with every power applied by stencils,
+    # none collapsed analytically
     for s in (1.5, 2.5):
-        assert ode_residual(u, s, 1.0, fully_numerical=True) < 1e-4
+        params = FracParams.from_order(s)
+        m = params.ceil_s
+        got = apply_db(lambda t: psi(s, t), 1.0, params.b, 1.0, times=m,
+                       h=min(0.05, 1.0 / (4 * m + 2)))
+        assert abs(got) < 1e-4
 
 
 def test_ode_residual_rejects_near_origin():
@@ -306,8 +313,48 @@ def test_iterated_db_matches_recurrence():
     # (D_b+1)^m psi_s = (d_s/d_{s-m}) psi_{s-m}, nested finite differences
     s, m = 2.5, 2
     want = trace_constant(s) / trace_constant(s - m) * psi(s - m, 1.3)
-    got = apply_db_power(lambda t: psi(s, t), 1.3, 0.0, 1.0, m)
+    got = apply_db(lambda t: psi(s, t), 1.3, 0.0, 1.0, times=m)
     assert got == pytest.approx(want, rel=1e-6)
+
+
+_ORDERS = st.floats(0.05, 3.95).filter(lambda s: abs(s - round(s)) > 0.02)
+
+
+@given(s=_ORDERS,
+       lams=st.lists(st.floats(0.1, 30.0), min_size=1, max_size=4),
+       coeffs=st.lists(st.sampled_from([0.0, 1.0, -0.7, 2.5]),
+                       min_size=4, max_size=4),
+       ys=st.lists(st.floats(0.06, 6.0), min_size=1, max_size=5),
+       b=st.floats(-0.99, 0.99), times=st.sampled_from([1, 2]))
+@settings(max_examples=40, deadline=None)
+def test_array_calls_equal_stacked_scalar_calls(s, lams, coeffs, ys, b,
+                                                times):
+    ys = np.array(ys)
+    f = lambda t: psi(s, t)
+    stacked = [apply_db(f, y, b, 1.3, times=times) for y in ys]
+    assert np.array_equal(apply_db(f, ys, b, 1.3, times=times), stacked)
+    spec = explicit_spectrum(sorted(lams))
+    u = ModalVector(np.array(coeffs[:spec.size]), spec)
+    got = ode_residual(u, s, ys)
+    assert got.shape == ys.shape
+    assert np.array_equal(got, [ode_residual(u, s, y) for y in ys])
+    assert isinstance(ode_residual(u, s, ys[0]), float)
+
+
+def test_ode_check_makes_one_profile_call_per_order(monkeypatch):
+    # the check evaluates 5 orders; one psi call each covers every
+    # (mode, point, stencil offset) triple
+    import fracext.extension as ext
+    calls = []
+
+    def counted(s, y):
+        calls.append(s)
+        return psi(s, y)
+
+    monkeypatch.setattr(ext, "psi", counted)
+    reports = run_checks(["ode"])
+    assert all(r.passed for r in reports)
+    assert len(calls) == 5
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,23 @@ def test_builder_validation():
         build_operator("banded", length=1.0, modes=2)
 
 
+@pytest.mark.parametrize("builder", [dirichlet_laplacian_1d,
+                                     neumann_laplacian_1d])
+def test_laplacian_rejects_non_integral_mode_count(builder):
+    # 2.5 modes used to build 3
+    with pytest.raises(ValueError, match="whole number"):
+        builder(math.pi, 2.5)
+    assert builder(math.pi, 3.0).size == 3
+
+
+@pytest.mark.parametrize("fields", [{"length": 1.0},
+                                    {"length": 1.0, "modes": 2, "extra": 1}],
+                         ids=["missing", "unknown"])
+def test_build_operator_rejects_missing_and_unknown_fields(fields):
+    with pytest.raises(TypeError, match="takes the fields"):
+        build_operator("dirichlet_laplacian_1d", **fields)
+
+
 def test_tridiagonal_two_by_two_by_hand():
     spec, basis = tridiagonal_spectrum([2.0, 2.0], [-1.0])
     np.testing.assert_allclose(spec.eigenvalues, [1.0, 3.0], atol=1e-14)
@@ -102,6 +119,19 @@ def test_apply_power_hand_values():
     np.testing.assert_allclose(apply_power(u, 0.0).coeffs, u.coeffs)
     w = ModalVector(np.array([1.0]), explicit_spectrum([4.0]))
     assert apply_power(w, -0.5).coeffs[0] == pytest.approx(0.5)
+
+
+def test_apply_power_zero_coefficient_on_overflowing_mode():
+    # lambda^t = inf times a zero coefficient used to give nan
+    u = ModalVector(np.array([1.0, 0.0]), explicit_spectrum([1.0, 1e300]))
+    assert apply_power(u, 2.0).coeffs.tolist() == [1.0, 0.0]
+
+
+def test_sobolev_norm_near_the_largest_double():
+    # the power-of-two scale 2^1024 of the peak used to overflow
+    u = ModalVector(np.array([1.7e308, 1.0]), explicit_spectrum([1.0, 2.0]))
+    assert sobolev_norm(u, 0.0) == pytest.approx(1.7e308, rel=1e-15)
+    assert sobolev_norm(u, 1.0) == pytest.approx(1.7e308, rel=1e-15)
 
 
 def test_apply_power_kernel_semantics():

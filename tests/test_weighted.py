@@ -9,13 +9,18 @@ import pytest
 
 from fracext.spectral import ModalVector, explicit_spectrum, sobolev_norm
 from fracext.extension import extend, trace0
-from fracext.special import FracParams, constants, psi, trace_constant
-from fracext.weighted import (
+from fracext.special import (
+    FracParams,
     _apply_operator_power,
-    _cells_geometric,
-    _cells_log_transformed,
     _Term,
     _term_derivative,
+    constants,
+    psi,
+    trace_constant,
+)
+from fracext.weighted import (
+    _cells_geometric,
+    _cells_log_transformed,
     CheckReport,
     CompactBump,
     GaussianBump,
