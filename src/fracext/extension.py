@@ -181,14 +181,20 @@ def conormal_trace(u: ModalVector, s: float) -> ModalVector:
 
     on a small geometric y-sequence and extrapolates y -> 0 with the known
     leading exponents.  The result equals -d_s L^s u (coefficients of an
-    order--s functional).
+    order--s functional).  Within 1e-9 below an integer order the leading
+    exponent 2 (ceil(s) - s) leaves the samples flat to rounding, so the
+    limit cannot be extrapolated and a ValueError says so.
     """
     params = FracParams.from_order(s)
     lam_pos = u.spectrum.positive
     lam_max = lam_pos[-1] if lam_pos.size else 1.0
     y0 = 2e-3 / math.sqrt(lam_max)
     s_rem = params.ceil_s - s  # in (0, 1)
-    exponents = (2.0 * s_rem, 2.0)
+    if s_rem < 1e-9:
+        raise ValueError(
+            f"conormal trace at s={s}: ceil(s) - s = {s_rem:.1e} is below "
+            f"1e-9, too close to an integer to extrapolate the limit")
+    exponents = _origin_exponents(s_rem)
     ys = np.array([y0, 0.5 * y0, 0.25 * y0])
     mask, root = _active_roots(u)
     amp = -params.d_s * u.spectrum.eigenvalues[mask] ** s * u.coeffs[mask]

@@ -1,9 +1,11 @@
 """Finite-difference stencils and power-law limit extrapolation.
 
-These helpers back the verification side of the library: closed-form
-derivative formulas are cross-checked against central differences, boundary
-limits are extracted by fitting the known leading power laws, and the
-degenerate second-order operator
+These helpers back the verification side of the library.  One pair of
+8th-order central stencils (``_D1``, ``_D2``, offsets -4..4) serves both
+:func:`central_derivative`, against which closed-form derivative formulas
+are cross-checked, and :func:`apply_db`.  Boundary limits are extracted by
+fitting the known leading power laws, and the degenerate second-order
+operator
 
     D_b f = -f'' - (b/y) f'
 
@@ -19,58 +21,35 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "central_derivative",
-    "first_derivative_richardson",
     "power_fit_limit",
     "apply_db",
 ]
 
-# central-difference weights on offsets -p..p for the 1st and 2nd derivative
-_D1_WEIGHTS = {
-    4: np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0,
-    8: np.array([3.0, -32.0, 168.0, -672.0, 0.0,
-                 672.0, -168.0, 32.0, -3.0]) / 840.0,
-}
-_D2_WEIGHTS = {
-    4: np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0,
-    8: np.array([-9.0, 128.0, -1008.0, 8064.0, -14350.0,
-                 8064.0, -1008.0, 128.0, -9.0]) / 5040.0,
-}
+# 8th-order central-difference weights on offsets -4..4 for the 1st and 2nd
+# derivative
+_D1 = np.array([3.0, -32.0, 168.0, -672.0, 0.0,
+                672.0, -168.0, 32.0, -3.0]) / 840.0
+_D2 = np.array([-9.0, 128.0, -1008.0, 8064.0, -14350.0,
+                8064.0, -1008.0, 128.0, -9.0]) / 5040.0
 
 
-def central_derivative(f, y, k=1, accuracy=8, h=None):
-    """k-th derivative (k = 1 or 2) of f at y by a central stencil.
+def central_derivative(f, y, k=1, h=None):
+    """k-th derivative (k = 1 or 2) of f at y by the 8th-order stencil.
 
     ``f`` must accept an array: it is called once on all stencil points.
     The default step balances truncation against roundoff for smooth
     order-one profiles; for y close to 0 it shrinks so the stencil stays on
     the positive half line.
     """
-    if k == 1:
-        weights = _D1_WEIGHTS[accuracy]
-    elif k == 2:
-        weights = _D2_WEIGHTS[accuracy]
-    else:
+    if k not in (1, 2):
         raise ValueError("central_derivative supports k = 1 or 2 only")
-    half = accuracy // 2
+    weights = _D1 if k == 1 else _D2
     if h is None:
         h = max(1e-4, 1e-3 * abs(y))
-    if y - half * h <= 0.0 < y:
-        h = y / (half + 1)
-    vals = np.asarray(f(y + np.arange(-half, half + 1) * h), dtype=float)
+    if y - 4 * h <= 0.0 < y:
+        h = y / 5
+    vals = np.asarray(f(y + np.arange(-4, 5) * h), dtype=float)
     return float(weights @ vals) / h ** k
-
-
-def first_derivative_richardson(f, y, h=None):
-    """4th-order central first derivative with one Richardson level.
-
-    Step h = max(1e-4, 1e-3 * y) unless given; the extrapolation removes the
-    leading h^4 error, leaving ~h^6.
-    """
-    if h is None:
-        h = max(1e-4, 1e-3 * abs(y))
-    d_h = central_derivative(f, y, k=1, accuracy=4, h=h)
-    d_h2 = central_derivative(f, y, k=1, accuracy=4, h=0.5 * h)
-    return (16.0 * d_h2 - d_h) / 15.0
 
 
 def power_fit_limit(ys, vals, exponents):
@@ -122,8 +101,8 @@ def apply_db(f, y, b, lam=0.0, times=1, h=None):
     vals = np.asarray(f(ts), dtype=float)
     for _ in range(times):
         window = sliding_window_view(vals, 9, axis=-1)
-        d2 = (window @ _D2_WEIGHTS[8]) / h ** 2
-        d1 = (window @ _D1_WEIGHTS[8]) / h
+        d2 = (window @ _D2) / h ** 2
+        d1 = (window @ _D1) / h
         ts = ts[..., 4:-4]
         vals = -d2 - b * d1 / ts + lam * vals[..., 4:-4]
     out = vals[..., 0]

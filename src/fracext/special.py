@@ -226,10 +226,11 @@ def psi_lambda(s: float, lam: float, y):
 
 
 def _gamma_coeff(s, ell):
-    """B(s - ell, 1/2) / B(s, 1/2)."""
+    """B(s - ell, 1/2) / B(s, 1/2); exactly 1.0 at ell = 0, where both
+    differences vanish."""
     return math.exp(
-        math.lgamma(s - ell) - math.lgamma(s - ell + 0.5)
-        + math.lgamma(s + 0.5) - math.lgamma(s)
+        (math.lgamma(s - ell) - math.lgamma(s))
+        + (math.lgamma(s + 0.5) - math.lgamma(s - ell + 0.5))
     )
 
 
@@ -283,14 +284,21 @@ def _psi_first_deriv(s, y):
 
 
 def psi_deriv(s: float, y, order: int):
-    """Exact derivative d^k/dy^k psi_s(y) on y > 0 via order recurrences.
+    """Exact derivative d^k/dy^k psi_s(y) on y > 0, as one binomial sum.
 
-    ``y`` may be a scalar or an array of positive abscissae; every term of
-    the recurrence is one ``psi`` call on the whole array.  Admissible k: 1
-    (always), even orders 2..2*floor(s), odd orders 3..2*floor(s)-1, and
-    2*floor(s)+1 when the fractional part of s is at least 1/2.  Beyond that
-    range the derivatives are unbounded near the origin and no closed form
-    is provided.
+    On the Fourier side psi_s_hat = sqrt(2) Gamma(s+1/2)/Gamma(s)
+    (1+xi^2)^{-(1+2s)/2}, so each factor 1 + xi^2 lowers the order by one:
+    (1+xi^2)^l psi_s_hat = g_l psi_{s-l}_hat with g_l = B(s-l, 1/2) /
+    B(s, 1/2).  Writing k = 2m + r, r in {0, 1}, and (i xi)^{2m} =
+    (1 - (1+xi^2))^m gives
+
+        psi_s^{(k)} = sum_{l=0}^{m} C(m, l) (-1)^l g_l psi_{s-l}^{(r)},
+
+    with the closed-form first derivative for r = 1.  ``y`` may be a scalar
+    or an array of positive abscissae; every term is one ``psi`` call on the
+    whole array.  Admissible k: 1 always; otherwise m <= floor(s), where the
+    top odd order 2 floor(s) + 1 also needs frac(s) >= 1/2.  Beyond that
+    range the derivatives are unbounded near the origin.
     """
     s = _check_noninteger_order(s)
     y = np.asarray(y, dtype=float)
@@ -300,51 +308,19 @@ def psi_deriv(s: float, y, order: int):
         y = float(y)
     order = int(order)
     fl = math.floor(s)
-    frac = s - fl
-    if order < 1:
-        raise ValueError("derivative order must be >= 1")
-
-    if order == 1:
-        return _psi_first_deriv(s, y)
-
-    if order % 2 == 0:
-        m = order // 2
-        if m > fl:
-            raise ValueError(
-                f"even order {order} needs floor(s) >= {m}, got s={s}")
-        total = 0.0
-        for ell in range(m + 1):
-            total += (
-                math.comb(m, ell) * (-1.0) ** ell
-                * _gamma_coeff(s, ell) * psi(s - ell, y)
-            )
-        return total
-
-    if order == 2 * fl + 1:
-        if frac < 0.5:
-            raise ValueError(
-                f"odd order {order} admissible only when frac(s) >= 1/2, "
-                f"got s={s}")
-        total = 0.0
-        for ell in range(fl + 1):
-            total += (
-                math.comb(fl, ell) * (-1.0) ** ell
-                * _gamma_coeff(s, ell) * _psi_first_deriv(s - ell, y)
-            )
-        return total
-
-    m = (order + 1) // 2
-    if m > fl:
+    m, r = divmod(order, 2)
+    admissible = order == 1 or (1 < order and m <= fl and not (
+        order == 2 * fl + 1 and s - fl < 0.5))
+    if not admissible:
         raise ValueError(
-            f"odd order {order} needs floor(s) >= {m}, got s={s}")
-    bs = beta_fn(s, 0.5)
-    total = 0.0
-    for ell in range(1, m + 1):
-        total += (
-            math.comb(m - 1, ell - 1) * (-1.0) ** ell
-            * beta_fn(s - ell, 1.5) / bs * psi(s - ell, y)
-        )
-    return y * total
+            f"derivative order {order} is not admissible at s={s}: need 1, "
+            f"or order // 2 <= floor(s) with frac(s) >= 1/2 at order "
+            f"2 floor(s) + 1")
+    f = _psi_first_deriv if r else psi
+    terms = [math.comb(m, ell) * (-1.0) ** ell * _gamma_coeff(s, ell)
+             * f(s - ell, y) for ell in range(m + 1)]
+    # started at the l = 0 term, so that order 1 keeps the sign of a -0.0
+    return sum(terms[1:], terms[0])
 
 
 def _singular_branch(s, y, n_terms):
@@ -425,7 +401,8 @@ class ProfileConstants:
     m_b       best constant of the weighted trace inequality,
     kappa     limits of the even derivatives of the extension at the origin
               (kappa[m-1] multiplies the m-th operator power, m = 1..floor(s)),
-    gamma_coeff   Beta-function ratios entering the derivative recurrences.
+    gamma_coeff   Beta-function ratios B(s-l, 1/2) / B(s, 1/2) of the binomial
+                  derivative sum of psi_deriv, l = 0..floor(s).
     """
 
     m_b: float

@@ -216,6 +216,9 @@ def build_operator(kind: str, **params):
 def operator_from_json(text: str):
     """Build an operator from its JSON descriptor (string or parsed dict)."""
     desc = json.loads(text) if isinstance(text, str) else dict(text)
+    if "kind" not in desc:
+        raise ValueError(f"operator descriptor needs a 'kind' field; "
+                         f"expected one of {tuple(_BUILDERS)}")
     kind = desc.pop("kind")
     return build_operator(kind, **desc)
 

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fracext.extension import (
@@ -145,6 +145,17 @@ def test_conormal_trace_matches_fractional_power(s):
     want = -trace_constant(s) * apply_power(u, s).coeffs
     np.testing.assert_allclose(got.coeffs, want, rtol=1e-4)
     assert got.order == -s
+
+
+def test_conormal_trace_rejects_order_just_below_an_integer():
+    # at s = 2 - 1e-12 the fit used to return a value 2e-5 off, and at
+    # 2 - 1.8e-15 one 2 % off, without complaint
+    u = one_mode()
+    for s in (2.0 - 1e-12, 2.0 - 1.8e-15, 1.0 - 1e-10):
+        with pytest.raises(ValueError, match="too close to an integer"):
+            conormal_trace(u, s)
+    assert conormal_trace(u, 2.0 - 1e-6).coeffs[0] == pytest.approx(
+        -trace_constant(2.0 - 1e-6), rel=1e-6)
 
 
 def test_conormal_trace_cross_check_via_reduced_profile():
@@ -398,6 +409,46 @@ def test_nonexpansive_in_every_ladder_norm(seed):
         ref = sobolev_norm(u, sigma)
         for i in range(grid.size):
             assert sobolev_norm(curve.column(i), sigma) <= ref * (1 + 1e-12)
+
+
+_SPECTRA = st.lists(st.floats(-2.0, 4.0), min_size=1, max_size=20)
+_NONINTEGER_ORDERS = st.floats(0.01, 10.0, exclude_max=True).filter(
+    lambda s: s != math.floor(s))
+
+
+def _random_data(exps, seed):
+    """Eigenvalues log-uniform in [1e-2, 1e4], standard-normal data."""
+    spec = explicit_spectrum(np.sort(10.0 ** np.array(exps)))
+    rng = np.random.default_rng(seed)
+    return ModalVector(rng.standard_normal(spec.size), spec)
+
+
+def _random_trace_cases(test):
+    """Random data and non-integer orders, with s = 1 +- 1e-6, 3 +- 1e-6."""
+    test = given(exps=_SPECTRA, seed=st.integers(0, 2 ** 32 - 1),
+                 s=_NONINTEGER_ORDERS)(test)
+    for s in (1.0 - 1e-6, 1.0 + 1e-6, 3.0 - 1e-6, 3.0 + 1e-6):
+        test = example(exps=[-2.0, 0.0, 4.0], seed=1, s=s)(test)
+    return settings(max_examples=40, deadline=None)(test)
+
+
+@_random_trace_cases
+def test_trace0_of_extension_recovers_random_data(exps, seed, s):
+    u = _random_data(exps, seed)
+    got = trace0(extend(u, s)).coeffs
+    assert np.max(np.abs(got - u.coeffs)) <= 5e-8 * np.max(np.abs(u.coeffs))
+
+
+@_random_trace_cases
+def test_conormal_trace_is_minus_d_s_power_on_random_data(exps, seed, s):
+    u = _random_data(exps, seed)
+    if math.ceil(s) - s < 1e-9:
+        with pytest.raises(ValueError, match="too close to an integer"):
+            conormal_trace(u, s)
+        return
+    want = -trace_constant(s) * apply_power(u, s).coeffs
+    np.testing.assert_allclose(conormal_trace(u, s).coeffs, want,
+                               rtol=2e-6, atol=0.0)
 
 
 def test_commutation_with_powers():

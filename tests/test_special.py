@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fracext.numdiff import first_derivative_richardson
+from fracext.numdiff import central_derivative
 from fracext.special import (
     FracParams,
     bessel_k,
@@ -263,12 +263,11 @@ def test_psi_deriv_first_order_closed_forms():
 def test_psi_deriv_first_order_against_richardson_fd(s):
     for y in (0.3, 1.0, 4.0):
         closed = psi_deriv(s, y, 1)
-        fd = first_derivative_richardson(lambda t: psi(s, t), y)
+        fd = central_derivative(lambda t: psi(s, t), y)
         assert abs(closed - fd) <= 1e-7 * max(1.0, abs(closed))
 
 
 def test_psi_deriv_higher_orders_against_fd():
-    from fracext.numdiff import central_derivative
     for s in (1.5, 2.5, 3.7):
         closed = psi_deriv(s, 1.1, 2)
         fd = central_derivative(lambda t: psi(s, t), 1.1, k=2, h=5e-3)
@@ -287,6 +286,49 @@ def test_psi_deriv_even_profile_odd_derivative_vanishes_at_origin():
     vals = [psi_deriv(1.5, y, 1) for y in (1e-3, 5e-4, 2.5e-4)]
     assert abs(vals[-1]) < 1e-3
     assert abs(vals[-1]) < abs(vals[0])
+
+
+def _psi_derivs_mp(s, y, n):
+    """d^k/dy^k psi_s(y) for k = 0..n by mpmath's numerical
+    differentiation at 20 digits (as doubles, equal to 40-digit values)."""
+    with mpmath.workdps(20):
+        sm = mpmath.mpf(s)
+        c = 2 ** (1 - sm) / mpmath.gamma(sm)
+        return [float(d) for d in mpmath.diffs(
+            lambda t: c * t ** sm * mpmath.besselk(sm, t), mpmath.mpf(y), n)]
+
+
+# admissible orders k in 1..9: 1 always, then k // 2 <= floor(s), and the
+# top odd order 2 floor(s) + 1 only when frac(s) >= 1/2
+ADMISSIBLE = {
+    0.3: (1,),
+    0.7: (1,),
+    1.3: (1, 2),
+    1.7: (1, 2, 3),
+    2.5: (1, 2, 3, 4, 5),
+    3.4: (1, 2, 3, 4, 5, 6),
+}
+
+
+@pytest.mark.parametrize("s", sorted(ADMISSIBLE))
+def test_psi_deriv_admissible_table(s):
+    for k in range(1, 10):
+        if k in ADMISSIBLE[s]:
+            psi_deriv(s, 1.0, k)
+        else:
+            with pytest.raises(ValueError):
+                psi_deriv(s, 1.0, k)
+
+
+@pytest.mark.parametrize("s", [0.3, 0.7, 1.3, 2.5, 3.6, 5.25])
+def test_psi_deriv_every_admissible_order_against_mpmath(s):
+    fl = math.floor(s)
+    top = max(1, 2 * fl + 1 if s - fl >= 0.5 else 2 * fl)
+    for y in (0.05, 1.0, 7.0):
+        ref = _psi_derivs_mp(s, y, top)
+        for k in range(1, top + 1):
+            assert psi_deriv(s, y, k) == pytest.approx(
+                ref[k], rel=1e-11, abs=0.0), (s, k, y)
 
 
 def test_psi_deriv_admissible_range():
@@ -359,6 +401,13 @@ def test_constants_closed_forms():
     assert c.kappa[1] == pytest.approx(1.0, rel=1e-13)
     m0 = constants(FracParams.from_order(0.5)).m_b
     assert m0 == pytest.approx(2.0, rel=1e-14)
+
+
+def test_constants_leading_gamma_coeff_is_exactly_one():
+    # the log differences cancel pairwise at ell = 0; summed in the other
+    # order they left 0.9999999999999999 here
+    c = constants(FracParams.from_order(0.5076284947565249))
+    assert c.gamma_coeff[0] == 1.0
 
 
 def test_constants_kappa_matches_binomial_beta_sum():

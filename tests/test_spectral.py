@@ -234,6 +234,9 @@ def test_json_descriptors():
         json.dumps({"kind": "tridiagonal", "diag": [2.0, 2.0],
                     "off": [-1.0]}))
     assert basis3 is not None
+    # a descriptor without a kind used to die with a bare KeyError
+    with pytest.raises(ValueError, match="'kind' field"):
+        operator_from_json('{"length": 1, "modes": 2}')
     # spectra serialise back to explicit descriptors
     desc = json.loads(spec2.to_json())
     assert desc["kind"] == "explicit_eigenvalues"
