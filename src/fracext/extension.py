@@ -146,13 +146,21 @@ def _origin_exponents(s):
     return (2.0, 4.0)
 
 
+# below this order the leading exponent 2s of trace0's fit leaves the three
+# lowest samples flat to rounding: the error grows like 1e-14/s relative to
+# max|u| on the default grid (measured 7e-9 at 1e-6, 1e-5 at 1e-9)
+_TRACE0_MIN_ORDER = 1e-6
+
+
 def trace0(curve: CurveSamples) -> ModalVector:
     """Boundary value of the curve, extrapolated from the smallest abscissae.
 
     Fits value + A y^{p1} + B y^{p2} per mode on the three lowest grid
     points; the fit matrix depends only on the grid, so one solve serves
     every mode.  The grid must reach below 1e-3 / sqrt(lambda_max), else
-    the extrapolation is unreliable and a ValueError reports it.
+    the extrapolation is unreliable and a ValueError reports it; so does an
+    extension curve of order below 1e-6, whose leading exponent 2s is too
+    flat to extrapolate.
     """
     lam = curve.spectrum.positive
     lam_max = lam[-1] if lam.size else 1.0
@@ -164,7 +172,13 @@ def trace0(curve: CurveSamples) -> ModalVector:
     if curve.grid.size < 3:
         raise ValueError("trace extrapolation needs at least three points")
     if isinstance(curve, ExtensionCurve) and curve.params is not None:
-        exponents = _origin_exponents(curve.params.s)
+        s = curve.params.s
+        if s < _TRACE0_MIN_ORDER:
+            raise ValueError(
+                f"trace0 at s={s}: the order is below the floor "
+                f"{_TRACE0_MIN_ORDER:g}, where the leading exponent 2s "
+                f"leaves the samples too flat to extrapolate the limit")
+        exponents = _origin_exponents(s)
     else:
         exponents = (2.0, 4.0)
     out = power_fit_limit(curve.grid[:3], curve.values[:, :3].T, exponents)

@@ -28,6 +28,10 @@ profile is still of order 1; there the profile comes from the upward order
 recurrence (DLMF 10.29.1) started at two orders in (0, 2], a sum of positive
 terms that keeps full accuracy at any order.  ``psi_series`` evaluates the
 ascending series (DLMF 10.25.2 / 10.27.4) as an independent oracle.
+
+``kv`` and ``kve`` are imported inside ``bessel_k`` and ``psi``, so
+``scipy.special`` (about 0.3 s) loads on the first profile evaluation, not
+with the package.
 """
 
 from __future__ import annotations
@@ -36,7 +40,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import kv, kve
 
 __all__ = [
     "FracParams",
@@ -62,6 +65,8 @@ def bessel_k(nu: float, x: float) -> float:
     Raises ``ValueError`` for x <= 0 and ``OverflowError`` when the result
     exceeds the double range (small x at large order).
     """
+    from scipy.special import kv
+
     if x <= 0.0:
         raise ValueError(f"bessel_k requires x > 0, got x={x}")
     # kv gives inf or nan at subnormal orders, where K_nu = K_0 to double
@@ -189,6 +194,8 @@ def psi(s: float, y):
     Exactly 1 at the origin (analytic limit), strictly positive, bounded by
     1, and decaying like e^{-|y|}.  Underflows to 0 for very large |y|.
     """
+    from scipy.special import kve
+
     s = float(s)
     if not 0.0 < s < math.inf:
         raise ValueError(f"psi requires a finite s > 0, got {s}")

@@ -266,16 +266,18 @@ def sobolev_norm(u: ModalVector, sigma: float) -> float:
     else:
         _check_kernel_use(u, sigma, "sobolev_norm")
         mask = _active_modes(u)
-    c = u.coeffs[mask]
-    if c.size == 0:
+    if not np.any(mask):
         return 0.0
-    # a power-of-two scale is exact: it keeps the squares of coefficients
+    # the per-mode magnitudes lambda^{sigma/2} |u_j|, not the weights
+    # lambda^sigma, which can overflow where the norm is finite
+    with np.errstate(over="ignore"):
+        mag = u.spectrum.eigenvalues[mask] ** (0.5 * sigma) * np.abs(
+            u.coeffs[mask])
+    # a power-of-two scale is exact: it keeps the squares of magnitudes
     # below about 1e-154 from underflowing, and with 2^(e-1) <= peak the
     # scale itself stays finite up to the largest double
-    scale = math.ldexp(1.0, math.frexp(float(np.max(np.abs(c))))[1] - 1)
-    with np.errstate(over="ignore"):
-        weight = u.spectrum.eigenvalues[mask] ** sigma
-        return scale * math.sqrt(float(np.sum(weight * (c / scale) ** 2)))
+    scale = math.ldexp(1.0, math.frexp(float(np.max(mag)))[1] - 1)
+    return scale * math.sqrt(float(np.sum((mag / scale) ** 2)))
 
 
 def apply_power(u: ModalVector, t: float) -> ModalVector:

@@ -6,6 +6,9 @@ half-line value.  :func:`power_weighted_integral` is the one integrator.
 It runs on geometric cells: the first cell [0, a] absorbs y^beta exactly
 through a Gauss-Jacobi rule (no sample at y = 0), and the cells growing
 geometrically away from it use Gauss-Legendre with the weight evaluated.
+The Gauss-Jacobi rule is built by Golub-Welsch (Math. Comp. 23 (1969)):
+the eigenvalues and first eigenvector components of the Jacobi matrix, from
+``spectral.tridiag_eigh``, so that no path loads ``scipy.linalg``.
 The log-transformed cells (y = e^t, composite Gauss panels in t) are an
 independent rule kept for the tests to cross-check the geometric one.
 
@@ -37,7 +40,6 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import roots_jacobi
 
 from .special import (
     FracParams,
@@ -49,7 +51,7 @@ from .special import (
     psi_fourier,
     seminorm_sq,
 )
-from .spectral import ModalVector, _active_modes, sobolev_norm
+from .spectral import ModalVector, _active_modes, sobolev_norm, tridiag_eigh
 
 __all__ = [
     "CheckReport",
@@ -78,6 +80,27 @@ _TAIL_SCALE = 45.0  # e^{-2*45} ~ 8e-40, far below the 1e-18 truncation target
 # quadrature
 
 
+def _gauss_jacobi(p, beta):
+    """p-point Gauss rule (t, w) for int_0^1 t^beta f(t) dt, beta > -1.
+
+    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of the
+    Jacobi polynomials P_n^(0, beta)(2t - 1), the weights mu_0 v_0^2 with
+    v_0 the first eigenvector components and mu_0 = 1/(beta+1).  The matrix
+    is taken in t = (1+x)/2 rather than x, so that the node nearest the
+    singular end comes out with a small relative error.
+    """
+    n = np.arange(1, p)
+    two = 2.0 * n + beta
+    # recurrence on [-1, 1]: a_n = beta^2 / ((2n+beta)(2n+beta+2)), whose
+    # n = 0 case is 0/0 at beta = 0, so a_0 = beta/(beta+2) on its own
+    a = np.empty(p)
+    a[0] = beta / (beta + 2.0)
+    a[1:] = beta * beta / (two * (two + 2.0))
+    b = 2.0 * n * (n + beta) / (two * np.sqrt((two + 1.0) * (two - 1.0)))
+    t, v = tridiag_eigh(0.5 * (1.0 + a), 0.5 * b)
+    return t, v[0] ** 2 / (beta + 1.0)
+
+
 @lru_cache(maxsize=512)
 def _cells_geometric(beta, upper, n):
     """Nodes/weights for int_0^upper y^beta f(y) dy on geometric cells."""
@@ -88,15 +111,15 @@ def _cells_geometric(beta, upper, n):
     bounds = a1 * ratio ** np.arange(ncells)
     bounds[-1] = upper
 
-    xj, wj = roots_jacobi(p, 0.0, beta)
+    tj, wj = _gauss_jacobi(p, beta)
     xl, wl = leggauss(p)
     # singular cell [0, a1]: Gauss-Jacobi soaks up y^beta exactly, never
     # touching y=0; Gauss-Legendre on the others, one row per cell
     a, cc = bounds[:-1, None], bounds[1:, None]
     mid, hw = 0.5 * (a + cc), 0.5 * (cc - a)
     ys = mid + hw * xl
-    nodes = np.concatenate((0.5 * a1 * (1.0 + xj), ys.ravel()))
-    weights = np.concatenate(((0.5 * a1) ** (beta + 1.0) * wj,
+    nodes = np.concatenate((a1 * tj, ys.ravel()))
+    weights = np.concatenate((a1 ** (beta + 1.0) * wj,
                               (hw * wl * ys ** beta).ravel()))
     nodes.setflags(write=False)
     weights.setflags(write=False)
@@ -250,6 +273,8 @@ class QuadraticBump:
 
 class CompactBump:
     """Smooth even bump exp(-1/(1-y^2)) supported on |y| < 1."""
+
+    support = 1.0  # integrals against the bump end here
 
     def value(self, y):
         y = np.asarray(y, dtype=float)
@@ -405,10 +430,12 @@ def parts_check(s: float, eta, b: float | None = None,
     but equals 2 d_s eta(0) for s < 1 with the matched weight: the profile's
     conormal derivative does not decay, which is precisely the Dirac-type
     trace behaviour of the whole construction.  The psi side is applied
-    analytically; ``eta`` supplies ``value``/``d1``.  For s < 1 the weight
-    must match the order (otherwise the flux is 0 or divergent).
+    analytically; ``eta`` supplies ``value``/``d1``, and ``support`` if it
+    vanishes beyond that y, where both integrals then end.  For s < 1 the
+    weight must match the order (otherwise the flux is 0 or divergent).
     """
     params = FracParams.from_order(s)
+    upper = getattr(eta, "support", _TAIL_SCALE)
     if b is None:
         b = params.b
     matched = abs(b - params.b) <= 1e-12
@@ -429,11 +456,11 @@ def parts_check(s: float, eta, b: float | None = None,
             "for s < 1 the weighted Laplacian of psi_s is only available "
             "with the matched weight exponent")
     lhs = 2.0 * power_weighted_integral(
-        lambda y: db_psi(y) * eta.value(y), b, _TAIL_SCALE) + flux
+        lambda y: db_psi(y) * eta.value(y), b, upper) + flux
     grad = _term_derivative(_Term(1.0, 0.0, s), 1.0)
     rhs = 2.0 * power_weighted_integral(
         lambda y: grad.coef * psi(grad.order, y) * eta.d1(y),
-        b + grad.expo, _TAIL_SCALE)
+        b + grad.expo, upper)
     return report_equal(f"parts_check(s={s}, b={b})", lhs, rhs, tol,
                         abs_tol=1e-10)
 

@@ -2,12 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fracext
 from fracext.cli import main
 
 # the names and order of the default `verify` reports, one a line
@@ -19,6 +23,35 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# what each entry point may not load: scipy.special costs every import
+# about 0.3 s and is needed only to evaluate a profile; scipy.linalg costs
+# about 0.1 s and over 10 % of the FE path's peak RSS, and nothing needs it
+_CLI = "from fracext.cli import main; main({})"
+_FOOTPRINT_CASES = {
+    "import": ("", ("scipy.special", "scipy.linalg")),
+    "apply": (_CLI.format(["apply", "--op", "dirichlet:pi:3", "--u", "1,0,1",
+                           "--s", "0.5"]), ("scipy.special", "scipy.linalg")),
+    "minimize": (_CLI.format(["minimize", "--op", "explicit:1,4", "--u", "1,1",
+                              "--s", "0.5", "--nodes", "200"]),
+                 ("scipy.special", "scipy.linalg")),
+    "run_checks": ("fracext.run_checks()", ("scipy.linalg",)),
+}
+
+
+@pytest.mark.parametrize("case", list(_FOOTPRINT_CASES))
+def test_import_footprint(case):
+    call, absent = _FOOTPRINT_CASES[case]
+    code = ("import sys, fracext\n"
+            f"{call}\n"
+            f"loaded = [m for m in {absent!r} if m in sys.modules]\n"
+            "assert not loaded, loaded\n")
+    src = os.path.dirname(os.path.dirname(fracext.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_apply_square_roots(capsys):
@@ -232,9 +265,7 @@ def test_verify_non_finite_report_is_one_failed_record(capsys, monkeypatch):
     ("apply", "--op", "explicit:1e300", "--u", "1", "--s", "2"),
     ("minimize", "--op", "explicit:1e300", "--u", "1e200", "--s", "0.5",
      "--nodes", "200"),
-    # L u is finite, but the weights of its H^-1 norm overflow
-    ("apply", "--op", "explicit:1e308,1.7e308", "--u", "1,1", "--s", "1"),
-], ids=["apply", "minimize", "apply_norm"])
+], ids=["apply", "minimize"])
 def test_overflow_is_domain_error(capsys, argv):
     # used to print inf/Infinity/NaN tokens and exit 0 or 1, and later a
     # numpy RuntimeWarning ahead of the error
@@ -245,6 +276,22 @@ def test_overflow_is_domain_error(capsys, argv):
     assert out == ""
     assert err.startswith("domain error")
     assert "overflow" in err
+
+
+def test_apply_norms_near_the_largest_double(capsys):
+    # L u and both norms are finite; the weights lambda^sigma of the norms
+    # used to overflow, and the run exited 3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, _ = run_cli(capsys, "apply", "--op",
+                               "explicit:1e308,1.7e308", "--u", "1,1",
+                               "--s", "1")
+    assert code == 0
+    coeffs, norms = out.strip().split("\n")
+    assert json.loads(coeffs) == [1e308, 1.7e308]
+    want = math.sqrt(2.7) * 1e154
+    assert json.loads(norms) == pytest.approx(
+        {"norm_source_hs": want, "norm_result_dual": want}, rel=1e-15)
 
 
 def test_apply_zero_coefficient_on_overflowing_mode(capsys):

@@ -439,6 +439,23 @@ def test_trace0_of_extension_recovers_random_data(exps, seed, s):
     assert np.max(np.abs(got - u.coeffs)) <= 5e-8 * np.max(np.abs(u.coeffs))
 
 
+@pytest.mark.parametrize("s", [1e-11, 1e-9, 9.9e-7])
+def test_trace0_refuses_orders_below_its_floor(s):
+    # the error grows like 1e-14/s relative to max|u|: it was 9.7e-4 at
+    # s = 1e-11 and 1.0e-5 at s = 1e-9, returned without an error
+    u = _random_data([-2.0, 0.0, 4.0], 1)
+    with pytest.raises(ValueError, match="below the floor"):
+        trace0(extend(u, s))
+
+
+@given(exps=_SPECTRA, seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=20, deadline=None)
+def test_trace0_at_its_order_floor(exps, seed):
+    u = _random_data(exps, seed)
+    got = trace0(extend(u, 1e-6)).coeffs
+    assert np.max(np.abs(got - u.coeffs)) <= 5e-8 * np.max(np.abs(u.coeffs))
+
+
 @_random_trace_cases
 def test_conormal_trace_is_minus_d_s_power_on_random_data(exps, seed, s):
     u = _random_data(exps, seed)

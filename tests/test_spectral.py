@@ -134,6 +134,19 @@ def test_sobolev_norm_near_the_largest_double():
     assert sobolev_norm(u, 1.0) == pytest.approx(1.7e308, rel=1e-15)
 
 
+def test_sobolev_norm_with_weights_beyond_the_largest_double():
+    # the weight 1.7e308^1 fits, but the sum of the weighted squares used to
+    # be formed as lambda^sigma (u/scale)^2 and overflowed to inf
+    u = ModalVector(np.array([1.0, 1.0]), explicit_spectrum([1e308, 1.7e308]))
+    assert sobolev_norm(u, 1.0) == pytest.approx(math.sqrt(2.7) * 1e154,
+                                                 rel=1e-15)
+    assert sobolev_norm(u, 1.5) == pytest.approx(
+        1e231 * math.sqrt(1.0 + 1.7 ** 1.5), rel=1e-15)
+    assert sobolev_norm(u, 2.0) == math.inf  # 1.97e308
+    assert sobolev_norm(u, -1.0) == pytest.approx(
+        1e-154 * math.sqrt(1.0 + 1.0 / 1.7), rel=1e-15)
+
+
 def test_apply_power_kernel_semantics():
     spec = neumann_laplacian_1d(math.pi, 3)
     u = ModalVector(np.array([3.0, 1.0, 2.0]), spec)

@@ -106,10 +106,16 @@ def test_spd_tridiagonal_solve_property(n, seed, margin):
 
 
 def test_fe_path_does_not_load_scipy_linalg():
-    # loading scipy.linalg adds over 10 % to the FE path's peak RSS
+    # loading scipy.linalg adds over 10 % to the FE path's peak RSS, and
+    # scipy.special about 0.3 s of import time; the FE path needs neither
     code = ("import sys, fracext\n"
             "fracext.minimize_profile(0.5, 1.0, n_nodes=200)\n"
-            "assert 'scipy.linalg' not in sys.modules\n")
+            "zeta = fracext.ModalVector([1.0, 2.0],\n"
+            "                           fracext.explicit_spectrum([1.0, 4.0]))\n"
+            "fracext.minimize_curve(zeta, 0.3, n_nodes=200)\n"
+            "fracext.minimize_negative(zeta, 0.3, n_nodes=200)\n"
+            "assert 'scipy.linalg' not in sys.modules\n"
+            "assert 'scipy.special' not in sys.modules\n")
     src = os.path.dirname(os.path.dirname(fracext.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     subprocess.run([sys.executable, "-c", code], env=env, check=True,
@@ -275,6 +281,32 @@ def test_minimize_negative_reports_functional_at_its_solution(s, n_nodes):
     assert rep.lhs >= -2.0 * params.d_s
 
 
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="long double is no wider than double here")
+@pytest.mark.parametrize("s", [0.75, 0.95])
+def test_minimize_negative_trace_matches_long_double_solve(s):
+    # reference: the same element arrays assembled and solved in long
+    # double.  Rounding the assembled diagonal to double alone moves the
+    # trace by about 1e-7, and the solver's x[0] was off by 1.8e-8 (s = 0.95)
+    # and 7.7e-8 (s = 0.75); the trace from the functional is within 5e-11
+    n = 4000
+    params = FracParams.from_order(s)
+    mesh, _, _ = _fe_form(params, 1.0, n)
+    k_el, m00, m01, m11 = _elements(mesh.astype(np.longdouble),
+                                    np.longdouble(params.b))
+    diag = np.zeros(n, dtype=np.longdouble)
+    diag[:-1] += k_el + m00
+    diag[1:] += k_el + m11
+    rhs = np.zeros(n - 1, dtype=np.longdouble)
+    rhs[0] = params.d_s  # the system halved: 2 d_s against the doubled form
+    want = float(_thomas(diag[:-1], (m01 - k_el)[:-1], rhs)[0])
+    zeta = ModalVector(np.array([2.0, -3.0]), explicit_spectrum([1.0, 4.0]))
+    _, trace = minimize_negative(zeta, s, n_nodes=n)
+    np.testing.assert_allclose(trace.coeffs,
+                               want * zeta.coeffs * np.array([1.0, 4.0]) ** -s,
+                               rtol=1e-9, atol=0.0)
+
+
 def _spread_spectrum(modes):
     """A kernel mode, then ``modes`` log-spread eigenvalues in [0.3, 3e3],
     one of them with a zero coefficient when there are two or more."""
@@ -291,7 +323,8 @@ def _spread_spectrum(modes):
 def test_curve_minima_match_per_mode_solves(s):
     # the per-mode route: each mode on its own mesh, ending at 40/sqrt(lam);
     # the scaled single solve agrees to rounding (measured 1.4e-12 on the
-    # minima, and 5.7e-7 on the traces of the ill-conditioned graded solve)
+    # minima; the traces, taken from the functional, 2.2e-12, where x[0] of
+    # the ill-conditioned graded solve disagreed by 5.5e-7)
     params = FracParams.from_order(s)
     n = 4000
     u = _spread_spectrum(16)
@@ -309,12 +342,13 @@ def test_curve_minima_match_per_mode_solves(s):
         rhs = np.zeros(n - 1)
         rhs[0] = 2.0 * params.d_s * c[j]
         x = _solve_spd_tridiagonal(diag[:-1], off[:-1], rhs)
-        want_min += (_energy(elements, lam[j], np.append(x, 0.0))
-                     - 2.0 * rhs[0] * x[0])
-        want_trace[j] = x[0]
+        unit = (_energy(elements, lam[j], np.append(x, 0.0))
+                - 2.0 * rhs[0] * x[0])
+        want_min += unit
+        want_trace[j] = -unit / rhs[0]
     rep, trace = minimize_negative(u, s, n_nodes=n)
     assert rep.lhs == pytest.approx(want_min, rel=5e-12, abs=0.0)
-    np.testing.assert_allclose(trace.coeffs, want_trace, rtol=2e-6, atol=0)
+    np.testing.assert_allclose(trace.coeffs, want_trace, rtol=1e-10, atol=0)
     assert np.all(trace.coeffs[~active] == 0.0)
 
 

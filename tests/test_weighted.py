@@ -21,6 +21,7 @@ from fracext.special import (
 from fracext.weighted import (
     _cells_geometric,
     _cells_log_transformed,
+    _gauss_jacobi,
     CheckReport,
     CompactBump,
     GaussianBump,
@@ -58,6 +59,34 @@ def test_gamma_moment_invariant(b, n, cells):
     ref = math.gamma(1.0 + b) / 2.0 ** (1.0 + b)
     assert got == pytest.approx(ref, rel=1e-10)
     assert np.all(weights > 0.0)
+
+
+_JACOBI_BETAS = np.linspace(-0.99, 6.0, 141)
+
+
+def test_gauss_jacobi_rule_is_exact_to_degree_31():
+    # 16 points integrate (1+x)^k (1+x)^beta over [-1, 1], 1 + x = 2t,
+    # exactly for k <= 31: 2^{beta+k+1}/(beta+k+1).  Measured worst 2.5e-14
+    # (at k = 31, the rounding of the power and of the eigenvectors)
+    for beta in _JACOBI_BETAS:
+        t, w = _gauss_jacobi(16, beta)
+        assert np.all(np.diff(t) > 0.0) and t[0] > 0.0 and t[-1] < 1.0
+        assert np.all(w > 0.0)
+        for k in range(32):
+            exact = 2.0 ** (beta + k + 1.0) / (beta + k + 1.0)
+            got = (2.0 * t) ** k @ (2.0 ** (beta + 1.0) * w)
+            assert got == pytest.approx(exact, rel=5e-14)
+
+
+def test_gauss_jacobi_rule_matches_scipy():
+    # scipy's own weights are good to about 1e-11 near beta = -1
+    from scipy.special import roots_jacobi
+
+    for beta in _JACOBI_BETAS:
+        t, w = _gauss_jacobi(16, beta)
+        xs, ws = roots_jacobi(16, 0.0, beta)
+        np.testing.assert_allclose(2.0 * t - 1.0, xs, rtol=0.0, atol=4e-15)
+        np.testing.assert_allclose(2.0 ** (beta + 1.0) * w, ws, rtol=4e-11)
 
 
 def test_plain_exponential_moment():
@@ -365,6 +394,12 @@ def test_parts_check_all_regimes():
     assert a.lhs == pytest.approx(b.lhs, rel=1e-12)
     with pytest.raises(ValueError):
         parts_check(0.7, GaussianBump(), b=0.3)
+
+
+def test_parts_check_integrates_compact_bump_over_its_support():
+    # over [0, 45] the bump's edge at y = 1 was under-resolved: rel_err
+    # 4.1e-7 against the tolerance 1e-6; over [0, 1] it is 5.9e-9
+    assert parts_check(0.7, CompactBump()).rel_err <= 1e-8
 
 
 class _ZeroEta:
