@@ -20,8 +20,7 @@ that raises, or whose report holds a NaN or infinity, prints a record with
 an ``"error"`` field and counts as failed), 2 usage or configuration error,
 3 domain error (invalid mathematical input).
 Outputs are byte-identical across runs with the same configuration.  Checks
-run sequentially; the environment variable FRACEXT_THREADS is accepted for
-compatibility and has no effect.
+run sequentially.
 """
 
 from __future__ import annotations

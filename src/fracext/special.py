@@ -20,18 +20,21 @@ the trace constant
 Everything here is a pure function of its arguments; no state is shared, so
 all routines are safe to call concurrently.
 
-``psi`` evaluates a whole argument array with one call of the exponentially
-scaled ``scipy.special.kve``, as ``c_s y^s kve(s, y) e^{-y}``; where a
-factor or the product leaves the normal double range it switches to log
-space.  At large order near the origin ``K_s`` itself overflows while the
-profile is still of order 1; there the profile comes from the upward order
-recurrence (DLMF 10.29.1) started at two orders in (0, 2], a sum of positive
-terms that keeps full accuracy at any order.  ``psi_series`` evaluates the
+``psi`` and ``bessel_k`` share one array kernel in numpy, with no
+special-function dependency.  It returns the pair
+``e^y (2/Gamma(1+|mu|)) (y/2)^|mu| K_mu`` and ``e^y psi_{mu+1}`` for an order
+``mu`` in [-1/2, 1/2), by one of three routes chosen per point: Temme's series
+(J. Comput. Phys. 19 (1975)) for y <= 1, a trapezoidal rule on
+``e^y K_nu(y) = int_0^inf exp(-y (cosh t - 1)) cosh(nu t) dt`` with an
+exponentially convergent step (Trefethen & Weideman, SIAM Rev. 56 (2014))
+for 1 < y <= 50, and the Hankel expansion (DLMF 10.40.2) above.  At
+``mu = -1/2`` the Hankel sum terminates, so half-integer orders are exact
+at every y.  The powers of y are formed inside the series, so no bare
+``K`` overflows near the origin.  ``psi`` climbs from the two orders in
+(0, 2] to ``s`` by the positive order recurrence (DLMF 10.29.1), rescaled
+by powers of two, and applies ``e^{-y}`` once at the end; ``bessel_k``
+climbs the classic recurrence in ``K``.  ``psi_series`` evaluates the
 ascending series (DLMF 10.25.2 / 10.27.4) as an independent oracle.
-
-``kv`` and ``kve`` are imported inside ``bessel_k`` and ``psi``, so
-``scipy.special`` (about 0.3 s) loads on the first profile evaluation, not
-with the package.
 """
 
 from __future__ import annotations
@@ -58,20 +61,215 @@ __all__ = [
     "beta_fn",
 ]
 
+# ---------------------------------------------------------------------------
+# the Macdonald kernel
+
+_LN2 = math.log(2.0)
+# Cody-Waite split of log 2: k * _LN2_HI is exact for |k| < 2^20
+_LN2_HI = 6.93147180369123816490e-01
+_LN2_LO = 1.90821492927058770002e-10
+_SERIES_EPS = 1e-17
+_HANKEL_TERMS = 18
+
+# Taylor coefficients of 1/Gamma(1+x) = sum_j _INV_GAMMA[j] x^j, |x| <= 1
+# (Abramowitz & Stegun 6.1.34, shifted by one index)
+_INV_GAMMA = (
+    1.0, 0.5772156649015329, -0.6558780715202538, -0.0420026350340952,
+    0.1665386113822915, -0.0421977345555443, -0.0096219715278770,
+    0.0072189432466630, -0.0011651675918591, -0.0002152416741149,
+    0.0001280502823882, -0.0000201348547807, -0.0000012504934821,
+    0.0000011330272320, -0.0000002056338417, 0.0000000061160950,
+    0.0000000050020075, -0.0000000011812746, 0.0000000001043427,
+    0.0000000000077823, -0.0000000000036968, 0.0000000000005100,
+    -0.0000000000000206, -0.0000000000000054, 0.0000000000000014,
+    0.0000000000000001,
+)
+
+
+def _trapezoid_nodes(lo, hi):
+    """Nodes t, weights and cosh(t) - 1 of the trapezoidal rule for y in
+    [lo, hi]: step 0.6 / sqrt(hi), cut where lo (cosh t - 1) > 40."""
+    h = 0.6 / math.sqrt(hi)
+    t = h * np.arange(math.ceil(math.acosh(1.0 + 40.0 / lo) / h) + 1)
+    w = np.full(t.size, h)
+    w[0] = 0.5 * h
+    return t, w, 2.0 * np.sinh(0.5 * t) ** 2
+
+
+# y <= 1: series; (1, 8] and (8, 50]: trapezoid buckets; above: Hankel
+_EDGES = np.array([1.0, 8.0, 50.0])
+_BUCKETS = (_trapezoid_nodes(1.0, 8.0), _trapezoid_nodes(8.0, 50.0))
+
+
+def _combine(rows, table):
+    """sum_k rows[k] table[k]: (n, N) by (n, m) to (m, N).
+
+    einsum, not BLAS: a matrix product sums in an order that depends on
+    the number of points, and a point must come out the same in every call.
+    """
+    return np.einsum("kn,kj->jn", rows, table)
+
+
+def _powers(x, n):
+    """Rows x^0 .. x^{n-1} of a 1-d array x."""
+    p = np.empty((n, x.size))
+    p[0] = 1.0
+    for k in range(1, n):
+        np.multiply(p[k - 1], x, out=p[k])
+    return p
+
+
+def _temme_table(mu):
+    """Temme's series (Numerical Recipes 6.7) from its k = 1 term on.
+
+    f_k, p_k, q_k for k >= 1 are linear in (f_1, p_0, q_0), so the
+    coefficient of t^k, t = y^2/4, in K_mu - f_0 = sum_{k>=1} c_k f_k and in
+    (y/2) K_{mu+1} = sum_k c_k (p_k - k f_k), c_k = t^k / k!, splits into
+    one scalar per starting value: the rows of the returned (n, 6) table.
+    Relative to the sums the terms are below k t^(k-|mu|) / k!^2, which
+    fixes n at the series edge.
+    """
+    t_max = 0.25 * _EDGES[0] ** 2
+    # f_k = (ff, fp, fq), p_k = (0, pp, 0), q_k = (0, 0, qq) in that basis
+    ff, fp, fq, pp, qq = 1.0, 0.0, 0.0, 1.0 / (1.0 - mu), 1.0 / (1.0 + mu)
+    rows = [(0.0, 0.0, 0.0, 0.0, 1.0, 0.0)]
+    c, k = 1.0, 1
+    while k * t_max ** (k - abs(mu)) * c * c >= _SERIES_EPS:
+        rows.append((c * ff, c * fp, c * fq,
+                     -c * k * ff, c * (pp - k * fp), -c * k * fq))
+        k += 1
+        den = k * k - mu * mu
+        ff, fp, fq = k * ff / den, (k * fp + pp) / den, (k * fq + qq) / den
+        pp /= k - mu
+        qq /= k + mu
+        c /= k
+    return np.array(rows)
+
+
+def _series_pair(mu, y):
+    """The pair of ``_k_pair`` by Temme's series, y <= 1."""
+    ell = _LN2 - np.log(y)  # log(2/y) >= log 2, with no rounding of 2/y
+    sig = mu * ell
+    # g1 and g2 of Temme from the odd and even Taylor coefficients of
+    # 1/Gamma(1+x), free of the cancellation in their defining differences
+    m2 = mu * mu
+    g1 = g2 = 0.0
+    for odd, even in zip(_INV_GAMMA[-1::-2], _INV_GAMMA[-2::-2]):
+        g1 = g1 * m2 - odd
+        g2 = g2 * m2 + even
+    small = abs(mu) < 1e-8
+    fact = 1.0 if small else math.pi * mu / math.sin(math.pi * mu)
+    # ell sinh(sig) / sig, without 0/0 at mu = 0
+    ell_sinhc = ell * (1.0 + sig * sig / 6.0) if small else np.sinh(sig) / mu
+    # start values times 2 / Gamma(1+mu), so that p_0 is (2/y)^mu itself
+    # and the K_{mu+1} term comes out as exactly e^y at y -> 0
+    ratio = math.gamma(1.0 - mu) / math.gamma(1.0 + mu)
+    f0 = (2.0 * fact / math.gamma(1.0 + mu)) * (
+        g1 * np.cosh(sig) + g2 * ell_sinhc)
+    p0 = np.exp(sig)  # (2/y)^mu
+    q0 = ratio / p0
+    # f_1 on the array: the one cancellation of the series happens here
+    f1 = (f0 + p0 + q0) / (1.0 - m2)
+    tab = _temme_table(mu)
+    s = _combine(_powers(0.25 * y * y, len(tab)), tab)
+    k0 = f0 + (f1 * s[0] + p0 * s[1] + q0 * s[2])
+    k1 = f1 * s[3] + p0 * s[4] + q0 * s[5]
+    # (y/2)^|mu| and (y/2)^mu from the same exponential; 2 / Gamma(1+|mu|)
+    # differs from 2 / Gamma(1+mu) by the factor 1 / ratio below zero
+    e = np.exp(y)
+    return k0 * e * (p0 / ratio if mu < 0 else 1.0 / p0), k1 * e / p0
+
+
+def _trapezoid_pair(mu, y, bucket):
+    """e^y (K_mu, K_{mu+1}) by the trapezoidal rule of one bucket, y > 1."""
+    t, w, cm1 = _BUCKETS[bucket]
+    cols = w[:, None] * np.cosh(np.multiply.outer(t, (mu, mu + 1.0)))
+    nodes = np.multiply.outer(-cm1, y)
+    return _combine(np.exp(nodes, out=nodes), cols)
+
+
+def _hankel_pair(mu, y):
+    """e^y (K_mu, K_{mu+1}) by the Hankel expansion, y >= 50."""
+    # a_k(nu) = a_{k-1}(nu) (4 nu^2 - (2k-1)^2) / (8k), a_0 = 1
+    a, b = 1.0, 1.0
+    rows = [(a, b)]
+    for k in range(1, _HANKEL_TERMS):
+        odd2 = (2 * k - 1) ** 2
+        a *= (4.0 * mu * mu - odd2) / (8 * k)
+        b *= (4.0 * (mu + 1.0) ** 2 - odd2) / (8 * k)
+        rows.append((a, b))
+    return _combine(_powers(1.0 / y, _HANKEL_TERMS), np.array(rows)) * np.sqrt(
+        0.5 * math.pi / y)
+
+
+def _k_pair(mu, y):
+    """e^y (2 / Gamma(1+|mu|)) (y/2)^|mu| K_mu(y) and e^y psi_{mu+1}(y)
+    = e^y (2 / Gamma(1+mu)) (y/2)^(mu+1) K_{mu+1}(y) on a 1-d array of
+    finite y > 0, for -1/2 <= mu < 1/2.
+
+    The factors 2 / Gamma keep both finite at every mu: toward the origin
+    the first tends to 1 / |mu| (about 2 log(2/y) at mu = 0) and the second
+    to 1, which the series returns exactly."""
+    if mu == -0.5:  # K_{+-1/2} = sqrt(pi / 2y) e^{-y}: the Hankel sum ends
+        return np.array([[2.0], [1.0]]) * np.ones(y.shape)
+    a, b = np.empty(y.shape), np.empty(y.shape)
+    route = np.searchsorted(_EDGES, y)
+    counts = np.bincount(route, minlength=4)
+    for r in np.flatnonzero(counts):
+        sel = slice(None) if counts[r] == y.size else route == r
+        ys = y[sel]
+        if r == 0:
+            a[sel], b[sel] = _series_pair(mu, ys)
+            continue
+        ka, kb = (_trapezoid_pair(mu, ys, r - 1) if r < 3
+                  else _hankel_pair(mu, ys))
+        half = 0.5 * ys
+        a[sel] = ka * (2.0 / math.gamma(1.0 + abs(mu))) * half ** abs(mu)
+        b[sel] = kb * (2.0 / math.gamma(1.0 + mu)) * half ** (mu + 1.0)
+    return a, b
+
+
+def _times_exp_neg(v, e, y):
+    """v 2^e e^{-y} with e^{-y} = 2^{-k} e^{-r}, r in [0, log 2): only
+    v e^{-r} is rounded before the power-of-two scaling, and neither factor
+    over- or underflows on its own."""
+    k = np.floor(y * (1.0 / _LN2))
+    r = (y - k * _LN2_HI) - k * _LN2_LO
+    return np.ldexp(v * np.exp(-r), e - k.astype(np.int64))
+
+
 def bessel_k(nu: float, x: float) -> float:
     """Modified Bessel function of the second kind K_nu(x), x > 0.
 
-    A thin wrapper over ``scipy.special.kv`` (K is even in the order).
-    Raises ``ValueError`` for x <= 0 and ``OverflowError`` when the result
+    The kernel pair at mu = nu - floor(nu + 1/2), then the forward order
+    recurrence K_{v+1} = K_{v-1} + (2v/x) K_v (K is even in the order).
+    Raises ``ValueError`` unless x > 0 and ``OverflowError`` when the result
     exceeds the double range (small x at large order).
     """
-    from scipy.special import kv
-
-    if x <= 0.0:
+    x = float(x)
+    if not x > 0.0:
         raise ValueError(f"bessel_k requires x > 0, got x={x}")
-    # kv gives inf or nan at subnormal orders, where K_nu = K_0 to double
-    # precision (K_nu - K_0 = O(nu^2))
-    k = float(kv(nu if abs(nu) >= _TINY else 0.0, x))
+    nu = abs(float(nu))
+    # K_nu(x) <= sqrt(2 pi / x) e^{-x + nu^2 / 2x} (cosh t >= 1 + t^2/2 in
+    # the integral representation) rounds to 0 beyond 2 nu + 2000
+    if x > 2.0 * nu + 2000.0:
+        return 0.0
+    n = math.floor(nu + 0.5)
+    mu = nu - n
+    a, b = _k_pair(mu, np.array([x]))
+    # x / 2 would round to 0 at the smallest subnormal x
+    lo = float(a[0]) * math.gamma(1.0 + abs(mu)) * 2.0 ** (
+        abs(mu) - 1.0) / x ** abs(mu)  # e^x K_mu
+    hi = float(b[0]) * math.gamma(1.0 + mu) * 2.0 ** mu / x ** mu / x
+    e = 0
+    for i in range(1, n):
+        lo, hi = hi, lo + 2.0 * (mu + i) / x * hi
+        if hi > 1e300:
+            hi, de = math.frexp(hi)
+            lo = math.ldexp(lo, -de)
+            e += de
+    with np.errstate(over="ignore"):
+        k = float(_times_exp_neg(hi if n else lo, e, np.array([x]))[0])
     if math.isinf(k):
         raise OverflowError(
             f"K_nu({nu}, {x}) exceeds the double-precision range")
@@ -80,8 +278,6 @@ def bessel_k(nu: float, x: float) -> float:
 
 # ---------------------------------------------------------------------------
 # order-dependent constants
-
-_LN2 = math.log(2.0)
 
 
 def _check_noninteger_order(s):
@@ -165,64 +361,58 @@ class FracParams:
 # ---------------------------------------------------------------------------
 # the profile psi_s and friends
 
-# below this threshold the |y|^s K_s product is numerically indeterminate,
-# while the analytic limit is exactly 1
-_PSI_ORIGIN_CUTOFF = 1e-8
-_TINY = np.finfo(float).tiny
-_HUGE = np.finfo(float).max
-
-
-def _upward(s, z):
-    """psi_s(z) by upward order recurrence from two orders in (0, 2].
-
-    K_{v+1} = K_{v-1} + (2v/z) K_v (DLMF 10.29.1) becomes
-    psi_{v+1} = psi_v + z^2/(4 v (v-1)) psi_{v-1}.  Every term is positive,
-    so rounding errors do not grow, and K stays finite at the starting
-    orders for every z above the origin cutoff.
-    """
-    s0 = s - math.floor(s) or 1.0
-    lo, hi = psi(s0, z), psi(s0 + 1.0, z)
-    t = 0.25 * z * z
-    for v in np.arange(s0 + 1.0, s - 0.5):
-        lo, hi = hi, hi + t / (v * (v - 1.0)) * lo
-    return hi
-
-
 def psi(s: float, y):
     """Profile psi_s(y) = c_s |y|^s K_s(|y|); accepts scalars or arrays.
 
     Exactly 1 at the origin (analytic limit), strictly positive, bounded by
     1, and decaying like e^{-|y|}.  Underflows to 0 for very large |y|.
+    The cost grows with floor(s), one array step of the order recurrence
+    per unit of order.
     """
-    from scipy.special import kve
-
     s = float(s)
     if not 0.0 < s < math.inf:
         raise ValueError(f"psi requires a finite s > 0, got {s}")
     ay = np.abs(np.asarray(y, dtype=float))
-    out = np.ones(ay.shape)
-    away = ~(ay < _PSI_ORIGIN_CUTOFF)  # NaN stays on the Bessel route
-    z = ay[away]
-    # kve gives inf at subnormal orders, where K_s = K_0 to double precision
-    k = kve(s if s >= _TINY else 0.0, z)
-    log_c = _log_c(s)
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        head = math.exp(log_c) * z ** s
-        decay = np.exp(-z)
-        val = head * k * decay
-        # log space wherever a factor or the product left the normal range
-        # (an overflowing head overflows val; decay <= 1)
-        redo = np.isfinite(k) & ~((np.minimum(head, decay) >= _TINY)
-                                  & (val >= _TINY) & (val <= _HUGE))
-        if redo.any():
-            zr = z[redo]
-            val[redo] = np.exp(log_c + s * np.log(zr) + np.log(k[redo]) - zr)
-    # K_s overflows at large order near the origin
-    over = np.isinf(k)
-    if over.any():
-        val[over] = _upward(s, z[over])
-    out[away] = val
+    out = np.where(ay == 0.0, 1.0, np.where(ay > 0.0, 0.0, np.nan))
+    # psi_s(y) <= c_s y^s sqrt(2 pi / y) e^{-y + s^2 / 2y} (cosh t >=
+    # 1 + t^2/2 in the integral representation of K_s) rounds to 0 beyond
+    # 2s + 2000
+    live = (ay > 0.0) & (ay < 2.0 * s + 2000.0)
+    if live.any():
+        out[live] = _psi_positive(s, ay[live])
     return float(out) if out.ndim == 0 else out
+
+
+def _psi_positive(s, y):
+    """psi_s on a 1-d array of finite y > 0.
+
+    psi_v = (2 / Gamma(v)) (y/2)^v K_v at the base orders g in (0, 1] and
+    g + 1 comes from the kernel pair; the positive recurrence
+    psi_{v+1} = psi_v + (y/2)^2 / (v (v-1)) psi_{v-1} (DLMF 10.29.1) climbs
+    from there to s.  Every value carries the factor e^y 2^{-e}, with e
+    from a power-of-two rescale every 8 steps.
+    """
+    g = s - math.floor(s) or 1.0
+    steps = round(s - g)
+    mu = g if g < 0.5 else g - 1.0
+    a, b = _k_pair(mu, y)
+    if mu > 0.0:
+        lo, hi = g * a, b
+    else:  # K_{g+1} = K_{g-1} + (2g/y) K_g, with K_{g-1} = K_mu
+        lo = b
+        hi = (math.gamma(1.0 - mu) / math.gamma(1.0 + g)) * (
+            0.5 * y) ** (2.0 * g) * a + lo
+    e = 0
+    q = 0.25 * y * y
+    for i in range(1, steps):
+        v = g + i
+        lo, hi = hi, hi + (1.0 / (v * (v - 1.0))) * q * lo
+        if i % 8 == 0:
+            hi, de = np.frexp(hi)
+            lo = np.ldexp(lo, -de)
+            e = e + de
+    # psi_s < 1 for y > 0: a rounding above 1 is cut back
+    return np.minimum(_times_exp_neg(hi if steps else lo, e, y), 1.0)
 
 
 def psi_lambda(s: float, lam: float, y):

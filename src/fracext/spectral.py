@@ -253,6 +253,24 @@ def _require_finite(what, *values):
         raise ValueError(f"{what} overflows: the result must be finite")
 
 
+_TINY = np.finfo(float).tiny
+_HUGE = np.finfo(float).max
+
+
+def _scaled_power(lam, t, c):
+    """lam^t c per mode (lam > 0, c != 0).  Where lam^t alone leaves the
+    normal double range, the product comes from sign(c) exp(t log lam +
+    log|c|), which stays finite wherever the product is."""
+    with np.errstate(over="ignore", under="ignore"):
+        w = lam ** t
+        out = w * c
+        far = ~((w >= _TINY) & (w <= _HUGE))
+        if far.any():
+            out[far] = np.sign(c[far]) * np.exp(
+                t * np.log(lam[far]) + np.log(np.abs(c[far])))
+    return out
+
+
 def sobolev_norm(u: ModalVector, sigma: float) -> float:
     """Norm of u in the sigma-order ladder space of its spectrum.
 
@@ -270,9 +288,8 @@ def sobolev_norm(u: ModalVector, sigma: float) -> float:
         return 0.0
     # the per-mode magnitudes lambda^{sigma/2} |u_j|, not the weights
     # lambda^sigma, which can overflow where the norm is finite
-    with np.errstate(over="ignore"):
-        mag = u.spectrum.eigenvalues[mask] ** (0.5 * sigma) * np.abs(
-            u.coeffs[mask])
+    mag = _scaled_power(u.spectrum.eigenvalues[mask], 0.5 * sigma,
+                        np.abs(u.coeffs[mask]))
     # a power-of-two scale is exact: it keeps the squares of magnitudes
     # below about 1e-154 from underflowing, and with 2^(e-1) <= peak the
     # scale itself stays finite up to the largest double
@@ -292,8 +309,7 @@ def apply_power(u: ModalVector, t: float) -> ModalVector:
     # a zero coefficient stays 0 even where lambda^t overflows
     mask = _active_modes(u)
     out = np.zeros_like(u.coeffs)
-    with np.errstate(over="ignore"):
-        out[mask] = u.spectrum.eigenvalues[mask] ** t * u.coeffs[mask]
+    out[mask] = _scaled_power(u.spectrum.eigenvalues[mask], t, u.coeffs[mask])
     _require_finite(f"L^{t} u", out)
     return ModalVector(out, u.spectrum, u.order - 2.0 * t)
 

@@ -124,8 +124,6 @@ def _assemble(elements, lam):
     return 2.0 * diag, 2.0 * off  # doubled: integrals over R of even profiles
 
 
-# plain numpy: importing scipy.linalg adds over 10 % to the FE path's peak
-# RSS, and no path of the package loads it
 def _solve_spd_tridiagonal(diag, off, rhs):
     """Solve T x = rhs for the SPD tridiagonal T with main diagonal ``diag``
     and both off-diagonals ``off``, by odd-even cyclic reduction.

@@ -8,7 +8,7 @@ through a Gauss-Jacobi rule (no sample at y = 0), and the cells growing
 geometrically away from it use Gauss-Legendre with the weight evaluated.
 The Gauss-Jacobi rule is built by Golub-Welsch (Math. Comp. 23 (1969)):
 the eigenvalues and first eigenvector components of the Jacobi matrix, from
-``spectral.tridiag_eigh``, so that no path loads ``scipy.linalg``.
+``spectral.tridiag_eigh``.
 The log-transformed cells (y = e^t, composite Gauss panels in t) are an
 independent rule kept for the tests to cross-check the geometric one.
 

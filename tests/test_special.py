@@ -114,7 +114,9 @@ def test_psi_exact_half_integer_profiles():
 def test_psi_origin_and_evenness():
     for s in (0.25, 0.5, 1.3, 3.7):
         assert psi(s, 0.0) == 1.0
-        assert psi(s, 1e-12) == 1.0  # below the indeterminate-product cutoff
+        # 1 - psi_s(y) ~ (y/2)^{2 min(s, 1)} is far below an ulp here
+        assert psi(s, 1e-300) == pytest.approx(1.0, rel=1e-15, abs=0.0)
+        assert psi(s, 1e-300) <= 1.0
         assert psi(s, -1.7) == psi(s, 1.7)
 
 
@@ -140,12 +142,39 @@ def test_psi_large_order_flat_region():
     assert psi(60.5, 1.0) == pytest.approx(1.0 - 1.0 / (4.0 * 59.5), rel=1e-4)
 
 
-@pytest.mark.parametrize("s", [60.5, 100.5, 200.5])
-@pytest.mark.parametrize("y", [0.01, 1.0, 30.0])
+def psi_half_mp(s, y):
+    """psi_{n+1/2}(y) = e^{-y} sum_j b_j y^j in 40-digit arithmetic, with
+    b_0 = 1 and b_{j+1} / b_j = 2(n-j) / ((2n-j)(j+1)) (DLMF 10.49.12);
+    far faster than mpmath's besselk at large order and argument."""
+    n = round(s - 0.5)
+    assert s == n + 0.5
+    with mpmath.workdps(40):
+        y = mpmath.mpf(y)
+        b, total = mpmath.mpf(1), mpmath.mpf(1)
+        for j in range(n):
+            b = b * 2 * (n - j) / ((2 * n - j) * (j + 1))
+            total += b * y ** (j + 1)
+        return float(total * mpmath.exp(-y))
+
+
+def test_psi_half_mp_matches_besselk():
+    for s, y in ((2.5, 1.3), (60.5, 30.0), (400.5, 300.0)):
+        assert psi_half_mp(s, y) == pytest.approx(psi_mp(s, y), rel=1e-15)
+
+
+_LARGE_ORDER_POINTS = [(s, y) for s in (60.5, 100.5, 200.5)
+                       for y in (0.01, 1.0, 30.0)] + [(400.5, 300.0),
+                                                      (400.5, 1000.0)]
+
+
+@pytest.mark.parametrize("s,y", [pytest.param(s, y, id=f"{y}-{s}")
+                                 for s, y in _LARGE_ORDER_POINTS])
 def test_psi_large_order_against_mpmath(s, y):
-    # covers both routes: K_s overflows at the small arguments (ascending
-    # series) and stays finite at y = 30 (kve in log space)
-    assert psi(s, y) == pytest.approx(psi_mp(s, y), rel=1e-13)
+    # K_s overflows at the small arguments and stays finite at the large
+    # ones; a log-space route lost digits here: 7.2e-14 at (100.5, 1),
+    # 5.1e-13 at (400.5, 300), 4.5e-13 at (400.5, 1000).  The positive
+    # order recurrence keeps them within a few ulp
+    assert psi(s, y) == pytest.approx(psi_half_mp(s, y), rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("s,y", [(60.0, 1e-5), (400.5, 48.0), (700.5, 150.0)])
@@ -162,7 +191,8 @@ def test_psi_random_pairs_against_mpmath():
     orders = rng.uniform(0.01, 20.0, 400)
     ys = np.exp(rng.uniform(math.log(1e-5), math.log(300.0), 400))
     for s, y in zip(orders, ys):
-        assert psi(s, y) == pytest.approx(psi_mp(s, y), rel=1e-13), (s, y)
+        assert psi(s, y) == pytest.approx(psi_mp(s, y), rel=1e-14,
+                                          abs=0.0), (s, y)
 
 
 def test_psi_array_matches_elementwise():
@@ -208,9 +238,30 @@ def test_ascending_series_beyond_gamma_overflow():
             _taylor_remainder_mp(s, y, k), rel=1e-14, abs=0.0), (s, y, k)
 
 
+@pytest.mark.parametrize("s", [0.001, 0.01, 0.1])
+@pytest.mark.parametrize("y", [1e-300, 1e-100, 1e-12, 0.99e-8, 1.01e-8])
+def test_psi_small_argument_against_mpmath(s, y):
+    # 1 - psi_s(y) ~ Gamma(1-s)/Gamma(1+s) (y/2)^{2s} is far from 0 at
+    # small s: a fixed cutoff that returned 1 below y = 1e-8 gave
+    # psi(0.01, 0.99e-8) = 1 against 0.3099
+    assert psi(s, y) == pytest.approx(psi_mp(s, y), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("s", [0.3, 0.77, 1.2, 2.9, 3.7])
+@pytest.mark.parametrize("edge", [1.0, 2.0, 8.0, 50.0])
+def test_psi_continuous_across_route_switches(s, edge):
+    # the kernel switches from Temme's series to the trapezoid buckets and
+    # to the Hankel sum at y = 1, 8 and 50 (y = 2 lies inside the first
+    # bucket); one ulp either side, the two values differ by the slope
+    # times the step and by nothing else
+    lo, hi = np.nextafter(edge, 0.0), np.nextafter(edge, 2.0 * edge)
+    jump = psi(s, hi) - psi(s, lo) - (hi - lo) * psi_deriv(s, edge, 1)
+    assert abs(jump) <= 4e-15 * psi(s, edge)
+
+
 def test_psi_subnormal_order_against_mpmath():
-    # kve is inf at a subnormal order; the value must not go to the order
-    # recurrence, which would start at the same order again
+    # c_s and psi_s(0.5) are subnormal at a subnormal order, where
+    # Gamma(s) itself overflows
     assert psi(1e-310, 0.5) == pytest.approx(psi_mp(1e-310, 0.5), rel=1e-12)
     assert math.isfinite(psi(1e-310, 0.5))
 

@@ -147,6 +147,22 @@ def test_sobolev_norm_with_weights_beyond_the_largest_double():
         1e-154 * math.sqrt(1.0 + 1.0 / 1.7), rel=1e-15)
 
 
+def test_power_beyond_the_double_range_with_a_finite_product():
+    # lambda^t alone over- or underflows, lambda^t u_j does not: the
+    # products used to come back as inf (or raise) and as 0
+    big = ModalVector(np.array([1e-200]), explicit_spectrum([1e300]))
+    assert sobolev_norm(big, 3.0) == pytest.approx(1e250, rel=1e-13)
+    assert apply_power(big, 1.5).coeffs[0] == pytest.approx(1e250, rel=1e-13)
+    tiny = ModalVector(np.array([-1e300]), explicit_spectrum([1e-200]))
+    assert sobolev_norm(tiny, 3.0) == pytest.approx(1e0, rel=1e-13)
+    assert apply_power(tiny, 2.0).coeffs[0] == pytest.approx(-1e-100,
+                                                             rel=1e-13)
+    # the products themselves still leave the range
+    assert sobolev_norm(big, 5.0) == math.inf
+    with pytest.raises(ValueError, match="finite"):
+        apply_power(big, 2.0)
+
+
 def test_apply_power_kernel_semantics():
     spec = neumann_laplacian_1d(math.pi, 3)
     u = ModalVector(np.array([3.0, 1.0, 2.0]), spec)
