@@ -58,7 +58,6 @@ __all__ = [
     "seminorm_sq",
     "weight_exponent",
     "trace_constant",
-    "beta_fn",
 ]
 
 # ---------------------------------------------------------------------------
@@ -327,13 +326,6 @@ def _taylor_coeff(s, m):
         - 2.0 * m * _LN2 - math.lgamma(m + 1.0))
 
 
-def beta_fn(a: float, b: float) -> float:
-    """Euler Beta for positive arguments, evaluated in log space."""
-    if a <= 0.0 or b <= 0.0:
-        raise ValueError(f"beta_fn needs positive arguments, got ({a}, {b})")
-    return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
-
-
 @dataclass(frozen=True)
 class FracParams:
     """Parameter bundle attached to a non-integer order s > 0.
@@ -520,29 +512,7 @@ def psi_deriv(s: float, y, order: int):
     return sum(terms[1:], terms[0])
 
 
-def _singular_branch(s, y, n_terms):
-    """The y^{2s} branch of the ascending series,
-
-        (Gamma(-s)/Gamma(s)) (|y|/2)^{2s}
-            sum_{k<n_terms} (y^2/4)^k / (k! (1+s)_k),
-
-    with the Gamma ratio and the power in log space, so that it stays finite
-    where Gamma(s) overflows; sign(Gamma(-s)) = (-1)^{floor(s)+1}.
-    """
-    if y == 0.0:
-        return 0.0
-    t = 0.25 * y * y
-    term = 1.0
-    series = 1.0
-    for k in range(1, n_terms):
-        term *= t / (k * (k + s))
-        series += term
-    sign = (-1.0) ** (math.floor(s) + 1)
-    return sign * math.exp(math.lgamma(-s) - math.lgamma(s)
-                           + 2.0 * s * math.log(0.5 * abs(y))) * series
-
-
-def psi_series(s: float, y: float, n_terms: int = 18) -> float:
+def psi_series(s: float, y: float) -> float:
     """psi_s(y) from the ascending power series, independent of bessel_k.
 
     For non-integer s,
@@ -551,18 +521,12 @@ def psi_series(s: float, y: float, n_terms: int = 18) -> float:
                    + (Gamma(-s)/Gamma(s)) (y/2)^{2s}
                      sum_k (y^2/4)^k / (k! (1+s)_k),
 
-    (DLMF 10.25.2 / 10.27.4 folded into the profile normalisation).  Rapidly
-    convergent and fully accurate for |y| <= 2; used as an oracle for the
-    small-argument behaviour.
+    (DLMF 10.25.2 / 10.27.4 folded into the profile normalisation), that is
+    1 plus the remainder of order k = 0 of :func:`psi_taylor_remainder`.
+    Rapidly convergent and fully accurate for |y| <= 2; used as an oracle
+    for the small-argument behaviour.
     """
-    s = _check_noninteger_order(s)
-    t = 0.25 * y * y
-    term = 1.0
-    analytic = 1.0
-    for k in range(1, n_terms):
-        term *= t / (k * (k - s))
-        analytic += term
-    return analytic + _singular_branch(s, y, n_terms)
+    return 1.0 + psi_taylor_remainder(s, y, 0)
 
 
 def psi_taylor_remainder(s: float, y: float, k: int) -> float:
@@ -587,8 +551,20 @@ def psi_taylor_remainder(s: float, y: float, k: int) -> float:
         term *= t / (m * (m - s))
         if m > k:
             total += term
-    # singular branch y^{2s} (entirely beyond the polynomial part)
-    return total + _singular_branch(s, y, 20)
+    if y == 0.0:
+        return total
+    # the singular branch y^{2s}, entirely beyond the polynomial part:
+    # (Gamma(-s)/Gamma(s)) (|y|/2)^{2s} sum_m (y^2/4)^m / (m! (1+s)_m), the
+    # Gamma ratio and the power in log space, so that it stays finite where
+    # Gamma(s) overflows; sign(Gamma(-s)) = (-1)^{floor(s)+1}
+    term = 1.0
+    series = 1.0
+    for m in range(1, 20):
+        term *= t / (m * (m + s))
+        series += term
+    sign = (-1.0) ** (math.floor(s) + 1)
+    return total + sign * math.exp(math.lgamma(-s) - math.lgamma(s)
+                                   + 2.0 * s * math.log(0.5 * abs(y))) * series
 
 
 @dataclass(frozen=True)

@@ -183,26 +183,6 @@ def check_ode(cfg: RunConfig):
     return out
 
 
-class _GaussianMix:
-    """Random even H^{1;b} test profile: small mixture of Gaussians."""
-
-    def __init__(self, amps, rates):
-        self.amps = tuple(float(a) for a in amps)
-        self.rates = tuple(float(c) for c in rates)
-
-    def value(self, y):
-        y = np.asarray(y, dtype=float)
-        out = sum(a * np.exp(-c * y ** 2)
-                  for a, c in zip(self.amps, self.rates))
-        return float(out) if out.ndim == 0 else out
-
-    def d1(self, y):
-        y = np.asarray(y, dtype=float)
-        out = sum(-2.0 * a * c * y * np.exp(-c * y ** 2)
-                  for a, c in zip(self.amps, self.rates))
-        return float(out) if out.ndim == 0 else out
-
-
 def _random_profiles(seed, count):
     rng = np.random.default_rng(seed)
     profiles = []
@@ -211,7 +191,7 @@ def _random_profiles(seed, count):
         rates = rng.uniform(0.3, 3.0, size=3)
         if abs(np.sum(amps)) < 0.3:
             continue  # keep the trace away from 0 so ratios are meaningful
-        profiles.append(_GaussianMix(amps, rates))
+        profiles.append(GaussianBump(rates, amps))
     return profiles
 
 

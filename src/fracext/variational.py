@@ -21,10 +21,15 @@ why the constrained solves here stop at ceil(s) = 1 and only the
 orthogonality check accepts ceil(s) = 2.
 
 Every mode is the lam = 1 problem rescaled by z = sqrt(lam) y, so the
-curve-level minima make one tridiagonal solve (about log2(n) vectorised
-levels) and weigh it with exact powers of the eigenvalues.  The
-orthogonality check integrates all modes at once, as one (J, N) integrand:
-its test bump is not rescaled with the mode.
+lam = 1 constrained minimum E is the only quantity solved for: one
+tridiagonal solve, about log2(n) vectorised levels.  The curve minimum is
+E |u|^2_{H^s}.  The dual problem of negative orders, with the trace free,
+is least at a multiple of the constrained minimiser, so its minimum
+-4 d_s^2 |zeta|^2_{H^{-s}} / E and its trace (2 d_s / E) L^{-s} zeta follow
+in closed form.  The eigenvalue weights come from ``sobolev_norm`` and
+``apply_power`` of the spectral layer.  The orthogonality check integrates
+all modes at once, as one (J, N) integrand: its test bump is not rescaled
+with the mode.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ from .spectral import (
     ModalVector,
     _active_modes,
     _require_finite,
+    apply_power,
     sobolev_norm,
 )
 from .weighted import (
@@ -178,11 +184,12 @@ def _energy(elements, lam, f):
 def _fe_form(params, lam, n_nodes, mesh=None):
     """Mesh, element arrays and assembled form of one mode.  The default
     mesh ends at 40/sqrt(lam); its first cell's energy scales like
-    delta^{2s}, so delta is 1e-5^{max(1, 1/(2s))} of the range."""
+    delta^{2s}, so delta is 1e-5^{max(1, 1/(2s))} of the range, but no less
+    than 1e-150 of it (s < 1/60), where delta^2 would underflow."""
     if mesh is None:
         y_max = 40.0 / math.sqrt(lam)
-        mesh = graded_mesh(y_max, n_nodes,
-                           y_max * 1e-5 ** max(1.0, 0.5 / params.s))
+        mesh = graded_mesh(y_max, n_nodes, y_max * max(
+            1e-5 ** max(1.0, 0.5 / params.s), 1e-150))
     else:
         mesh = np.asarray(mesh, dtype=float)
         # the trace datum sits at the first node, the cutoff at the last
@@ -220,31 +227,32 @@ def minimize_profile(s: float, lam: float, mesh=None, n_nodes: int = 2000):
 def minimize_curve(u: ModalVector, s: float, n_nodes: int = 2000,
                    tol: float = 1e-3) -> CheckReport:
     """Curve-level minimality: the discrete minimum at lam = 1 times
-    sum_j u_j^2 lam_j^s, against 2 d_s |u|^2_{H^s}.  It sits above the
-    closed form and closes in under refinement."""
+    |u|^2_{H^s}, against 2 d_s |u|^2_{H^s}.  It sits above the closed form
+    and closes in under refinement."""
     params = FracParams.from_order(s)
     if u.spectrum.kernel_dim and np.any(u.coeffs[:u.spectrum.kernel_dim]):
         raise ValueError("minimize_curve needs zero kernel coefficients")
     unit, _ = minimize_profile(s, 1.0, n_nodes=n_nodes)
-    mask = _active_modes(u)
-    lam = u.spectrum.eigenvalues[mask]
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = unit * float(u.coeffs[mask] ** 2 @ lam ** s)
-    # checked before the norm, whose square would raise OverflowError
+    norm = sobolev_norm(u, s)
+    # norm * norm, not norm ** 2: a float power raises OverflowError
+    total = unit * norm * norm
     _require_finite(f"minimize_curve(s={s})", total)
-    rhs = 2.0 * params.d_s * sobolev_norm(u, s) ** 2
+    rhs = 2.0 * params.d_s * norm * norm
     return report_equal(f"minimize_curve(s={s})", total, rhs, tol)
 
 
 def minimize_negative(zeta: ModalVector, s: float, n_nodes: int = 2000,
                       tol: float = 1e-3):
-    """Unconstrained dual minimisation for negative orders.
+    """Unconstrained dual minimisation for negative orders, by duality.
 
-    Per mode, minimises  |f|^2_{lam,H^{1;b}} - 4 d_s zeta_j f(0)  over the
-    discrete space (trace value free), which converges from above to
-    -2 d_s |zeta|^2_{H^{-s}}; the minimiser's trace converges to the
-    (-s)-power of zeta.  Mode j's minimiser is zeta_j lam_j^{-s} times the
-    unit-data minimiser at lam = 1.  Returns ``(report, trace_vector)``.
+    Per mode, the dual functional  |f|^2_{lam,H^{1;b}} - 4 d_s zeta_j f(0)
+    over the discrete space (trace value free) is least at a multiple c f_h
+    of the constrained minimiser f_h with unit trace, where it reads
+    c^2 E_j - 4 d_s zeta_j c, E_j = E lam_j^s the constrained minimum.  So
+    c = 2 d_s zeta_j / E_j, the minimum is -4 d_s^2 |zeta|^2_{H^{-s}} / E,
+    which converges from above to -2 d_s |zeta|^2_{H^{-s}}, and the trace
+    is (2 d_s / E) L^{-s} zeta.  E is the lam = 1 minimum of
+    :func:`minimize_profile`.  Returns ``(report, trace_vector)``.
     """
     params = FracParams.from_order(s)
     if params.ceil_s != 1:
@@ -252,26 +260,14 @@ def minimize_negative(zeta: ModalVector, s: float, n_nodes: int = 2000,
     kd = zeta.spectrum.kernel_dim
     if kd and np.any(zeta.coeffs[:kd]):
         raise ValueError("minimize_negative needs zero kernel coefficients")
-    mesh, elements, (diag, off) = _fe_form(params, 1.0, n_nodes)
-    # unit data; far-field f(y_max) = 0 only, node 0 is a genuine unknown
-    rhs = np.zeros(mesh.size - 1)
-    rhs[0] = 2.0 * params.d_s
-    x = _solve_spd_tridiagonal(diag[:-1], off[:-1], rhs)
-    # the functional at the computed x, not its value at the exact discrete
-    # optimum (-rhs[0] x[0]).  x[0] carries the rounding of the assembled
-    # diagonal, up to 8e-8 at 4000 nodes; the functional is stationary at
-    # the optimum, so the trace -unit/rhs[0] is good to about 5e-11
-    unit = _energy(elements, 1.0, np.append(x, 0.0)) - 2.0 * rhs[0] * x[0]
-    unit_trace = -unit / rhs[0]
-    mask = _active_modes(zeta)
-    trace = np.zeros(zeta.spectrum.size)
-    with np.errstate(over="ignore", invalid="ignore"):
-        scaled = zeta.coeffs[mask] * zeta.spectrum.eigenvalues[mask] ** -s
-        total = unit * float(zeta.coeffs[mask] @ scaled)
-        trace[mask] = scaled * unit_trace
+    unit, _ = minimize_profile(s, 1.0, n_nodes=n_nodes)
+    unit_trace = 2.0 * params.d_s / unit
+    norm = sobolev_norm(zeta, -s)
+    total = -2.0 * params.d_s * unit_trace * norm * norm
+    trace = unit_trace * apply_power(zeta, -s).coeffs
     _require_finite(f"minimize_negative(s={s})", total, trace)
-    rhs_val = -2.0 * params.d_s * sobolev_norm(zeta, -s) ** 2
-    report = report_equal(f"minimize_negative(s={s})", total, rhs_val, tol)
+    rhs = -2.0 * params.d_s * norm * norm
+    report = report_equal(f"minimize_negative(s={s})", total, rhs, tol)
     return report, ModalVector(trace, zeta.spectrum, order=s)
 
 

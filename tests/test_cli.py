@@ -278,6 +278,20 @@ def test_overflow_is_domain_error(capsys, argv):
     assert "overflow" in err
 
 
+@pytest.mark.parametrize("s", ["0.015", "0.01", "0.005", "0.001"])
+def test_minimize_tiny_order_exits_cleanly(capsys, s):
+    # s = 0.005 raised ZeroDivisionError from the mesh, and s = 0.01 was a
+    # nan minimum reported as an overflow (exit 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "minimize", "--op", "explicit:1",
+                                 "--u", "1", "--s", s)
+    assert code in (0, 1)
+    assert err == ""
+    report = json.loads(out)
+    assert report["lhs"] >= report["rhs"] > 0.0
+
+
 def test_apply_norms_near_the_largest_double(capsys):
     # L u and both norms are finite; the weights lambda^sigma of the norms
     # used to overflow, and the run exited 3
@@ -363,6 +377,23 @@ def test_verify_report_key_order(capsys):
     report = json.loads(out.strip().split("\n")[0])
     assert list(report.keys()) == ["name", "lhs", "rhs", "rel_err", "tol",
                                    "pass"]
+
+
+def test_every_report_prints_the_bound_that_decided_it(capsys):
+    # zero-target reports passed on a hidden abs_tol and printed "tol": 0,
+    # or the relative tol they never used
+    for extra in ((), ("--tol", "1e-3")):
+        code, out, _ = run_cli(capsys, "verify", *extra)
+        assert code == 0
+        reports = [json.loads(line) for line in out.strip().split("\n")[:-1]]
+        assert len(reports) == 80
+        for report in reports:
+            assert report["pass"] == (report["rel_err"] <= report["tol"]), \
+                report["name"]
+        moved = [r["tol"] for r in reports if r["name"].startswith(
+            ("trace0", "ode_residual(", "nonexpansive", "commute"))]
+        assert len(moved) == 11
+        assert all(tol == 1e-3 if extra else tol > 0.0 for tol in moved)
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):

@@ -12,7 +12,12 @@ from hypothesis import strategies as st
 
 import fracext
 from fracext import variational
-from fracext.spectral import ModalVector, apply_power, explicit_spectrum
+from fracext.spectral import (
+    ModalVector,
+    apply_power,
+    explicit_spectrum,
+    sobolev_norm,
+)
 from fracext.special import FracParams, psi_lambda
 from fracext.variational import (
     _assemble,
@@ -279,6 +284,35 @@ def test_minimize_negative_reports_functional_at_its_solution(s, n_nodes):
     assert rep.lhs == pytest.approx(ref, rel=1e-12, abs=0.0)
     # Galerkin bound of the dual problem
     assert rep.lhs >= -2.0 * params.d_s
+
+
+@pytest.mark.parametrize("s", [0.1, 0.3, 0.5, 0.75, 0.95])
+def test_minimize_negative_is_the_dual_of_the_constrained_minimum(s):
+    # the free-trace minimiser is c f_h, f_h the unit-trace Dirichlet
+    # minimiser with energy E: c^2 E - 4 d_s c is least at c = 2 d_s / E
+    d_s = FracParams.from_order(s).d_s
+    n = 4000
+    unit, _ = minimize_profile(s, 1.0, n_nodes=n)
+    zeta = ModalVector(np.array([0.0, 2.0, -3.0, 0.5, 0.0, 1e-3]),
+                       explicit_spectrum([0.0, 0.3, 1.0, 4.0, 50.0, 2e3]))
+    rep, trace = minimize_negative(zeta, s, n_nodes=n)
+    norm = sobolev_norm(zeta, -s)
+    assert rep.lhs == pytest.approx(-4.0 * d_s ** 2 * norm ** 2 / unit,
+                                    rel=1e-14, abs=0.0)
+    np.testing.assert_allclose(
+        trace.coeffs, 2.0 * d_s / unit * apply_power(zeta, -s).coeffs,
+        rtol=1e-14, atol=0.0)
+    assert rep.lhs >= rep.rhs  # Galerkin bound of the dual
+
+
+@pytest.mark.parametrize("s", [0.015, 0.01, 0.005, 0.001])
+def test_minimize_profile_tiny_order_is_finite(s):
+    # the default first node y_max 1e-5^{1/(2s)} underflowed to 0 below
+    # s = 0.01 (ZeroDivisionError), and its h^2 below s = 0.016 (nan)
+    val, prof = minimize_profile(s, 1.0, n_nodes=4000)
+    assert math.isfinite(val)
+    assert val >= 2.0 * FracParams.from_order(s).d_s
+    assert np.all(np.isfinite(prof.values))
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
