@@ -274,6 +274,8 @@ def _cmd_minimize(args):
         dump = _merged(args, "dump_profile")
         if dump:
             from .special import psi_lambda
+            if not spectrum.positive.size:
+                raise ValueError("--dump-profile needs a positive eigenvalue")
             lam = float(spectrum.positive[0])
             _, prof = minimize_profile(s, lam, n_nodes=nodes)
             with open(dump, "w") as fh:

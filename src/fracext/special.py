@@ -63,6 +63,7 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # the Macdonald kernel
 
+_MAX_ORDER = 1e5  # a 10 240-point psi call takes about 2 s there
 _LN2 = math.log(2.0)
 # Cody-Waite split of log 2: k * _LN2_HI is exact for |k| < 2^20
 _LN2_HI = 6.93147180369123816490e-01
@@ -242,13 +243,15 @@ def bessel_k(nu: float, x: float) -> float:
 
     The kernel pair at mu = nu - floor(nu + 1/2), then the forward order
     recurrence K_{v+1} = K_{v-1} + (2v/x) K_v (K is even in the order).
-    Raises ``ValueError`` unless x > 0 and ``OverflowError`` when the result
-    exceeds the double range (small x at large order).
+    Raises ``ValueError`` unless x > 0 and |nu| <= 1e5 (one recurrence step
+    per unit of order), and ``OverflowError`` beyond the double range.
     """
     x = float(x)
     if not x > 0.0:
         raise ValueError(f"bessel_k requires x > 0, got x={x}")
     nu = abs(float(nu))
+    if not nu <= _MAX_ORDER:
+        raise ValueError(f"bessel_k requires |nu| <= {_MAX_ORDER:g}, got {nu}")
     # K_nu(x) <= sqrt(2 pi / x) e^{-x + nu^2 / 2x} (cosh t >= 1 + t^2/2 in
     # the integral representation) rounds to 0 beyond 2 nu + 2000
     if x > 2.0 * nu + 2000.0:
@@ -359,11 +362,12 @@ def psi(s: float, y):
     Exactly 1 at the origin (analytic limit), strictly positive, bounded by
     1, and decaying like e^{-|y|}.  Underflows to 0 for very large |y|.
     The cost grows with floor(s), one array step of the order recurrence
-    per unit of order.
+    per unit of order, so s above 1e5 raises ``ValueError``.
     """
     s = float(s)
-    if not 0.0 < s < math.inf:
-        raise ValueError(f"psi requires a finite s > 0, got {s}")
+    if not 0.0 < s <= _MAX_ORDER:
+        raise ValueError(
+            f"psi requires a finite order 0 < s <= {_MAX_ORDER:g}, got {s}")
     ay = np.abs(np.asarray(y, dtype=float))
     out = np.where(ay == 0.0, 1.0, np.where(ay > 0.0, 0.0, np.nan))
     # psi_s(y) <= c_s y^s sqrt(2 pi / y) e^{-y + s^2 / 2y} (cosh t >=

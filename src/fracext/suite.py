@@ -247,8 +247,8 @@ def check_minimize(cfg: RunConfig):
     out = []
     u = _two_mode()
     out.append(minimize_curve(u, 0.5, n_nodes=_FE_NODES, tol=tol))
-    # empirical convergence: the gap to the closed form shrinks by >= 1.7x
-    # per refinement for s >= 1/2
+    # empirical convergence: the gap to the closed form shrinks by about 4x
+    # per doubling on the order-graded mesh (O(n^-2)); 1.7 is the bound
     target = 2.0 * trace_constant(0.5)
     errs = [abs(minimize_profile(0.5, 1.0, n_nodes=n)[0] - target)
             for n in (_FE_NODES // 4, _FE_NODES // 2, _FE_NODES)]

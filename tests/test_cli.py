@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -292,6 +293,35 @@ def test_minimize_tiny_order_exits_cleanly(capsys, s):
     assert report["lhs"] >= report["rhs"] > 0.0
 
 
+def test_minimize_order_that_leaves_too_few_mesh_nodes(capsys):
+    # the order-graded mesh keeps only 0 and y_max at s = 1e-6; the
+    # geometric mesh reported a minimum 1.5e3 times the closed form
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "minimize", "--op", "explicit:1",
+                                 "--u", "1", "--s", "1e-6")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("domain error") and "mesh" in err
+
+
+def test_order_above_the_profile_ceiling_fails_fast(capsys):
+    # s = 1e9 + 0.5 took one recurrence step per unit of order and never
+    # returned; a check that raises is one failed record of verify
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "extend", "--op", "explicit:1",
+                             "--u", "1", "--s", "1000000000.5",
+                             "--grid", "0.1:1:3")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("domain error") and "100000" in err
+    code, out, _ = run_cli(capsys, "verify", "--checks", "energy",
+                           "--s", "1000000000.5")
+    assert code == 1
+    assert "100000" in json.loads(out.split("\n")[0])["error"]
+    assert time.perf_counter() - start < 1.0
+
+
 def test_apply_norms_near_the_largest_double(capsys):
     # L u and both norms are finite; the weights lambda^sigma of the norms
     # used to overflow, and the run exited 3
@@ -491,7 +521,8 @@ def test_minimize_stays_above_closed_form_at_fine_mesh(capsys):
 
 
 def test_minimize_small_order_meets_closed_form(capsys):
-    # at s = 0.2 the first mesh cell must shrink like 1e-5^{1/(2s)}
+    # at s = 0.2 the first mesh cell must shrink with the order: the graded
+    # mesh puts it at y_max (n-1)^{-2/s}
     code, out, _ = run_cli(capsys, "minimize", "--op", "explicit:1",
                            "--u", "1", "--s", "0.2", "--nodes", "4000")
     assert code == 0
@@ -510,6 +541,20 @@ def test_minimize_negative_subcommand(capsys):
     assert report["rhs"] == pytest.approx(-2.0, rel=1e-12)
     trace = json.loads(lines[1])
     assert trace[0] == pytest.approx(1.0, rel=1e-3)
+
+
+def test_minimize_profile_dump_needs_a_positive_eigenvalue(tmp_path,
+                                                           capsys):
+    # a one-mode Neumann operator has only the zero eigenvalue; the dump
+    # died with an IndexError traceback (exit 1, "check failed")
+    dump = tmp_path / "profile.csv"
+    code, out, err = run_cli(capsys, "minimize", "--op", "neumann:pi:1",
+                             "--u", "0", "--s", "0.5",
+                             "--dump-profile", str(dump))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("domain error") and "positive eigenvalue" in err
+    assert not dump.exists()
 
 
 def test_minimize_profile_dump(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Tests for the Macdonald-function layer: K_nu, psi_s, constants, Fourier."""
 
 import math
+import time
 
 import mpmath
 import numpy as np
@@ -407,6 +408,19 @@ def test_frac_params_fields():
     for bad in (2.0, 0.0, -0.5, 1.0):
         with pytest.raises(ValueError):
             FracParams.from_order(bad)
+
+
+@pytest.mark.parametrize("order", [1e5 + 0.5, 1e9 + 0.5, 1.7e308])
+def test_order_above_the_ceiling_fails_fast(order):
+    # one recurrence step per unit of order: psi at s = 1e9 + 0.5 ran for
+    # minutes; the largest order either routine accepts is 1e5
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="100000"):
+        psi(order, np.linspace(0.1, 10.0, 64))
+    for nu in (order, -order):
+        with pytest.raises(ValueError, match="100000"):
+            bessel_k(nu, 1.0)
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])

@@ -69,6 +69,30 @@ def _dense(diag, off):
     return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
 
 
+def _geometric_mesh(y_max, n, y_first):
+    """Nodes 0, y_first, y_first r, ..., y_max growing geometrically."""
+    ratio = (y_max / y_first) ** (1.0 / (n - 2))
+    mesh = np.concatenate(([0.0], y_first * ratio ** np.arange(n - 1)))
+    mesh[-1] = y_max
+    return mesh
+
+
+@pytest.fixture
+def geometric_default_mesh(monkeypatch):
+    """Make the default FE mesh geometric, with the first cell at
+    y_max 1e-5^max(1, 1/(2s)), but no less than 1e-150 of the range.
+
+    The references below solve the free-trace system, whose computed
+    minimum loses digits on the graded default mesh (1.3e-3 at s = 0.1);
+    on this mesh it is accurate, and library and reference share it.
+    """
+    def mesh(y_max, n, s):
+        return _geometric_mesh(y_max, n, y_max * max(
+            1e-5 ** max(1.0, 0.5 / s), 1e-150))
+
+    monkeypatch.setattr(variational, "graded_mesh", mesh)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 4000])
 def test_spd_tridiagonal_solve_matches_dense(n):
     diag, off, rhs = _random_spd(np.random.default_rng(n), (n,))
@@ -134,7 +158,7 @@ def test_assemble_matches_adaptive_quadrature():
     from scipy.integrate import quad
 
     b, lam = -0.4, 2.0
-    mesh = graded_mesh(6.0, 14, y_first=0.05)
+    mesh = _geometric_mesh(6.0, 14, 0.05)
     diag, off = _assemble(_elements(mesh, b), lam)
     f = np.exp(-mesh ** 2)
     quad_form = float(np.sum(diag * f * f)
@@ -186,8 +210,8 @@ def test_minimizer_weighted_l2_distance_shrinks():
 
 @pytest.mark.parametrize("s", [0.1, 0.2, 0.3])
 def test_minimize_profile_small_order_meets_closed_form(s):
-    # the first cell's energy scales like delta^{2s}: small orders need a
-    # first node far inside 1e-5 of the range
+    # the first cell's energy scales like delta^{2s}: the order-graded mesh
+    # puts its first node at y_max (n-1)^{-2/s}
     target = 2.0 * FracParams.from_order(s).d_s * 2.5 ** s
     val, _ = minimize_profile(s, 2.5, n_nodes=4000)
     assert target <= val <= target * (1.0 + 1e-3)
@@ -205,9 +229,10 @@ def test_minimize_profile_rejects_large_order():
 
 
 @pytest.mark.parametrize("mesh", [
-    graded_mesh(40.0, 200)[::-1],  # reversed: the "minimum" came out -2.39
+    # reversed: the "minimum" came out -2.39
+    graded_mesh(40.0, 200, 0.5)[::-1],
     np.array([0.0, 1.0]),  # no interior node: IndexError
-    graded_mesh(40.0, 200) + 1.0,  # trace silently imposed at y = 1
+    graded_mesh(40.0, 200, 0.5) + 1.0,  # trace silently imposed at y = 1
 ], ids=["reversed", "two_nodes", "shifted"])
 def test_minimize_profile_rejects_invalid_mesh(mesh):
     with pytest.raises(ValueError, match="mesh"):
@@ -222,7 +247,7 @@ def test_minimize_profile_smallest_valid_mesh():
 
 def test_zero_trace_constraint_gives_zero_minimum():
     # with f(0) = 0 imposed as well, the quadratic form minimum is 0 at f = 0
-    mesh = graded_mesh(40.0, 200)
+    mesh = graded_mesh(40.0, 200, 0.5)
     diag, off = _assemble(_elements(mesh, 0.0), 1.0)
     x = _solve_spd_tridiagonal(diag[1:-1], off[1:-1], np.zeros(mesh.size - 2))
     assert np.all(x == 0.0)
@@ -267,7 +292,8 @@ def test_minimize_negative_single_mode():
 
 
 @pytest.mark.parametrize("s, n_nodes", [(0.95, 8000), (0.5, 4000)])
-def test_minimize_negative_reports_functional_at_its_solution(s, n_nodes):
+def test_minimize_negative_reports_functional_at_its_solution(
+        geometric_default_mesh, s, n_nodes):
     # the reference solution comes from a Thomas sweep in long double; the
     # functional is stationary there, so any accurate solve reports the same
     # value, while the shortcut -2 d_s zeta x[0] moved with solver rounding
@@ -307,8 +333,9 @@ def test_minimize_negative_is_the_dual_of_the_constrained_minimum(s):
 
 @pytest.mark.parametrize("s", [0.015, 0.01, 0.005, 0.001])
 def test_minimize_profile_tiny_order_is_finite(s):
-    # the default first node y_max 1e-5^{1/(2s)} underflowed to 0 below
-    # s = 0.01 (ZeroDivisionError), and its h^2 below s = 0.016 (nan)
+    # a first node at y_max 1e-5^{1/(2s)} underflowed to 0 below s = 0.01
+    # (ZeroDivisionError), and its h^2 below s = 0.016 (nan); the graded
+    # mesh drops every node below 1e-150 of the range instead
     val, prof = minimize_profile(s, 1.0, n_nodes=4000)
     assert math.isfinite(val)
     assert val >= 2.0 * FracParams.from_order(s).d_s
@@ -318,7 +345,8 @@ def test_minimize_profile_tiny_order_is_finite(s):
 @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
                     reason="long double is no wider than double here")
 @pytest.mark.parametrize("s", [0.75, 0.95])
-def test_minimize_negative_trace_matches_long_double_solve(s):
+def test_minimize_negative_trace_matches_long_double_solve(
+        geometric_default_mesh, s):
     # reference: the same element arrays assembled and solved in long
     # double.  Rounding the assembled diagonal to double alone moves the
     # trace by about 1e-7, and the solver's x[0] was off by 1.8e-8 (s = 0.95)
@@ -354,7 +382,7 @@ def _spread_spectrum(modes):
 
 
 @pytest.mark.parametrize("s", [0.1, 0.5, 0.95])
-def test_curve_minima_match_per_mode_solves(s):
+def test_curve_minima_match_per_mode_solves(geometric_default_mesh, s):
     # the per-mode route: each mode on its own mesh, ending at 40/sqrt(lam);
     # the scaled single solve agrees to rounding (measured 1.4e-12 on the
     # minima; the traces, taken from the functional, 2.2e-12, where x[0] of
@@ -447,9 +475,43 @@ def test_orthogonality_multimode_and_errors():
 
 
 def test_graded_mesh_shape():
-    mesh = graded_mesh(40.0, 1000)
+    mesh = graded_mesh(40.0, 1000, 0.5)
+    assert mesh.size == 1000
     assert mesh[0] == 0.0
-    assert mesh[-1] == pytest.approx(40.0)
+    assert mesh[-1] == 40.0
     assert np.all(np.diff(mesh) > 0)
+    # y_k = y_max (k/(n-1))^{2/s}
+    assert mesh[1] == pytest.approx(40.0 * 999.0 ** -4, rel=1e-13)
+    # small orders drop the nodes whose h^2 would underflow
+    tiny = graded_mesh(40.0, 1000, 0.001)
+    assert 3 <= tiny.size < 1000
+    assert tiny[0] == 0.0 and tiny[-1] == 40.0
+    assert tiny[1] >= 1e-150 * 40.0
+    assert np.all(np.diff(tiny) > 0)
     with pytest.raises(ValueError):
-        graded_mesh(40.0, 4)
+        graded_mesh(40.0, 4, 0.5)
+
+
+_CONVERGENCE_NODES = (2000, 4000, 8000, 16000)
+
+
+@pytest.mark.parametrize("s", [0.05, 0.1, 0.3, 0.5, 0.75, 0.95])
+def test_minimize_profile_converges_like_n_squared(s):
+    # the order-graded mesh gives O(n^-2) at every order; the geometric
+    # mesh with a fixed first cell stalled everywhere but s = 0.5
+    target = 2.0 * FracParams.from_order(s).d_s
+    errs = []
+    for n in _CONVERGENCE_NODES:
+        val, _ = minimize_profile(s, 1.0, n_nodes=n)
+        assert val >= target  # Galerkin bound
+        errs.append((val - target) / target)
+    for coarse, fine in zip(errs, errs[1:]):
+        assert coarse >= 3.0 * fine
+
+
+@pytest.mark.parametrize("s", [1e-6, 2e-300, 5e-324])
+def test_minimize_profile_rejects_order_that_leaves_too_few_nodes(s):
+    # below about s = 3e-6 at 2000 nodes, every node but 0 and y_max lies
+    # under 1e-150 of the range; the "minimum" was 1.5e3 times too large
+    with pytest.raises(ValueError, match="mesh"):
+        minimize_profile(s, 1.0)
