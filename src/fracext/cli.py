@@ -33,7 +33,14 @@ import sys
 
 import numpy as np
 
-from .extension import curve_to_csv, curve_to_json, extend, extend_negative
+from .extension import (
+    _fmt,
+    _geometric_grid,
+    curve_to_csv,
+    curve_to_json,
+    extend,
+    extend_negative,
+)
 from .spectral import (
     _BUILDERS,
     ModalVector,
@@ -157,12 +164,7 @@ def _parse_grid(text):
         raise UsageError(
             f"bad grid spec {text!r}: need 0 < y_min < y_max finite and "
             f"n >= 3")
-    ratio = (hi / lo) ** (1.0 / (n - 1))
-    return lo * ratio ** np.arange(n)
-
-
-def _fmt(x):
-    return f"{float(x):.17g}"
+    return _geometric_grid(lo, hi, n)
 
 
 def _merged(args, key, default=None):

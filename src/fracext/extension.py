@@ -71,8 +71,8 @@ class CurveSamples:
 class ExtensionCurve(CurveSamples):
     """Sampled extension curve together with its order data and source."""
 
-    params: FracParams = None
-    source: ModalVector = None
+    params: FracParams
+    source: ModalVector
 
 
 def default_grid(spectrum: Spectrum, n: int = 160) -> np.ndarray:
@@ -90,6 +90,11 @@ def default_grid(spectrum: Spectrum, n: int = 160) -> np.ndarray:
     else:
         lo = 1e-4 / math.sqrt(lam[-1])
         hi = 40.0 / math.sqrt(lam[0])
+    return _geometric_grid(lo, hi, n)
+
+
+def _geometric_grid(lo, hi, n):
+    """n points from lo to hi in geometric progression."""
     ratio = (hi / lo) ** (1.0 / (n - 1))
     return lo * ratio ** np.arange(n)
 
@@ -171,7 +176,7 @@ def trace0(curve: CurveSamples) -> ModalVector:
             f"{curve.grid[0]:.3e} exceeds {reach:.3e}")
     if curve.grid.size < 3:
         raise ValueError("trace extrapolation needs at least three points")
-    if isinstance(curve, ExtensionCurve) and curve.params is not None:
+    if isinstance(curve, ExtensionCurve):
         s = curve.params.s
         if s < _TRACE0_MIN_ORDER:
             raise ValueError(
@@ -215,7 +220,7 @@ def conormal_trace(u: ModalVector, s: float) -> ModalVector:
     vals = amp[:, None] * psi(s_rem, root * ys)
     out = np.zeros(u.spectrum.size)
     out[mask] = power_fit_limit(ys, vals.T, exponents)
-    return ModalVector(out, u.spectrum, order=-s)
+    return ModalVector(out, u.spectrum)
 
 
 def derivative_curve(u: ModalVector, s: float, k: int, grid=None) -> CurveSamples:
@@ -250,7 +255,7 @@ def taylor_expand(u: ModalVector, s: float, k: int) -> list:
         raise ValueError(f"taylor_expand needs s > 1, got s={s}")
     if not 1 <= k <= params.floor_s:
         raise ValueError(f"expansion order k={k} outside 1..floor(s)")
-    terms = [ModalVector(u.coeffs.copy(), u.spectrum, u.order)]
+    terms = [ModalVector(u.coeffs.copy(), u.spectrum)]
     for m in range(1, k + 1):
         powered = apply_power(u, float(m))
         terms.append(ModalVector(_taylor_coeff(s, m) * powered.coeffs,
@@ -299,10 +304,10 @@ def _fmt(x):
     return f"{float(x):.17g}"
 
 
-def curve_to_csv(curve: CurveSamples, path=None) -> str:
+def curve_to_csv(curve: CurveSamples) -> str:
     """CSV dump: metadata comment, header y,mode_1..mode_J, one row per point."""
     buf = io.StringIO()
-    if isinstance(curve, ExtensionCurve) and curve.params is not None:
+    if isinstance(curve, ExtensionCurve):
         p = curve.params
         buf.write(f"# s={_fmt(p.s)}, b={_fmt(p.b)}, d_s={_fmt(p.d_s)}\n")
     cols = ",".join(f"mode_{j + 1}" for j in range(curve.spectrum.size))
@@ -310,17 +315,13 @@ def curve_to_csv(curve: CurveSamples, path=None) -> str:
     for i, y in enumerate(curve.grid):
         row = ",".join(_fmt(v) for v in curve.values[:, i])
         buf.write(f"{_fmt(y)},{row}\n")
-    text = buf.getvalue()
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text)
-    return text
+    return buf.getvalue()
 
 
-def curve_to_json(curve: CurveSamples, path=None) -> str:
+def curve_to_json(curve: CurveSamples) -> str:
     """JSON dump {"s":..,"b":..,"grid":[..],"values":[[..]]} (17 sig digits)."""
     parts = []
-    if isinstance(curve, ExtensionCurve) and curve.params is not None:
+    if isinstance(curve, ExtensionCurve):
         parts.append(f'"s": {_fmt(curve.params.s)}')
         parts.append(f'"b": {_fmt(curve.params.b)}')
     grid = ", ".join(_fmt(y) for y in curve.grid)
@@ -329,8 +330,4 @@ def curve_to_json(curve: CurveSamples, path=None) -> str:
         "[" + ", ".join(_fmt(v) for v in curve.values[j]) + "]"
         for j in range(curve.spectrum.size))
     parts.append(f'"values": [{rows}]')
-    text = "{" + ", ".join(parts) + "}"
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text)
-    return text
+    return "{" + ", ".join(parts) + "}"

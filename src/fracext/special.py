@@ -641,3 +641,14 @@ def seminorm_sq(s: float, alpha: float) -> float:
         - 2.0 * math.lgamma(s)
         + math.lgamma(alpha + 0.5) + math.lgamma(2.0 * s - alpha + 0.5)
     )
+
+
+def _psi_l2_sq(s: float, b: float) -> float:
+    """int_0^inf y^b psi_s(y)^2 dy, b > -1, in closed form: the Mellin
+    transform of K_s^2 (Gradshteyn & Ryzhik 6.576.4 at a = b), 2^b
+    Gamma(h) Gamma(h+s)^2 Gamma(h+2s) / (Gamma(s)^2 Gamma(2h+2s)), h = (1+b)/2.
+    """
+    h = 0.5 * (1.0 + b)
+    return math.exp(b * _LN2 + math.lgamma(h) + 2.0 * math.lgamma(h + s)
+                    + math.lgamma(h + 2.0 * s) - 2.0 * math.lgamma(s)
+                    - math.lgamma(2.0 * h + 2.0 * s))

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,13 +45,12 @@ __all__ = [
 class Spectrum:
     """Nondecreasing eigenvalues of a nonnegative operator.
 
-    ``kernel_dim`` counts the leading zero eigenvalues (0 for positive
-    definite operators); ``label`` records which builder produced it.
+    ``kernel_dim``, derived from them, counts the leading zero eigenvalues
+    (0 for positive definite operators).
     """
 
     eigenvalues: np.ndarray
-    kernel_dim: int = 0
-    label: str = ""
+    kernel_dim: int = field(init=False)
 
     def __post_init__(self):
         vals = np.asarray(self.eigenvalues, dtype=float)
@@ -64,11 +63,9 @@ class Spectrum:
             raise ValueError("eigenvalues must be nondecreasing")
         if vals[0] < 0:
             raise ValueError("eigenvalues must be nonnegative")
-        kd = int(np.count_nonzero(vals == 0.0))
-        if kd != self.kernel_dim:
-            object.__setattr__(self, "kernel_dim", kd)
-        if self.kernel_dim < vals.size and vals[self.kernel_dim] <= 0:
-            raise ValueError("eigenvalues beyond the kernel must be positive")
+        # nondecreasing and nonnegative: the zeros lead, the rest is positive
+        object.__setattr__(self, "kernel_dim",
+                           int(np.count_nonzero(vals == 0.0)))
 
     @property
     def size(self):
@@ -90,7 +87,6 @@ class ModalVector:
 
     coeffs: np.ndarray
     spectrum: Spectrum
-    order: float = 0.0  # bookkeeping tag: the space H^order the vector lives in
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=float)
@@ -140,8 +136,7 @@ def dirichlet_laplacian_1d(length: float, modes: int) -> Spectrum:
     if modes < 1 or modes != int(modes):
         raise ValueError(f"need a whole number of modes >= 1, got {modes}")
     j = np.arange(1, modes + 1)
-    return Spectrum((j * math.pi / length) ** 2, 0,
-                    label=f"dirichlet_laplacian_1d(L={length}, J={modes})")
+    return Spectrum((j * math.pi / length) ** 2)
 
 
 def neumann_laplacian_1d(length: float, modes: int) -> Spectrum:
@@ -151,14 +146,13 @@ def neumann_laplacian_1d(length: float, modes: int) -> Spectrum:
     if modes < 1 or modes != int(modes):
         raise ValueError(f"need a whole number of modes >= 1, got {modes}")
     j = np.arange(0, modes)
-    return Spectrum((j * math.pi / length) ** 2, 1,
-                    label=f"neumann_laplacian_1d(L={length}, J={modes})")
+    return Spectrum((j * math.pi / length) ** 2)
 
 
-def explicit_spectrum(values, label: str = "explicit_eigenvalues") -> Spectrum:
+def explicit_spectrum(values) -> Spectrum:
     """Spectrum of nondecreasing eigenvalues; unsorted input is rejected,
     as sorting would detach them from the coefficients paired with them."""
-    return Spectrum(values, label=label)
+    return Spectrum(values)
 
 
 def tridiag_eigh(diag, off):
@@ -181,8 +175,7 @@ def tridiagonal_spectrum(diag, off):
     if w[0] < -1e-12 * max(1.0, abs(w[-1])):
         raise ValueError("tridiagonal operator is not nonnegative")
     w = np.maximum(w, 0.0)
-    spec = Spectrum(w, label=f"tridiagonal(n={len(w)})")
-    return spec, EigenBasis(v)
+    return Spectrum(w), EigenBasis(v)
 
 
 # descriptor kind -> (fields, builder of a Spectrum or (Spectrum, EigenBasis))
@@ -304,14 +297,14 @@ def apply_power(u: ModalVector, t: float) -> ModalVector:
     rejected (if populated) for t < 0.
     """
     if t == 0.0:
-        return ModalVector(u.coeffs.copy(), u.spectrum, u.order)
+        return ModalVector(u.coeffs.copy(), u.spectrum)
     _check_kernel_use(u, t, "apply_power")
     # a zero coefficient stays 0 even where lambda^t overflows
     mask = _active_modes(u)
     out = np.zeros_like(u.coeffs)
     out[mask] = _scaled_power(u.spectrum.eigenvalues[mask], t, u.coeffs[mask])
     _require_finite(f"L^{t} u", out)
-    return ModalVector(out, u.spectrum, u.order - 2.0 * t)
+    return ModalVector(out, u.spectrum)
 
 
 def kernel_split(u: ModalVector):
@@ -320,8 +313,7 @@ def kernel_split(u: ModalVector):
     pi_u = np.zeros_like(u.coeffs)
     pi_u[:kd] = u.coeffs[:kd]
     perp = u.coeffs - pi_u
-    return (ModalVector(pi_u, u.spectrum, u.order),
-            ModalVector(perp, u.spectrum, u.order))
+    return ModalVector(pi_u, u.spectrum), ModalVector(perp, u.spectrum)
 
 
 def duality_pairing(zeta: ModalVector, v: ModalVector) -> float:

@@ -22,6 +22,7 @@ from .extension import (
     extend,
     ode_residual,
     taylor_expand,
+    trace0,
 )
 from .special import (
     psi,
@@ -37,7 +38,12 @@ from .spectral import (
     explicit_spectrum,
     sobolev_norm,
 )
-from .variational import minimize_curve, minimize_negative, minimize_profile
+from .variational import (
+    minimize_curve,
+    minimize_negative,
+    minimize_profile,
+    orthogonality_check,
+)
 from .weighted import (
     CheckReport,
     CompactBump,
@@ -75,16 +81,6 @@ class RunConfig:
     lam_values: tuple = ()
     tol: float | None = None
 
-    def pick_s(self, default):
-        if not self.s_values:
-            return tuple(default)
-        return tuple(self.s_values)
-
-    def pick_lam(self, default):
-        if not self.lam_values:
-            return tuple(default)
-        return tuple(self.lam_values)
-
     def tolerance(self, default):
         return default if self.tol is None else self.tol
 
@@ -113,8 +109,8 @@ def _two_mode(u=(1.0, 1.0)):
 def check_energy(cfg: RunConfig):
     tol = cfg.tolerance(1e-6)
     out = []
-    for s in cfg.pick_s(_S_MATRIX):
-        for lam in cfg.pick_lam(_LAM_MATRIX):
+    for s in cfg.s_values or _S_MATRIX:
+        for lam in cfg.lam_values or _LAM_MATRIX:
             out.append(energy_identity(s, lam, tol=tol))
     return out
 
@@ -122,7 +118,7 @@ def check_energy(cfg: RunConfig):
 def check_virial(cfg: RunConfig):
     tol = cfg.tolerance(1e-6)
     out = []
-    for s in cfg.pick_s((0.5, 2.5)):
+    for s in cfg.s_values or (0.5, 2.5):
         if math.floor(s) % 2 != 0:
             continue
         out.extend(virial_check(s, tol=tol))
@@ -134,7 +130,7 @@ def check_dtn(cfg: RunConfig):
     tol = cfg.tolerance(1e-4)
     u = _two_mode()
     out = []
-    for s in cfg.pick_s((0.3, 0.5, 1.5, 2.5)):
+    for s in cfg.s_values or (0.3, 0.5, 1.5, 2.5):
         got = conormal_trace(u, s)
         want = apply_power(u, s)
         d = trace_constant(s)
@@ -170,13 +166,13 @@ def check_ode(cfg: RunConfig):
     ys = np.array([0.2, 0.5, 1.0, 2.0, 5.0])
     # the machine-zero assertion applies only to the elementary half-integer
     # profiles, whatever restriction was requested
-    for s in (s for s in cfg.pick_s((0.5, 1.5)) if s in (0.5, 1.5)):
+    for s in (s for s in (cfg.s_values or (0.5, 1.5)) if s in (0.5, 1.5)):
         worst = float(np.max(ode_residual(one_mode, s, ys)))
         out.append(report_equal(f"ode_residual_closed_form(s={s})",
                                 worst, 0.0, 0.0, abs_tol=1e-12))
     u = _two_mode()
     bound = 1e-4 * sobolev_norm(u, 0.0)
-    for s in cfg.pick_s((0.3, 2.5, 3.7)):
+    for s in cfg.s_values or (0.3, 2.5, 3.7):
         worst = float(np.max(ode_residual(u, s, np.geomspace(0.2, 5.0, 9))))
         out.append(report_equal(f"ode_residual(s={s})", worst, 0.0, 0.0,
                                 abs_tol=cfg.tolerance(bound)))
@@ -268,8 +264,7 @@ def check_orthogonality(cfg: RunConfig):
     tol = cfg.tolerance(1e-5)
     out = []
     one = ModalVector(np.array([1.0]), explicit_spectrum([1.0]))
-    from .variational import orthogonality_check
-    for s in cfg.pick_s((0.5, 1.5)):
+    for s in cfg.s_values or (0.5, 1.5):
         out.append(orthogonality_check(one, s, one, GaussianBump(), tol=tol))
         zero_trace = orthogonality_check(one, s, one, QuadraticBump(),
                                          tol=tol)
@@ -289,7 +284,7 @@ def check_nonexpansive(cfg: RunConfig):
     spec = dirichlet_laplacian_1d(math.pi, 16)
     grid = default_grid(spec, 120)
     out = []
-    for s in cfg.pick_s((0.5, 1.5)):
+    for s in cfg.s_values or (0.5, 1.5):
         psi_mat = psi(s, np.sqrt(spec.eigenvalues)[:, None] * grid)
         excess = -math.inf
         for u in _random_vectors(spec, _SEED, 10):
@@ -311,7 +306,7 @@ def check_commute(cfg: RunConfig):
     grid = default_grid(spec, 80)
     sigma = 0.7
     out = []
-    for s in cfg.pick_s((0.5, 1.5)):
+    for s in cfg.s_values or (0.5, 1.5):
         worst = 0.0
         for u in _random_vectors(spec, _SEED + 1, 10):
             left = extend(apply_power(u, sigma), s, grid).values
@@ -341,7 +336,7 @@ def check_isometry(cfg: RunConfig):
     spec = explicit_spectrum([1.0, 4.0, 9.0])
     u = ModalVector(np.ones(3), spec)
     out = []
-    for s in cfg.pick_s((0.5, 1.5)):
+    for s in cfg.s_values or (0.5, 1.5):
         curve = extend(u, s)
         lhs = curve_energy(curve)
         rhs = 2.0 * trace_constant(s) * sobolev_norm(u, s) ** 2
@@ -351,12 +346,11 @@ def check_isometry(cfg: RunConfig):
 
 def check_trace0(cfg: RunConfig):
     """Dirichlet trace of the curve returns the data."""
-    from .extension import trace0
     tol = cfg.tolerance(1e-8)
     spec = explicit_spectrum([1.0, 4.0, 9.0])
     u = ModalVector(np.array([1.0, -0.5, 0.25]), spec)
     out = []
-    for s in cfg.pick_s((0.3, 0.5, 1.5, 2.5)):
+    for s in cfg.s_values or (0.3, 0.5, 1.5, 2.5):
         got = trace0(extend(u, s))
         worst = float(np.max(np.abs(got.coeffs - u.coeffs))
                       / np.max(np.abs(u.coeffs)))

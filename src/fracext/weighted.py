@@ -45,6 +45,7 @@ from .special import (
     FracParams,
     _apply_operator_power,
     _m_b,
+    _psi_l2_sq,
     _Term,
     _term_derivative,
     psi,
@@ -206,14 +207,14 @@ def report_equal(name, lhs, rhs, tol=1e-6, abs_tol=1e-12, note=""):
     return CheckReport(name, lhs, rhs, rel, float(tol), rel <= tol, note)
 
 
-def report_lower_bound(name, lhs, rhs, tol=1e-9, note=""):
+def report_lower_bound(name, lhs, rhs, tol=1e-9):
     """One-sided check lhs >= rhs, with tol of slack relative to |rhs|."""
     lhs = float(lhs)
     rhs = float(rhs)
     scale = max(abs(rhs), 1e-30)
     violation = max(0.0, (rhs - lhs) / scale)
     return CheckReport(name, lhs, rhs, violation, float(tol),
-                       violation <= tol, note)
+                       violation <= tol)
 
 
 # ---------------------------------------------------------------------------
@@ -303,11 +304,18 @@ class CompactBump:
         return out
 
 
+def _profile_tail(order):
+    """Upper limit of the lam = 1 profile integrals: at large order psi
+    has not decayed by _TAIL_SCALE (0.08 there at order 199.75), by 4 order
+    it has."""
+    return max(_TAIL_SCALE, 4.0 * order)
+
+
 @lru_cache(maxsize=128)
 def _profile_l2_sq(order, beta):
     """int_0^inf z^beta psi_order(z)^2 dz, the lam = 1 integral."""
     return power_weighted_integral(lambda z: psi(order, z) ** 2, beta,
-                                   _TAIL_SCALE)
+                                   _profile_tail(order))
 
 
 def _term_l2b_sq(term, lam, b):
@@ -382,7 +390,7 @@ def energy_identity(s: float, lam: float, tol: float = 1e-6) -> CheckReport:
     rhs = 2.0 * params.d_s * lam ** s
     return report_equal(f"energy_identity(s={s}, lam={lam})", lhs, rhs, tol,
                         note=f"tail truncated at y_max="
-                             f"{_TAIL_SCALE / math.sqrt(lam):.3g}, "
+                             f"{_profile_tail(s) / math.sqrt(lam):.3g}, "
                              f"{_DEFAULT_NODES} nodes")
 
 
@@ -507,7 +515,7 @@ def fourier_isometry(u: ModalVector, s: float, sigma: float = 0.0,
     * ``b``: the weighted L^2 norm of the curve, measured in the fiber of
       order sigma + (1+b)/2, equals |psi_s|_{L^{2;b}(R)} |u|_{H^sigma}
       (lhs sums the rescaled lam = 1 quadrature over the modes, rhs takes
-      it once: the two agree by scaling);
+      the closed form of |psi_s|^2_{L^{2;b}});
     * ``alpha``: the order-(alpha+1/2) Sobolev seminorm of the curve equals
       the closed Gamma form times |u|^2_{H^sigma} (rhs by xi-quadrature of
       the transform profile), for alpha in (-1/2, 2s).
@@ -525,11 +533,10 @@ def fourier_isometry(u: ModalVector, s: float, sigma: float = 0.0,
             raise ValueError("b must lie in (-1, 1)")
         mask = _active_modes(u)
         lam = u.spectrum.eigenvalues[mask]
-        profile = _Term(1.0, 0.0, s)
-        parts = _term_l2b_sq(profile, lam, b)
+        parts = _term_l2b_sq(_Term(1.0, 0.0, s), lam, b)
         lhs = float(lam ** (sigma + 0.5 * (1.0 + b)) * u.coeffs[mask] ** 2
                     @ parts)
-        rhs = _term_l2b_sq(profile, 1.0, b) * norm_sq
+        rhs = 2.0 * _psi_l2_sq(s, b) * norm_sq
         return report_equal(
             f"fourier_weighted_l2(s={s}, b={b}, sigma={sigma})", lhs, rhs, tol)
 

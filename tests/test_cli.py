@@ -295,7 +295,9 @@ def test_minimize_tiny_order_exits_cleanly(capsys, s):
 
 def test_minimize_order_that_leaves_too_few_mesh_nodes(capsys):
     # the order-graded mesh keeps only 0 and y_max at s = 1e-6; the
-    # geometric mesh reported a minimum 1.5e3 times the closed form
+    # geometric mesh reported a minimum 1.5e3 times the closed form.  The
+    # user gave no mesh, so the message names the order, the nodes kept
+    # and the node floor that emptied it
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run_cli(capsys, "minimize", "--op", "explicit:1",
@@ -303,6 +305,7 @@ def test_minimize_order_that_leaves_too_few_mesh_nodes(capsys):
     assert code == 3
     assert out == ""
     assert err.startswith("domain error") and "mesh" in err
+    assert "s=1e-06" in err and "2 of 2000 nodes" in err and "1e-150" in err
 
 
 def test_order_above_the_profile_ceiling_fails_fast(capsys):

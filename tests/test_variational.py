@@ -228,23 +228,6 @@ def test_minimize_profile_rejects_large_order():
         minimize_profile(1.5, 1.0)
 
 
-@pytest.mark.parametrize("mesh", [
-    # reversed: the "minimum" came out -2.39
-    graded_mesh(40.0, 200, 0.5)[::-1],
-    np.array([0.0, 1.0]),  # no interior node: IndexError
-    graded_mesh(40.0, 200, 0.5) + 1.0,  # trace silently imposed at y = 1
-], ids=["reversed", "two_nodes", "shifted"])
-def test_minimize_profile_rejects_invalid_mesh(mesh):
-    with pytest.raises(ValueError, match="mesh"):
-        minimize_profile(0.5, 1.0, mesh=mesh)
-
-
-def test_minimize_profile_smallest_valid_mesh():
-    # one interior node: the hat-like P1 function on [0, 1, 2]
-    val, prof = minimize_profile(0.5, 1.0, mesh=[0.0, 1.0, 2.0])
-    assert val > 2.0 and prof(0.0) == 1.0 and prof(2.0) == 0.0
-
-
 def test_zero_trace_constraint_gives_zero_minimum():
     # with f(0) = 0 imposed as well, the quadratic form minimum is 0 at f = 0
     mesh = graded_mesh(40.0, 200, 0.5)

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -345,6 +346,13 @@ def test_energy_identity_matrix(s, lam):
     assert energy_identity(s, lam).passed
 
 
+@pytest.mark.parametrize("lam", [1.0, 4.0])
+def test_energy_identity_at_large_order(lam):
+    # psi at order 199.75 is still 0.08 at y = 45, so the lam = 1 integrals
+    # must reach past it; a cut at 45 gives 1.5e-3 at s = 400.5
+    assert energy_identity(400.5, lam).rel_err <= 1e-12
+
+
 def test_energy_identity_hand_values():
     r1 = energy_identity(0.5, 1.0)
     assert r1.lhs == pytest.approx(2.0, rel=1e-8)
@@ -438,6 +446,23 @@ def test_fourier_isometry_weighted_and_seminorm():
         fourier_isometry(u, 0.5, sigma=0.0)
     with pytest.raises(ValueError):
         fourier_isometry(u, 0.5, sigma=0.0, alpha=1.2)  # alpha >= 2s
+
+
+@pytest.mark.parametrize("s, b", [(0.25, -0.5), (1.5, 0.6)])
+def test_fourier_weighted_l2_rhs_is_the_closed_form(s, b):
+    # rhs = |psi_s|^2_{L^{2;b}(R)} |u|^2_{H^0}, the weighted integral here by
+    # mpmath at 30 digits; it must not be the lam = 1 quadrature of the lhs,
+    # which is 8.9e-8 low at (0.25, -0.5)
+    with mpmath.workdps(30):
+        s_mp, b_mp = mpmath.mpf(s), mpmath.mpf(b)
+        half_line = mpmath.quad(
+            lambda y: y ** b_mp * (2 ** (1 - s_mp) / mpmath.gamma(s_mp)
+                                   * y ** s_mp * mpmath.besselk(s_mp, y)) ** 2,
+            [0, 1, mpmath.inf])
+    u = ModalVector(np.array([1.0, 1.0]), explicit_spectrum([1.0, 4.0]))
+    rep = fourier_isometry(u, s, sigma=0.0, b=b)
+    assert rep.passed
+    assert rep.rhs == pytest.approx(4.0 * float(half_line), rel=1e-14)
 
 
 def test_curve_sobolev_values_at_matched_orders():
