@@ -14,6 +14,8 @@ Operator descriptors accept three spellings: a shorthand
 object like ``{"kind":"dirichlet_laplacian_1d","length":3.14,"modes":64}``,
 or a path to a JSON file with the same content.  A ``--config FILE`` may
 hold any of the long options as JSON keys; explicit flags win.
+``verify --s x`` runs each check at x if its identity is defined there, and
+``fourier`` at no requested order.
 
 Exit codes: 0 all good, 1 at least one verification check failed (a check
 that raises, or whose report holds a NaN or infinity, prints a record with
@@ -86,6 +88,11 @@ def _finite_json(token):
     return _parse_number(token, "number in operator descriptor")
 
 
+_SHORTHAND = {"dirichlet": "dirichlet_laplacian_1d",
+              "neumann": "neumann_laplacian_1d",
+              "explicit": "explicit_eigenvalues"}
+
+
 def _parse_operator(text):
     """Operator from shorthand, inline JSON, or a JSON file path.
 
@@ -104,20 +111,16 @@ def _parse_operator(text):
                 desc = json.load(fh, parse_float=_finite_json,
                                  parse_constant=_finite_json)
         else:
-            parts = text.split(":")
-            kind = parts[0].lower()
-            if kind in ("dirichlet", "dirichlet_laplacian_1d"):
-                desc = {"kind": "dirichlet_laplacian_1d",
-                        "length": _parse_number(parts[1], "length"),
-                        "modes": _parse_count(parts[2], "mode count")}
-            elif kind in ("neumann", "neumann_laplacian_1d"):
-                desc = {"kind": "neumann_laplacian_1d",
-                        "length": _parse_number(parts[1], "length"),
-                        "modes": _parse_count(parts[2], "mode count")}
-            elif kind in ("explicit", "explicit_eigenvalues"):
-                desc = {"kind": "explicit_eigenvalues",
+            name, *fields = text.split(":")
+            kind = _SHORTHAND.get(name.lower(), name.lower())
+            if kind.endswith("_laplacian_1d") and len(fields) == 2:
+                desc = {"kind": kind,
+                        "length": _parse_number(fields[0], "length"),
+                        "modes": _parse_count(fields[1], "mode count")}
+            elif kind == "explicit_eigenvalues" and len(fields) == 1:
+                desc = {"kind": kind,
                         "values": [_parse_number(v, "eigenvalue")
-                                   for v in parts[1].split(",")]}
+                                   for v in fields[0].split(",")]}
             else:
                 raise UsageError(
                     f"cannot parse operator {text!r}: expected "
@@ -126,7 +129,7 @@ def _parse_operator(text):
         kind = desc.pop("kind")
     except UsageError:
         raise
-    except (json.JSONDecodeError, IndexError, KeyError) as err:
+    except (json.JSONDecodeError, KeyError) as err:
         raise UsageError(f"bad operator descriptor {text!r}: {err}") from err
     if kind not in _BUILDERS:
         raise UsageError(f"unknown operator kind {kind!r}")

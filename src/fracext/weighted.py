@@ -52,7 +52,13 @@ from .special import (
     psi_fourier,
     seminorm_sq,
 )
-from .spectral import ModalVector, _active_modes, sobolev_norm, tridiag_eigh
+from .spectral import (
+    ModalVector,
+    _active_modes,
+    _require_finite,
+    sobolev_norm,
+    tridiag_eigh,
+)
 
 __all__ = [
     "CheckReport",
@@ -323,7 +329,8 @@ def _term_l2b_sq(term, lam, b):
     eigenvalue lam or an array of them: z = sqrt(lam) y turns it into the
     lam = 1 integral times lam^{-(beta+1)/2}, beta = b + 2 expo."""
     beta = b + 2.0 * term.expo
-    return (2.0 * term.coef ** 2 * lam ** (-0.5 * (beta + 1.0))
+    # coef * coef, not coef ** 2: a float power raises OverflowError
+    return (2.0 * term.coef * term.coef * lam ** (-0.5 * (beta + 1.0))
             * _profile_l2_sq(term.order, beta))
 
 
@@ -386,9 +393,13 @@ def curve_energy(curve, k: int | None = None,
 def energy_identity(s: float, lam: float, tol: float = 1e-6) -> CheckReport:
     """Quadrature energy of psi_{s,lam} against the closed form 2 d_s lam^s."""
     params = FracParams.from_order(s)
-    lhs = mode_energy(PsiProfile(s), lam, params.ceil_s, params.b)
-    rhs = 2.0 * params.d_s * lam ** s
-    return report_equal(f"energy_identity(s={s}, lam={lam})", lhs, rhs, tol,
+    name = f"energy_identity(s={s}, lam={lam})"
+    # a numpy scalar power overflows to inf where a float power raises
+    with np.errstate(over="ignore"):
+        lhs = mode_energy(PsiProfile(s), lam, params.ceil_s, params.b)
+        rhs = 2.0 * params.d_s * np.float64(lam) ** s
+    _require_finite(name, lhs, rhs)
+    return report_equal(name, lhs, rhs, tol,
                         note=f"tail truncated at y_max="
                              f"{_profile_tail(s) / math.sqrt(lam):.3g}, "
                              f"{_DEFAULT_NODES} nodes")

@@ -212,6 +212,47 @@ def test_verify_selection_without_reports_is_usage_error(capsys):
     assert "no check" in err
 
 
+def test_verify_fourier_at_a_requested_order_is_usage_error(capsys):
+    # its fixed (s, xi) pairs span two orders, so it runs at no requested one
+    code, out, err = run_cli(capsys, "verify", "--checks", "fourier",
+                             "--s", "0.5")
+    assert code == 2
+    assert out == ""
+    assert "no check" in err
+
+
+def test_verify_order_above_two_runs_only_checks_defined_there(capsys):
+    # orthogonality stops at ceil(s) = 2; it used to raise here and exit 1
+    code, out, _ = run_cli(capsys, "verify", "--s", "3.5")
+    assert code == 0
+    names = [json.loads(t)["name"] for t in out.strip().split("\n")[:-1]]
+    assert all("s=3.5" in n for n in names)
+    assert not any(n.startswith("orthogonality") for n in names)
+
+
+def test_verify_minimize_at_the_requested_order(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--checks", "minimize",
+                           "--s", "0.05")
+    assert code == 0
+    lines = out.strip().split("\n")
+    assert [json.loads(t)["name"] for t in lines[:-1]] == [
+        "minimize_curve(s=0.05)", "minimize_refinement_ratio(s=0.05)",
+        "minimize_negative(s=0.05)", "minimize_negative_trace(s=0.05)"]
+    assert lines[-1] == "# 4/4 checks passed"
+
+
+def test_verify_overflowing_energies_say_so(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--checks", "energy,isometry",
+                           "--s", "400.5")
+    assert code == 1
+    errors = [json.loads(t)["error"] for t in out.strip().split("\n")[:-1]]
+    assert errors == [
+        "ValueError: energy_identity(s=400.5, lam=10.0) overflows: the "
+        "result must be finite",
+        "ValueError: curve_isometry(s=400.5) overflows: the result must be "
+        "finite"]
+
+
 def test_verify_overtight_tolerance_fails_with_exit_1(capsys):
     code, out, _ = run_cli(capsys, "verify", "--checks", "energy",
                            "--s", "2.5", "--lambda", "4", "--tol", "1e-16")
@@ -459,6 +500,40 @@ def test_operator_inline_json(capsys):
     assert code == 0
     np.testing.assert_allclose(json.loads(out.strip().split("\n")[0]),
                                [1.0, 2.0])
+
+
+def test_operator_descriptor_file_matches_inline_json(tmp_path, capsys):
+    op = '{"kind":"dirichlet_laplacian_1d","length":3.0,"modes":3}'
+    path = tmp_path / "op.json"
+    path.write_text(op)
+    argv = ("--u", "1,0,1", "--s", "0.5")
+    code, inline, _ = run_cli(capsys, "apply", "--op", op, *argv)
+    assert code == 0
+    code, from_file, _ = run_cli(capsys, "apply", "--op", str(path), *argv)
+    assert code == 0
+    assert from_file == inline
+
+
+def test_operator_descriptor_file_with_nan_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "op.json"
+    path.write_text('{"kind":"explicit_eigenvalues","values":[1,NaN]}')
+    code, out, err = run_cli(capsys, "apply", "--op", str(path),
+                             "--u", "1,1", "--s", "0.5")
+    assert code == 2
+    assert out == ""
+    assert "must be finite" in err
+
+
+@pytest.mark.parametrize("op", ["dirichlet:pi:3:9", "dirichlet:pi"],
+                         ids=["extra-field", "missing-field"])
+def test_operator_shorthand_field_count_is_usage_error(capsys, op):
+    # an extra field used to be dropped silently, a missing one to fail
+    # with "list index out of range"
+    code, out, err = run_cli(capsys, "apply", "--op", op, "--u", "1,1,1",
+                             "--s", "0.5")
+    assert code == 2
+    assert out == ""
+    assert "dirichlet:L:J" in err
 
 
 def test_apply_unsorted_explicit_spectrum_is_domain_error(capsys):

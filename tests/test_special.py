@@ -98,6 +98,17 @@ def test_bessel_k_domain_and_overflow():
         bessel_k(60.0, 1e-6)
 
 
+@pytest.mark.parametrize("nu", [0.3, 50.5, 400.5])
+def test_bessel_k_zero_beyond_the_cutoff(nu):
+    # past x = 2 nu + 2000 the bound sqrt(2 pi / x) e^{-x + nu^2 / 2x}
+    # on K_nu(x) rounds to 0, so the cut-off loses nothing
+    x = 2.0 * nu + 2000.0
+    assert bessel_k(nu, math.nextafter(x, math.inf)) == 0.0
+    assert math.sqrt(2.0 * math.pi / x) * math.exp(
+        -x + nu * nu / (2.0 * x)) == 0.0
+    assert 0.0 <= bessel_k(nu, x) <= 1e-300
+
+
 # ---------------------------------------------------------------------------
 # the profile
 
@@ -541,3 +552,9 @@ def test_taylor_remainder_series_route():
         assert psi_taylor_remainder(s, y, 0) == pytest.approx(lead, rel=5e-3)
     with pytest.raises(ValueError):
         psi_taylor_remainder(2.5, 0.1, 3)
+
+
+@pytest.mark.parametrize("s,k", [(0.3, 0), (1.5, 1), (2.5, 2), (3.7, 0)])
+def test_taylor_remainder_vanishes_at_the_origin(s, k):
+    # psi_s(0) = 1 is the constant Taylor term: nothing remains at y = 0
+    assert psi_taylor_remainder(s, 0.0, k) == 0.0

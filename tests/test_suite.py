@@ -1,0 +1,85 @@
+"""Tests for the order rule of the verification suite: every check runs at
+its default orders, or at the requested orders inside its domain."""
+
+import pytest
+
+from fracext.suite import CheckFailure, RunConfig, run_checks
+from fracext.weighted import CheckReport
+
+
+def _restricted(x, names=None):
+    return run_checks(names, RunConfig(s_values=(x,)))
+
+
+def _at_order(report, x):
+    # trace_ineq names its reports by the matched weight b = 1 - 2s
+    return f"s={x}" in report.name or f"b={1 - 2 * x}" in report.name
+
+
+@pytest.mark.parametrize("x", [0.05, 0.3, 0.75, 1.25, 2.5, 3.5])
+def test_restricted_run_reports_only_at_the_requested_order(x):
+    reports = _restricted(x)
+    assert reports
+    assert not [r for r in reports if isinstance(r, CheckFailure)]
+    assert [r.name for r in reports if not _at_order(r, x)] == []
+
+
+@pytest.mark.parametrize("name,x", [
+    ("fourier", 0.5),
+    ("virial", 1.5),
+    ("orthogonality", 2.5),
+    ("minimize", 1.5),
+    ("trace_ineq", 1.25),
+    ("holder_slope", 0.75),
+    ("taylor", 0.5),
+])
+def test_check_outside_its_domain_runs_nothing(name, x):
+    assert _restricted(x, [name]) == []
+
+
+@pytest.mark.parametrize("name,x,count", [
+    ("virial", 0.3, 2),
+    ("orthogonality", 1.25, 2),
+    ("minimize", 0.05, 4),
+    ("trace_ineq", 0.05, 2),
+    ("holder_slope", 0.45, 1),
+    ("taylor", 1.25, 1),
+    ("taylor", 3.5, 1),
+    ("parts", 0.05, 1),
+])
+def test_check_inside_its_domain_runs_at_that_order(name, x, count):
+    reports = _restricted(x, [name])
+    assert len(reports) == count
+    assert all(isinstance(r, CheckReport) and r.passed and _at_order(r, x)
+               for r in reports)
+
+
+def test_minimize_rounding_level_gap_is_a_failed_ratio():
+    # close to s = 1 the minimum is about 1e10 and the FE gaps are rounding,
+    # one of them exactly 0: the ratio fails, the other reports stand
+    x = 0.9999999999
+    reports = _restricted(x, ["minimize"])
+    assert [r.name for r in reports] == [
+        f"minimize_curve(s={x})", f"minimize_refinement_ratio(s={x})",
+        f"minimize_negative(s={x})", f"minimize_negative_trace(s={x})"]
+    assert all(isinstance(r, CheckReport) for r in reports)
+    assert reports[1].passed is False
+    assert reports[1].lhs < reports[1].rhs
+
+
+def test_energy_overflow_names_the_quantity_and_order():
+    energy, isometry = _restricted(400.5, ["energy", "isometry"])
+    assert energy.error == ("ValueError: energy_identity(s=400.5, lam=10.0) "
+                            "overflows: the result must be finite")
+    assert isometry.error == ("ValueError: curve_isometry(s=400.5) "
+                              "overflows: the result must be finite")
+
+
+@pytest.mark.parametrize("name,x,limit", [
+    ("dtn", 0.9999999999, "below 1e-9"),
+    ("trace0", 1e-7, "below the floor 1e-06"),
+])
+def test_library_refusal_is_a_failed_record_naming_its_limit(name, x, limit):
+    (record,) = _restricted(x, [name])
+    assert isinstance(record, CheckFailure)
+    assert record.name == name and limit in record.error
