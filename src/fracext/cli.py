@@ -157,6 +157,11 @@ def _parse_order(text):
     return _parse_number(text, "order")
 
 
+def _parse_tol(args):
+    tol = _merged(args, "tol")
+    return None if tol is None else _parse_number(tol, "tolerance")
+
+
 def _parse_grid(text):
     try:
         lo, hi, n = str(text).split(":")
@@ -224,16 +229,13 @@ def _cmd_verify(args):
     checks = _merged(args, "checks")
     if isinstance(checks, str):
         checks = [c.strip() for c in checks.split(",") if c.strip()]
-    cfg = RunConfig()
+    cfg = RunConfig(tol=_parse_tol(args))
     s_val = _merged(args, "s")
     if s_val is not None:
         cfg.s_values = (_parse_order(s_val),)
     lam = _merged(args, "lam")
     if lam is not None:
         cfg.lam_values = (_parse_number(lam, "eigenvalue"),)
-    tol = _merged(args, "tol")
-    if tol is not None:
-        cfg.tol = _parse_number(tol, "tolerance")
     try:
         reports = run_checks(checks, cfg)
     except ValueError as err:
@@ -268,14 +270,13 @@ def _cmd_minimize(args):
     u = _parse_vector(_merged(args, "u"), spectrum)
     s = _parse_order(_merged(args, "s"))
     nodes = _parse_count(_merged(args, "nodes", 2000), "node count")
-    tol = _parse_number(_merged(args, "tol", 1e-3), "tolerance")
+    tol = _parse_tol(args)
     if _merged(args, "negative_order", False):
-        report, trace = minimize_negative(u, s, n_nodes=nodes, tol=tol)
-        lines = [report.to_json(),
-                 "[" + ", ".join(_fmt(c) for c in trace.coeffs) + "]"]
+        report, trace = minimize_negative(u, s, n_nodes=nodes)
+        lines = ["[" + ", ".join(_fmt(c) for c in trace.coeffs) + "]"]
     else:
-        report = minimize_curve(u, s, n_nodes=nodes, tol=tol)
-        lines = [report.to_json()]
+        report = minimize_curve(u, s, n_nodes=nodes)
+        lines = []
         dump = _merged(args, "dump_profile")
         if dump:
             from .special import psi_lambda
@@ -288,7 +289,9 @@ def _cmd_minimize(args):
                 for y, v in zip(prof.grid, prof.values):
                     fh.write(f"{_fmt(y)},{_fmt(v)},"
                              f"{_fmt(psi_lambda(s, lam, y))}\n")
-    _write("\n".join(lines) + "\n", _merged(args, "out"))
+    if tol is not None:
+        report = report.at(tol)
+    _write("\n".join([report.to_json()] + lines) + "\n", _merged(args, "out"))
     return 0 if report.passed else 1
 
 

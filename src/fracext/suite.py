@@ -78,18 +78,12 @@ class RunConfig:
 
     ``s_values`` replaces the default orders of every check, inside its
     domain; ``lam_values`` replaces the eigenvalues of ``energy``.  ``tol``
-    overrides every tolerance but nine fixed bounds: those of
-    taylor_remainder_decreasing (0), ode_residual_closed_form (1e-12),
-    trace_inequality_random and minimize_refinement_ratio (1e-9 of slack)
-    and orthogonality(...)[V(0)=0] (1e-8).
+    re-decides every finished report at that bound (``CheckReport.at``).
     """
 
     s_values: tuple = ()
     lam_values: tuple = ()
     tol: float | None = None
-
-    def tolerance(self, default):
-        return default if self.tol is None else self.tol
 
 
 @dataclass(frozen=True)
@@ -131,13 +125,12 @@ def _one_mode():
 
 @_orders((0.25, 0.5, 0.75, 1.5, 2.5, 3.5))
 def check_energy(s, cfg):
-    return [energy_identity(s, lam, tol=cfg.tolerance(1e-6))
-            for lam in cfg.lam_values or _LAM_MATRIX]
+    return [energy_identity(s, lam) for lam in cfg.lam_values or _LAM_MATRIX]
 
 
 @_orders((0.5, 2.5), lambda s: math.floor(s) % 2 == 0)
 def check_virial(s, cfg):
-    return virial_check(s, tol=cfg.tolerance(1e-6))
+    return virial_check(s)
 
 
 @_orders((0.3, 0.5, 1.5, 2.5))
@@ -147,7 +140,7 @@ def check_dtn(s, cfg):
     got = conormal_trace(u, s)
     want = -trace_constant(s) * apply_power(u, s).coeffs
     return [report_equal(f"dtn(s={s}, mode={j + 1})", got.coeffs[j], want[j],
-                         cfg.tolerance(1e-4))
+                         1e-4)
             for j in range(len(u))]
 
 
@@ -160,7 +153,7 @@ def check_taylor(s, cfg):
         # form (1+y)e^{-y} = 1 - y^2/2 + ...
         t = taylor_expand(_one_mode(), s, 1)
         return [report_equal(f"taylor_coefficient(s={s})", t[1].coeffs[0],
-                             -0.25 / (s - 1.0), cfg.tolerance(1e-13))]
+                             -0.25 / (s - 1.0), 1e-13)]
     # remainder of the order-2 expansion shrinks monotonically under y -> y/2
     ratios = [abs(psi_taylor_remainder(s, 2.0 ** (-n), 2)) / 2.0 ** (-4 * n)
               for n in range(4, 11)]
@@ -180,10 +173,9 @@ def check_ode(s, cfg):
         return [report_equal(f"ode_residual_closed_form(s={s})",
                              worst, 0.0, 0.0, abs_tol=1e-12)]
     u = _two_mode()
-    bound = 1e-4 * sobolev_norm(u, 0.0)
     worst = float(np.max(ode_residual(u, s, np.geomspace(0.2, 5.0, 9))))
     return [report_equal(f"ode_residual(s={s})", worst, 0.0, 0.0,
-                         abs_tol=cfg.tolerance(bound))]
+                         abs_tol=1e-4 * sobolev_norm(u, 0.0))]
 
 
 def _random_profiles(seed, count):
@@ -206,7 +198,7 @@ def check_trace_ineq(s, cfg):
     randoms = [trace_inequality(b, profile=prof)
                for prof in _random_profiles(_SEED, 20)]
     worst = min(r.lhs / r.rhs for r in randoms)
-    return [trace_inequality(b, tol=cfg.tolerance(1e-6)),
+    return [trace_inequality(b),
             report_lower_bound(f"trace_inequality_random(b={b})", worst, 1.0)]
 
 
@@ -215,14 +207,13 @@ def check_parts(s, cfg):
     """Below s = 1 the flux needs a compact bump and the matched weight;
     above s = 2 an unmatched weight is tested too."""
     eta = CompactBump() if s < 1 else GaussianBump()
-    return [parts_check(s, eta, b=0.3 if s > 2 else None,
-                        tol=cfg.tolerance(1e-6))]
+    return [parts_check(s, eta, b=0.3 if s > 2 else None)]
 
 
 # fixed (s, xi) pairs over two orders, interleaved: runs at no requested order
 @_orders((None,), lambda s: False)
 def check_fourier(_, cfg):
-    tol = cfg.tolerance(1e-7)
+    tol = 1e-7
     out = [report_equal(f"psi_fourier(s={s}, xi={xi})",
                         psi_fourier_numeric(s, xi), psi_fourier(s, xi), tol)
            for s, xi in ((0.5, 2.0), (1.5, 0.0), (1.5, 0.5), (1.5, 2.0),
@@ -234,16 +225,15 @@ def check_fourier(_, cfg):
     lhs = seminorm_sq(0.5, 1.0) * sobolev_norm(u, 0.5) ** 2
     return out + [
         report_equal("seminorm_quadrature(s=1.5, alpha=1.0)",
-                     seminorm_sq(1.5, 1.0), direct, cfg.tolerance(1e-8)),
-        fourier_isometry(u, 0.5, sigma=0.0, b=0.0, tol=tol),
-        fourier_isometry(u, 0.5, sigma=0.5, alpha=0.5, tol=tol),
+                     seminorm_sq(1.5, 1.0), direct, 1e-8),
+        fourier_isometry(u, 0.5, sigma=0.0, b=0.0),
+        fourier_isometry(u, 0.5, sigma=0.5, alpha=0.5),
         report_equal("fourier_h1_matches_h_half(s=0.5)",
                      lhs, sobolev_norm(u, 0.5) ** 2, tol)]
 
 
 @_orders((0.5,), lambda s: 0 < s < 1)
 def check_minimize(s, cfg):
-    tol = cfg.tolerance(1e-3)
     # empirical convergence: the gap to the closed form shrinks by about 4x
     # per doubling on the order-graded mesh (O(n^-2)); 1.7 is the bound.
     # A gap below one ulp of the target is rounding, so it counts as one ulp
@@ -253,22 +243,21 @@ def check_minimize(s, cfg):
             for n in (_FE_NODES // 4, _FE_NODES // 2, _FE_NODES)]
     ratio = min(errs[0] / errs[1], errs[1] / errs[2])
     zeta = _one_mode()
-    negative, trace = minimize_negative(zeta, s, n_nodes=_FE_NODES, tol=tol)
-    return [minimize_curve(_two_mode(), s, n_nodes=_FE_NODES, tol=tol),
+    negative, trace = minimize_negative(zeta, s, n_nodes=_FE_NODES)
+    return [minimize_curve(_two_mode(), s, n_nodes=_FE_NODES),
             report_lower_bound(f"minimize_refinement_ratio(s={s})", ratio,
                                1.7),
             negative,
             report_equal(f"minimize_negative_trace(s={s})", trace.coeffs[0],
-                         apply_power(zeta, -s).coeffs[0], tol)]
+                         apply_power(zeta, -s).coeffs[0], negative.tol)]
 
 
 @_orders((0.5, 1.5), lambda s: math.ceil(s) <= 2)
 def check_orthogonality(s, cfg):
-    tol = cfg.tolerance(1e-5)
     one = _one_mode()
-    zero_trace = orthogonality_check(one, s, one, QuadraticBump(), tol=tol)
+    zero_trace = orthogonality_check(one, s, one, QuadraticBump())
     zero_trace.name += "[V(0)=0]"
-    return [orthogonality_check(one, s, one, GaussianBump(), tol=tol),
+    return [orthogonality_check(one, s, one, GaussianBump()),
             zero_trace]
 
 
@@ -293,7 +282,7 @@ def check_nonexpansive(s, cfg):
             ref = math.sqrt(float(w @ u.coeffs ** 2))
             excess = max(excess, float(np.max(norms) - ref) / ref)
     return [report_equal(f"nonexpansive(s={s})", max(excess, 0.0), 0.0, 0.0,
-                         abs_tol=cfg.tolerance(1e-12))]
+                         abs_tol=1e-12)]
 
 
 @_orders((0.5, 1.5))
@@ -309,7 +298,7 @@ def check_commute(s, cfg):
         scale = np.max(np.abs(right))
         worst = max(worst, float(np.max(np.abs(left - right))) / scale)
     return [report_equal(f"commute(s={s}, sigma={sigma})", worst, 0.0, 0.0,
-                         abs_tol=cfg.tolerance(1e-13))]
+                         abs_tol=1e-13)]
 
 
 @_orders((0.3,), lambda s: s < 0.5)
@@ -319,7 +308,7 @@ def check_holder_slope(s, cfg):
     gap = np.array([abs(psi_taylor_remainder(s, y, 0)) for y in ys])
     slope = float(np.polyfit(np.log(ys), np.log(gap), 1)[0])
     return [report_equal(f"holder_slope(s={s})", slope, 2.0 * s,
-                         cfg.tolerance(0.05 / (2.0 * s)))]
+                         0.05 / (2.0 * s))]
 
 
 @_orders((0.5, 1.5))
@@ -332,8 +321,7 @@ def check_isometry(s, cfg):
     norm = sobolev_norm(u, s)
     rhs = 2.0 * trace_constant(s) * norm * norm
     _require_finite(f"curve_isometry(s={s})", lhs, rhs)
-    return [report_equal(f"curve_isometry(s={s})", lhs, rhs,
-                         cfg.tolerance(1e-6))]
+    return [report_equal(f"curve_isometry(s={s})", lhs, rhs, 1e-6)]
 
 
 @_orders((0.3, 0.5, 1.5, 2.5))
@@ -345,7 +333,7 @@ def check_trace0(s, cfg):
     worst = float(np.max(np.abs(got.coeffs - u.coeffs))
                   / np.max(np.abs(u.coeffs)))
     return [report_equal(f"trace0(s={s})", worst, 0.0, 0.0,
-                         abs_tol=cfg.tolerance(1e-8))]
+                         abs_tol=1e-8)]
 
 
 # fixed registry: selection, execution, and report order all follow this
@@ -375,7 +363,7 @@ def run_checks(names=None, cfg: RunConfig | None = None):
 
     Unknown names raise ValueError listing the valid ones.  A check that
     raises yields one :class:`CheckFailure` in its place, and the other
-    checks still run.
+    checks still run.  Under ``cfg.tol`` every report is re-decided at it.
     """
     cfg = cfg or RunConfig()
     bad = [n for n in names or () if n not in CHECK_NAMES]
@@ -387,7 +375,9 @@ def run_checks(names=None, cfg: RunConfig | None = None):
         if names and name not in names:
             continue
         try:
-            reports.extend(fn(cfg))
+            got = fn(cfg)
+            reports.extend(got if cfg.tol is None
+                           else [rep.at(cfg.tol) for rep in got])
         except Exception as err:  # one broken check must not hide the rest
             reports.append(CheckFailure(name, f"{type(err).__name__}: {err}",
                                         detail=traceback.format_exc()))

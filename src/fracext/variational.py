@@ -64,6 +64,7 @@ __all__ = [
     "orthogonality_check",
 ]
 
+_FE_TOL = 1e-3  # bound of the FE minima against their closed forms
 # quadrature nodes of the orthogonality check: its (J, N) integrand holds a
 # fixed bump against profiles of every mode, finer than the default rule
 _ORTHOGONALITY_NODES = 4096
@@ -214,8 +215,8 @@ def minimize_profile(s: float, lam: float, n_nodes: int = 2000):
     return value, ProfileFE(grid=mesh, values=full)
 
 
-def minimize_curve(u: ModalVector, s: float, n_nodes: int = 2000,
-                   tol: float = 1e-3) -> CheckReport:
+def minimize_curve(u: ModalVector, s: float,
+                   n_nodes: int = 2000) -> CheckReport:
     """Curve-level minimality: the discrete minimum at lam = 1 times
     |u|^2_{H^s}, against 2 d_s |u|^2_{H^s}.  It sits above the closed form
     and closes in under refinement."""
@@ -228,11 +229,10 @@ def minimize_curve(u: ModalVector, s: float, n_nodes: int = 2000,
     total = unit * norm * norm
     _require_finite(f"minimize_curve(s={s})", total)
     rhs = 2.0 * params.d_s * norm * norm
-    return report_equal(f"minimize_curve(s={s})", total, rhs, tol)
+    return report_equal(f"minimize_curve(s={s})", total, rhs, _FE_TOL)
 
 
-def minimize_negative(zeta: ModalVector, s: float, n_nodes: int = 2000,
-                      tol: float = 1e-3):
+def minimize_negative(zeta: ModalVector, s: float, n_nodes: int = 2000):
     """Unconstrained dual minimisation for negative orders, by duality.
 
     Per mode, the dual functional  |f|^2_{lam,H^{1;b}} - 4 d_s zeta_j f(0)
@@ -255,12 +255,12 @@ def minimize_negative(zeta: ModalVector, s: float, n_nodes: int = 2000,
     trace = unit_trace * apply_power(zeta, -s).coeffs
     _require_finite(f"minimize_negative(s={s})", total, trace)
     rhs = -2.0 * params.d_s * norm * norm
-    report = report_equal(f"minimize_negative(s={s})", total, rhs, tol)
+    report = report_equal(f"minimize_negative(s={s})", total, rhs, _FE_TOL)
     return report, ModalVector(trace, zeta.spectrum)
 
 
-def orthogonality_check(u: ModalVector, s: float, v: ModalVector, eta,
-                        tol: float = 1e-5) -> CheckReport:
+def orthogonality_check(u: ModalVector, s: float, v: ModalVector,
+                        eta) -> CheckReport:
     """Weak-form identity of the extension against a factored test curve.
 
     With V_j = v_j eta(y), eta a fixed C^2 even bump, the weighted inner
@@ -302,4 +302,4 @@ def orthogonality_check(u: ModalVector, s: float, v: ModalVector, eta,
     # kernel eigenvalues contribute nothing: 0^s = 0 for s > 0
     rhs = 2.0 * params.d_s * eta0 * float(
         np.sum(u.spectrum.eigenvalues ** s * u.coeffs * v.coeffs))
-    return report_equal(f"orthogonality(s={s})", lhs, rhs, tol, abs_tol=1e-8)
+    return report_equal(f"orthogonality(s={s})", lhs, rhs, 1e-5, abs_tol=1e-8)

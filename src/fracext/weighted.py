@@ -35,7 +35,7 @@ lam^{-(beta+1)/2} (z = sqrt(lam) y); integrands that differ between modes
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -175,7 +175,8 @@ class CheckReport:
 
     ``rel_err`` is |lhs-rhs|/|rhs| (absolute |lhs| when rhs = 0); for
     one-sided checks it is the magnitude of the violation, 0 when satisfied.
-    ``note`` carries free-form metadata and is not serialised.
+    ``note`` carries free-form metadata and is not serialised; :meth:`at`
+    re-decides a finished report at another bound than its builder's.
     """
 
     name: str
@@ -198,6 +199,10 @@ class CheckReport:
             '"rel_err": {:.17g}, "tol": {:.17g}, "pass": {}}}'
         ).format(self.name, self.lhs, self.rhs, self.rel_err, self.tol,
                  "true" if self.passed else "false")
+
+    def at(self, tol: float) -> "CheckReport":
+        """A copy decided by ``tol``: pass iff rel_err <= tol."""
+        return replace(self, tol=float(tol), passed=self.rel_err <= tol)
 
 
 def report_equal(name, lhs, rhs, tol=1e-6, abs_tol=1e-12, note=""):
@@ -390,7 +395,7 @@ def curve_energy(curve, k: int | None = None,
 # the identity suite
 
 
-def energy_identity(s: float, lam: float, tol: float = 1e-6) -> CheckReport:
+def energy_identity(s: float, lam: float) -> CheckReport:
     """Quadrature energy of psi_{s,lam} against the closed form 2 d_s lam^s."""
     params = FracParams.from_order(s)
     name = f"energy_identity(s={s}, lam={lam})"
@@ -399,13 +404,13 @@ def energy_identity(s: float, lam: float, tol: float = 1e-6) -> CheckReport:
         lhs = mode_energy(PsiProfile(s), lam, params.ceil_s, params.b)
         rhs = 2.0 * params.d_s * np.float64(lam) ** s
     _require_finite(name, lhs, rhs)
-    return report_equal(name, lhs, rhs, tol,
+    return report_equal(name, lhs, rhs, 1e-6,
                         note=f"tail truncated at y_max="
                              f"{_profile_tail(s) / math.sqrt(lam):.3g}, "
                              f"{_DEFAULT_NODES} nodes")
 
 
-def virial_check(s: float, tol: float = 1e-6):
+def virial_check(s: float):
     """Virial split of the minimal energy, for floor(s) even.
 
     The zero-order part carries the fraction s/ceil(s) of 2 d_s and the
@@ -423,18 +428,17 @@ def virial_check(s: float, tol: float = 1e-6):
     total = 2.0 * params.d_s
     return (
         report_equal(f"virial_zero_order(s={s})", zero_part,
-                     s / params.ceil_s * total, tol),
+                     s / params.ceil_s * total, 1e-6),
         report_equal(f"virial_gradient(s={s})", grad_part,
-                     (params.ceil_s - s) / params.ceil_s * total, tol),
+                     (params.ceil_s - s) / params.ceil_s * total, 1e-6),
     )
 
 
-def trace_inequality(b: float, profile=None,
-                     tol: float = 1e-6) -> CheckReport:
+def trace_inequality(b: float, profile=None) -> CheckReport:
     """Weighted trace inequality |f|^2_{H^{1;b}} >= m_b |f(0)|^2.
 
     With the default profile (the Macdonald profile of order (1-b)/2, the
-    unique minimiser) the check is equality to ``tol``; any other profile is
+    unique minimiser) the check is equality to 1e-6; any other profile is
     checked one-sidedly.
     """
     if not -1.0 < b < 1.0:
@@ -443,14 +447,13 @@ def trace_inequality(b: float, profile=None,
     if profile is None:
         s = 0.5 * (1.0 - b)
         lhs = mode_energy(PsiProfile(s), 1.0, 1, b)
-        return report_equal(f"trace_equality(b={b})", lhs, m_b, tol)
+        return report_equal(f"trace_equality(b={b})", lhs, m_b, 1e-6)
     lhs = mode_energy(profile, 1.0, 1, b)
     rhs = m_b * float(profile.value(0.0)) ** 2
     return report_lower_bound(f"trace_inequality(b={b})", lhs, rhs)
 
 
-def parts_check(s: float, eta, b: float | None = None,
-                tol: float = 1e-6) -> CheckReport:
+def parts_check(s: float, eta, b: float | None = None) -> CheckReport:
     """Integration by parts against the Macdonald profile:
 
         (psi_s', eta')_{L^{2;b}} = (D_b psi_s, eta)_{L^{2;b}} + flux,
@@ -486,7 +489,7 @@ def parts_check(s: float, eta, b: float | None = None,
     rhs = 2.0 * power_weighted_integral(
         lambda y: grad.coef * psi(grad.order, y) * eta.d1(y),
         b + grad.expo, upper)
-    return report_equal(f"parts_check(s={s}, b={b})", lhs, rhs, tol,
+    return report_equal(f"parts_check(s={s}, b={b})", lhs, rhs, 1e-6,
                         abs_tol=1e-10)
 
 
@@ -517,8 +520,8 @@ def xi_moment(s, q):
 
 
 def fourier_isometry(u: ModalVector, s: float, sigma: float = 0.0,
-                     alpha: float | None = None, b: float | None = None,
-                     tol: float = 1e-7) -> CheckReport:
+                     alpha: float | None = None,
+                     b: float | None = None) -> CheckReport:
     """Fourier-side isometries of the extension transform (integer s allowed).
 
     Exactly one of ``alpha``/``b`` selects the statement:
@@ -549,7 +552,8 @@ def fourier_isometry(u: ModalVector, s: float, sigma: float = 0.0,
                     @ parts)
         rhs = 2.0 * _psi_l2_sq(s, b) * norm_sq
         return report_equal(
-            f"fourier_weighted_l2(s={s}, b={b}, sigma={sigma})", lhs, rhs, tol)
+            f"fourier_weighted_l2(s={s}, b={b}, sigma={sigma})", lhs, rhs,
+            1e-7)
 
     if not -0.5 < alpha < 2.0 * s:
         raise ValueError(f"alpha must lie in (-1/2, 2s), got {alpha}")
@@ -558,4 +562,4 @@ def fourier_isometry(u: ModalVector, s: float, sigma: float = 0.0,
     rhs = 2.0 * amp ** 2 * xi_moment(s, 2.0 * alpha + 1.0) * norm_sq
     return report_equal(
         f"fourier_seminorm(s={s}, alpha={alpha}, sigma={sigma})",
-        lhs, rhs, tol)
+        lhs, rhs, 1e-7)

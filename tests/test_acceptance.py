@@ -58,9 +58,9 @@ def test_criterion_01_energy_isometry():
     worst = 0.0
     for s in (0.25, 0.5, 0.75, 1.5, 2.5, 3.5):
         for lam in (0.5, 1.0, 4.0, 10.0):
-            r = energy_identity(s, lam, tol=1e-6)
+            r = energy_identity(s, lam)
             worst = max(worst, r.rel_err)
-            assert r.passed
+            assert r.passed and r.tol == 1e-6
     hand1 = energy_identity(0.5, 1.0)
     hand2 = energy_identity(1.5, 1.0)
     exact = (abs(hand1.lhs - 2.0) <= 1e-8 * 2.0
@@ -147,8 +147,9 @@ def test_criterion_05_operator_recurrence():
 
 
 def test_criterion_06_virial_identities():
-    r1, r2 = virial_check(0.5, tol=1e-6)
-    r3, r4 = virial_check(2.5, tol=1e-6)
+    r1, r2 = virial_check(0.5)
+    r3, r4 = virial_check(2.5)
+    assert all(r.tol == 1e-6 for r in (r1, r2, r3, r4))
     vals_ok = (abs(r1.lhs - 1.0) <= 1e-6 and abs(r2.lhs - 1.0) <= 1e-6
                and abs(r3.lhs - 40.0 / 9.0) <= 1e-6 * 40.0 / 9.0
                and abs(r4.lhs - 8.0 / 9.0) <= 1e-6 * 8.0 / 9.0)
@@ -179,9 +180,9 @@ def test_criterion_07_trace_inequality_sharpness():
     ok = True
     worst_eq = 0.0
     for b in (-0.5, 0.0, 0.4):
-        eq = trace_inequality(b, tol=1e-6)
+        eq = trace_inequality(b)
         worst_eq = max(worst_eq, eq.rel_err)
-        ok = ok and eq.passed
+        ok = ok and eq.passed and eq.tol == 1e-6
         done = 0
         while done < 20:
             amps = rng.uniform(-1.0, 1.0, 3)
@@ -203,7 +204,8 @@ def test_criterion_08_variational_minimum():
     spec = explicit_spectrum([1.0, 4.0])
     u = ModalVector(np.array([1.0, 1.0]), spec)
     from fracext.variational import minimize_curve
-    rep = minimize_curve(u, 0.5, n_nodes=4000, tol=1e-3)
+    rep = minimize_curve(u, 0.5, n_nodes=4000)
+    assert rep.tol == 1e-3
     above = rep.lhs >= target * (1 - 1e-14)
     errs = [abs(minimize_profile(0.5, 1.0, n_nodes=n)[0] - 2.0)
             for n in (1000, 2000, 4000)]
@@ -217,7 +219,8 @@ def test_criterion_08_variational_minimum():
 
 def test_criterion_09_negative_order_minimum():
     zeta = ModalVector(np.array([1.0]), explicit_spectrum([1.0]))
-    rep, trace = minimize_negative(zeta, 0.5, n_nodes=4000, tol=1e-3)
+    rep, trace = minimize_negative(zeta, 0.5, n_nodes=4000)
+    assert rep.tol == 1e-3
     trace_err = abs(trace.coeffs[0] - 1.0)
     report(9, rep.passed and trace_err <= 1e-3,
            f"dual minimum {rep.lhs:.6f} -> -2 within 1e-3; minimiser trace "
@@ -229,7 +232,8 @@ def test_criterion_10_orthogonality():
     worst = 0.0
     zero_worst = 0.0
     for s in (0.5, 1.5):
-        r = orthogonality_check(one, s, one, GaussianBump(), tol=1e-5)
+        r = orthogonality_check(one, s, one, GaussianBump())
+        assert r.tol == 1e-5
         worst = max(worst, r.rel_err)
         rz = orthogonality_check(one, s, one, QuadraticBump())
         zero_worst = max(zero_worst, abs(rz.lhs))
@@ -265,7 +269,8 @@ def test_criterion_12_fourier_identities():
     h1 = seminorm_sq(0.5, 1.0) * sobolev_norm(u, 0.5) ** 2
     h_half = sobolev_norm(u, 0.5) ** 2
     value_err = abs(h1 - h_half) / h_half
-    quad_rep = fourier_isometry(u, 0.5, sigma=0.5, alpha=0.5, tol=1e-7)
+    quad_rep = fourier_isometry(u, 0.5, sigma=0.5, alpha=0.5)
+    assert quad_rep.tol == 1e-7
     report(12, worst <= 1e-7 and value_err <= 1e-7 and quad_rep.passed,
            f"Fourier identities: Gamma vs quadrature {worst:.2e} <= 1e-7; "
            f"s=1/2 curve H^1 seminorm = |u|^2_(1/2) ({value_err:.2e})")

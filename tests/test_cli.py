@@ -468,6 +468,9 @@ def test_every_report_prints_the_bound_that_decided_it(capsys):
             ("trace0", "ode_residual(", "nonexpansive", "commute"))]
         assert len(moved) == 11
         assert all(tol == 1e-3 if extra else tol > 0.0 for tol in moved)
+        # --tol re-decides every report, the fixed bounds included
+        if extra:
+            assert {r["tol"] for r in reports} == {1e-3}
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):
@@ -583,6 +586,21 @@ def test_minimize_subcommand(capsys):
     report = json.loads(out.strip().split("\n")[0])
     assert report["rhs"] == pytest.approx(6.0, rel=1e-12)
     assert report["pass"] is True
+
+
+def test_minimize_tol_re_decides_the_report(capsys):
+    argv = ("minimize", "--op", "explicit:1,4", "--u", "1,1", "--s", "0.5",
+            "--nodes", "500")
+    _, out, _ = run_cli(capsys, *argv)
+    default = json.loads(out.strip().split("\n")[0])
+    assert default["tol"] == 1e-3 and default["pass"] is True
+    for tol, code_want in ((1e-9, 1), (0.5, 0)):
+        code, out, _ = run_cli(capsys, *argv, "--negative-order",
+                               "--tol", str(tol))
+        report = json.loads(out.strip().split("\n")[0])
+        assert code == code_want
+        assert report["tol"] == tol
+        assert report["pass"] is (report["rel_err"] <= tol)
 
 
 def test_minimize_stays_above_closed_form_at_fine_mesh(capsys):

@@ -526,3 +526,16 @@ def test_check_report_pass_iff_within_tolerance():
     assert not report_equal("bad", 1.01, 1.0, 1e-6).passed
     r = CheckReport("x", 1.0, 1.0, 0.0, 1e-6, True)
     assert "true" in r.to_json()
+
+
+def test_check_report_at_re_decides_a_copy():
+    r = report_equal("r", 1.0 + 1e-4, 1.0, 1e-6)
+    wide = r.at(1e-3)
+    assert (wide.tol, wide.passed) == (1e-3, True)
+    assert (r.tol, r.passed) == (1e-6, False)
+    assert not r.at(1e-5).passed
+    # a zero-target report is re-decided on its absolute error
+    zero = report_equal("zero", 1e-13, 0.0, 0.0, abs_tol=1e-12)
+    assert not zero.at(1e-14).passed
+    # a NaN error passes at no bound
+    assert not report_equal("nan", math.nan, 1.0).at(1.0).passed
