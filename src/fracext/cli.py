@@ -47,6 +47,7 @@ from .spectral import (
     _BUILDERS,
     ModalVector,
     _require_finite,
+    _split_descriptor,
     apply_power,
     build_operator,
     sobolev_norm,
@@ -126,15 +127,15 @@ def _parse_operator(text):
                     f"cannot parse operator {text!r}: expected "
                     f"dirichlet:L:J, neumann:L:J, explicit:v1,v2,..., "
                     f"inline JSON, or a file path")
-        kind = desc.pop("kind")
+        kind, fields = _split_descriptor(desc)
     except UsageError:
         raise
-    except (json.JSONDecodeError, KeyError) as err:
+    except ValueError as err:  # not JSON, or no object with a string kind
         raise UsageError(f"bad operator descriptor {text!r}: {err}") from err
     if kind not in _BUILDERS:
         raise UsageError(f"unknown operator kind {kind!r}")
     try:
-        return build_operator(kind, **desc)
+        return build_operator(kind, **fields)
     except TypeError as err:  # a missing or unknown descriptor field
         raise UsageError(f"bad operator descriptor {text!r}: {err}") from err
 
@@ -302,9 +303,10 @@ def _build_parser():
                     "curves: transforms and identity verification.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--op", help="operator descriptor (shorthand, JSON, or file)")
-        p.add_argument("--u", help="comma-separated modal coefficients")
+    def common(p, operand=True):
+        if operand:  # verify reads no operator and no vector
+            p.add_argument("--op", help="operator descriptor (shorthand, JSON, or file)")
+            p.add_argument("--u", help="comma-separated modal coefficients")
         p.add_argument("--s", help="fractional order")
         p.add_argument("--out", help="output file (default stdout)")
         p.add_argument("--config", help="JSON file with default options")
@@ -320,7 +322,7 @@ def _build_parser():
                        help="treat --u as an order -s functional")
 
     p_ver = sub.add_parser("verify", help="run the identity verification suite")
-    common(p_ver)
+    common(p_ver, operand=False)
     p_ver.add_argument("--tol", help="tolerance override for every check")
     p_ver.add_argument("--checks",
                        help=f"comma-separated subset of: {', '.join(CHECK_NAMES)}")

@@ -37,7 +37,13 @@ from .special import (
     psi,
     psi_deriv,
 )
-from .spectral import ModalVector, Spectrum, _active_modes, apply_power
+from .spectral import (
+    ModalVector,
+    Spectrum,
+    _active_modes,
+    _require_finite,
+    apply_power,
+)
 
 __all__ = [
     "CurveSamples",
@@ -292,7 +298,10 @@ def ode_residual(u: ModalVector, s: float, y):
         h = np.minimum(0.01, y / 60.0) / scale
     res = apply_db(lambda t: coef * psi(term.order, root[..., None] * t),
                    y, params.b, lam, h=h)
-    norms = np.linalg.norm(res * u.coeffs[mask].reshape(lam.shape), axis=0)
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(res * u.coeffs[mask].reshape(lam.shape),
+                               axis=0)
+    _require_finite(f"ode_residual(s={s})", norms)
     return float(norms) if y.ndim == 0 else norms
 
 

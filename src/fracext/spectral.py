@@ -206,14 +206,21 @@ def build_operator(kind: str, **params):
     return built if isinstance(built, tuple) else (built, None)
 
 
+def _split_descriptor(desc):
+    """``(kind, fields)`` of a parsed descriptor, which must be a JSON
+    object with a string kind; anything else is a ValueError."""
+    if not isinstance(desc, dict) or not isinstance(desc.get("kind"), str):
+        raise ValueError(f"an operator descriptor is a JSON object with a "
+                         f"string 'kind' field, one of {tuple(_BUILDERS)}")
+    fields = dict(desc)
+    return fields.pop("kind"), fields
+
+
 def operator_from_json(text: str):
     """Build an operator from its JSON descriptor (string or parsed dict)."""
-    desc = json.loads(text) if isinstance(text, str) else dict(text)
-    if "kind" not in desc:
-        raise ValueError(f"operator descriptor needs a 'kind' field; "
-                         f"expected one of {tuple(_BUILDERS)}")
-    kind = desc.pop("kind")
-    return build_operator(kind, **desc)
+    kind, fields = _split_descriptor(
+        json.loads(text) if isinstance(text, str) else text)
+    return build_operator(kind, **fields)
 
 
 # ---------------------------------------------------------------------------

@@ -269,19 +269,21 @@ def _random_vectors(spectrum, seed, count):
 
 @_orders((0.5, 1.5))
 def check_nonexpansive(s, cfg):
-    """Per-column norms of the curve never exceed the data norm."""
+    """Per-column norms of the curve never exceed the data norm.  The
+    weights are (lam/lam_max)^sigma, which leave each ratio of norms as it
+    is and cannot overflow; a NaN excess fails."""
     spec = dirichlet_laplacian_1d(math.pi, 16)
     grid = default_grid(spec, 120)
     psi_mat = psi(s, np.sqrt(spec.eigenvalues)[:, None] * grid)
-    excess = -math.inf
+    excess = [0.0]
     for u in _random_vectors(spec, _SEED, 10):
         cols = psi_mat * u.coeffs[:, None]
         for sigma in (-1.0, 0.0, 1.0, s):
-            w = spec.eigenvalues ** sigma
+            w = (spec.eigenvalues / spec.eigenvalues[-1]) ** sigma
             norms = np.sqrt(w @ cols ** 2)
             ref = math.sqrt(float(w @ u.coeffs ** 2))
-            excess = max(excess, float(np.max(norms) - ref) / ref)
-    return [report_equal(f"nonexpansive(s={s})", max(excess, 0.0), 0.0, 0.0,
+            excess.append(float(np.max(norms) - ref) / ref)
+    return [report_equal(f"nonexpansive(s={s})", np.max(excess), 0.0, 0.0,
                          abs_tol=1e-12)]
 
 

@@ -242,14 +242,16 @@ def test_verify_minimize_at_the_requested_order(capsys):
 
 
 def test_verify_overflowing_energies_say_so(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--checks", "energy,isometry",
-                           "--s", "400.5")
+    code, out, _ = run_cli(capsys, "verify", "--checks",
+                           "energy,isometry,ode", "--s", "400.5")
     assert code == 1
     errors = [json.loads(t)["error"] for t in out.strip().split("\n")[:-1]]
     assert errors == [
         "ValueError: energy_identity(s=400.5, lam=10.0) overflows: the "
         "result must be finite",
         "ValueError: curve_isometry(s=400.5) overflows: the result must be "
+        "finite",
+        "ValueError: ode_residual(s=400.5) overflows: the result must be "
         "finite"]
 
 
@@ -411,6 +413,14 @@ def test_flags_no_subcommand_reads_are_usage_errors(capsys):
               "--sigma", "banana", "--tol", "nan"])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+    # verify reads no operator and no vector
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--checks", "holder_slope", "--op", "banana",
+              "--u", "1,2,3"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --op banana --u 1,2,3" in captured.err
 
 
 def test_verify_output_is_reproducible(tmp_path, capsys):
@@ -525,6 +535,26 @@ def test_operator_descriptor_file_with_nan_is_usage_error(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "must be finite" in err
+
+
+@pytest.mark.parametrize("text,in_file", [
+    ("[1, 2]", True),
+    ('"kind"', True),
+    ('{"kind": [1]}', False),
+    ('{"kind": 3}', True),
+], ids=["file-list", "file-string", "inline-list-kind", "file-number-kind"])
+def test_operator_descriptor_not_an_object_with_string_kind_is_usage_error(
+        tmp_path, capsys, text, in_file):
+    # these died with a TypeError or AttributeError traceback
+    op = text
+    if in_file:
+        op = str(tmp_path / "op.json")
+        (tmp_path / "op.json").write_text(text)
+    code, out, err = run_cli(capsys, "apply", "--op", op, "--u", "1",
+                             "--s", "0.5")
+    assert code == 2
+    assert out == ""
+    assert "JSON object with a string 'kind' field" in err
 
 
 @pytest.mark.parametrize("op", ["dirichlet:pi:3:9", "dirichlet:pi"],

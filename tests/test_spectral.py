@@ -266,6 +266,10 @@ def test_json_descriptors():
     # a descriptor without a kind used to die with a bare KeyError
     with pytest.raises(ValueError, match="'kind' field"):
         operator_from_json('{"length": 1, "modes": 2}')
+    # neither an object nor a string kind: AttributeError and TypeError
+    for text in ('"kind"', '{"kind": [1]}', '[1, 2]'):
+        with pytest.raises(ValueError, match="string 'kind' field"):
+            operator_from_json(text)
     # spectra serialise back to explicit descriptors
     desc = json.loads(spec2.to_json())
     assert desc["kind"] == "explicit_eigenvalues"

@@ -94,3 +94,12 @@ def test_run_tol_re_decides_every_report():
     assert {r.tol for r in wide} == {1e-3}
     assert all(r.passed == (r.rel_err <= 1e-3) for r in wide)
     assert [r.rel_err for r in wide] == [r.rel_err for r in plain]
+
+
+@pytest.mark.parametrize("x", [400.5, 3000.5])
+def test_nonexpansive_at_large_order_is_decided_without_overflow(x):
+    # the weight lam^sigma overflowed at sigma = s, and the NaN excess it
+    # left was dropped, so the report passed on lhs 0 by accident
+    (report,) = _restricted(x, ["nonexpansive"])
+    assert isinstance(report, CheckReport)
+    assert report.passed

@@ -487,6 +487,15 @@ def test_psi_fourier_numeric_matches_closed_form():
                 psi_fourier(s, xi), rel=1e-7, abs=1e-12)
 
 
+@pytest.mark.parametrize("s", [20.5, 100.5, 200.5])
+def test_psi_fourier_numeric_at_large_order_runs_to_the_profile_tail(s):
+    # ended at y = 45, where psi_s has not decayed: 1.9e-9 at s = 20.5,
+    # 1.7e-3 at 100.5 and 2.5e-2 at 200.5
+    from fracext.special import psi_fourier
+    assert psi_fourier_numeric(s, 0.0) == pytest.approx(
+        psi_fourier(s, 0.0), rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # reports
 
