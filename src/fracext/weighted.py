@@ -555,15 +555,12 @@ def fourier_isometry(u: ModalVector, s: float, sigma: float = 0.0,
         lhs = float(lam ** (sigma + 0.5 * (1.0 + b)) * u.coeffs[mask] ** 2
                     @ parts)
         rhs = 2.0 * _psi_l2_sq(s, b) * norm_sq
-        return report_equal(
-            f"fourier_weighted_l2(s={s}, b={b}, sigma={sigma})", lhs, rhs,
-            1e-7)
-
-    if not -0.5 < alpha < 2.0 * s:
-        raise ValueError(f"alpha must lie in (-1/2, 2s), got {alpha}")
-    lhs = seminorm_sq(s, alpha + 0.5) * norm_sq
-    amp = psi_fourier(s, 0.0)
-    rhs = 2.0 * amp ** 2 * xi_moment(s, 2.0 * alpha + 1.0) * norm_sq
-    return report_equal(
-        f"fourier_seminorm(s={s}, alpha={alpha}, sigma={sigma})",
-        lhs, rhs, 1e-7)
+        name = f"fourier_weighted_l2(s={s}, b={b}, sigma={sigma})"
+    else:
+        if not -0.5 < alpha < 2.0 * s:
+            raise ValueError(f"alpha must lie in (-1/2, 2s), got {alpha}")
+        lhs = seminorm_sq(s, alpha + 0.5) * norm_sq
+        amp = psi_fourier(s, 0.0)
+        rhs = 2.0 * amp ** 2 * xi_moment(s, 2.0 * alpha + 1.0) * norm_sq
+        name = f"fourier_seminorm(s={s}, alpha={alpha}, sigma={sigma})"
+    return report_equal(name, lhs, rhs, 1e-7)

@@ -85,17 +85,6 @@ def test_library_refusal_is_a_failed_record_naming_its_limit(name, x, limit):
     assert record.name == name and limit in record.error
 
 
-def test_run_tol_re_decides_every_report():
-    # the zero-target and one-sided reports used to keep their own bound
-    names = ["taylor", "ode", "orthogonality"]
-    plain = run_checks(names)
-    wide = run_checks(names, RunConfig(tol=1e-3))
-    assert [r.name for r in wide] == [r.name for r in plain]
-    assert {r.tol for r in wide} == {1e-3}
-    assert all(r.passed == (r.rel_err <= 1e-3) for r in wide)
-    assert [r.rel_err for r in wide] == [r.rel_err for r in plain]
-
-
 @pytest.mark.parametrize("x", [400.5, 3000.5])
 def test_nonexpansive_at_large_order_is_decided_without_overflow(x):
     # the weight lam^sigma overflowed at sigma = s, and the NaN excess it
