@@ -285,7 +285,9 @@ def ode_residual(u: ModalVector, s: float, y):
     mask = _active_modes(u)
     lam = u.spectrum.eigenvalues[mask].reshape((-1,) + (1,) * y.ndim)
     root = np.sqrt(lam)
-    term = _apply_operator_power(s, lam, params.b, params.floor_s)
+    with np.errstate(over="ignore"):  # lam^floor(s) at large orders
+        term = _apply_operator_power(s, lam, params.b, params.floor_s)
+    _require_finite(f"ode_residual(s={s})", term.coef)
     coef = np.asarray(term.coef)[..., None]  # over the stencil window axis
     # step size: half-integer orders collapse to elementary exponential
     # profiles (derivatives bounded), so a wide stencil minimises roundoff;

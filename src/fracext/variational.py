@@ -23,7 +23,9 @@ orthogonality check accepts ceil(s) = 2.
 
 Every mode is the lam = 1 problem rescaled by z = sqrt(lam) y, so the
 lam = 1 constrained minimum E is the only quantity solved for: one
-tridiagonal solve, about log2(n) vectorised levels.  The curve minimum is
+tridiagonal solve per (s, n), about log2(n) vectorised levels, kept for
+the last (s, n) asked and shared by ``minimize_curve``,
+``minimize_negative`` and the minimize check.  The curve minimum is
 E |u|^2_{H^s}.  The dual problem of negative orders, with the trace free,
 is least at a multiple of the constrained minimiser, so its minimum
 -4 d_s^2 |zeta|^2_{H^{-s}} / E and its trace (2 d_s / E) L^{-s} zeta follow
@@ -35,6 +37,7 @@ with the mode.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -104,9 +107,8 @@ def _elements(mesh, b):
     y0 = mesh[:-1]
     y1 = mesh[1:]
     h = y1 - y0
-    m0 = (y1 ** (b + 1.0) - y0 ** (b + 1.0)) / (b + 1.0)
-    m1 = (y1 ** (b + 2.0) - y0 ** (b + 2.0)) / (b + 2.0)
-    m2 = (y1 ** (b + 3.0) - y0 ** (b + 3.0)) / (b + 3.0)
+    # each node raised once per moment, shared by its two cells
+    m0, m1, m2 = (np.diff(mesh ** (b + k)) / (b + k) for k in (1.0, 2.0, 3.0))
     h2 = h * h
     k_el = m0 / h2
     mass00 = (y1 * y1 * m0 - 2.0 * y1 * m1 + m2) / h2
@@ -215,6 +217,15 @@ def minimize_profile(s: float, lam: float, n_nodes: int = 2000):
     return value, ProfileFE(grid=mesh, values=full)
 
 
+@functools.lru_cache(maxsize=1)
+def _unit_minimum(s, n_nodes):
+    """The lam = 1 minimum E of :func:`minimize_profile`, solved once for
+    the last (s, n_nodes) asked: the curve minimum and its dual read the
+    same E back to back.  Only the float is kept; the profile's arrays are
+    mutable."""
+    return minimize_profile(s, 1.0, n_nodes=n_nodes)[0]
+
+
 def minimize_curve(u: ModalVector, s: float,
                    n_nodes: int = 2000) -> CheckReport:
     """Curve-level minimality: the discrete minimum at lam = 1 times
@@ -223,7 +234,7 @@ def minimize_curve(u: ModalVector, s: float,
     params = FracParams.from_order(s)
     if u.spectrum.kernel_dim and np.any(u.coeffs[:u.spectrum.kernel_dim]):
         raise ValueError("minimize_curve needs zero kernel coefficients")
-    unit, _ = minimize_profile(s, 1.0, n_nodes=n_nodes)
+    unit = _unit_minimum(params.s, n_nodes)
     norm = sobolev_norm(u, s)
     # norm * norm, not norm ** 2: a float power raises OverflowError
     total = unit * norm * norm
@@ -242,13 +253,14 @@ def minimize_negative(zeta: ModalVector, s: float, n_nodes: int = 2000):
     c = 2 d_s zeta_j / E_j, the minimum is -4 d_s^2 |zeta|^2_{H^{-s}} / E,
     which converges from above to -2 d_s |zeta|^2_{H^{-s}}, and the trace
     is (2 d_s / E) L^{-s} zeta.  E is the lam = 1 minimum of
-    :func:`minimize_profile`.  Returns ``(report, trace_vector)``.
+    :func:`minimize_profile`, shared with :func:`minimize_curve` at the
+    same (s, n_nodes).  Returns ``(report, trace_vector)``.
     """
     params = FracParams.from_order(s)
     kd = zeta.spectrum.kernel_dim
     if kd and np.any(zeta.coeffs[:kd]):
         raise ValueError("minimize_negative needs zero kernel coefficients")
-    unit, _ = minimize_profile(s, 1.0, n_nodes=n_nodes)
+    unit = _unit_minimum(params.s, n_nodes)
     unit_trace = 2.0 * params.d_s / unit
     norm = sobolev_norm(zeta, -s)
     total = -2.0 * params.d_s * unit_trace * norm * norm

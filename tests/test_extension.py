@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -40,7 +41,7 @@ from fracext.spectral import (
     neumann_laplacian_1d,
     sobolev_norm,
 )
-from fracext.suite import run_checks
+from fracext.suite import RunConfig, run_checks
 from fracext.weighted import curve_energy
 
 
@@ -318,6 +319,21 @@ def test_ode_residual_fully_numerical_cross_check():
 def test_ode_residual_rejects_near_origin():
     with pytest.raises(ValueError):
         ode_residual(one_mode(), 0.5, 0.01)
+
+
+def test_ode_residual_overflow_is_named_without_a_numpy_warning():
+    # lam^1000 of the check's eigenvalue 4 leaves the float range: the
+    # named error must come before any numpy warning, which warnings
+    # raised as errors would report in its place
+    u = ModalVector(np.ones(2), explicit_spectrum([1.0, 4.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError,
+                           match=r"ode_residual\(s=1000\.5\) overflows"):
+            ode_residual(u, 1000.5, np.geomspace(0.2, 5.0, 9))
+        [failure] = run_checks(["ode"], RunConfig(s_values=(1000.5,)))
+    assert failure.error == ("ValueError: ode_residual(s=1000.5) overflows: "
+                             "the result must be finite")
 
 
 def test_iterated_db_matches_recurrence():

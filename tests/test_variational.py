@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fracext
-from fracext import variational
+from fracext import suite, variational
 from fracext.spectral import (
     ModalVector,
     apply_power,
@@ -25,6 +25,7 @@ from fracext.variational import (
     _energy,
     _fe_form,
     _solve_spd_tridiagonal,
+    _unit_minimum,
     graded_mesh,
     minimize_curve,
     minimize_negative,
@@ -90,7 +91,12 @@ def geometric_default_mesh(monkeypatch):
         return _geometric_mesh(y_max, n, y_max * max(
             1e-5 ** max(1.0, 0.5 / s), 1e-150))
 
+    # an E cached on the graded mesh at the same (s, n) must not be read
+    # under this one, nor one of this mesh by a later test
+    _unit_minimum.cache_clear()
     monkeypatch.setattr(variational, "graded_mesh", mesh)
+    yield
+    _unit_minimum.cache_clear()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 4000])
@@ -175,6 +181,24 @@ def test_assemble_matches_adaptive_quadrature():
         val, _ = quad(integrand, a, c, limit=100)
         direct += val
     assert quad_form == pytest.approx(2.0 * direct, rel=1e-9)
+
+
+@pytest.mark.parametrize("s", [0.05, 0.4, 0.95])
+def test_elements_match_per_cell_moments(s):
+    # each node raised once per moment and differenced is the per-cell
+    # y1^p - y0^p, bit for bit
+    b = FracParams.from_order(s).b
+    mesh = graded_mesh(40.0, 4000, s)
+    y0, y1 = mesh[:-1], mesh[1:]
+    h2 = (y1 - y0) ** 2
+    m0, m1, m2 = ((y1 ** (b + k) - y0 ** (b + k)) / (b + k)
+                  for k in (1.0, 2.0, 3.0))
+    want = (m0 / h2,
+            (y1 * y1 * m0 - 2.0 * y1 * m1 + m2) / h2,
+            ((y0 + y1) * m1 - y0 * y1 * m0 - m2) / h2,
+            (m2 - 2.0 * y0 * m1 + y0 * y0 * m0) / h2)
+    for got, ref in zip(_elements(mesh, b), want, strict=True):
+        assert np.array_equal(got, ref)
 
 
 def test_minimize_profile_converges_from_above():
@@ -397,14 +421,17 @@ def test_curve_minima_match_per_mode_solves(geometric_default_mesh, s):
     assert np.all(trace.coeffs[~active] == 0.0)
 
 
-@pytest.mark.parametrize("modes", [1, 8, 64])
-def test_curve_minima_make_one_solve(monkeypatch, modes):
+@pytest.fixture
+def top_level_solves(monkeypatch):
+    """Mesh sizes of the top-level tridiagonal solves, from a cold
+    unit-minimum cache."""
     solve = variational._solve_spd_tridiagonal
-    calls = []
+    sizes = []
     depth = [0]
 
     def counting(diag, off, rhs):  # the solver recurses through this name
-        calls.append(depth[0])
+        if depth[0] == 0:
+            sizes.append(rhs.shape[-1] + 2)  # plus the two Dirichlet nodes
         depth[0] += 1
         try:
             return solve(diag, off, rhs)
@@ -412,12 +439,43 @@ def test_curve_minima_make_one_solve(monkeypatch, modes):
             depth[0] -= 1
 
     monkeypatch.setattr(variational, "_solve_spd_tridiagonal", counting)
+    _unit_minimum.cache_clear()
+    yield sizes
+    _unit_minimum.cache_clear()
+
+
+@pytest.mark.parametrize("modes", [1, 8, 64])
+def test_curve_minima_make_one_solve(top_level_solves, modes):
     u = _spread_spectrum(modes)
+    # the curve minimum and its dual at one (s, n) share one solve
     minimize_curve(u, 0.4, n_nodes=500)
-    assert calls.count(0) == 1
-    calls.clear()
     minimize_negative(u, 0.4, n_nodes=500)
-    assert calls.count(0) == 1
+    assert top_level_solves == [500]
+    # a new order or mesh size solves again
+    minimize_negative(u, 0.3, n_nodes=500)
+    minimize_curve(u, 0.3, n_nodes=600)
+    assert top_level_solves == [500, 500, 600]
+    # and only the last (s, n) is kept
+    minimize_curve(u, 0.4, n_nodes=500)
+    assert top_level_solves == [500, 500, 600, 500]
+
+
+def test_minimize_check_solves_once_per_mesh(top_level_solves):
+    # the refinement ratio solves at 1000, 2000 and 4000 nodes; both minima
+    # read the finest E again
+    reports = suite.check_minimize(suite.RunConfig())
+    assert all(rep.passed for rep in reports)
+    assert top_level_solves == [1000, 2000, 4000]
+
+
+@pytest.mark.parametrize("s, n", [(0.4, 500), (0.5, 4000), (0.95, 2000)])
+def test_unit_minimum_is_the_minimize_profile_value(s, n):
+    want = minimize_profile(s, 1.0, n_nodes=n)[0]
+    _unit_minimum.cache_clear()
+    cold = _unit_minimum(s, n)
+    warm = _unit_minimum(s, n)
+    assert _unit_minimum.cache_info().hits == 1
+    assert cold == want and warm == want
 
 
 def test_minimize_negative_kernel_rejection():
