@@ -222,7 +222,9 @@ def conormal_trace(u: ModalVector, s: float) -> ModalVector:
     exponents = _origin_exponents(s_rem)
     ys = np.array([y0, 0.5 * y0, 0.25 * y0])
     mask, root = _active_roots(u)
-    amp = -params.d_s * u.spectrum.eigenvalues[mask] ** s * u.coeffs[mask]
+    with np.errstate(over="ignore"):  # lam^s at large orders
+        amp = -params.d_s * u.spectrum.eigenvalues[mask] ** s * u.coeffs[mask]
+    _require_finite(f"conormal_trace(s={s})", amp)
     vals = amp[:, None] * psi(s_rem, root * ys)
     out = np.zeros(u.spectrum.size)
     out[mask] = power_fit_limit(ys, vals.T, exponents)

@@ -17,24 +17,33 @@ the trace constant
     d_s = 2^{b}\\,\\Gamma\\Big(\\frac{1+b}{2}\\Big)\\,
           \\frac{\\lfloor s\\rfloor!}{\\Gamma(s)} .
 
-Everything here is a pure function of its arguments; no state is shared, so
-all routines are safe to call concurrently.
+Every routine's value is a pure function of its arguments.  The one shared
+state is a memory of the last two kernel pairs (below), which holds
+read-only arrays and its own copy of each key, and which returns exactly
+what a recomputation would; a call that races another may lose an entry,
+never get a wrong one, so all routines are safe to call concurrently.
 
 ``psi`` and ``bessel_k`` share one array kernel in numpy, with no
 special-function dependency.  It returns the pair
 ``e^y (2/Gamma(1+|mu|)) (y/2)^|mu| K_mu`` and ``e^y psi_{mu+1}`` for an order
-``mu`` in [-1/2, 1/2), by one of three routes chosen per point: Temme's series
+``mu`` in [-1/2, 0], by one of three routes chosen per point: Temme's series
 (J. Comput. Phys. 19 (1975)) for y <= 1, a trapezoidal rule on
 ``e^y K_nu(y) = int_0^inf exp(-y (cosh t - 1)) cosh(nu t) dt`` with an
 exponentially convergent step (Trefethen & Weideman, SIAM Rev. 56 (2014))
 for 1 < y <= 50, and the Hankel expansion (DLMF 10.40.2) above.  At
 ``mu = -1/2`` the Hankel sum terminates, so half-integer orders are exact
 at every y.  The powers of y are formed inside the series, so no bare
-``K`` overflows near the origin.  ``psi`` climbs from the two orders in
-(0, 2] to ``s`` by the positive order recurrence (DLMF 10.29.1), rescaled
-by powers of two, and applies ``e^{-y}`` once at the end; ``bessel_k``
-climbs the classic recurrence in ``K``.  ``psi_series`` evaluates the
-ascending series (DLMF 10.25.2 / 10.27.4) as an independent oracle.
+``K`` overflows near the origin.  One pair at ``mu = -min(g, 1-g)``,
+``g = s - floor(s)``, serves the orders g and 1 - g: ``psi`` takes the base
+orders g and g + 1 from it, one step of a positive sum apart, and climbs
+to ``s`` by the positive order recurrence (DLMF 10.29.1), rescaled by
+powers of two, applying ``e^{-y}`` once at the end; ``bessel_k`` climbs
+the classic recurrence in ``K``.  The kernel remembers its last two pairs,
+keyed by ``mu`` and the abscissae, so the orders s, s - 1 and 1 - s of a
+curve and its first derivative on one array make one kernel evaluation;
+two entries, because a small call (the conormal trace) falls between them.
+``psi_series`` evaluates the ascending series (DLMF 10.25.2 / 10.27.4) as
+an independent oracle.
 """
 
 from __future__ import annotations
@@ -174,10 +183,10 @@ def _series_pair(mu, y):
     s = _combine(_powers(0.25 * y * y, len(tab)), tab)
     k0 = f0 + (f1 * s[0] + p0 * s[1] + q0 * s[2])
     k1 = f1 * s[3] + p0 * s[4] + q0 * s[5]
-    # (y/2)^|mu| and (y/2)^mu from the same exponential; 2 / Gamma(1+|mu|)
-    # differs from 2 / Gamma(1+mu) by the factor 1 / ratio below zero
+    # (y/2)^|mu| = p0 and (y/2)^mu = 1 / p0 from the same exponential;
+    # 2 / Gamma(1+|mu|) differs from 2 / Gamma(1+mu) by the factor 1 / ratio
     e = np.exp(y)
-    return k0 * e * (p0 / ratio if mu < 0 else 1.0 / p0), k1 * e / p0
+    return k0 * e * (p0 / ratio), k1 * e / p0
 
 
 def _trapezoid_pair(mu, y, bucket):
@@ -202,14 +211,16 @@ def _hankel_pair(mu, y):
         0.5 * math.pi / y)
 
 
-def _k_pair(mu, y):
+def _kernel_pair(mu, y):
     """e^y (2 / Gamma(1+|mu|)) (y/2)^|mu| K_mu(y) and e^y psi_{mu+1}(y)
     = e^y (2 / Gamma(1+mu)) (y/2)^(mu+1) K_{mu+1}(y) on a 1-d array of
-    finite y > 0, for -1/2 <= mu < 1/2.
+    finite y > 0, for -1/2 <= mu <= 0.
 
     The factors 2 / Gamma keep both finite at every mu: toward the origin
     the first tends to 1 / |mu| (about 2 log(2/y) at mu = 0) and the second
-    to 1, which the series returns exactly."""
+    to 1, which the series returns exactly.  At large y the first decays
+    like y^(|mu| - 1/2) and the second grows like y^(mu + 1/2) <= sqrt(y),
+    so no finite y overflows them."""
     if mu == -0.5:  # K_{+-1/2} = sqrt(pi / 2y) e^{-y}: the Hankel sum ends
         return np.array([[2.0], [1.0]]) * np.ones(y.shape)
     a, b = np.empty(y.shape), np.empty(y.shape)
@@ -229,6 +240,32 @@ def _k_pair(mu, y):
     return a, b
 
 
+# the last two results of _k_pair, newest first: (mu, abscissae, a, b)
+_pairs = ()
+
+
+def _k_pair(mu, y):
+    """The pair of ``_kernel_pair``, from memory when one of the last two
+    calls had the same mu and the same abscissae.
+
+    The orders s, s - 1 and 1 - s of a profile and its first derivative
+    share mu, so the second of them on one array pays only the climb.  An
+    entry keeps its own copy of y, and its pair is read-only: neither the
+    caller's array nor a returned one can change a later result.  A hit
+    returns exactly the arrays a recomputation would give."""
+    global _pairs
+    pairs = _pairs
+    for i, (m, key, a, b) in enumerate(pairs):
+        if m == mu and key.shape == y.shape and (key == y).all():
+            if i:
+                _pairs = (pairs[i], pairs[0])
+            return a, b
+    a, b = _kernel_pair(mu, y)
+    a.flags.writeable = b.flags.writeable = False
+    _pairs = ((mu, y.copy(), a, b),) + pairs[:1]
+    return a, b
+
+
 def _times_exp_neg(v, e, y):
     """v 2^e e^{-y} with e^{-y} = 2^{-k} e^{-r}, r in [0, log 2): only
     v e^{-r} is rounded before the power-of-two scaling, and neither factor
@@ -241,8 +278,9 @@ def _times_exp_neg(v, e, y):
 def bessel_k(nu: float, x: float) -> float:
     """Modified Bessel function of the second kind K_nu(x), x > 0.
 
-    The kernel pair at mu = nu - floor(nu + 1/2), then the forward order
-    recurrence K_{v+1} = K_{v-1} + (2v/x) K_v (K is even in the order).
+    The kernel pair at mu = -min(f, 1 - f), f = nu - floor(nu), gives K_f
+    and K_{1-f} = K_{f-1}; the forward order recurrence K_{v+1} = K_{v-1}
+    + (2v/x) K_v (K is even in the order) climbs from there to nu.
     Raises ``ValueError`` unless x > 0 and |nu| <= 1e5 (one recurrence step
     per unit of order), and ``OverflowError`` beyond the double range.
     """
@@ -256,16 +294,20 @@ def bessel_k(nu: float, x: float) -> float:
     # the integral representation) rounds to 0 beyond 2 nu + 2000
     if x > 2.0 * nu + 2000.0:
         return 0.0
-    n = math.floor(nu + 0.5)
-    mu = nu - n
+    n = math.floor(nu)
+    f = nu - n
+    mu = -min(f, 1.0 - f)
     a, b = _k_pair(mu, np.array([x]))
     # x / 2 would round to 0 at the smallest subnormal x
-    lo = float(a[0]) * math.gamma(1.0 + abs(mu)) * 2.0 ** (
-        abs(mu) - 1.0) / x ** abs(mu)  # e^x K_mu
-    hi = float(b[0]) * math.gamma(1.0 + mu) * 2.0 ** mu / x ** mu / x
+    k_mu = float(a[0]) * math.gamma(1.0 - mu) * 2.0 ** (
+        -mu - 1.0) / x ** -mu  # e^x K_mu
+    k_next = float(b[0]) * math.gamma(1.0 + mu) * 2.0 ** mu / x ** mu / x
+    # e^x K_f, and e^x K_{f+1} = e^x (K_{1-f} + (2f/x) K_f)
+    lo, other = (k_next, k_mu) if f >= 0.5 else (k_mu, k_next)
+    hi = other + 2.0 * f / x * lo
     e = 0
     for i in range(1, n):
-        lo, hi = hi, lo + 2.0 * (mu + i) / x * hi
+        lo, hi = hi, lo + 2.0 * (f + i) / x * hi
         if hi > 1e300:
             hi, de = math.frexp(hi)
             lo = math.ldexp(lo, -de)
@@ -370,45 +412,63 @@ def psi(s: float, y):
             f"psi requires a finite order 0 < s <= {_MAX_ORDER:g}, got {s}")
     ay = np.abs(np.asarray(y, dtype=float))
     out = np.where(ay == 0.0, 1.0, np.where(ay > 0.0, 0.0, np.nan))
-    # psi_s(y) <= c_s y^s sqrt(2 pi / y) e^{-y + s^2 / 2y} (cosh t >=
-    # 1 + t^2/2 in the integral representation of K_s) rounds to 0 beyond
-    # 2s + 2000
-    live = (ay > 0.0) & (ay < 2.0 * s + 2000.0)
-    if live.any():
-        out[live] = _psi_positive(s, ay[live])
+    pos = (ay > 0.0) & (ay < math.inf)
+    if pos.any():
+        out[pos] = _psi_positive(s, ay[pos])
     return float(out) if out.ndim == 0 else out
 
 
 def _psi_positive(s, y):
     """psi_s on a 1-d array of finite y > 0.
 
-    psi_v = (2 / Gamma(v)) (y/2)^v K_v at the base orders g in (0, 1] and
-    g + 1 comes from the kernel pair; the positive recurrence
-    psi_{v+1} = psi_v + (y/2)^2 / (v (v-1)) psi_{v-1} (DLMF 10.29.1) climbs
-    from there to s.  Every value carries the factor e^y 2^{-e}, with e
-    from a power-of-two rescale every 8 steps.
+    The kernel pair at mu = -min(g, 1 - g), g = s - floor(s) in (0, 1],
+    serves the orders g and 1 - g and every order they climb to, so it is
+    formed on all of y, before the order-dependent cut below: s, s - 1 and
+    1 - s on one array then share one kernel evaluation.
     """
     g = s - math.floor(s) or 1.0
+    a, b = _k_pair(-min(g, 1.0 - g), y)
+    # psi_s(y) <= c_s y^s sqrt(2 pi / y) e^{-y + s^2 / 2y} (cosh t >=
+    # 1 + t^2/2 in the integral representation of K_s) rounds to 0 beyond
+    # 2s + 2000
+    live = y < 2.0 * s + 2000.0
+    if live.all():
+        return _climb(s, g, y, a, b)
+    out = np.zeros(y.shape)
+    out[live] = _climb(s, g, y[live], a[live], b[live])
+    return out
+
+
+def _climb(s, g, y, a, b):
+    """psi_s from the kernel pair at mu = -min(g, 1 - g).
+
+    psi_v = (2 / Gamma(v)) (y/2)^v K_v at the base order g is b (g >= 1/2,
+    mu = g - 1) or g a (g < 1/2, mu = -g); one step of K_{g+1} = K_{g-1} +
+    (2g/y) K_g with K_{g-1} = K_{1-g}, a sum of positive terms, gives
+    psi_{g+1}, and the positive recurrence psi_{v+1} = psi_v + (y/2)^2 /
+    (v (v-1)) psi_{v-1} (DLMF 10.29.1) climbs from there to s.  Every value
+    carries the factor e^y 2^{-e}, with e from a power-of-two rescale every
+    8 steps.
+    """
     steps = round(s - g)
-    mu = g if g < 0.5 else g - 1.0
-    a, b = _k_pair(mu, y)
-    if mu > 0.0:
-        lo, hi = g * a, b
-    else:  # K_{g+1} = K_{g-1} + (2g/y) K_g, with K_{g-1} = K_mu
-        lo = b
-        hi = (math.gamma(1.0 - mu) / math.gamma(1.0 + g)) * (
-            0.5 * y) ** (2.0 * g) * a + lo
+    if g >= 0.5:  # a carries K_{1-g}
+        lo, other, ratio = b, a, math.gamma(2.0 - g) / math.gamma(1.0 + g)
+    else:  # b is psi_{1-g}
+        lo, other, ratio = g * a, b, math.gamma(1.0 - g) / math.gamma(1.0 + g)
     e = 0
-    q = 0.25 * y * y
-    for i in range(1, steps):
-        v = g + i
-        lo, hi = hi, hi + (1.0 / (v * (v - 1.0))) * q * lo
-        if i % 8 == 0:
-            hi, de = np.frexp(hi)
-            lo = np.ldexp(lo, -de)
-            e = e + de
+    if steps:
+        hi = ratio * (0.5 * y) ** (2.0 * g) * other + lo
+        q = 0.25 * y * y
+        for i in range(1, steps):
+            v = g + i
+            lo, hi = hi, hi + (1.0 / (v * (v - 1.0))) * q * lo
+            if i % 8 == 0:
+                hi, de = np.frexp(hi)
+                lo = np.ldexp(lo, -de)
+                e = e + de
+        lo = hi
     # psi_s < 1 for y > 0: a rounding above 1 is cut back
-    return np.minimum(_times_exp_neg(hi if steps else lo, e, y), 1.0)
+    return np.minimum(_times_exp_neg(lo, e, y), 1.0)
 
 
 def psi_lambda(s: float, lam: float, y):

@@ -294,7 +294,9 @@ def sobolev_norm(u: ModalVector, sigma: float) -> float:
     # below about 1e-154 from underflowing, and with 2^(e-1) <= peak the
     # scale itself stays finite up to the largest double
     scale = math.ldexp(1.0, math.frexp(float(np.max(mag)))[1] - 1)
-    return scale * math.sqrt(float(np.sum((mag / scale) ** 2)))
+    with np.errstate(over="ignore"):  # only an inf peak (scale 1/2) overflows
+        sq = float(np.sum((mag / scale) ** 2))
+    return scale * math.sqrt(sq)
 
 
 def apply_power(u: ModalVector, t: float) -> ModalVector:

@@ -336,6 +336,21 @@ def test_ode_residual_overflow_is_named_without_a_numpy_warning():
                              "the result must be finite")
 
 
+def test_conormal_trace_overflow_is_named_without_a_numpy_warning():
+    # lam^1000.5 of the check's eigenvalue 4 leaves the float range: the
+    # named error must come before any numpy warning, which warnings
+    # raised as errors would report in its place
+    u = ModalVector(np.ones(2), explicit_spectrum([1.0, 4.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError,
+                           match=r"conormal_trace\(s=1000\.5\) overflows"):
+            conormal_trace(u, 1000.5)
+        [failure] = run_checks(["dtn"], RunConfig(s_values=(1000.5,)))
+    assert failure.error == ("ValueError: conormal_trace(s=1000.5) "
+                             "overflows: the result must be finite")
+
+
 def test_iterated_db_matches_recurrence():
     # (D_b+1)^m psi_s = (d_s/d_{s-m}) psi_{s-m}, nested finite differences
     s, m = 2.5, 2

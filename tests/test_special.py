@@ -1,6 +1,8 @@
 """Tests for the Macdonald-function layer: K_nu, psi_s, constants, Fourier."""
 
 import math
+import sys
+import threading
 import time
 
 import mpmath
@@ -9,6 +11,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fracext import special
+from fracext.extension import conormal_trace, derivative_curve, extend
 from fracext.numdiff import central_derivative
 from fracext.special import (
     FracParams,
@@ -24,6 +28,7 @@ from fracext.special import (
     trace_constant,
     weight_exponent,
 )
+from fracext.spectral import ModalVector, dirichlet_laplacian_1d
 
 # reference values computed with mpmath at 30 significant digits
 K_TABLE = [
@@ -275,6 +280,145 @@ def test_psi_subnormal_order_against_mpmath():
     # Gamma(s) itself overflows
     assert psi(1e-310, 0.5) == pytest.approx(psi_mp(1e-310, 0.5), rel=1e-12)
     assert math.isfinite(psi(1e-310, 0.5))
+
+
+_BASE_ORDERS = [1e-3, 0.1, 0.49, 0.5 - 1e-12, 0.5]
+_BASE_YS = np.geomspace(1e-8, 200.0, 25)
+
+
+def _rel_err_mp(got, ref):
+    with mpmath.workdps(40):
+        return max(float(abs(mpmath.mpf(float(v)) / r - 1))
+                   for v, r in zip(got, ref))
+
+
+@pytest.mark.parametrize("g", _BASE_ORDERS)
+def test_base_pair_against_mpmath(g):
+    # one kernel pair at mu = -min(g, 1 - g) serves both g and 1 - g: the
+    # order below 1/2 is g a, the step to g + 1 a sum of positive terms
+    for s in (g, 1.0 - g, g + 1.0):
+        with mpmath.workdps(40):
+            sm = mpmath.mpf(s)
+            ref = [2 ** (1 - sm) / mpmath.gamma(sm) * mpmath.mpf(y) ** sm
+                   * mpmath.besselk(sm, mpmath.mpf(y)) for y in _BASE_YS]
+        assert _rel_err_mp(psi(s, _BASE_YS), ref) <= 5e-15, s
+
+
+@pytest.mark.parametrize("s", _BASE_ORDERS + [0.7, 0.999])
+def test_first_derivative_below_one_against_mpmath(s):
+    # (y^s K_s)' = -y^s K_{s-1} = -y^s K_{1-s} (DLMF 10.29.4)
+    with mpmath.workdps(40):
+        sm = mpmath.mpf(s)
+        ref = [-(2 ** (1 - sm)) / mpmath.gamma(sm) * mpmath.mpf(y) ** sm
+               * mpmath.besselk(1 - sm, mpmath.mpf(y)) for y in _BASE_YS]
+    assert _rel_err_mp(psi_deriv(s, _BASE_YS, 1), ref) <= 5e-15
+
+
+# the kernel-pair memory of special._k_pair
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Sizes of the real kernel evaluations, from a cold memory on."""
+    sizes = []
+    uncached = special._kernel_pair
+
+    def counted(mu, y):
+        sizes.append(y.size)
+        return uncached(mu, y)
+
+    monkeypatch.setattr(special, "_pairs", ())
+    monkeypatch.setattr(special, "_kernel_pair", counted)
+    return sizes
+
+
+@pytest.mark.parametrize("s", [0.7, 1.3, 2.6, 3.4])
+def test_curve_and_its_derivative_share_one_kernel_evaluation(s,
+                                                              kernel_calls):
+    # psi_s and the first-derivative profile psi_{s-1} (s > 1) or psi_{1-s}
+    # (s < 1) share their kernel pair, also across the small conormal call
+    u = ModalVector(np.random.default_rng(7).normal(size=16),
+                    dirichlet_laplacian_1d(2.0, 16))
+    curve = extend(u, s)
+    conormal_trace(u, s)
+    derivative_curve(u, s, 1)
+    assert kernel_calls.count(curve.values.size) == 1
+    assert len(kernel_calls) == 2
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+def test_psi_does_not_depend_on_earlier_calls(monkeypatch):
+    # orders that share one kernel pair, in random call orders: a warm
+    # memory gives the bits of a cold one
+    ys = np.geomspace(1e-6, 2500.0, 300)
+    orders = (0.3, 0.7, 1.3, 2.3, 2.7, 0.5, 1.5)
+    cold = {}
+    for s in orders:
+        monkeypatch.setattr(special, "_pairs", ())
+        cold[s] = _bits(psi(s, ys))
+    rng = np.random.default_rng(3)
+    for _ in range(6):
+        for s in rng.permutation(orders):
+            assert _bits(psi(s, ys)) == cold[s], s
+    # and the remembered pair is exactly the recomputed one
+    for m, key, a, b in special._pairs:
+        fresh = special._kernel_pair(m, key.copy())
+        assert _bits(a) + _bits(b) == _bits(fresh[0]) + _bits(fresh[1])
+
+
+def test_kernel_memory_is_not_shared_with_the_caller(kernel_calls):
+    ys = np.geomspace(1e-3, 60.0, 50)
+    kept = ys.copy()
+    first = psi(1.3, ys)
+    want = _bits(first)
+    first[:] = 0.0  # a returned array
+    ys *= 2.0  # the caller's abscissae, in place
+    assert _bits(psi(1.3, kept)) == want
+    assert _bits(psi(1.3, ys)) == _bits(psi(1.3, 2.0 * kept))
+    # the pair itself cannot be written, and the key is a copy
+    y = kept.copy()
+    a, b = special._k_pair(-0.3, y)
+    with pytest.raises(ValueError):
+        a[0] = 0.0
+    y[:] = 1.0
+    assert special._k_pair(-0.3, kept)[0] is a
+    assert kernel_calls == [50, 50, 50]
+
+
+def test_kernel_memory_under_threads(monkeypatch):
+    # threads share the memory; each must get the bits of a cold call on
+    # either of two arrays, whatever the other threads left behind
+    arrays = (np.geomspace(1e-4, 80.0, 400), np.linspace(0.5, 2500.0, 300))
+    orders = (0.3, 0.7, 1.3, 2.7)
+    want = {}
+    for k, ys in enumerate(arrays):
+        for s in orders:
+            monkeypatch.setattr(special, "_pairs", ())
+            want[k, s] = _bits(psi(s, ys))
+    wrong = []
+
+    def work(seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(60):
+            k, s = int(rng.integers(2)), float(rng.choice(orders))
+            if _bits(psi(s, arrays[k])) != want[k, s]:
+                wrong.append((k, s))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert wrong == []
 
 
 @pytest.mark.parametrize("s", [0.25, 0.5, 0.75, 1.3, 2.5, 3.7])

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from fracext.spectral import (
     tridiag_eigh,
     tridiagonal_spectrum,
 )
+from fracext.suite import RunConfig, run_checks
 
 
 def test_dirichlet_eigenvalues():
@@ -145,6 +147,19 @@ def test_sobolev_norm_with_weights_beyond_the_largest_double():
     assert sobolev_norm(u, 2.0) == math.inf  # 1.97e308
     assert sobolev_norm(u, -1.0) == pytest.approx(
         1e-154 * math.sqrt(1.0 + 1.0 / 1.7), rel=1e-15)
+
+
+def test_sobolev_norm_overflow_comes_back_as_inf_without_a_warning():
+    # at sigma = 1000.5 the magnitude 9^500.25 is inf and 4^500.25 about
+    # 1e301, whose square overflowed outside np.errstate; the norm is
+    # documented to come back as inf, and the isometry check names it
+    u = ModalVector(np.ones(3), explicit_spectrum([1.0, 4.0, 9.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert sobolev_norm(u, 1000.5) == math.inf
+        [failure] = run_checks(["isometry"], RunConfig(s_values=(1000.5,)))
+    assert failure.error == ("ValueError: curve_isometry(s=1000.5) "
+                             "overflows: the result must be finite")
 
 
 def test_power_beyond_the_double_range_with_a_finite_product():
