@@ -12,15 +12,16 @@ Subcommands::
 Operator descriptors accept three spellings: a shorthand
 ``dirichlet:pi:3`` / ``neumann:2.0:5`` / ``explicit:1,4,9``, an inline JSON
 object like ``{"kind":"dirichlet_laplacian_1d","length":3.14,"modes":64}``,
-or a path to a JSON file with the same content.  A ``--config FILE`` may
-hold any of the long options as JSON keys; explicit flags win.
+or a path to a JSON file with the same content.  A ``--config FILE`` holds
+a JSON object of flags, parsed in front of the command line's, which win: a
+key is a long option, a string or number its value, ``true`` the bare flag.
 ``verify --s x`` runs each check at x if its identity is defined there, and
 ``fourier`` at no requested order.
 
 Exit codes: 0 all good, 1 at least one verification check failed (a check
 that raises, or whose report holds a NaN or infinity, prints a record with
 an ``"error"`` field and counts as failed), 2 usage or configuration error,
-3 domain error (invalid mathematical input).
+3 domain error (invalid mathematical input, ``verify --s 2`` included).
 Outputs are byte-identical across runs with the same configuration.  Checks
 run sequentially.
 """
@@ -43,6 +44,7 @@ from .extension import (
     extend,
     extend_negative,
 )
+from .special import FracParams, psi_lambda
 from .spectral import (
     _BUILDERS,
     ModalVector,
@@ -64,13 +66,13 @@ class UsageError(Exception):
 
 
 def _parse_number(text, what):
-    """A finite float from a flag, a config value or a descriptor field;
-    ``pi`` is accepted.  Anything else is a usage error."""
-    if str(text).strip().lower() in ("pi", "+pi"):
+    """A finite float from a flag or a descriptor field; ``pi`` is
+    accepted.  Anything else is a usage error."""
+    if text.strip().lower() in ("pi", "+pi"):
         return math.pi
     try:
         value = float(text)
-    except (TypeError, ValueError) as err:
+    except ValueError as err:
         raise UsageError(f"bad {what} {text!r}") from err
     if not math.isfinite(value):
         raise UsageError(f"{what} must be finite, got {text!r}")
@@ -79,7 +81,7 @@ def _parse_number(text, what):
 
 def _parse_count(text, what):
     try:
-        return int(str(text))
+        return int(text)
     except ValueError as err:
         raise UsageError(f"bad {what} {text!r}: want an integer") from err
 
@@ -102,7 +104,7 @@ def _parse_operator(text):
     """
     if text is None:
         raise UsageError("missing --op")
-    text = str(text).strip()
+    text = text.strip()
     try:
         if text.startswith("{"):
             desc = json.loads(text, parse_float=_finite_json,
@@ -144,7 +146,7 @@ def _parse_vector(text, spectrum):
     if text is None:
         raise UsageError("missing --u")
     coeffs = np.array([_parse_number(v, "coefficient")
-                       for v in str(text).split(",")])
+                       for v in text.split(",")])
     if coeffs.size != spectrum.size:
         raise UsageError(
             f"vector has {coeffs.size} entries but the operator has "
@@ -158,14 +160,13 @@ def _parse_order(text):
     return _parse_number(text, "order")
 
 
-def _parse_tol(args):
-    tol = _merged(args, "tol")
-    return None if tol is None else _parse_number(tol, "tolerance")
+def _parse_tol(text):
+    return None if text is None else _parse_number(text, "tolerance")
 
 
 def _parse_grid(text):
     try:
-        lo, hi, n = str(text).split(":")
+        lo, hi, n = text.split(":")
         lo, hi, n = float(lo), float(hi), int(n)
     except ValueError as err:
         raise UsageError(f"bad grid spec {text!r} (want y_min:y_max:n)") from err
@@ -174,16 +175,6 @@ def _parse_grid(text):
             f"bad grid spec {text!r}: need 0 < y_min < y_max finite and "
             f"n >= 3")
     return _geometric_grid(lo, hi, n)
-
-
-def _merged(args, key, default=None):
-    """Explicit CLI flag wins over the config file, which wins over default."""
-    val = getattr(args, key.replace("-", "_"), None)
-    if val is not None:
-        return val
-    if args.config_data and key in args.config_data:
-        return args.config_data[key]
-    return default
 
 
 def _write(text, out_path):
@@ -195,9 +186,9 @@ def _write(text, out_path):
 
 
 def _cmd_apply(args):
-    spectrum, _ = _parse_operator(_merged(args, "op"))
-    u = _parse_vector(_merged(args, "u"), spectrum)
-    s = _parse_order(_merged(args, "s"))
+    spectrum, _ = _parse_operator(args.op)
+    u = _parse_vector(args.u, spectrum)
+    s = _parse_order(args.s)
     result = apply_power(u, s)
     norms = {"norm_source_hs": sobolev_norm(u, s),
              "norm_result_dual": sobolev_norm(result, -s)}
@@ -206,39 +197,34 @@ def _cmd_apply(args):
         "[" + ", ".join(_fmt(c) for c in result.coeffs) + "]",
         json.dumps(norms),
     ]
-    _write("\n".join(lines) + "\n", _merged(args, "out"))
+    _write("\n".join(lines) + "\n", args.out)
     return 0
 
 
 def _cmd_extend(args):
-    spectrum, _ = _parse_operator(_merged(args, "op"))
-    u = _parse_vector(_merged(args, "u"), spectrum)
-    s = _parse_order(_merged(args, "s"))
-    grid_spec = _merged(args, "grid")
-    grid = _parse_grid(grid_spec) if grid_spec else None
-    if _merged(args, "negative_order", False):
-        curve = extend_negative(u, s, grid)
-    else:
-        curve = extend(u, s, grid)
-    fmt = _merged(args, "format", "csv")
-    text = curve_to_json(curve) + "\n" if fmt == "json" else curve_to_csv(curve)
-    _write(text, _merged(args, "out"))
+    spectrum, _ = _parse_operator(args.op)
+    u = _parse_vector(args.u, spectrum)
+    s = _parse_order(args.s)
+    grid = _parse_grid(args.grid) if args.grid else None
+    curve = (extend_negative if args.negative_order else extend)(u, s, grid)
+    text = (curve_to_json(curve) + "\n" if args.format == "json"
+            else curve_to_csv(curve))
+    _write(text, args.out)
     return 0
 
 
 def _cmd_verify(args):
-    checks = _merged(args, "checks")
-    if isinstance(checks, str):
-        checks = [c.strip() for c in checks.split(",") if c.strip()]
-    cfg = RunConfig(tol=_parse_tol(args))
-    s_val = _merged(args, "s")
-    if s_val is not None:
-        cfg.s_values = (_parse_order(s_val),)
-    lam = _merged(args, "lam")
-    if lam is not None:
-        cfg.lam_values = (_parse_number(lam, "eigenvalue"),)
+    cfg = RunConfig(tol=_parse_tol(args.tol))
+    # the order and eigenvalue are checked here, before any check runs
+    if args.s is not None:
+        cfg.s_values = (FracParams.from_order(_parse_order(args.s)).s,)
+    if args.lam is not None:
+        lam = _parse_number(args.lam, "eigenvalue")
+        if not lam > 0.0:
+            raise ValueError(f"--lambda must be positive, got {args.lam}")
+        cfg.lam_values = (lam,)
     try:
-        reports = run_checks(checks, cfg)
+        reports = run_checks(args.checks, cfg)
     except ValueError as err:
         if "unknown check name" in str(err):
             raise UsageError(str(err)) from err
@@ -260,39 +246,37 @@ def _cmd_verify(args):
         lines.append(line)
         n_pass += report.passed
     summary = f"# {n_pass}/{len(reports)} checks passed"
-    _write("\n".join(lines + [summary]) + "\n", _merged(args, "out"))
-    if _merged(args, "out"):
+    _write("\n".join(lines + [summary]) + "\n", args.out)
+    if args.out:
         print(summary)
     return 0 if n_pass == len(reports) else 1
 
 
 def _cmd_minimize(args):
-    spectrum, _ = _parse_operator(_merged(args, "op"))
-    u = _parse_vector(_merged(args, "u"), spectrum)
-    s = _parse_order(_merged(args, "s"))
-    nodes = _parse_count(_merged(args, "nodes", 2000), "node count")
-    tol = _parse_tol(args)
-    if _merged(args, "negative_order", False):
+    spectrum, _ = _parse_operator(args.op)
+    u = _parse_vector(args.u, spectrum)
+    s = _parse_order(args.s)
+    nodes = _parse_count(args.nodes, "node count")
+    tol = _parse_tol(args.tol)
+    if args.negative_order:
         report, trace = minimize_negative(u, s, n_nodes=nodes)
         lines = ["[" + ", ".join(_fmt(c) for c in trace.coeffs) + "]"]
     else:
         report = minimize_curve(u, s, n_nodes=nodes)
         lines = []
-        dump = _merged(args, "dump_profile")
-        if dump:
-            from .special import psi_lambda
+        if args.dump_profile:
             if not spectrum.positive.size:
                 raise ValueError("--dump-profile needs a positive eigenvalue")
             lam = float(spectrum.positive[0])
             _, prof = minimize_profile(s, lam, n_nodes=nodes)
-            with open(dump, "w") as fh:
+            with open(args.dump_profile, "w") as fh:
                 fh.write("y,fe_minimizer,profile\n")
                 for y, v in zip(prof.grid, prof.values):
                     fh.write(f"{_fmt(y)},{_fmt(v)},"
                              f"{_fmt(psi_lambda(s, lam, y))}\n")
     if tol is not None:
         report = report.at(tol)
-    _write("\n".join([report.to_json()] + lines) + "\n", _merged(args, "out"))
+    _write("\n".join([report.to_json()] + lines) + "\n", args.out)
     return 0 if report.passed else 1
 
 
@@ -313,55 +297,70 @@ def _build_parser():
 
     p_apply = sub.add_parser("apply", help="apply a fractional power to a vector")
     common(p_apply)
+    p_apply.set_defaults(run=_cmd_apply)
 
     p_ext = sub.add_parser("extend", help="sample the extension curve")
     common(p_ext)
     p_ext.add_argument("--grid", help="geometric grid spec y_min:y_max:n")
-    p_ext.add_argument("--format", choices=("csv", "json"))
-    p_ext.add_argument("--negative-order", action="store_true", default=None,
+    p_ext.add_argument("--format", choices=("csv", "json"), default="csv")
+    p_ext.add_argument("--negative-order", action="store_true",
                        help="treat --u as an order -s functional")
+    p_ext.set_defaults(run=_cmd_extend)
 
     p_ver = sub.add_parser("verify", help="run the identity verification suite")
     common(p_ver, operand=False)
     p_ver.add_argument("--tol", help="tolerance override for every check")
     p_ver.add_argument("--checks",
+                       type=lambda text: [c.strip() for c in text.split(",")
+                                          if c.strip()],
                        help=f"comma-separated subset of: {', '.join(CHECK_NAMES)}")
     p_ver.add_argument("--lambda", dest="lam", help="eigenvalue restriction")
+    p_ver.set_defaults(run=_cmd_verify)
 
     p_min = sub.add_parser("minimize", help="variational verification by finite elements")
     common(p_min)
     p_min.add_argument("--tol", help="relative tolerance of the minima")
-    p_min.add_argument("--nodes", help="mesh nodes per mode")
-    p_min.add_argument("--negative-order", action="store_true", default=None)
+    p_min.add_argument("--nodes", default=2000, help="mesh nodes per mode")
+    p_min.add_argument("--negative-order", action="store_true")
     p_min.add_argument("--dump-profile",
                        help="CSV dump of (grid, minimiser, closed form) for mode 1")
+    p_min.set_defaults(run=_cmd_minimize)
     return parser
 
 
-_COMMANDS = {
-    "apply": _cmd_apply,
-    "extend": _cmd_extend,
-    "verify": _cmd_verify,
-    "minimize": _cmd_minimize,
-}
+def _with_config(argv, args):
+    """``argv`` with the ``--config`` entries as flag tokens in front of the
+    subcommand's own arguments, which win by coming later."""
+    try:
+        with open(args.config) as fh:
+            entries = json.load(fh)
+        if not isinstance(entries, dict):
+            raise ValueError("it must hold a JSON object")
+    except (OSError, ValueError) as err:
+        raise UsageError(f"cannot read config {args.config!r}: {err}") from err
+    tokens = []
+    for key, value in entries.items():
+        flag = "--" + key.replace("_", "-")
+        if "--config".startswith(flag):  # names --config, or is ambiguous
+            raise UsageError(f"config key {key!r} names --config")
+        if value is False or value is None:
+            continue
+        if not isinstance(value, (str, int, float)):
+            raise UsageError(f"config key {key!r}: want a string, a number, "
+                             f"true, false or null")
+        tokens.append(flag if value is True else f"{flag}={value}")
+    # the top-level parser takes no option, so argv[0] is the subcommand
+    return argv[:1] + tokens + argv[1:]
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
-    if args.config:
-        try:
-            with open(args.config) as fh:
-                args.config_data = json.load(fh)
-            if not isinstance(args.config_data, dict):
-                raise ValueError("config file must hold a JSON object")
-        except (OSError, ValueError) as err:
-            print(f"config error: {err}", file=sys.stderr)
-            return _USAGE_ERROR
-    else:
-        args.config_data = {}
     try:
-        return _COMMANDS[args.command](args)
+        if args.config:
+            args = parser.parse_args(_with_config(argv, args))
+        return args.run(args)
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return _USAGE_ERROR

@@ -107,9 +107,11 @@ def _geometric_grid(lo, hi, n):
 
 def _check_grid(grid):
     grid = np.asarray(grid, dtype=float)
-    if grid.size == 0:
-        raise ValueError("extension grid is empty")
-    if grid[0] <= 0 or np.any(np.diff(grid) <= 0):
+    if grid.ndim != 1 or grid.size == 0:
+        raise ValueError(f"extension grid must be a non-empty 1-D array, "
+                         f"got shape {grid.shape}")
+    # every comparison with NaN is false, so a NaN point fails here
+    if not (grid[0] > 0 and np.all(np.diff(grid) > 0)):
         raise ValueError("grid must be strictly increasing and positive")
     return grid
 

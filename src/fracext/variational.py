@@ -207,6 +207,9 @@ def minimize_profile(s: float, lam: float, n_nodes: int = 2000):
         raise ValueError(
             f"constrained minimisation is implemented for s in (0,1); "
             f"got s={s}")
+    if not 0.0 < lam < math.inf:
+        raise ValueError(f"minimize_profile needs a finite eigenvalue "
+                         f"lam > 0, got lam={lam}")
     mesh, elements, (diag, off) = _fe_form(params, lam, n_nodes)
     # Dirichlet data: f(0) = 1, f(y_max) = 0; unknowns are the interior nodes
     rhs = np.zeros(mesh.size - 2)
@@ -257,12 +260,10 @@ def minimize_negative(zeta: ModalVector, s: float, n_nodes: int = 2000):
     same (s, n_nodes).  Returns ``(report, trace_vector)``.
     """
     params = FracParams.from_order(s)
-    kd = zeta.spectrum.kernel_dim
-    if kd and np.any(zeta.coeffs[:kd]):
-        raise ValueError("minimize_negative needs zero kernel coefficients")
+    # first, so that a kernel coefficient is refused before the FE solve
+    norm = sobolev_norm(zeta, -s)
     unit = _unit_minimum(params.s, n_nodes)
     unit_trace = 2.0 * params.d_s / unit
-    norm = sobolev_norm(zeta, -s)
     total = -2.0 * params.d_s * unit_trace * norm * norm
     trace = unit_trace * apply_power(zeta, -s).coeffs
     _require_finite(f"minimize_negative(s={s})", total, trace)

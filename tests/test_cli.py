@@ -241,6 +241,31 @@ def test_verify_minimize_at_the_requested_order(capsys):
     assert lines[-1] == "# 4/4 checks passed"
 
 
+@pytest.mark.parametrize("argv, named", [
+    (("--s", "-1"), "-1"),
+    (("--s", "2"), "non-integer"),
+    (("--lambda", "0"), "--lambda"),
+    (("--lambda", "-3"), "-3"),
+], ids=["negative-order", "integer-order", "zero-lambda", "negative-lambda"])
+def test_verify_order_and_eigenvalue_are_checked_before_any_check(
+        capsys, argv, named):
+    # these used to print one failed record and traceback per check, or a
+    # failed energy record, and exit 1
+    code, out, err = run_cli(capsys, "verify", "--checks", "energy,dtn",
+                             *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("domain error:") and err.count("\n") == 1
+    assert named in err
+
+
+def test_verify_large_order_runs_as_before(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--checks", "dtn",
+                           "--s", "400.5")
+    assert code == 0
+    assert out.endswith("# 2/2 checks passed\n")
+
+
 def test_verify_overflowing_energies_say_so(capsys):
     code, out, _ = run_cli(capsys, "verify", "--checks",
                            "energy,isometry,ode", "--s", "400.5")
@@ -504,6 +529,89 @@ def test_config_parse_failure_is_usage_error(tmp_path, capsys):
     code, _, err = run_cli(capsys, "apply", "--config", str(cfg))
     assert code == 2
     assert "config" in err
+
+
+def run_config(tmp_path, capsys, entries, *argv):
+    """Run ``argv --config FILE`` with the JSON object ``entries`` in FILE;
+    a refusal by argparse returns its exit code like main's own."""
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(entries))
+    try:
+        return run_cli(capsys, *argv, "--config", str(cfg))
+    except SystemExit as exc:
+        captured = capsys.readouterr()
+        return exc.code, captured.out, captured.err
+
+
+_EXTEND = ("extend", "--op", "explicit:4", "--u", "2", "--s", "0.5",
+           "--grid", "0.5:2:3")
+_MINIMIZE = ("minimize", "--op", "explicit:1,4", "--u", "1,1", "--s", "0.5",
+             "--nodes", "200")
+
+
+@pytest.mark.parametrize("key", ["lambda", "lam"])
+def test_config_lambda_key_restricts_the_eigenvalue(tmp_path, capsys, key):
+    # "lambda" names --lambda; it used to be looked up as the dest "lam"
+    # and ignored, while "lam" stays a unique prefix of --lambda
+    code, out, _ = run_config(tmp_path, capsys, {key: 4, "s": 1.5},
+                              "verify", "--checks", "energy")
+    assert code == 0
+    assert [json.loads(t)["name"] for t in out.strip().split("\n")[:-1]] == [
+        "energy_identity(s=1.5, lam=4.0)"]
+
+
+@pytest.mark.parametrize("argv", [_EXTEND, _MINIMIZE], ids=["extend",
+                                                             "minimize"])
+@pytest.mark.parametrize("key", ["negative-order", "negative_order"])
+def test_config_negative_order_key(tmp_path, capsys, argv, key):
+    code, want, _ = run_cli(capsys, *argv, "--negative-order")
+    assert code == 0
+    code, out, _ = run_config(tmp_path, capsys, {key: True}, *argv)
+    assert code == 0
+    assert out == want
+
+
+@pytest.mark.parametrize("key", ["dump-profile", "dump_profile"])
+def test_config_dump_profile_key(tmp_path, capsys, key):
+    dump = tmp_path / "profile.csv"
+    code, _, _ = run_config(tmp_path, capsys, {key: str(dump)}, *_MINIMIZE)
+    assert code == 0
+    assert dump.read_text().startswith("y,fe_minimizer,profile\n")
+
+
+@pytest.mark.parametrize("entries, argv, named", [
+    # a string is not a switch: "false" used to select the negative order
+    ({"negative_order": "false"}, _EXTEND, "--negative-order"),
+    # --s takes a value: true used to read as the order 1
+    ({"s": True}, ("apply", "--op", "explicit:1,4", "--u", "1,1"), "--s"),
+    # a choice outside (csv, json) used to write CSV
+    ({"format": "xml"}, _EXTEND, "xml"),
+    # a number used to end in a TypeError traceback with exit 1
+    ({"checks": 5}, ("verify",), "unknown check name"),
+    ({"checks": ["energy"]}, ("verify",), "want a string"),
+    # a key the subcommand does not take used to be ignored
+    ({"lambda": 4}, _EXTEND, "--lambda=4"),
+    ({"nodes": 200}, _EXTEND, "--nodes=200"),
+    ({"config": "other.json"}, _EXTEND, "names --config"),
+    ({"conf": "other.json"}, _EXTEND, "names --config"),
+], ids=["string-switch", "bare-valued-flag", "bad-choice", "number-checks",
+        "list-value", "lambda-in-extend", "nodes-in-extend", "config",
+        "config-prefix"])
+def test_config_entry_a_flag_would_refuse_is_usage_error(
+        tmp_path, capsys, entries, argv, named):
+    code, out, err = run_config(tmp_path, capsys, entries, *argv)
+    assert code == 2
+    assert out == ""
+    assert named in err
+    assert "Traceback" not in err
+
+
+def test_explicit_flags_beat_the_config_file(tmp_path, capsys):
+    for entries, flags in (({"format": "json"}, ("--format", "csv")),
+                           ({"negative_order": False}, ("--negative-order",))):
+        _, want, _ = run_cli(capsys, *_EXTEND, *flags)
+        code, out, _ = run_config(tmp_path, capsys, entries, *_EXTEND, *flags)
+        assert code == 0 and out == want
 
 
 def test_operator_inline_json(capsys):

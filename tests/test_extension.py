@@ -79,6 +79,19 @@ def test_extend_rejects_integer_order_and_empty_grid():
         extend(one_mode(), 0.5, np.array([0.3, 0.2]))
 
 
+@pytest.mark.parametrize("grid", [[0.1, math.nan, 1.0], [math.nan, 1.0],
+                                  [[0.1, 1.0]]],
+                         ids=["nan-inside", "nan-first", "2-d"])
+@pytest.mark.parametrize("curve", [extend, lambda u, s, grid:
+                                   derivative_curve(u, s, 1, grid)],
+                         ids=["extend", "derivative_curve"])
+def test_curves_reject_a_nan_or_non_1d_grid(curve, grid):
+    # a NaN point used to pass every comparison and give a NaN column, and
+    # a 2-D grid ended in numpy's "truth value ... is ambiguous"
+    with pytest.raises(ValueError, match="grid"):
+        curve(one_mode(), 0.5, grid)
+
+
 def test_monotone_decay_along_the_grid():
     spec = explicit_spectrum([1.0, 4.0, 9.0])
     u = ModalVector(np.array([1.0, 2.0, -0.5]), spec)

@@ -252,6 +252,13 @@ def test_minimize_profile_rejects_large_order():
         minimize_profile(1.5, 1.0)
 
 
+@pytest.mark.parametrize("lam", [0.0, -1.0, math.nan, math.inf])
+def test_minimize_profile_rejects_a_bad_eigenvalue(lam):
+    # these raised ZeroDivisionError or "math domain error", or returned NaN
+    with pytest.raises(ValueError, match="lam"):
+        minimize_profile(0.5, lam)
+
+
 def test_zero_trace_constraint_gives_zero_minimum():
     # with f(0) = 0 imposed as well, the quadratic form minimum is 0 at f = 0
     mesh = graded_mesh(40.0, 200, 0.5)
@@ -482,6 +489,17 @@ def test_minimize_negative_kernel_rejection():
     spec = explicit_spectrum([0.0, 1.0])
     bad = ModalVector(np.array([1.0, 1.0]), spec)
     with pytest.raises(ValueError):
+        minimize_negative(bad, 0.5)
+
+
+def test_minimize_negative_refuses_a_kernel_coefficient_before_solving(
+        monkeypatch):
+    # the norm's own kernel check refuses the input, before any FE solve
+    def solve(*args):
+        raise AssertionError("an FE solve for a refused input")
+    monkeypatch.setattr(variational, "_unit_minimum", solve)
+    bad = ModalVector(np.array([1.0, 1.0]), explicit_spectrum([0.0, 1.0]))
+    with pytest.raises(ValueError, match="kernel mode 0"):
         minimize_negative(bad, 0.5)
 
 
