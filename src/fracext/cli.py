@@ -44,7 +44,7 @@ from .extension import (
     extend,
     extend_negative,
 )
-from .special import FracParams, psi_lambda
+from .special import _MAX_ORDER, FracParams, psi_lambda
 from .spectral import (
     _BUILDERS,
     ModalVector,
@@ -217,7 +217,11 @@ def _cmd_verify(args):
     cfg = RunConfig(tol=_parse_tol(args.tol))
     # the order and eigenvalue are checked here, before any check runs
     if args.s is not None:
-        cfg.s_values = (FracParams.from_order(_parse_order(args.s)).s,)
+        s = FracParams.from_order(_parse_order(args.s)).s
+        if s > _MAX_ORDER:  # every check would meet the profile's ceiling
+            raise ValueError(f"verify needs an order s <= {_MAX_ORDER:g}, "
+                             f"got {args.s}")
+        cfg.s_values = (s,)
     if args.lam is not None:
         lam = _parse_number(args.lam, "eigenvalue")
         if not lam > 0.0:
@@ -269,11 +273,11 @@ def _cmd_minimize(args):
                 raise ValueError("--dump-profile needs a positive eigenvalue")
             lam = float(spectrum.positive[0])
             _, prof = minimize_profile(s, lam, n_nodes=nodes)
-            with open(args.dump_profile, "w") as fh:
-                fh.write("y,fe_minimizer,profile\n")
-                for y, v in zip(prof.grid, prof.values):
-                    fh.write(f"{_fmt(y)},{_fmt(v)},"
-                             f"{_fmt(psi_lambda(s, lam, y))}\n")
+            closed = psi_lambda(s, lam, prof.grid)
+            np.savetxt(args.dump_profile,
+                       np.column_stack((prof.grid, prof.values, closed)),
+                       fmt="%.17g", delimiter=",",
+                       header="y,fe_minimizer,profile", comments="")
     if tol is not None:
         report = report.at(tol)
     _write("\n".join([report.to_json()] + lines) + "\n", args.out)

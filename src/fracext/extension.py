@@ -165,16 +165,20 @@ def _origin_exponents(s):
 _TRACE0_MIN_ORDER = 1e-6
 
 
-def trace0(curve: CurveSamples) -> ModalVector:
+def trace0(curve: ExtensionCurve) -> ModalVector:
     """Boundary value of the curve, extrapolated from the smallest abscissae.
 
     Fits value + A y^{p1} + B y^{p2} per mode on the three lowest grid
-    points; the fit matrix depends only on the grid, so one solve serves
-    every mode.  The grid must reach below 1e-3 / sqrt(lambda_max), else
-    the extrapolation is unreliable and a ValueError reports it; so does an
-    extension curve of order below 1e-6, whose leading exponent 2s is too
-    flat to extrapolate.
+    points, with the exponents the curve's order fixes; the fit matrix
+    depends only on the grid, so one solve serves every mode.  Bare
+    :class:`CurveSamples` carry no order and are a TypeError.  The grid
+    must reach below 1e-3 / sqrt(lambda_max), else the extrapolation is
+    unreliable and a ValueError reports it; so does an order below 1e-6,
+    whose leading exponent 2s is too flat to extrapolate.
     """
+    if not isinstance(curve, ExtensionCurve):
+        raise TypeError(f"trace0 needs an ExtensionCurve, whose order fixes "
+                        f"the fit exponents; got {type(curve).__name__}")
     lam = curve.spectrum.positive
     lam_max = lam[-1] if lam.size else 1.0
     reach = 1e-3 / math.sqrt(lam_max)
@@ -184,17 +188,14 @@ def trace0(curve: CurveSamples) -> ModalVector:
             f"{curve.grid[0]:.3e} exceeds {reach:.3e}")
     if curve.grid.size < 3:
         raise ValueError("trace extrapolation needs at least three points")
-    if isinstance(curve, ExtensionCurve):
-        s = curve.params.s
-        if s < _TRACE0_MIN_ORDER:
-            raise ValueError(
-                f"trace0 at s={s}: the order is below the floor "
-                f"{_TRACE0_MIN_ORDER:g}, where the leading exponent 2s "
-                f"leaves the samples too flat to extrapolate the limit")
-        exponents = _origin_exponents(s)
-    else:
-        exponents = (2.0, 4.0)
-    out = power_fit_limit(curve.grid[:3], curve.values[:, :3].T, exponents)
+    s = curve.params.s
+    if s < _TRACE0_MIN_ORDER:
+        raise ValueError(
+            f"trace0 at s={s}: the order is below the floor "
+            f"{_TRACE0_MIN_ORDER:g}, where the leading exponent 2s "
+            f"leaves the samples too flat to extrapolate the limit")
+    out = power_fit_limit(curve.grid[:3], curve.values[:, :3].T,
+                          _origin_exponents(s))
     return ModalVector(out, curve.spectrum)
 
 
@@ -327,9 +328,8 @@ def curve_to_csv(curve: CurveSamples) -> str:
         buf.write(f"# s={_fmt(p.s)}, b={_fmt(p.b)}, d_s={_fmt(p.d_s)}\n")
     cols = ",".join(f"mode_{j + 1}" for j in range(curve.spectrum.size))
     buf.write(f"y,{cols}\n")
-    for i, y in enumerate(curve.grid):
-        row = ",".join(_fmt(v) for v in curve.values[:, i])
-        buf.write(f"{_fmt(y)},{row}\n")
+    np.savetxt(buf, np.column_stack((curve.grid, curve.values.T)),
+               fmt="%.17g", delimiter=",")
     return buf.getvalue()
 
 

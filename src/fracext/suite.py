@@ -159,8 +159,8 @@ def check_taylor(s, cfg):
               for n in range(4, 11)]
     worst = max(b - a for a, b in zip(ratios, ratios[1:]))
     return [CheckReport(f"taylor_remainder_decreasing(s={s}, k=2)", lhs=worst,
-                        rhs=0.0, rel_err=max(0.0, worst), tol=0.0,
-                        passed=worst <= 0.0)]
+                        rhs=0.0, rel_err=0.0 if worst <= 0.0 else worst,
+                        tol=0.0, passed=worst <= 0.0)]
 
 
 @_orders((0.5, 1.5, 0.3, 2.5, 3.7))

@@ -219,11 +219,12 @@ def report_equal(name, lhs, rhs, tol=1e-6, abs_tol=1e-12, note=""):
 
 
 def report_lower_bound(name, lhs, rhs, tol=1e-9):
-    """One-sided check lhs >= rhs, with tol of slack relative to |rhs|."""
+    """One-sided check lhs >= rhs, with tol of slack relative to |rhs|;
+    a NaN on either side is a NaN violation, which fails."""
     lhs = float(lhs)
     rhs = float(rhs)
     scale = max(abs(rhs), 1e-30)
-    violation = max(0.0, (rhs - lhs) / scale)
+    violation = 0.0 if lhs >= rhs else (rhs - lhs) / scale
     return CheckReport(name, lhs, rhs, violation, float(tol),
                        violation <= tol)
 

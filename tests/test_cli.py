@@ -13,7 +13,10 @@ import numpy as np
 import pytest
 
 import fracext
+from fracext import cli
 from fracext.cli import main
+from fracext.special import psi_lambda
+from fracext.variational import minimize_profile
 
 # the names and order of the default `verify` reports, one a line
 VERIFY_NAMES = (Path(__file__).resolve().parents[1]
@@ -259,6 +262,36 @@ def test_verify_order_and_eigenvalue_are_checked_before_any_check(
     assert named in err
 
 
+@pytest.mark.parametrize("argv, named", [
+    (("apply", "--op", "explicit:1", "--u", "1", "--s", "abc"),
+     "bad order 'abc'"),
+    (("apply", "--u", "1", "--s", "0.5"), "missing --op"),
+    (("apply", "--op", "explicit:1", "--u", "1"), "missing --s"),
+    (("apply", "--op", "explicit:1,4", "--u", "1,1,1", "--s", "0.5"),
+     "vector has 3 entries but the operator has 2 modes"),
+    (("extend", "--op", "explicit:1", "--u", "1", "--s", "0.5",
+      "--grid", "1:2"), "bad grid spec '1:2'"),
+], ids=["order", "missing-op", "missing-s", "vector-length", "grid-fields"])
+def test_malformed_arguments_are_usage_errors(capsys, argv, named):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error") and named in err
+
+
+@pytest.mark.parametrize("argv, named", [
+    (("apply", "--op", "neumann:0:3", "--u", "1,1,1", "--s", "0.5"),
+     "interval length must be positive"),
+    (("apply", "--op", '{"kind":"tridiagonal","diag":[-1,-1],"off":[0]}',
+      "--u", "1,1", "--s", "0.5"), "not nonnegative"),
+], ids=["zero-length", "negative-tridiagonal"])
+def test_operator_outside_its_domain_is_domain_error(capsys, argv, named):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("domain error") and named in err
+
+
 def test_verify_large_order_runs_as_before(capsys):
     code, out, _ = run_cli(capsys, "verify", "--checks", "dtn",
                            "--s", "400.5")
@@ -378,7 +411,8 @@ def test_minimize_order_that_leaves_too_few_mesh_nodes(capsys):
 
 def test_order_above_the_profile_ceiling_fails_fast(capsys):
     # s = 1e9 + 0.5 took one recurrence step per unit of order and never
-    # returned; a check that raises is one failed record of verify
+    # returned; verify then ran every check into the ceiling, printing one
+    # failed record and traceback each, and exited 1
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "extend", "--op", "explicit:1",
                              "--u", "1", "--s", "1000000000.5",
@@ -386,10 +420,14 @@ def test_order_above_the_profile_ceiling_fails_fast(capsys):
     assert code == 3
     assert out == ""
     assert err.startswith("domain error") and "100000" in err
-    code, out, _ = run_cli(capsys, "verify", "--checks", "energy",
-                           "--s", "1000000000.5")
-    assert code == 1
-    assert "100000" in json.loads(out.split("\n")[0])["error"]
+    for checks, s in (("energy", "1000000000.5"),
+                      ("energy,dtn", "200000.5")):
+        code, out, err = run_cli(capsys, "verify", "--checks", checks,
+                                 "--s", s)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("domain error") and err.count("\n") == 1
+        assert "100000" in err
     assert time.perf_counter() - start < 1.0
 
 
@@ -529,6 +567,16 @@ def test_config_parse_failure_is_usage_error(tmp_path, capsys):
     code, _, err = run_cli(capsys, "apply", "--config", str(cfg))
     assert code == 2
     assert "config" in err
+
+
+def test_config_that_is_not_an_object_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "list.json"
+    cfg.write_text("[1, 2]")
+    code, out, err = run_cli(capsys, "apply", "--op", "explicit:1",
+                             "--u", "1", "--s", "0.5", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error") and "JSON object" in err
 
 
 def run_config(tmp_path, capsys, entries, *argv):
@@ -789,6 +837,38 @@ def test_minimize_profile_dump_needs_a_positive_eigenvalue(tmp_path,
     assert out == ""
     assert err.startswith("domain error") and "positive eigenvalue" in err
     assert not dump.exists()
+
+
+def test_minimize_profile_dump_evaluates_the_profile_once(
+        tmp_path, capsys, monkeypatch):
+    # the closed-form column is one array call, not one call per mesh node
+    calls = []
+
+    def counted(s, lam, y):
+        calls.append(np.shape(y))
+        return psi_lambda(s, lam, y)
+
+    monkeypatch.setattr(cli, "psi_lambda", counted)
+    dump = tmp_path / "profile.csv"
+    code, _, _ = run_cli(capsys, "minimize", "--op", "explicit:1",
+                         "--u", "1", "--s", "0.5", "--nodes", "500",
+                         "--dump-profile", str(dump))
+    assert code == 0
+    assert calls == [(500,)]
+    assert len(dump.read_text().split("\n")) == 502
+
+
+def test_minimize_profile_dump_rows_are_17_digit_values(tmp_path, capsys):
+    dump = tmp_path / "profile.csv"
+    code, _, _ = run_cli(capsys, "minimize", "--op", "explicit:2.5,4",
+                         "--u", "1,1", "--s", "0.3", "--nodes", "300",
+                         "--dump-profile", str(dump))
+    assert code == 0
+    _, prof = minimize_profile(0.3, 2.5, n_nodes=300)
+    want = ["y,fe_minimizer,profile"] + [
+        ",".join(f"{float(x):.17g}" for x in (y, v, psi_lambda(0.3, 2.5, y)))
+        for y, v in zip(prof.grid, prof.values)]
+    assert dump.read_text() == "\n".join(want) + "\n"
 
 
 def test_minimize_profile_dump(tmp_path, capsys):

@@ -1,4 +1,5 @@
-"""Smoke test: every script in demos/ runs to completion."""
+"""Smoke test: every script in demos/ runs to completion, with warnings
+raised as errors."""
 
 import os
 import subprocess
@@ -14,7 +15,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 @pytest.mark.parametrize("script", DEMOS, ids=[p.name for p in DEMOS])
 def test_demo_runs(script, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    result = subprocess.run([sys.executable, str(script)], env=env,
-                            cwd=tmp_path, capture_output=True, text=True,
-                            timeout=120)
+    result = subprocess.run([sys.executable, "-W", "error", str(script)],
+                            env=env, cwd=tmp_path, capture_output=True,
+                            text=True, timeout=120)
     assert result.returncode == 0, result.stderr

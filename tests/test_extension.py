@@ -122,6 +122,20 @@ def test_trace0_zero_curve():
     assert trace0(curve).coeffs[0] == 0.0
 
 
+def test_trace0_refuses_a_curve_without_an_order():
+    # bare samples used to be fitted with guessed exponents (2, 4): this
+    # derivative diverges like y^(2s-1) at 0, and trace0 returned -63.78
+    curve = derivative_curve(one_mode(), 0.3, 1, np.geomspace(1e-5, 1, 20))
+    with pytest.raises(TypeError, match="ExtensionCurve"):
+        trace0(curve)
+
+
+def test_trace0_refuses_a_two_point_curve():
+    curve = extend(one_mode(), 0.5, np.array([1e-5, 1e-4]))
+    with pytest.raises(ValueError, match="at least three points"):
+        trace0(curve)
+
+
 def test_trace0_reports_coarse_grid():
     grid = np.geomspace(0.5, 10.0, 20)
     curve = extend(one_mode(), 0.5, grid)
@@ -680,6 +694,21 @@ def test_curve_csv_layout():
     first = lines[2].split(",")
     assert float(first[0]) == 0.5
     assert float(first[1]) == pytest.approx(psi(1.5, 0.5), rel=1e-15)
+
+
+@pytest.mark.parametrize("s, negative", [(1.3, False), (0.4, False),
+                                         (2.5, True)])
+def test_curve_csv_rows_are_17_digit_values(s, negative):
+    spec = dirichlet_laplacian_1d(math.pi, 6)
+    u = ModalVector(np.array([1.0, -2.0, 0.0, 3.5, 1e-300, -0.0]), spec)
+    curve = (extend_negative if negative else extend)(u, s)
+    lines = curve_to_csv(curve).split("\n")
+    assert lines[-1] == ""
+    assert lines[1] == "y,mode_1,mode_2,mode_3,mode_4,mode_5,mode_6"
+    want = [",".join(f"{float(v):.17g}"
+                     for v in (y, *curve.values[:, i]))
+            for i, y in enumerate(curve.grid)]
+    assert lines[2:-1] == want
 
 
 def test_curve_json_roundtrip():

@@ -578,6 +578,13 @@ def test_order_above_the_ceiling_fails_fast(order):
     assert time.perf_counter() - start < 1.0
 
 
+def test_fourier_side_refuses_a_nonpositive_order():
+    with pytest.raises(ValueError, match="psi_fourier requires s > 0"):
+        psi_fourier(-1, 0)
+    with pytest.raises(ValueError, match="seminorm_sq requires s > 0"):
+        seminorm_sq(0, 0.1)
+
+
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 def test_non_finite_order_rejected(bad):
     # from_order(inf) used to raise OverflowError from math.floor, and

@@ -1,8 +1,11 @@
 """Tests for the order rule of the verification suite: every check runs at
 its default orders, or at the requested orders inside its domain."""
 
+import math
+
 import pytest
 
+from fracext import suite
 from fracext.suite import CheckFailure, RunConfig, run_checks
 from fracext.weighted import CheckReport
 
@@ -92,3 +95,12 @@ def test_nonexpansive_at_large_order_is_decided_without_overflow(x):
     (report,) = _restricted(x, ["nonexpansive"])
     assert isinstance(report, CheckReport)
     assert report.passed
+
+
+def test_taylor_remainder_of_nan_fails_with_a_nan_error(monkeypatch):
+    # max(0.0, nan) reported rel_err 0.0 for a NaN remainder
+    monkeypatch.setattr(suite, "psi_taylor_remainder",
+                        lambda s, y, k: math.nan)
+    [report] = _restricted(2.5, ["taylor"])
+    assert not report.passed
+    assert math.isnan(report.rel_err)

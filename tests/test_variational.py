@@ -485,6 +485,20 @@ def test_unit_minimum_is_the_minimize_profile_value(s, n):
     assert cold == want and warm == want
 
 
+def test_minimize_curve_refuses_a_kernel_coefficient():
+    spec = explicit_spectrum([0.0, 1.0])
+    with pytest.raises(ValueError, match="zero kernel coefficients"):
+        minimize_curve(ModalVector(np.array([1.0, 1.0]), spec), 0.5,
+                       n_nodes=200)
+
+
+def test_orthogonality_check_refuses_spectra_of_different_sizes():
+    u = ModalVector(np.array([1.0, 1.0]), explicit_spectrum([1.0, 4.0]))
+    v = ModalVector(np.array([1.0]), explicit_spectrum([1.0]))
+    with pytest.raises(ValueError, match="matching spectra"):
+        orthogonality_check(u, 0.5, v, GaussianBump())
+
+
 def test_minimize_negative_kernel_rejection():
     spec = explicit_spectrum([0.0, 1.0])
     bad = ModalVector(np.array([1.0, 1.0]), spec)

@@ -36,8 +36,10 @@ from fracext.weighted import (
     power_weighted_integral,
     psi_fourier_numeric,
     report_equal,
+    report_lower_bound,
     trace_inequality,
     virial_check,
+    xi_moment,
 )
 
 
@@ -378,6 +380,29 @@ def test_virial_identities():
         virial_check(1.5)
 
 
+@pytest.mark.parametrize("b", [1.0, -1.0, math.nan])
+def test_trace_inequality_refuses_a_weight_outside_its_range(b):
+    with pytest.raises(ValueError, match=r"b must lie in \(-1, 1\)"):
+        trace_inequality(b)
+
+
+def test_xi_moment_refuses_a_divergent_power():
+    # the moment is finite for q in (-1, 4s + 1) only
+    with pytest.raises(ValueError, match="diverges"):
+        xi_moment(0.5, 5.0)
+
+
+@pytest.mark.parametrize("eigenvalues, s, b, named", [
+    ([1.0, 4.0], 0.0, 0.0, "needs s > 0"),
+    ([1.0, 4.0], 0.5, 1.5, r"b must lie in \(-1, 1\)"),
+    ([0.0, 1.0], 0.5, 0.0, "zero kernel coefficients"),
+], ids=["order", "weight", "kernel"])
+def test_fourier_isometry_refusals(eigenvalues, s, b, named):
+    u = ModalVector(np.array([1.0, 1.0]), explicit_spectrum(eigenvalues))
+    with pytest.raises(ValueError, match=named):
+        fourier_isometry(u, s, b=b)
+
+
 def test_trace_inequality_equality_and_strictness():
     for b in (-0.5, 0.0, 0.4):
         assert trace_inequality(b).passed
@@ -522,6 +547,27 @@ def test_check_report_json_rejects_non_finite(name, bad):
 def test_check_report_json_of_nan_comparison():
     with pytest.raises(ValueError):
         report_equal("x", math.nan, 1.0).to_json()
+
+
+@pytest.mark.parametrize("lhs, rhs", [(math.nan, 1.0), (1.0, math.nan)],
+                         ids=["lhs", "rhs"])
+def test_one_sided_report_fails_on_nan(lhs, rhs):
+    # max(0.0, nan) is 0.0: the violation read 0.0 and the report passed
+    report = report_lower_bound("x", lhs, rhs)
+    assert math.isnan(report.rel_err)
+    assert not report.passed
+
+
+def test_one_sided_report_on_finite_inputs():
+    assert report_lower_bound("x", 2.0, 1.0).rel_err == 0.0
+    assert report_lower_bound("x", 1.0, 1.0).passed
+    report = report_lower_bound("x", 1.0, 2.0)
+    assert report.rel_err == 0.5 and not report.passed
+
+
+def test_trace_inequality_fails_on_a_nan_energy():
+    report = trace_inequality(0.0, profile=GaussianBump(1.0, math.nan))
+    assert not report.passed
 
 
 def test_check_report_zero_target_fallback():
