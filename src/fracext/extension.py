@@ -339,10 +339,9 @@ def curve_to_json(curve: CurveSamples) -> str:
     if isinstance(curve, ExtensionCurve):
         parts.append(f'"s": {_fmt(curve.params.s)}')
         parts.append(f'"b": {_fmt(curve.params.b)}')
-    grid = ", ".join(_fmt(y) for y in curve.grid)
-    parts.append(f'"grid": [{grid}]')
-    rows = ", ".join(
-        "[" + ", ".join(_fmt(v) for v in curve.values[j]) + "]"
-        for j in range(curve.spectrum.size))
+    # one '%' per row: the same 17 significant digits as _fmt
+    row = "[" + ", ".join(["%.17g"] * curve.grid.size) + "]"
+    parts.append('"grid": ' + row % tuple(curve.grid.tolist()))
+    rows = ", ".join(row % tuple(r) for r in curve.values.tolist())
     parts.append(f'"values": [{rows}]')
     return "{" + ", ".join(parts) + "}"

@@ -38,10 +38,17 @@ at every y.  The powers of y are formed inside the series, so no bare
 orders g and g + 1 from it, one step of a positive sum apart, and climbs
 to ``s`` by the positive order recurrence (DLMF 10.29.1), rescaled by
 powers of two, applying ``e^{-y}`` once at the end; ``bessel_k`` climbs
-the classic recurrence in ``K``.  The kernel remembers its last two pairs,
-keyed by ``mu`` and the abscissae, so the orders s, s - 1 and 1 - s of a
-curve and its first derivative on one array make one kernel evaluation;
-two entries, because a small call (the conormal trace) falls between them.
+the classic recurrence in ``K``.  Each route makes its set-up at ``mu``
+(Temme's g1, g2 and coefficient table, the trapezoid ``cosh`` columns,
+the Hankel rows) once per call and then runs over its points in blocks of
+``_BLOCK`` points, as do the climb and the ``e^{-y}`` scaling of ``psi``,
+so the temporaries scale with the block, not with the number of points;
+a point's arithmetic does not depend on its block or on the size of the
+array, so a value comes out the same bits in every call.  The kernel
+remembers its last two pairs, keyed by ``mu`` and the abscissae, so the
+orders s, s - 1 and 1 - s of a curve and its first derivative on one
+array make one kernel evaluation; two entries, because a small call (the
+conormal trace) falls between them.
 ``psi_series`` evaluates the ascending series (DLMF 10.25.2 / 10.27.4) as
 an independent oracle.
 """
@@ -155,10 +162,9 @@ def _temme_table(mu):
     return np.array(rows)
 
 
-def _series_pair(mu, y):
-    """The pair of ``_k_pair`` by Temme's series, y <= 1."""
-    ell = _LN2 - np.log(y)  # log(2/y) >= log 2, with no rounding of 2/y
-    sig = mu * ell
+def _series_route(mu):
+    """Temme's series for the pair of ``_kernel_pair``, y <= 1: the
+    mu-dependent set-up, and the function that evaluates one block of y."""
     # g1 and g2 of Temme from the odd and even Taylor coefficients of
     # 1/Gamma(1+x), free of the cancellation in their defining differences
     m2 = mu * mu
@@ -168,37 +174,51 @@ def _series_pair(mu, y):
         g2 = g2 * m2 + even
     small = abs(mu) < 1e-8
     fact = 1.0 if small else math.pi * mu / math.sin(math.pi * mu)
-    # ell sinh(sig) / sig, without 0/0 at mu = 0
-    ell_sinhc = ell * (1.0 + sig * sig / 6.0) if small else np.sinh(sig) / mu
     # start values times 2 / Gamma(1+mu), so that p_0 is (2/y)^mu itself
     # and the K_{mu+1} term comes out as exactly e^y at y -> 0
     ratio = math.gamma(1.0 - mu) / math.gamma(1.0 + mu)
-    f0 = (2.0 * fact / math.gamma(1.0 + mu)) * (
-        g1 * np.cosh(sig) + g2 * ell_sinhc)
-    p0 = np.exp(sig)  # (2/y)^mu
-    q0 = ratio / p0
-    # f_1 on the array: the one cancellation of the series happens here
-    f1 = (f0 + p0 + q0) / (1.0 - m2)
+    c0 = 2.0 * fact / math.gamma(1.0 + mu)
     tab = _temme_table(mu)
-    s = _combine(_powers(0.25 * y * y, len(tab)), tab)
-    k0 = f0 + (f1 * s[0] + p0 * s[1] + q0 * s[2])
-    k1 = f1 * s[3] + p0 * s[4] + q0 * s[5]
-    # (y/2)^|mu| = p0 and (y/2)^mu = 1 / p0 from the same exponential;
-    # 2 / Gamma(1+|mu|) differs from 2 / Gamma(1+mu) by the factor 1 / ratio
-    e = np.exp(y)
-    return k0 * e * (p0 / ratio), k1 * e / p0
+
+    def pair(y):
+        ell = _LN2 - np.log(y)  # log(2/y) >= log 2, with no rounding of 2/y
+        sig = mu * ell
+        # ell sinh(sig) / sig, without 0/0 at mu = 0
+        ell_sinhc = (ell * (1.0 + sig * sig / 6.0) if small
+                     else np.sinh(sig) / mu)
+        f0 = c0 * (g1 * np.cosh(sig) + g2 * ell_sinhc)
+        p0 = np.exp(sig)  # (2/y)^mu
+        q0 = ratio / p0
+        # f_1 on the array: the one cancellation of the series happens here
+        f1 = (f0 + p0 + q0) / (1.0 - m2)
+        s = _combine(_powers(0.25 * y * y, len(tab)), tab)
+        k0 = f0 + (f1 * s[0] + p0 * s[1] + q0 * s[2])
+        k1 = f1 * s[3] + p0 * s[4] + q0 * s[5]
+        # (y/2)^|mu| = p0 and (y/2)^mu = 1 / p0 from the same exponential;
+        # 2 / Gamma(1+|mu|) differs from 2 / Gamma(1+mu) by the factor
+        # 1 / ratio
+        e = np.exp(y)
+        return k0 * e * (p0 / ratio), k1 * e / p0
+
+    return pair
 
 
-def _trapezoid_pair(mu, y, bucket):
-    """e^y (K_mu, K_{mu+1}) by the trapezoidal rule of one bucket, y > 1."""
+def _trapezoid_route(mu, bucket):
+    """e^y (K_mu, K_{mu+1}) by the trapezoidal rule of one bucket, y > 1:
+    the cosh columns once, then a function of one block of y."""
     t, w, cm1 = _BUCKETS[bucket]
     cols = w[:, None] * np.cosh(np.multiply.outer(t, (mu, mu + 1.0)))
-    nodes = np.multiply.outer(-cm1, y)
-    return _combine(np.exp(nodes, out=nodes), cols)
+
+    def pair(y):
+        nodes = np.multiply.outer(-cm1, y)
+        return _combine(np.exp(nodes, out=nodes), cols)
+
+    return pair
 
 
-def _hankel_pair(mu, y):
-    """e^y (K_mu, K_{mu+1}) by the Hankel expansion, y >= 50."""
+def _hankel_route(mu):
+    """e^y (K_mu, K_{mu+1}) by the Hankel expansion, y >= 50: the
+    coefficient rows once, then a function of one block of y."""
     # a_k(nu) = a_{k-1}(nu) (4 nu^2 - (2k-1)^2) / (8k), a_0 = 1
     a, b = 1.0, 1.0
     rows = [(a, b)]
@@ -207,8 +227,36 @@ def _hankel_pair(mu, y):
         a *= (4.0 * mu * mu - odd2) / (8 * k)
         b *= (4.0 * (mu + 1.0) ** 2 - odd2) / (8 * k)
         rows.append((a, b))
-    return _combine(_powers(1.0 / y, _HANKEL_TERMS), np.array(rows)) * np.sqrt(
-        0.5 * math.pi / y)
+    table = np.array(rows)
+
+    def pair(y):
+        return _combine(_powers(1.0 / y, _HANKEL_TERMS), table) * np.sqrt(
+            0.5 * math.pi / y)
+
+    return pair
+
+
+def _route(mu, r):
+    """The pair of ``_kernel_pair`` by route r (0 series, 1 and 2 the
+    trapezoid buckets, 3 Hankel): its set-up at mu, once per kernel call,
+    and the function that evaluates one block of y."""
+    if r == 0:
+        return _series_route(mu)
+    k_pair = _trapezoid_route(mu, r - 1) if r < 3 else _hankel_route(mu)
+    ca = 2.0 / math.gamma(1.0 + abs(mu))
+    cb = 2.0 / math.gamma(1.0 + mu)
+
+    def pair(y):
+        ka, kb = k_pair(y)
+        half = 0.5 * y
+        return ka * ca * half ** abs(mu), kb * cb * half ** (mu + 1.0)
+
+    return pair
+
+
+# points per block of a route: each route's temporaries, up to about 30
+# rows of one block, stay near 0.5 MB whatever the size of the array
+_BLOCK = 2048
 
 
 def _kernel_pair(mu, y):
@@ -220,23 +268,24 @@ def _kernel_pair(mu, y):
     the first tends to 1 / |mu| (about 2 log(2/y) at mu = 0) and the second
     to 1, which the series returns exactly.  At large y the first decays
     like y^(|mu| - 1/2) and the second grows like y^(mu + 1/2) <= sqrt(y),
-    so no finite y overflows them."""
+    so no finite y overflows them.
+
+    Each route makes its mu-dependent set-up once per call and then runs
+    over its points in blocks of ``_BLOCK``, writing into the two results,
+    so the temporaries scale with the block and not with y.  A point's
+    arithmetic does not depend on its block."""
     if mu == -0.5:  # K_{+-1/2} = sqrt(pi / 2y) e^{-y}: the Hankel sum ends
-        return np.array([[2.0], [1.0]]) * np.ones(y.shape)
+        return np.full(y.shape, 2.0), np.ones(y.shape)
     a, b = np.empty(y.shape), np.empty(y.shape)
     route = np.searchsorted(_EDGES, y)
     counts = np.bincount(route, minlength=4)
     for r in np.flatnonzero(counts):
-        sel = slice(None) if counts[r] == y.size else route == r
-        ys = y[sel]
-        if r == 0:
-            a[sel], b[sel] = _series_pair(mu, ys)
-            continue
-        ka, kb = (_trapezoid_pair(mu, ys, r - 1) if r < 3
-                  else _hankel_pair(mu, ys))
-        half = 0.5 * ys
-        a[sel] = ka * (2.0 / math.gamma(1.0 + abs(mu))) * half ** abs(mu)
-        b[sel] = kb * (2.0 / math.gamma(1.0 + mu)) * half ** (mu + 1.0)
+        pair = _route(mu, r)
+        whole = counts[r] == y.size
+        idx = None if whole else np.flatnonzero(route == r)
+        for lo in range(0, counts[r], _BLOCK):
+            sel = slice(lo, lo + _BLOCK) if whole else idx[lo:lo + _BLOCK]
+            a[sel], b[sel] = pair(y[sel])
     return a, b
 
 
@@ -411,10 +460,15 @@ def psi(s: float, y):
         raise ValueError(
             f"psi requires a finite order 0 < s <= {_MAX_ORDER:g}, got {s}")
     ay = np.abs(np.asarray(y, dtype=float))
-    out = np.where(ay == 0.0, 1.0, np.where(ay > 0.0, 0.0, np.nan))
-    pos = (ay > 0.0) & (ay < math.inf)
-    if pos.any():
-        out[pos] = _psi_positive(s, ay[pos])
+    # the common case, every point finite and positive, needs no mask
+    # (a NaN fails the first test)
+    if ay.size and ay.min() > 0.0 and ay.max() < math.inf:
+        out = _psi_positive(s, ay.ravel()).reshape(ay.shape)
+    else:
+        out = np.where(ay == 0.0, 1.0, np.where(ay > 0.0, 0.0, np.nan))
+        pos = (ay > 0.0) & (ay < math.inf)
+        if pos.any():
+            out[pos] = _psi_positive(s, ay[pos])
     return float(out) if out.ndim == 0 else out
 
 
@@ -424,18 +478,27 @@ def _psi_positive(s, y):
     The kernel pair at mu = -min(g, 1 - g), g = s - floor(s) in (0, 1],
     serves the orders g and 1 - g and every order they climb to, so it is
     formed on all of y, before the order-dependent cut below: s, s - 1 and
-    1 - s on one array then share one kernel evaluation.
+    1 - s on one array then share one kernel evaluation.  The climb and the
+    final e^{-y} run over blocks of ``_BLOCK`` points into one result, so
+    their temporaries scale with the block and not with y.
     """
     g = s - math.floor(s) or 1.0
     a, b = _k_pair(-min(g, 1.0 - g), y)
     # psi_s(y) <= c_s y^s sqrt(2 pi / y) e^{-y + s^2 / 2y} (cosh t >=
     # 1 + t^2/2 in the integral representation of K_s) rounds to 0 beyond
     # 2s + 2000
-    live = y < 2.0 * s + 2000.0
-    if live.all():
-        return _climb(s, g, y, a, b)
-    out = np.zeros(y.shape)
-    out[live] = _climb(s, g, y[live], a[live], b[live])
+    cut = 2.0 * s + 2000.0
+    out = np.empty(y.shape)
+    for lo in range(0, y.size, _BLOCK):
+        sel = slice(lo, lo + _BLOCK)
+        ys = y[sel]
+        live = ys < cut
+        if live.all():
+            out[sel] = _climb(s, g, ys, a[sel], b[sel])
+        else:
+            block = out[sel]
+            block[:] = 0.0
+            block[live] = _climb(s, g, ys[live], a[sel][live], b[sel][live])
     return out
 
 

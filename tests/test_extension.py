@@ -1,5 +1,6 @@
 """Tests for extension curves: traces, derivatives, ODE residuals, exports."""
 
+import dataclasses
 import json
 import math
 import warnings
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fracext.extension import (
+    ExtensionCurve,
     conormal_trace,
     curve_to_csv,
     curve_to_json,
@@ -709,6 +711,35 @@ def test_curve_csv_rows_are_17_digit_values(s, negative):
                      for v in (y, *curve.values[:, i]))
             for i, y in enumerate(curve.grid)]
     assert lines[2:-1] == want
+
+
+def _json_per_value(curve):
+    """The JSON dump with one 17-digit format per value, as a reference."""
+    def fmt(x):
+        return f"{float(x):.17g}"
+    parts = []
+    if isinstance(curve, ExtensionCurve):
+        parts += [f'"s": {fmt(curve.params.s)}', f'"b": {fmt(curve.params.b)}']
+    parts.append('"grid": [' + ", ".join(fmt(y) for y in curve.grid) + "]")
+    rows = ", ".join("[" + ", ".join(fmt(v) for v in row) + "]"
+                     for row in curve.values)
+    parts.append(f'"values": [{rows}]')
+    return "{" + ", ".join(parts) + "}"
+
+
+@pytest.mark.parametrize("bare", [False, True])
+def test_curve_json_matches_the_per_value_format(bare):
+    spec = dirichlet_laplacian_1d(math.pi, 5)
+    u = ModalVector(np.array([1.0, -2.0, 0.0, 3.5, -0.0]), spec)
+    curve = derivative_curve(u, 1.3, 1) if bare else extend(u, 1.3)
+    values = curve.values.copy()
+    values[1, :3] = (-0.0, 5e-324, 1.7e308)
+    curve = dataclasses.replace(curve, values=values)
+    assert isinstance(curve, ExtensionCurve) != bare
+    text = curve_to_json(curve)
+    assert text == _json_per_value(curve)
+    assert "[-0, 4.9406564584124654e-324, 1.6999999999999999e+308, " in text
+    assert json.loads(text)["values"][1][1:3] == [5e-324, 1.7e308]
 
 
 def test_curve_json_roundtrip():

@@ -4,6 +4,7 @@ import math
 import sys
 import threading
 import time
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -419,6 +420,57 @@ def test_kernel_memory_under_threads(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(th.is_alive() for th in threads)
     assert wrong == []
+
+
+# the kernel and the climb run in blocks of special._BLOCK points
+
+
+@given(s=st.floats(0.0, 8.0, exclude_min=True, exclude_max=True),
+       seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=10, deadline=None)
+def test_block_boundaries_leave_no_trace(s, seed):
+    rng = np.random.default_rng(seed)
+    n = 3 * special._BLOCK + 5  # 11 * 13 * 43
+    # log-uniform over every route, some beyond the live cut 2s + 2000
+    ys = np.exp(rng.uniform(math.log(1e-8), math.log(1e4), n))
+    whole = psi(s, ys)
+    assert np.all((whole >= 0.0) & (whole <= 1.0))
+    # unaligned slices, each shorter than one block
+    cuts = np.cumsum(rng.integers(1, special._BLOCK, n))
+    cuts = np.concatenate(([0], cuts[cuts < n], [n]))
+    parts = [psi(s, ys[lo:hi]) for lo, hi in zip(cuts[:-1], cuts[1:])]
+    assert _bits(np.concatenate(parts)) == _bits(whole)
+    assert _bits(psi(s, ys.reshape(11, -1))) == _bits(whole.reshape(11, -1))
+    # 0, -y, +-inf and NaN take the masked path, with the same bits elsewhere
+    mixed = ys.copy()
+    spots = rng.permutation(n)[:25]
+    mixed[spots[:10]] *= -1.0
+    mixed[spots[10:13]] = 0.0
+    mixed[spots[13:17]] = math.inf
+    mixed[spots[17:19]] = -math.inf
+    mixed[spots[19:]] = math.nan
+    want = whole.copy()
+    want[spots[10:13]] = 1.0
+    want[spots[13:19]] = 0.0
+    want[spots[19:]] = math.nan
+    assert _bits(psi(s, mixed)) == _bits(want)
+
+
+@pytest.mark.parametrize("s", [0.3, 1.3, 3.7])
+def test_curve_working_memory_scales_with_the_result(s, monkeypatch):
+    # the traced peak of a 4096-mode curve stays within a few copies of the
+    # result: the two-entry memory alone holds the key copy and the pair
+    u = ModalVector(np.random.default_rng(11).normal(size=4096),
+                    dirichlet_laplacian_1d(math.pi, 4096))
+    for make in (extend, lambda u, s: derivative_curve(u, s, 1)):
+        monkeypatch.setattr(special, "_pairs", ())
+        tracemalloc.start()
+        try:
+            values = make(u, s).values
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * values.nbytes
 
 
 @pytest.mark.parametrize("s", [0.25, 0.5, 0.75, 1.3, 2.5, 3.7])
