@@ -229,10 +229,8 @@ def _cmd_verify(args):
         cfg.lam_values = (lam,)
     try:
         reports = run_checks(args.checks, cfg)
-    except ValueError as err:
-        if "unknown check name" in str(err):
-            raise UsageError(str(err)) from err
-        raise
+    except ValueError as err:  # an unknown check name
+        raise UsageError(str(err)) from err
     if not reports:
         # a selection the checks skip entirely would pass vacuously
         raise UsageError("the check selection and restrictions leave no "

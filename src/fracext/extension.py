@@ -10,9 +10,9 @@ weighted conormal limit recovers -d_s L^s u, and which is annihilated by
 the ceil(s)-th power of the degenerate operator D_b + L.  Kernel modes of a
 nonnegative operator ride along as constant-in-y components.
 
-Limits at y = 0 are extracted by fitting the known leading power laws on a
-small geometric sample (the curve behaves like L + A y^{p1} + B y^{p2}),
-which converges much faster than plain Richardson with guessed exponents.
+The Dirichlet trace is fitted to the known leading power laws on a small
+geometric sample (the curve behaves like L + A y^{p1} + B y^{p2}), which
+converges much faster than plain Richardson with guessed exponents.
 
 Curve assembly is independent per (mode, grid point): every routine makes
 one profile call on the whole (mode, abscissa) matrix, with kernel modes
@@ -42,6 +42,7 @@ from .spectral import (
     Spectrum,
     _active_modes,
     _require_finite,
+    _scaled_power,
     apply_power,
 )
 
@@ -200,37 +201,25 @@ def trace0(curve: ExtensionCurve) -> ModalVector:
 
 
 def conormal_trace(u: ModalVector, s: float) -> ModalVector:
-    """Weighted Dirichlet-to-Neumann trace of the extension of u.
+    """Weighted Dirichlet-to-Neumann trace of the extension of u: -d_s L^s u.
 
-    Evaluates the collapsed conormal expression per mode,
+    Per mode the collapsed conormal expression is exact at every y,
 
         y^b d/dy [ (D_b + lambda)^{floor(s)} psi_{s,lambda} ] u_j
             = -d_s lambda^s psi_{ceil(s)-s}(sqrt(lambda) y) u_j,
 
-    on a small geometric y-sequence and extrapolates y -> 0 with the known
-    leading exponents.  The result equals -d_s L^s u (coefficients of an
-    order--s functional).  Within 1e-9 below an integer order the leading
-    exponent 2 (ceil(s) - s) leaves the samples flat to rounding, so the
-    limit cannot be extrapolated and a ValueError says so.
+    and psi tends to 1 at the origin, so the limit is the closed form
+    -d_s lambda_j^s u_j on the active modes, finite wherever the product
+    is; a result beyond the double range is a ValueError naming it.
+    ``fracext verify``'s ``dtn`` check measures the limit on the profile.
     """
     params = FracParams.from_order(s)
-    lam_pos = u.spectrum.positive
-    lam_max = lam_pos[-1] if lam_pos.size else 1.0
-    y0 = 2e-3 / math.sqrt(lam_max)
-    s_rem = params.ceil_s - s  # in (0, 1)
-    if s_rem < 1e-9:
-        raise ValueError(
-            f"conormal trace at s={s}: ceil(s) - s = {s_rem:.1e} is below "
-            f"1e-9, too close to an integer to extrapolate the limit")
-    exponents = _origin_exponents(s_rem)
-    ys = np.array([y0, 0.5 * y0, 0.25 * y0])
-    mask, root = _active_roots(u)
-    with np.errstate(over="ignore"):  # lam^s at large orders
-        amp = -params.d_s * u.spectrum.eigenvalues[mask] ** s * u.coeffs[mask]
-    _require_finite(f"conormal_trace(s={s})", amp)
-    vals = amp[:, None] * psi(s_rem, root * ys)
+    mask = _active_modes(u)
     out = np.zeros(u.spectrum.size)
-    out[mask] = power_fit_limit(ys, vals.T, exponents)
+    amp = _scaled_power(u.spectrum.eigenvalues[mask], s, u.coeffs[mask])
+    with np.errstate(over="ignore"):  # d_s > 1 can carry amp past the range
+        out[mask] = -params.d_s * amp
+    _require_finite(f"conormal_trace(s={s})", out)
     return ModalVector(out, u.spectrum)
 
 
@@ -240,7 +229,8 @@ def derivative_curve(u: ModalVector, s: float, k: int, grid=None) -> CurveSample
     Per mode,  d^k/dy^k [psi_s(sqrt(lambda) y)] = lambda^{k/2}
     (d^k psi_s)(sqrt(lambda) y), with the derivative given in closed form by
     Beta-coefficient combinations of lower-order profiles.  Admissible k as
-    in :func:`fracext.special.psi_deriv`.
+    in :func:`fracext.special.psi_deriv`; a value beyond the double range
+    is a ValueError naming it.
     """
     FracParams.from_order(s)
     if grid is None:
@@ -248,8 +238,10 @@ def derivative_curve(u: ModalVector, s: float, k: int, grid=None) -> CurveSample
     grid = _check_grid(grid)
     values = np.zeros((u.spectrum.size, grid.size))
     mask, root = _active_roots(u)
-    amp = u.coeffs[mask] * u.spectrum.eigenvalues[mask] ** (0.5 * k)
-    values[mask] = amp[:, None] * psi_deriv(s, root * grid, k)
+    amp = _scaled_power(u.spectrum.eigenvalues[mask], 0.5 * k, u.coeffs[mask])
+    with np.errstate(over="ignore", invalid="ignore"):  # inf amp * 0 is NaN
+        values[mask] = amp[:, None] * psi_deriv(s, root * grid, k)
+    _require_finite(f"derivative_curve(s={s}, k={k})", values)
     return CurveSamples(spectrum=u.spectrum, grid=grid, values=values)
 
 

@@ -18,10 +18,10 @@ the trace constant
           \\frac{\\lfloor s\\rfloor!}{\\Gamma(s)} .
 
 Every routine's value is a pure function of its arguments.  The one shared
-state is a memory of the last two kernel pairs (below), which holds
-read-only arrays and its own copy of each key, and which returns exactly
-what a recomputation would; a call that races another may lose an entry,
-never get a wrong one, so all routines are safe to call concurrently.
+state is a memory of the last kernel pair (below), which holds read-only
+arrays and its own copy of the key, and which returns exactly what a
+recomputation would; a call that races another may lose the entry, never
+get a wrong one, so all routines are safe to call concurrently.
 
 ``psi`` and ``bessel_k`` share one array kernel in numpy, with no
 special-function dependency.  It returns the pair
@@ -45,10 +45,9 @@ the Hankel rows) once per call and then runs over its points in blocks of
 so the temporaries scale with the block, not with the number of points;
 a point's arithmetic does not depend on its block or on the size of the
 array, so a value comes out the same bits in every call.  The kernel
-remembers its last two pairs, keyed by ``mu`` and the abscissae, so the
-orders s, s - 1 and 1 - s of a curve and its first derivative on one
-array make one kernel evaluation; two entries, because a small call (the
-conormal trace) falls between them.
+remembers its last pair, keyed by ``mu`` and the abscissae, so the orders
+s, s - 1 and 1 - s of a curve and its first derivative on one array make
+one kernel evaluation.
 ``psi_series`` evaluates the ascending series (DLMF 10.25.2 / 10.27.4) as
 an independent oracle.
 """
@@ -289,29 +288,27 @@ def _kernel_pair(mu, y):
     return a, b
 
 
-# the last two results of _k_pair, newest first: (mu, abscissae, a, b)
+# the last result of _k_pair, a tuple of at most one (mu, abscissae, a, b):
+# one is enough, as no profile call falls between a curve and its derivative
 _pairs = ()
 
 
 def _k_pair(mu, y):
-    """The pair of ``_kernel_pair``, from memory when one of the last two
-    calls had the same mu and the same abscissae.
+    """The pair of ``_kernel_pair``, from memory when the last call had the
+    same mu and the same abscissae.
 
     The orders s, s - 1 and 1 - s of a profile and its first derivative
-    share mu, so the second of them on one array pays only the climb.  An
+    share mu, so the second of them on one array pays only the climb.  The
     entry keeps its own copy of y, and its pair is read-only: neither the
     caller's array nor a returned one can change a later result.  A hit
     returns exactly the arrays a recomputation would give."""
     global _pairs
-    pairs = _pairs
-    for i, (m, key, a, b) in enumerate(pairs):
+    for m, key, a, b in _pairs:
         if m == mu and key.shape == y.shape and (key == y).all():
-            if i:
-                _pairs = (pairs[i], pairs[0])
             return a, b
     a, b = _kernel_pair(mu, y)
     a.flags.writeable = b.flags.writeable = False
-    _pairs = ((mu, y.copy(), a, b),) + pairs[:1]
+    _pairs = ((mu, y.copy(), a, b),)
     return a, b
 
 

@@ -27,7 +27,9 @@ from .extension import (
     taylor_expand,
     trace0,
 )
+from .numdiff import power_fit_limit
 from .special import (
+    _apply_operator_power,
     psi,
     psi_fourier,
     psi_taylor_remainder,
@@ -135,12 +137,22 @@ def check_virial(s, cfg):
 
 @_orders((0.3, 0.5, 1.5, 2.5))
 def check_dtn(s, cfg):
-    """Conormal trace against -d_s L^s u, mode by mode."""
+    """The conormal limit measured on the profile against conormal_trace.
+
+    (psi_g(sqrt(lam) y) - 1) / y^{2g} = A lam^g + B lam y^{2-2g} + O(y^2),
+    g = s - floor(s), is fitted at three small y; 2g A lam^g is the order-g
+    limit, and the collapse lam^{floor(s)} d_s / d_g lifts it to order s.
+    """
     u = _two_mode()
-    got = conormal_trace(u, s)
-    want = -trace_constant(s) * apply_power(u, s).coeffs
-    return [report_equal(f"dtn(s={s}, mode={j + 1})", got.coeffs[j], want[j],
-                         1e-4)
+    want = conormal_trace(u, s).coeffs  # a named overflow comes first
+    g = s - math.floor(s)
+    lam = u.spectrum.eigenvalues
+    ys = np.array([1e-3, 5e-4, 2.5e-4])
+    vals = (psi(g, np.sqrt(lam)[:, None] * ys) - 1.0) / ys ** (2.0 * g)
+    limit = 2.0 * g * power_fit_limit(ys, vals.T, (2.0 - 2.0 * g, 2.0))
+    lift = _apply_operator_power(s, lam, 1.0 - 2.0 * g, math.floor(s))
+    got = lift.coef * limit * u.coeffs
+    return [report_equal(f"dtn(s={s}, mode={j + 1})", got[j], want[j], 1e-4)
             for j in range(len(u))]
 
 

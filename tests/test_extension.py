@@ -177,15 +177,14 @@ def test_conormal_trace_matches_fractional_power(s):
     np.testing.assert_allclose(got.coeffs, want, rtol=1e-4)
 
 
-def test_conormal_trace_rejects_order_just_below_an_integer():
-    # at s = 2 - 1e-12 the fit used to return a value 2e-5 off, and at
-    # 2 - 1.8e-15 one 2 % off, without complaint
-    u = one_mode()
-    for s in (2.0 - 1e-12, 2.0 - 1.8e-15, 1.0 - 1e-10):
-        with pytest.raises(ValueError, match="too close to an integer"):
-            conormal_trace(u, s)
-    assert conormal_trace(u, 2.0 - 1e-6).coeffs[0] == pytest.approx(
-        -trace_constant(2.0 - 1e-6), rel=1e-6)
+def test_conormal_trace_is_the_closed_form_just_below_an_integer():
+    # a fit in y once returned a value 2e-5 off at s = 2 - 1e-12 and 2 %
+    # off at 2 - 1.8e-15, and was then refused within 1e-9 of an integer
+    u = ModalVector(np.array([1.0, -3.0]), explicit_spectrum([1.0, 4.0]))
+    for s in (2.0 - 1e-12, 2.0 - 1.8e-15, 1.0 - 1e-10, 2.0 - 1e-6):
+        want = -trace_constant(s) * np.array([1.0, -3.0 * 4.0 ** s])
+        np.testing.assert_allclose(conormal_trace(u, s).coeffs, want,
+                                   rtol=1e-14)
 
 
 def test_conormal_trace_cross_check_via_reduced_profile():
@@ -380,6 +379,44 @@ def test_conormal_trace_overflow_is_named_without_a_numpy_warning():
                              "overflows: the result must be finite")
 
 
+def test_conormal_trace_is_finite_where_the_product_is():
+    # lam^{3/2} = 1e375 alone leaves the range, -d_s lam^{3/2} u = -2e175
+    # does not; the named overflow used to refuse it
+    u = ModalVector(np.array([1.0, 1e-200]), explicit_spectrum([1.0, 1e250]))
+    # d_{5/2} u = 2.7e308 is out of range, -d_{5/2} 0.5^{5/2} u is not
+    big = ModalVector(np.array([1e308]), explicit_spectrum([0.5]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = conormal_trace(u, 1.5).coeffs
+        edge = conormal_trace(big, 2.5).coeffs
+    np.testing.assert_allclose(got, [-2.0, -2e175], rtol=1e-12)
+    np.testing.assert_allclose(edge, [-trace_constant(2.5) * 0.5 ** 2.5
+                                      * 1e308], rtol=1e-14)
+
+
+def test_derivative_curve_overflow_is_named_without_a_numpy_warning():
+    # lam^2 = 1e400 was a bare power: two numpy warnings, and a curve with
+    # inf and 149 NaN among its 320 values
+    u = ModalVector(np.ones(2), explicit_spectrum([1.0, 1e200]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"derivative_curve\(s=2\.5, "
+                                             r"k=4\) overflows"):
+            derivative_curve(u, 2.5, 4)
+
+
+def test_derivative_curve_is_finite_where_the_product_is():
+    # lam^{3/2} = 1e375 alone leaves the range, lam^{3/2} u = 1e175 does
+    # not: the values near 1e171 used to come back as inf
+    u = ModalVector(np.array([1.0, 1e-200]), explicit_spectrum([1.0, 1e250]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = derivative_curve(u, 2.5, 3)
+    assert np.all(np.isfinite(got.values))
+    want = 1e175 * psi_deriv(2.5, math.sqrt(1e250) * got.grid, 3)
+    np.testing.assert_allclose(got.values[1], want, rtol=1e-12)
+
+
 def test_iterated_db_matches_recurrence():
     # (D_b+1)^m psi_s = (d_s/d_{s-m}) psi_{s-m}, nested finite differences
     s, m = 2.5, 2
@@ -519,13 +556,9 @@ def test_trace0_at_its_order_floor(exps, seed):
 @_random_trace_cases
 def test_conormal_trace_is_minus_d_s_power_on_random_data(exps, seed, s):
     u = _random_data(exps, seed)
-    if math.ceil(s) - s < 1e-9:
-        with pytest.raises(ValueError, match="too close to an integer"):
-            conormal_trace(u, s)
-        return
     want = -trace_constant(s) * apply_power(u, s).coeffs
     np.testing.assert_allclose(conormal_trace(u, s).coeffs, want,
-                               rtol=2e-6, atol=0.0)
+                               rtol=1e-14, atol=0.0)
 
 
 def test_commutation_with_powers():
@@ -657,15 +690,9 @@ def test_batched_extend_and_trace0_match_per_mode_loop(s):
 @pytest.mark.parametrize("s", [0.3, 1.3, 2.5, 3.7])
 def test_batched_conormal_trace_matches_per_mode_loop(s):
     u = _spread_vector()
-    lam = u.spectrum.eigenvalues
     d_s = trace_constant(s)
-    s_rem = math.ceil(s) - s
-    y0 = 2e-3 / math.sqrt(lam[-1])
-    ys = np.array([y0, 0.5 * y0, 0.25 * y0])
-    profiles = _loop_profiles(u, lambda z: psi(s_rem, z), ys)
-    want = [power_fit_limit(ys, -d_s * lam[j] ** s * u.coeffs[j] * row,
-                            (2.0 * s_rem, 2.0)) if row.any() else 0.0
-            for j, row in enumerate(profiles)]
+    want = [-d_s * lam ** s * c if lam else 0.0
+            for lam, c in zip(u.spectrum.eigenvalues, u.coeffs)]
     _assert_batched_equal(conormal_trace(u, s).coeffs, want)
 
 

@@ -2,10 +2,13 @@
 its default orders, or at the requested orders inside its domain."""
 
 import math
+import warnings
 
 import pytest
 
 from fracext import suite
+from fracext.special import trace_constant
+from fracext.spectral import ModalVector, apply_power
 from fracext.suite import CheckFailure, RunConfig, run_checks
 from fracext.weighted import CheckReport
 
@@ -79,13 +82,36 @@ def test_energy_overflow_names_the_quantity_and_order():
 
 
 @pytest.mark.parametrize("name,x,limit", [
-    ("dtn", 0.9999999999, "below 1e-9"),
     ("trace0", 1e-7, "below the floor 1e-06"),
 ])
 def test_library_refusal_is_a_failed_record_naming_its_limit(name, x, limit):
     (record,) = _restricted(x, [name])
     assert isinstance(record, CheckFailure)
     assert record.name == name and limit in record.error
+
+
+def test_dtn_fails_a_conormal_trace_off_the_measured_limit(monkeypatch):
+    # the measured side does not come from conormal_trace: 1e-3 off the
+    # closed form, every default report fails
+    def off(u, s):
+        exact = -trace_constant(s) * apply_power(u, s).coeffs
+        return ModalVector(exact * (1.0 + 1e-3), u.spectrum)
+
+    monkeypatch.setattr(suite, "conormal_trace", off)
+    reports = run_checks(["dtn"])
+    assert len(reports) == 8
+    assert not any(r.passed for r in reports)
+
+
+@pytest.mark.parametrize("x", [0.01, 0.05, 0.9999999999, 1.0000001,
+                               2.9999999, 10.3, 100.5, 400.5])
+def test_dtn_measures_the_limit_at_every_order(x):
+    # within 1e-9 below an integer the conormal trace used to be refused
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reports = _restricted(x, ["dtn"])
+    assert len(reports) == 2
+    assert all(isinstance(r, CheckReport) and r.passed for r in reports)
 
 
 @pytest.mark.parametrize("x", [400.5, 3000.5])
