@@ -532,9 +532,10 @@ def _climb(s, g, y, a, b):
 
 
 def psi_lambda(s: float, lam: float, y):
-    """Rescaled profile psi_{s,lam}(y) = psi_s(sqrt(lam) |y|), lam > 0."""
-    if not lam > 0.0:
-        raise ValueError(f"psi_lambda requires lambda > 0, got {lam}")
+    """psi_{s,lam}(y) = psi_s(sqrt(lam) |y|) for a finite lam > 0."""
+    if not 0.0 < lam < math.inf:
+        raise ValueError(f"psi_lambda requires a finite lambda > 0, "
+                         f"got lambda={lam}")
     return psi(s, math.sqrt(lam) * np.asarray(y, dtype=float))
 
 

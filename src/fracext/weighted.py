@@ -8,7 +8,8 @@ through a Gauss-Jacobi rule (no sample at y = 0), and the cells growing
 geometrically away from it use Gauss-Legendre with the weight evaluated.
 The Gauss-Jacobi rule is built by Golub-Welsch (Math. Comp. 23 (1969)):
 the eigenvalues and first eigenvector components of the Jacobi matrix, from
-``spectral.tridiag_eigh``.
+``spectral.tridiag_eigh``.  The same builder at beta = 0 gives the
+Gauss-Legendre rule of the other cells, built once at import.
 The log-transformed cells (y = e^t, composite Gauss panels in t) are an
 independent rule kept for the tests to cross-check the geometric one.
 
@@ -25,7 +26,9 @@ analytically through the recurrence
 
 valid when b matches the weight exponent of the order s.  The identity suite
 (energy isometry, virial split, trace inequality, integration by parts,
-Fourier isometries) reports results as :class:`CheckReport` records.
+Fourier isometries) reports results as :class:`CheckReport` records; its
+random test profiles are :class:`GaussianBump` sums whose fixed-seed
+parameters ``suite`` draws from the standard library's ``random.Random``.
 
 A pure-profile integral with weight y^beta is its lam = 1 value times
 lam^{-(beta+1)/2} (z = sqrt(lam) y); integrands that differ between modes
@@ -39,7 +42,6 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .special import (
     FracParams,
@@ -108,6 +110,17 @@ def _gauss_jacobi(p, beta):
     return t, v[0] ** 2 / (beta + 1.0)
 
 
+def _gauss_legendre(p):
+    """p-point Gauss-Legendre rule (x, w) on [-1, 1]: the beta = 0 Jacobi
+    rule mapped by x = 2t - 1, w -> 2w."""
+    t, w = _gauss_jacobi(p, 0.0)
+    return 2.0 * t - 1.0, 2.0 * w
+
+
+# the rule of every regular cell, built once
+_LEGENDRE_X, _LEGENDRE_W = _gauss_legendre(_POINTS_PER_CELL)
+
+
 @lru_cache(maxsize=512)
 def _cells_geometric(beta, upper, n):
     """Nodes/weights for int_0^upper y^beta f(y) dy on geometric cells."""
@@ -119,7 +132,7 @@ def _cells_geometric(beta, upper, n):
     bounds[-1] = upper
 
     tj, wj = _gauss_jacobi(p, beta)
-    xl, wl = leggauss(p)
+    xl, wl = _LEGENDRE_X, _LEGENDRE_W
     # singular cell [0, a1]: Gauss-Jacobi soaks up y^beta exactly, never
     # touching y=0; Gauss-Legendre on the others, one row per cell
     a, cc = bounds[:-1, None], bounds[1:, None]
@@ -141,7 +154,7 @@ def _cells_log_transformed(beta, upper, n):
     p = _POINTS_PER_CELL
     npanels = max(4, int(math.ceil(n / p)), int(math.ceil((t_hi - t_lo))))
     edges = np.linspace(t_lo, t_hi, npanels + 1)
-    xl, wl = leggauss(p)
+    xl, wl = _LEGENDRE_X, _LEGENDRE_W
     a, cc = edges[:-1, None], edges[1:, None]
     mid, hw = 0.5 * (a + cc), 0.5 * (cc - a)
     ts = mid + hw * xl

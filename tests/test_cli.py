@@ -29,8 +29,10 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-# no entry point loads scipy: the library needs only numpy, and scipy is
-# a test-only oracle
+# no entry point loads scipy, numpy.random or numpy.polynomial: the library
+# needs only numpy core (its fixed-seed data come from the standard library's
+# random, its Gauss rules from one Golub-Welsch builder), and scipy and
+# numpy.polynomial are test-only oracles
 _CLI = "from fracext.cli import main; main({})"
 _FOOTPRINT_CASES = {
     "import": "",
@@ -49,7 +51,8 @@ _FOOTPRINT_CASES = {
 def test_import_footprint(case):
     code = ("import sys, fracext\n"
             f"{_FOOTPRINT_CASES[case]}\n"
-            "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+            "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
+            "    or m.startswith(('numpy.random', 'numpy.polynomial'))]\n"
             "assert not loaded, loaded\n")
     src = os.path.dirname(os.path.dirname(fracext.__file__))
     env = dict(os.environ, PYTHONPATH=src)

@@ -498,6 +498,14 @@ def test_psi_lambda():
         psi_lambda(0.5, -1.0, 1.0)
 
 
+@pytest.mark.parametrize("lam", [math.inf, math.nan])
+def test_psi_lambda_refuses_non_finite_lambda(lam):
+    # at lam = inf sqrt(lam) * 0 used to give nan with a RuntimeWarning
+    for y in (0.0, [0.0, 1.0]):
+        with pytest.raises(ValueError, match=f"lambda={lam}"):
+            psi_lambda(0.5, lam, y)
+
+
 def test_half_integer_shortcut_only_at_base_order():
     # |y|^k e^{-|y|} / (k+1)! agrees with the profile at k = 0 and provably
     # not beyond: the k = 1 profile is (1+y) e^{-y}, not y e^{-y} / 2
