@@ -18,10 +18,11 @@ the trace constant
           \\frac{\\lfloor s\\rfloor!}{\\Gamma(s)} .
 
 Every routine's value is a pure function of its arguments.  The one shared
-state is a memory of the last kernel pair (below), which holds read-only
-arrays and its own copy of the key, and which returns exactly what a
-recomputation would; a call that races another may lose the entry, never
-get a wrong one, so all routines are safe to call concurrently.
+state is a memory of the last kernel pair and its companion profile
+(below), which holds read-only arrays and its own copy of the key, and
+which returns exactly what a recomputation would; a call that races
+another may lose the entry, never get a wrong one, so all routines are
+safe to call concurrently.
 
 ``psi`` and ``bessel_k`` share one array kernel in numpy, with no
 special-function dependency.  It returns the pair
@@ -45,9 +46,16 @@ the Hankel rows) once per call and then runs over its points in blocks of
 so the temporaries scale with the block, not with the number of points;
 a point's arithmetic does not depend on its block or on the size of the
 array, so a value comes out the same bits in every call.  The kernel
-remembers its last pair, keyed by ``mu`` and the abscissae, so the orders
-s, s - 1 and 1 - s of a curve and its first derivative on one array make
-one kernel evaluation.
+remembers its last pair, keyed by ``mu`` and the abscissae, and beside it
+the companion of the last climb on that pair: the profile at the order of
+``psi_s'`` (s - 1 above 1, 1 - s below; DLMF 10.29.1), which the climb to
+s passes one rung before the top or reads off the base pair, and scales
+by the same ``e^{-y}`` split.  So a curve and its first derivative on one
+array make one kernel evaluation and one climb, and the derivative's
+profile call returns a copy of the companion.  The companion is kept when
+its order has the same ``mu``: always above 1/2, and below 1/2 when
+``1 - (1 - s)`` rounds back to s.  ``e^{-y} = 2^{-k} e^{-r}`` is applied
+with int32 exponents ``k``, which keep ``np.ldexp`` on its vector loop.
 ``psi_series`` evaluates the ascending series (DLMF 10.25.2 / 10.27.4) as
 an independent oracle.
 """
@@ -288,37 +296,53 @@ def _kernel_pair(mu, y):
     return a, b
 
 
-# the last result of _k_pair, a tuple of at most one (mu, abscissae, a, b):
-# one is enough, as no profile call falls between a curve and its derivative
+# the last kernel evaluation, a tuple of at most one entry (mu, abscissae,
+# a, b, companion order, companion): one is enough, as no profile call
+# falls between a curve and its derivative.  The companion is the profile
+# at the first-derivative order of the last climb on the pair, or None
 _pairs = ()
 
 
 def _k_pair(mu, y):
-    """The pair of ``_kernel_pair``, from memory when the last call had the
-    same mu and the same abscissae.
+    """The memory entry (mu, key, a, b, companion order, companion) of the
+    pair of ``_kernel_pair`` at mu on y: the remembered one when the last
+    call had the same mu and the same abscissae, else a new one with no
+    companion, which takes its place.
 
     The orders s, s - 1 and 1 - s of a profile and its first derivative
-    share mu, so the second of them on one array pays only the climb.  The
-    entry keeps its own copy of y, and its pair is read-only: neither the
-    caller's array nor a returned one can change a later result.  A hit
-    returns exactly the arrays a recomputation would give."""
+    share mu, so the second of them on one array pays at most the climb.
+    The entry keeps its own copy of y, and its arrays are read-only:
+    neither the caller's array nor a returned one can change a later
+    result.  A hit returns exactly the arrays a recomputation would give."""
     global _pairs
-    for m, key, a, b in _pairs:
-        if m == mu and key.shape == y.shape and (key == y).all():
-            return a, b
+    for entry in _pairs:
+        key = entry[1]
+        if entry[0] == mu and key.shape == y.shape and (key == y).all():
+            return entry
     a, b = _kernel_pair(mu, y)
     a.flags.writeable = b.flags.writeable = False
-    _pairs = ((mu, y.copy(), a, b),)
-    return a, b
+    entry = (mu, y.copy(), a, b, None, None)
+    _pairs = (entry,)
+    return entry
+
+
+def _exp_neg(y):
+    """e^{-y} split as 2^{-k} e^{-r}, r in [0, log 2): (e^{-r}, k).
+
+    k is int32, which keeps ``np.ldexp`` on its vector loop (an int64
+    exponent takes a scalar one); |k| stays below 2^19 for every y that
+    a profile keeps, 2 * 1e5 + 2000 at most."""
+    k = np.floor(y * (1.0 / _LN2))
+    r = (y - k * _LN2_HI) - k * _LN2_LO
+    return np.exp(-r), k.astype(np.int32)
 
 
 def _times_exp_neg(v, e, y):
-    """v 2^e e^{-y} with e^{-y} = 2^{-k} e^{-r}, r in [0, log 2): only
-    v e^{-r} is rounded before the power-of-two scaling, and neither factor
-    over- or underflows on its own."""
-    k = np.floor(y * (1.0 / _LN2))
-    r = (y - k * _LN2_HI) - k * _LN2_LO
-    return np.ldexp(v * np.exp(-r), e - k.astype(np.int64))
+    """v 2^e e^{-y}: only v e^{-r} is rounded before the power-of-two
+    scaling of ``_exp_neg``, and neither factor over- or underflows on its
+    own."""
+    er, k = _exp_neg(y)
+    return np.ldexp(v * er, e - k)
 
 
 def bessel_k(nu: float, x: float) -> float:
@@ -343,7 +367,7 @@ def bessel_k(nu: float, x: float) -> float:
     n = math.floor(nu)
     f = nu - n
     mu = -min(f, 1.0 - f)
-    a, b = _k_pair(mu, np.array([x]))
+    a, b = _k_pair(mu, np.array([x]))[2:4]
     # x / 2 would round to 0 at the smallest subnormal x
     k_mu = float(a[0]) * math.gamma(1.0 - mu) * 2.0 ** (
         -mu - 1.0) / x ** -mu  # e^x K_mu
@@ -456,12 +480,13 @@ def psi(s: float, y):
     if not 0.0 < s <= _MAX_ORDER:
         raise ValueError(
             f"psi requires a finite order 0 < s <= {_MAX_ORDER:g}, got {s}")
-    ay = np.abs(np.asarray(y, dtype=float))
-    # the common case, every point finite and positive, needs no mask
-    # (a NaN fails the first test)
-    if ay.size and ay.min() > 0.0 and ay.max() < math.inf:
-        out = _psi_positive(s, ay.ravel()).reshape(ay.shape)
+    y = np.asarray(y, dtype=float)
+    # the common case, every point finite and positive, needs no mask and
+    # no |y| copy (a NaN fails the first test)
+    if y.size and y.min() > 0.0 and y.max() < math.inf:
+        out = _psi_positive(s, y.ravel()).reshape(y.shape)
     else:
+        ay = np.abs(y)
         out = np.where(ay == 0.0, 1.0, np.where(ay > 0.0, 0.0, np.nan))
         pos = (ay > 0.0) & (ay < math.inf)
         if pos.any():
@@ -469,38 +494,60 @@ def psi(s: float, y):
     return float(out) if out.ndim == 0 else out
 
 
+def _base(s):
+    """g = s - floor(s) in (0, 1] and the order mu = -min(g, 1 - g) of the
+    kernel pair that serves s."""
+    g = s - math.floor(s) or 1.0
+    return g, -min(g, 1.0 - g)
+
+
 def _psi_positive(s, y):
     """psi_s on a 1-d array of finite y > 0.
 
-    The kernel pair at mu = -min(g, 1 - g), g = s - floor(s) in (0, 1],
-    serves the orders g and 1 - g and every order they climb to, so it is
-    formed on all of y, before the order-dependent cut below: s, s - 1 and
-    1 - s on one array then share one kernel evaluation.  The climb and the
-    final e^{-y} run over blocks of ``_BLOCK`` points into one result, so
-    their temporaries scale with the block and not with y.
+    The kernel pair at mu serves the orders g and 1 - g and every order
+    they climb to, so it is formed on all of y, before the order-dependent
+    cuts below: s, s - 1 and 1 - s on one array then share one kernel
+    evaluation.  The climb to s also gives the companion, the profile at
+    the order of psi_s' (``_first_deriv_order``), when that order is
+    positive and has the same mu; the memory keeps it beside the pair, and
+    a call at that order on the same abscissae returns a copy of it.  The
+    climb and the final e^{-y} run over blocks of ``_BLOCK`` points into
+    the results, so their temporaries scale with the block and not with y.
     """
-    g = s - math.floor(s) or 1.0
-    a, b = _k_pair(-min(g, 1.0 - g), y)
-    # psi_s(y) <= c_s y^s sqrt(2 pi / y) e^{-y + s^2 / 2y} (cosh t >=
-    # 1 + t^2/2 in the integral representation of K_s) rounds to 0 beyond
-    # 2s + 2000
-    cut = 2.0 * s + 2000.0
-    out = np.empty(y.shape)
+    global _pairs
+    g, mu = _base(s)
+    _, key, a, b, kept, companion = _k_pair(mu, y)
+    if kept == s:
+        return companion.copy()
+    order = _first_deriv_order(s)
+    # psi_v(y) <= c_v y^v sqrt(2 pi / y) e^{-y + v^2 / 2y} (cosh t >=
+    # 1 + t^2/2 in the integral representation of K_v) rounds to 0 beyond
+    # 2v + 2000
+    cuts = [2.0 * s + 2000.0]
+    if order > 0.0 and _base(order)[1] == mu:
+        cuts.append(2.0 * order + 2000.0)
+    reach = max(cuts)
+    outs = [np.empty(y.shape) for _ in cuts]
     for lo in range(0, y.size, _BLOCK):
         sel = slice(lo, lo + _BLOCK)
         ys = y[sel]
-        live = ys < cut
-        if live.all():
-            out[sel] = _climb(s, g, ys, a[sel], b[sel])
-        else:
-            block = out[sel]
-            block[:] = 0.0
-            block[live] = _climb(s, g, ys[live], a[sel][live], b[sel][live])
-    return out
+        live = ys < reach
+        # a point past every cut climbs from y = 1, where nothing overflows,
+        # and is zeroed below with the points past their own cut
+        blocks = [out[sel] for out in outs]
+        _climb(s, g, ys if live.all() else np.where(live, ys, 1.0), a[sel],
+               b[sel], blocks)
+        for block, cut in zip(blocks, cuts):
+            block[ys >= cut] = 0.0
+    if len(outs) > 1:
+        outs[1].flags.writeable = False
+        _pairs = ((mu, key, a, b, order, outs[1]),)
+    return outs[0]
 
 
-def _climb(s, g, y, a, b):
-    """psi_s from the kernel pair at mu = -min(g, 1 - g).
+def _climb(s, g, y, a, b, outs):
+    """psi_s from the kernel pair at mu = -min(g, 1 - g) into outs[0], and
+    with a second array in ``outs`` the profile at the order of psi_s'.
 
     psi_v = (2 / Gamma(v)) (y/2)^v K_v at the base order g is b (g >= 1/2,
     mu = g - 1) or g a (g < 1/2, mu = -g); one step of K_{g+1} = K_{g-1} +
@@ -508,7 +555,9 @@ def _climb(s, g, y, a, b):
     psi_{g+1}, and the positive recurrence psi_{v+1} = psi_v + (y/2)^2 /
     (v (v-1)) psi_{v-1} (DLMF 10.29.1) climbs from there to s.  Every value
     carries the factor e^y 2^{-e}, with e from a power-of-two rescale every
-    8 steps.
+    8 steps.  The companion is psi_{s-1}, the last rung but one, for s > 1,
+    and psi_{1-g} for s < 1: the base order of 1 - g, b (g <= 1/2) or
+    (1 - g) a.  The split of e^{-y} is made once for both.
     """
     steps = round(s - g)
     if g >= 0.5:  # a carries K_{1-g}
@@ -526,9 +575,15 @@ def _climb(s, g, y, a, b):
                 hi, de = np.frexp(hi)
                 lo = np.ldexp(lo, -de)
                 e = e + de
-        lo = hi
-    # psi_s < 1 for y > 0: a rounding above 1 is cut back
-    return np.minimum(_times_exp_neg(lo, e, y), 1.0)
+        lo, hi = hi, lo
+    else:
+        hi = b if g <= 0.5 else (1.0 - g) * a
+    er, k = _exp_neg(y)
+    e = e - k
+    for v, out in zip((lo, hi), outs):
+        np.ldexp(np.multiply(v, er, out=out), e, out=out)
+        # psi < 1 for y > 0: a rounding above 1 is cut back
+        np.minimum(out, 1.0, out=out)
 
 
 def psi_lambda(s: float, lam: float, y):
@@ -548,12 +603,19 @@ def _gamma_coeff(s, ell):
     )
 
 
+def _first_deriv_order(s):
+    """The order of the profile in psi_s' (DLMF 10.29.1): s - 1 above 1,
+    1 - s below."""
+    return s - 1.0 if s > 1.0 else 1.0 - s
+
+
 def _first_deriv_factors(s):
     """(coef, expo, order) with psi_s'(y) = coef y^expo psi_order(y), y > 0:
     the two closed-form branches around s = 1."""
+    order = _first_deriv_order(s)
     if s > 1.0:
-        return -1.0 / (2.0 * (s - 1.0)), 1.0, s - 1.0
-    return -trace_constant(s), 2.0 * s - 1.0, 1.0 - s
+        return -1.0 / (2.0 * (s - 1.0)), 1.0, order
+    return -trace_constant(s), 2.0 * s - 1.0, order
 
 
 # internal algebra on terms coef * y^expo * psi_order(sqrt(lam) y); coef
@@ -594,7 +656,10 @@ def _term_derivative(term, lam):
 
 def _psi_first_deriv(s, y):
     coef, expo, order = _first_deriv_factors(s)
-    return coef * y ** expo * psi(order, y)
+    # (coef y^expo) psi_order, with no copy for y^1 and the product in place
+    out = coef * (y if expo == 1.0 else y ** expo)
+    out *= psi(order, y)
+    return out
 
 
 def psi_deriv(s: float, y, order: int):

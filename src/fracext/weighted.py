@@ -242,6 +242,15 @@ def report_lower_bound(name, lhs, rhs, tol=1e-9):
                        violation <= tol)
 
 
+def report_upper_bound(name, lhs, rhs, tol=1e-9):
+    """One-sided check lhs <= rhs: ``report_lower_bound`` of the negated
+    sides, reported with the sides as given."""
+    lhs = float(lhs)
+    rhs = float(rhs)
+    return replace(report_lower_bound(name, -lhs, -rhs, tol), lhs=lhs,
+                   rhs=rhs)
+
+
 # ---------------------------------------------------------------------------
 # profiles
 

@@ -364,10 +364,13 @@ def test_psi_does_not_depend_on_earlier_calls(monkeypatch):
     for _ in range(6):
         for s in rng.permutation(orders):
             assert _bits(psi(s, ys)) == cold[s], s
-    # and the remembered pair is exactly the recomputed one
-    for m, key, a, b in special._pairs:
+    # and the remembered pair and companion are exactly the recomputed ones
+    for m, key, a, b, order, companion in special._pairs:
         fresh = special._kernel_pair(m, key.copy())
         assert _bits(a) + _bits(b) == _bits(fresh[0]) + _bits(fresh[1])
+        if order is not None:
+            monkeypatch.setattr(special, "_pairs", ())
+            assert _bits(companion) == _bits(psi(order, key.copy()))
 
 
 def test_kernel_memory_is_not_shared_with_the_caller(kernel_calls):
@@ -379,13 +382,21 @@ def test_kernel_memory_is_not_shared_with_the_caller(kernel_calls):
     ys *= 2.0  # the caller's abscissae, in place
     assert _bits(psi(1.3, kept)) == want
     assert _bits(psi(1.3, ys)) == _bits(psi(1.3, 2.0 * kept))
+    # the remembered companion cannot be written, and a hit is a copy
+    companion = special._pairs[0][5]
+    with pytest.raises(ValueError):
+        companion[0] = 0.0
+    hit = psi(1.3 - 1.0, ys)
+    want = _bits(hit)
+    hit[:] = 0.0
+    assert _bits(psi(1.3 - 1.0, ys)) == want
     # the pair itself cannot be written, and the key is a copy
     y = kept.copy()
-    a, b = special._k_pair(-0.3, y)
+    a = special._k_pair(-0.3, y)[2]
     with pytest.raises(ValueError):
         a[0] = 0.0
     y[:] = 1.0
-    assert special._k_pair(-0.3, kept)[0] is a
+    assert special._k_pair(-0.3, kept)[2] is a
     assert kernel_calls == [50, 50, 50]
 
 
@@ -393,7 +404,8 @@ def test_kernel_memory_under_threads(monkeypatch):
     # threads share the memory; each must get the bits of a cold call on
     # either of two arrays, whatever the other threads left behind
     arrays = (np.geomspace(1e-4, 80.0, 400), np.linspace(0.5, 2500.0, 300))
-    orders = (0.3, 0.7, 1.3, 2.7)
+    # with the orders of their first derivatives, which the memory keeps
+    orders = (0.3, 0.7, 1.3, 2.7, 1.0 - 0.7, 1.3 - 1.0, 2.7 - 1.0)
     want = {}
     for k, ys in enumerate(arrays):
         for s in orders:
@@ -420,6 +432,88 @@ def test_kernel_memory_under_threads(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(th.is_alive() for th in threads)
     assert wrong == []
+
+
+def _no_climb(*args):
+    raise AssertionError("a companion hit climbed")
+
+
+@given(s=st.floats(0.0, 8.0, exclude_min=True, exclude_max=True))
+@example(s=10.3)  # climbs past a power-of-two rescale
+@example(s=40.7)
+@example(s=400.5)  # live cut 2s + 2000, companion cut 2(s - 1) + 2000
+@example(s=0.3)  # g < 1/2
+@example(s=0.7)  # g > 1/2
+@example(s=0.5)  # g = 1/2: psi_{1-s} is psi_s itself
+@example(s=1.5)
+@example(s=1.0)  # psi_1' has the order-0 profile, which is not kept
+@example(s=2.0)
+@example(s=3.0)
+@settings(max_examples=30, deadline=None)
+def test_companion_hit_has_the_bits_of_a_cold_call(s):
+    order = s - 1.0 if s > 1.0 else 1.0 - s
+    ys = np.concatenate((
+        np.geomspace(1e-8, 3000.0, 400),
+        2.0 * s + 2000.0 + np.array([-1.0, -0.5, 0.0, 0.5]),
+        2.0 * order + 2000.0 + np.array([-0.5, 0.0, 0.5])))
+    special._pairs = ()
+    cold = _bits(psi(order, ys)) if order > 0.0 else None
+    special._pairs = ()
+    psi(s, ys)
+    (mu, key, a, b, kept, companion), = special._pairs
+    if kept is None:
+        # only s <= 1 can lose its companion: to order 0, or to 1 - s
+        # rounded onto another kernel pair
+        assert s <= 1.0
+        assert order == 0.0 or special._base(order)[1] != mu
+        return
+    assert kept == order and not companion.flags.writeable
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(special, "_climb", _no_climb)
+        hit = psi(order, ys)
+    assert hit.flags.writeable and hit is not companion
+    assert _bits(hit) == cold
+
+
+def test_exp_neg_scaling_is_exact_up_to_the_largest_cut():
+    # the int32 exponents of _times_exp_neg against math.ldexp on Python
+    # integers, for y up to the live cut of the largest order, 2 * 1e5 + 2000
+    rng = np.random.default_rng(4)
+    ys = np.concatenate(([0.0, 2e5 + 2000.0],
+                         rng.uniform(0.0, 2e5 + 2000.0, 3000),
+                         rng.uniform(2e5, 2e5 + 2000.0, 500)))
+    v = rng.uniform(0.5, 1.0, ys.size)
+    k = np.floor(ys * (1.0 / special._LN2))
+    er = np.exp(-((ys - k * special._LN2_HI) - k * special._LN2_LO))
+    # exponents that put every result below 2^1022, normal, subnormal or
+    # zero: an int32 array, as a climb has, or one int, as bessel_k has
+    for e in ((k + rng.integers(-1100, 1022, ys.size)).astype(np.int32),
+              290_000):
+        sel = np.broadcast_to(e, ys.shape) - k <= 1022
+        want = [math.ldexp(float(x), int(ei) - int(ki)) for x, ei, ki in
+                zip((v * er)[sel], np.broadcast_to(e, ys.shape)[sel], k[sel])]
+        got = special._times_exp_neg(v[sel], e if np.ndim(e) == 0 else e[sel],
+                                     ys[sel])
+        assert len(want) > 300 and _bits(got) == _bits(want)
+
+
+def test_int32_exponents_leave_the_largest_order_unchanged():
+    # the profile and K_nu at order 99999.5 come out as with int64 exponents
+    exp_neg = special._exp_neg
+
+    def exp_neg_int64(y):
+        er, k = exp_neg(y)
+        return er, k.astype(np.int64)
+
+    ys = np.concatenate((np.geomspace(1.0, 3e4, 12), [1.5e5, 2.01e5]))
+    xs = (66050.0, 66300.0, 66600.0)  # K_nu in the double range
+    got = _bits(psi(99999.5, ys)), [bessel_k(99999.5, x) for x in xs]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(special, "_exp_neg", exp_neg_int64)
+        mp.setattr(special, "_pairs", ())
+        assert got == (_bits(psi(99999.5, ys)),
+                       [bessel_k(99999.5, x) for x in xs])
+    assert np.count_nonzero(psi(99999.5, ys)) >= 10
 
 
 # the kernel and the climb run in blocks of special._BLOCK points
@@ -459,7 +553,8 @@ def test_block_boundaries_leave_no_trace(s, seed):
 @pytest.mark.parametrize("s", [0.3, 1.3, 3.7])
 def test_curve_working_memory_scales_with_the_result(s, monkeypatch):
     # the traced peak of a 4096-mode curve stays within a few copies of the
-    # result: the two-entry memory alone holds the key copy and the pair
+    # result: the one-entry memory alone holds the key copy, the pair and
+    # the companion
     u = ModalVector(np.random.default_rng(11).normal(size=4096),
                     dirichlet_laplacian_1d(math.pi, 4096))
     for make in (extend, lambda u, s: derivative_curve(u, s, 1)):
@@ -470,7 +565,7 @@ def test_curve_working_memory_scales_with_the_result(s, monkeypatch):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 10 * values.nbytes
+        assert peak < 9 * values.nbytes
 
 
 @pytest.mark.parametrize("s", [0.25, 0.5, 0.75, 1.3, 2.5, 3.7])

@@ -4,6 +4,7 @@ its default orders, or at the requested orders inside its domain."""
 import math
 import warnings
 
+import numpy as np
 import pytest
 
 from fracext import suite
@@ -121,6 +122,24 @@ def test_nonexpansive_at_large_order_is_decided_without_overflow(x):
     (report,) = _restricted(x, ["nonexpansive"])
     assert isinstance(report, CheckReport)
     assert report.passed
+
+
+@pytest.mark.parametrize("x", [0.5, 1.5])
+def test_nonexpansive_reports_the_largest_ratio_of_norms(x):
+    # an excess list that started at 0.0 read lhs 0 whenever every column
+    # norm stayed below the data norm, and so showed no margin
+    (report,) = _restricted(x, ["nonexpansive"])
+    assert report.passed and report.rhs == 1.0 and report.rel_err == 0.0
+    assert 0.9 < report.lhs < 1.0
+
+
+def test_nonexpansive_fails_on_a_column_above_the_data_norm(monkeypatch):
+    monkeypatch.setattr(suite, "psi",
+                        lambda s, y: np.full(np.shape(y), 1.0 + 1e-9))
+    (report,) = _restricted(0.5, ["nonexpansive"])
+    assert not report.passed
+    assert report.lhs == pytest.approx(1.0 + 1e-9, rel=1e-12)
+    assert report.rel_err == pytest.approx(1e-9, rel=1e-3)
 
 
 def test_taylor_remainder_of_nan_fails_with_a_nan_error(monkeypatch):

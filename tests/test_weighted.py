@@ -39,6 +39,7 @@ from fracext.weighted import (
     psi_fourier_numeric,
     report_equal,
     report_lower_bound,
+    report_upper_bound,
     trace_inequality,
     virial_check,
     xi_moment,
@@ -576,6 +577,17 @@ def test_one_sided_report_on_finite_inputs():
     assert report_lower_bound("x", 1.0, 1.0).passed
     report = report_lower_bound("x", 1.0, 2.0)
     assert report.rel_err == 0.5 and not report.passed
+
+
+def test_upper_bound_report_mirrors_the_lower_bound():
+    assert report_upper_bound("x", 1.0, 2.0).rel_err == 0.0
+    assert report_upper_bound("x", 1.0, 1.0).passed
+    report = report_upper_bound("x", 3.0, 2.0)
+    assert (report.lhs, report.rhs) == (3.0, 2.0)
+    assert report.rel_err == 0.5 and not report.passed
+    for lhs, rhs in ((math.nan, 1.0), (1.0, math.nan)):
+        report = report_upper_bound("x", lhs, rhs)
+        assert math.isnan(report.rel_err) and not report.passed
 
 
 def test_trace_inequality_fails_on_a_nan_energy():
