@@ -13,7 +13,7 @@ which makes them perfect sanity anchors:
 
 import numpy as np
 
-from fracext import FracParams, bessel_k, constants, psi, psi_deriv
+from fracext import FracParams, constants, psi, psi_deriv
 
 ys = np.array([0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0])
 
@@ -28,13 +28,14 @@ y = np.linspace(0.1, 6.0, 5)
 print("  s=0.5 :", np.max(np.abs(psi(0.5, y) - np.exp(-y))))
 print("  s=1.5 :", np.max(np.abs(psi(1.5, y) - (1 + y) * np.exp(-y))))
 
-# The underlying Bessel function: series below x = 2, continued fraction
-# above, order recurrence on top.  Compare the recurrence
-# K_{a}(x) = K_{a-2}(x) + 2(a-1)/x K_{a-1}(x) at a fractional order.
-a, x = 2.5, 1.3
-lhs = bessel_k(a, x)
-rhs = bessel_k(a - 2, x) + 2 * (a - 1) / x * bessel_k(a - 1, x)
-print(f"\nK recurrence residual at (a={a}, x={x}): {abs(lhs - rhs):.2e}")
+# The underlying Bessel kernel: Temme's series for y <= 1, trapezoid rules
+# on the integral representation up to y = 50, the Hankel expansion above,
+# and the order recurrence on top.  Compare that recurrence (DLMF 10.29.1)
+# psi_{v+1}(y) = psi_v(y) + y^2/(4v(v-1)) psi_{v-1}(y) at a fractional order.
+v, y = 2.5, 1.3
+lhs = psi(v + 1, y)
+rhs = psi(v, y) + y ** 2 / (4 * v * (v - 1)) * psi(v - 1, y)
+print(f"\npsi recurrence residual at (v={v}, y={y}): {abs(lhs - rhs):.2e}")
 
 # Each non-integer order carries a parameter bundle: the weight exponent
 # b in (-1,1) of the degenerate operator and the trace constant d_s.

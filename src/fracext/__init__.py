@@ -11,7 +11,6 @@ expansions, Fourier isometries, and variational minimality.
 from .special import (
     FracParams,
     ProfileConstants,
-    bessel_k,
     constants,
     psi,
     psi_deriv,

@@ -161,7 +161,12 @@ def _parse_order(text):
 
 
 def _parse_tol(text):
-    return None if text is None else _parse_number(text, "tolerance")
+    if text is None:
+        return None
+    tol = _parse_number(text, "tolerance")
+    if tol < 0.0:  # no report could pass it: a bad flag, not a failed check
+        raise UsageError(f"tolerance must not be negative, got {text!r}")
+    return tol
 
 
 def _parse_grid(text):

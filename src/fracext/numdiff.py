@@ -1,15 +1,13 @@
 """Finite-difference stencils and power-law limit extrapolation.
 
-These helpers back the verification side of the library.  One pair of
-8th-order central stencils (``_D1``, ``_D2``, offsets -4..4) serves both
-:func:`central_derivative`, against which closed-form derivative formulas
-are cross-checked, and :func:`apply_db`.  Boundary limits are extracted by
-fitting the known leading power laws, and the degenerate second-order
-operator
+These helpers back the verification side of the library.  Boundary
+limits are extracted by fitting the known leading power laws, and the
+degenerate second-order operator
 
     D_b f = -f'' - (b/y) f'
 
-is applied numerically, as (D_b + lam)^m, by :func:`apply_db`: one
+is applied numerically, as (D_b + lam)^m, by :func:`apply_db` with one
+pair of 8th-order central stencils (``_D1``, ``_D2``, offsets -4..4): one
 profile call on the stencil windows of all points, one sliding-window
 product per power.
 """
@@ -20,7 +18,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
-    "central_derivative",
     "power_fit_limit",
     "apply_db",
 ]
@@ -31,25 +28,6 @@ _D1 = np.array([3.0, -32.0, 168.0, -672.0, 0.0,
                 672.0, -168.0, 32.0, -3.0]) / 840.0
 _D2 = np.array([-9.0, 128.0, -1008.0, 8064.0, -14350.0,
                 8064.0, -1008.0, 128.0, -9.0]) / 5040.0
-
-
-def central_derivative(f, y, k=1, h=None):
-    """k-th derivative (k = 1 or 2) of f at y by the 8th-order stencil.
-
-    ``f`` must accept an array: it is called once on all stencil points.
-    The default step balances truncation against roundoff for smooth
-    order-one profiles; for y close to 0 it shrinks so the stencil stays on
-    the positive half line.
-    """
-    if k not in (1, 2):
-        raise ValueError("central_derivative supports k = 1 or 2 only")
-    weights = _D1 if k == 1 else _D2
-    if h is None:
-        h = max(1e-4, 1e-3 * abs(y))
-    if y - 4 * h <= 0.0 < y:
-        h = y / 5
-    vals = np.asarray(f(y + np.arange(-4, 5) * h), dtype=float)
-    return float(weights @ vals) / h ** k
 
 
 def power_fit_limit(ys, vals, exponents):

@@ -24,8 +24,8 @@ which returns exactly what a recomputation would; a call that races
 another may lose the entry, never get a wrong one, so all routines are
 safe to call concurrently.
 
-``psi`` and ``bessel_k`` share one array kernel in numpy, with no
-special-function dependency.  It returns the pair
+``psi`` rests on one array kernel in numpy, with no special-function
+dependency.  It returns the pair
 ``e^y (2/Gamma(1+|mu|)) (y/2)^|mu| K_mu`` and ``e^y psi_{mu+1}`` for an order
 ``mu`` in [-1/2, 0], by one of three routes chosen per point: Temme's series
 (J. Comput. Phys. 19 (1975)) for y <= 1, a trapezoidal rule on
@@ -38,8 +38,8 @@ at every y.  The powers of y are formed inside the series, so no bare
 ``g = s - floor(s)``, serves the orders g and 1 - g: ``psi`` takes the base
 orders g and g + 1 from it, one step of a positive sum apart, and climbs
 to ``s`` by the positive order recurrence (DLMF 10.29.1), rescaled by
-powers of two, applying ``e^{-y}`` once at the end; ``bessel_k`` climbs
-the classic recurrence in ``K``.  Each route makes its set-up at ``mu``
+powers of two, applying ``e^{-y}`` once at the end.  It is the library's
+only route to Macdonald values.  Each route makes its set-up at ``mu``
 (Temme's g1, g2 and coefficient table, the trapezoid ``cosh`` columns,
 the Hankel rows) once per call and then runs over its points in blocks of
 ``_BLOCK`` points, as do the climb and the ``e^{-y}`` scaling of ``psi``,
@@ -70,7 +70,6 @@ import numpy as np
 __all__ = [
     "FracParams",
     "ProfileConstants",
-    "bessel_k",
     "psi",
     "psi_lambda",
     "psi_deriv",
@@ -335,59 +334,6 @@ def _exp_neg(y):
     k = np.floor(y * (1.0 / _LN2))
     r = (y - k * _LN2_HI) - k * _LN2_LO
     return np.exp(-r), k.astype(np.int32)
-
-
-def _times_exp_neg(v, e, y):
-    """v 2^e e^{-y}: only v e^{-r} is rounded before the power-of-two
-    scaling of ``_exp_neg``, and neither factor over- or underflows on its
-    own."""
-    er, k = _exp_neg(y)
-    return np.ldexp(v * er, e - k)
-
-
-def bessel_k(nu: float, x: float) -> float:
-    """Modified Bessel function of the second kind K_nu(x), x > 0.
-
-    The kernel pair at mu = -min(f, 1 - f), f = nu - floor(nu), gives K_f
-    and K_{1-f} = K_{f-1}; the forward order recurrence K_{v+1} = K_{v-1}
-    + (2v/x) K_v (K is even in the order) climbs from there to nu.
-    Raises ``ValueError`` unless x > 0 and |nu| <= 1e5 (one recurrence step
-    per unit of order), and ``OverflowError`` beyond the double range.
-    """
-    x = float(x)
-    if not x > 0.0:
-        raise ValueError(f"bessel_k requires x > 0, got x={x}")
-    nu = abs(float(nu))
-    if not nu <= _MAX_ORDER:
-        raise ValueError(f"bessel_k requires |nu| <= {_MAX_ORDER:g}, got {nu}")
-    # K_nu(x) <= sqrt(2 pi / x) e^{-x + nu^2 / 2x} (cosh t >= 1 + t^2/2 in
-    # the integral representation) rounds to 0 beyond 2 nu + 2000
-    if x > 2.0 * nu + 2000.0:
-        return 0.0
-    n = math.floor(nu)
-    f = nu - n
-    mu = -min(f, 1.0 - f)
-    a, b = _k_pair(mu, np.array([x]))[2:4]
-    # x / 2 would round to 0 at the smallest subnormal x
-    k_mu = float(a[0]) * math.gamma(1.0 - mu) * 2.0 ** (
-        -mu - 1.0) / x ** -mu  # e^x K_mu
-    k_next = float(b[0]) * math.gamma(1.0 + mu) * 2.0 ** mu / x ** mu / x
-    # e^x K_f, and e^x K_{f+1} = e^x (K_{1-f} + (2f/x) K_f)
-    lo, other = (k_next, k_mu) if f >= 0.5 else (k_mu, k_next)
-    hi = other + 2.0 * f / x * lo
-    e = 0
-    for i in range(1, n):
-        lo, hi = hi, lo + 2.0 * (f + i) / x * hi
-        if hi > 1e300:
-            hi, de = math.frexp(hi)
-            lo = math.ldexp(lo, -de)
-            e += de
-    with np.errstate(over="ignore"):
-        k = float(_times_exp_neg(hi if n else lo, e, np.array([x]))[0])
-    if math.isinf(k):
-        raise OverflowError(
-            f"K_nu({nu}, {x}) exceeds the double-precision range")
-    return k
 
 
 # ---------------------------------------------------------------------------
@@ -703,7 +649,7 @@ def psi_deriv(s: float, y, order: int):
 
 
 def psi_series(s: float, y: float) -> float:
-    """psi_s(y) from the ascending power series, independent of bessel_k.
+    """psi_s(y) from the ascending power series, independent of the kernel.
 
     For non-integer s,
 

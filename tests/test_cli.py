@@ -42,7 +42,7 @@ _FOOTPRINT_CASES = {
                              "--s", "0.5", "--nodes", "200"]),
     "extend": _CLI.format(["extend", "--op", "explicit:1,4", "--u", "1,1",
                            "--s", "1.3"]),
-    "bessel_k": "fracext.bessel_k(1.3, 0.5)",
+    "psi": "fracext.psi(1.3, 0.5)",
     "run_checks": "fracext.run_checks()",
 }
 
@@ -161,6 +161,20 @@ def test_non_finite_input_is_usage_error(capsys, argv):
     assert code == 2
     assert out == ""
     assert "must be finite" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--checks", "virial", "--tol", "-1"),
+    ("minimize", "--op", "explicit:1", "--u", "1", "--s", "0.5",
+     "--tol", "-0.5"),
+], ids=["verify", "minimize"])
+def test_negative_tol_is_usage_error(capsys, argv):
+    # no report can pass a negative tolerance: the flag is at fault, not
+    # the identities, so it exits 2 before any report
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "must not be negative" in err
 
 
 @pytest.mark.parametrize("nodes", ["abc", "2.5"])
@@ -783,7 +797,8 @@ def test_minimize_tol_re_decides_the_report(capsys):
     _, out, _ = run_cli(capsys, *argv)
     default = json.loads(out.strip().split("\n")[0])
     assert default["tol"] == 1e-3 and default["pass"] is True
-    for tol, code_want in ((1e-9, 1), (0.5, 0)):
+    # --tol 0 is valid: it passes only an exact result
+    for tol, code_want in ((1e-9, 1), (0.5, 0), (0.0, 1)):
         code, out, _ = run_cli(capsys, *argv, "--negative-order",
                                "--tol", str(tol))
         report = json.loads(out.strip().split("\n")[0])

@@ -23,11 +23,7 @@ from fracext.extension import (
     taylor_expand,
     trace0,
 )
-from fracext.numdiff import (
-    apply_db,
-    central_derivative,
-    power_fit_limit,
-)
+from fracext.numdiff import apply_db, power_fit_limit
 from fracext.special import (
     FracParams,
     psi,
@@ -45,6 +41,7 @@ from fracext.spectral import (
 )
 from fracext.suite import RunConfig, run_checks
 from fracext.weighted import curve_energy
+from finite_differences import central_derivative
 
 
 def one_mode(lam=1.0, c=1.0):

@@ -14,10 +14,8 @@ from hypothesis import strategies as st
 
 from fracext import special
 from fracext.extension import conormal_trace, derivative_curve, extend
-from fracext.numdiff import central_derivative
 from fracext.special import (
     FracParams,
-    bessel_k,
     constants,
     psi,
     psi_deriv,
@@ -30,6 +28,7 @@ from fracext.special import (
     weight_exponent,
 )
 from fracext.spectral import ModalVector, dirichlet_laplacian_1d
+from finite_differences import central_derivative
 
 # reference values computed with mpmath at 30 significant digits
 K_TABLE = [
@@ -49,70 +48,31 @@ K_TABLE = [
 ]
 
 
-@pytest.mark.parametrize("nu,x,ref", K_TABLE)
-def test_bessel_k_reference_values(nu, x, ref):
-    assert bessel_k(nu, x) == pytest.approx(ref, rel=1e-12)
+@pytest.mark.parametrize("nu,x,ref", [row for row in K_TABLE if row[0] > 0])
+def test_psi_matches_the_macdonald_reference_values(nu, x, ref):
+    # psi_nu(x) = c_nu x^nu K_nu(x), c_nu = 2^(1-nu) / Gamma(nu)
+    want = float(mpmath.mpf(ref) * mpmath.mpf(2) ** (1 - nu)
+                 * mpmath.mpf(x) ** nu / mpmath.gamma(nu))
+    assert psi(nu, x) == pytest.approx(want, rel=1e-14)
 
 
-def test_bessel_k_half_integer_closed_form():
-    # K_{1/2}(x) = sqrt(pi/(2x)) e^{-x}
-    for x in (0.1, 1.0, 5.0, 50.0):
-        exact = math.sqrt(math.pi / (2 * x)) * math.exp(-x)
-        assert bessel_k(0.5, x) == pytest.approx(exact, rel=1e-13)
-    assert bessel_k(0.5, 1.0) == pytest.approx(0.46106850, rel=1e-7)
+def test_kernel_pair_gives_k0_at_the_reference_value():
+    # at mu = 0 the first of the pair is 2 e^y K_0(y)
+    (nu, x, ref), = [row for row in K_TABLE if row[0] == 0]
+    a = special._kernel_pair(nu, np.array([x]))[0]
+    assert a[0] / (2.0 * math.exp(x)) == pytest.approx(ref, rel=1e-14)
 
 
-def test_bessel_k_small_argument_asymptote():
-    # x K_1(x) -> 1 as x -> 0
-    assert 1e-4 * bessel_k(1.0, 1e-4) == pytest.approx(1.0, abs=1e-6)
-
-
-def test_bessel_k_order_recurrence_against_quadrature():
-    # K_{a}(y) - K_{a-2}(y) = 2(a-1)/y K_{a-1}(y); each factor independently
-    # checked against the integral representation
-    from scipy.integrate import quad
-
-    def k_int(nu, x):
-        val, err = quad(lambda t: math.exp(-x * math.cosh(t))
-                        * math.cosh(nu * t), 0.0, 30.0, limit=200)
-        assert err < 1e-9 * abs(val)
-        return val
-
-    a, y = 2.5, 1.3
-    k_hi, k_mid, k_lo = bessel_k(a, y), bessel_k(a - 1, y), bessel_k(a - 2, y)
-    for nu, got in ((a, k_hi), (a - 1, k_mid), (a - 2, k_lo)):
-        assert got == pytest.approx(k_int(nu, y), rel=1e-9)
-    resid = k_hi - k_lo - 2.0 * (a - 1.0) / y * k_mid
-    assert abs(resid) <= 1e-9 * abs(k_hi)
-
-
-@given(st.floats(0.0, 10.0), st.floats(0.05, 300.0))
-@example(2.2250738585e-313, 0.5)  # subnormal order
-@settings(max_examples=60, deadline=None)
-def test_bessel_k_recurrence_property(nu, x):
-    lhs = bessel_k(nu + 2, x) - bessel_k(nu, x)
-    rhs = 2.0 * (nu + 1.0) / x * bessel_k(nu + 1, x)
-    assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-290)
-
-
-def test_bessel_k_domain_and_overflow():
-    with pytest.raises(ValueError):
-        bessel_k(1.0, 0.0)
-    with pytest.raises(ValueError):
-        bessel_k(1.0, -2.0)
-    with pytest.raises(OverflowError):
-        bessel_k(60.0, 1e-6)
-
-
-@pytest.mark.parametrize("nu", [0.3, 50.5, 400.5])
-def test_bessel_k_zero_beyond_the_cutoff(nu):
-    # past x = 2 nu + 2000 the bound sqrt(2 pi / x) e^{-x + nu^2 / 2x}
-    # on K_nu(x) rounds to 0, so the cut-off loses nothing
-    x = 2.0 * nu + 2000.0
-    assert bessel_k(nu, math.nextafter(x, math.inf)) == 0.0
-    assert math.sqrt(2.0 * math.pi / x) * math.exp(
-        -x + nu * nu / (2.0 * x)) == 0.0
-    assert 0.0 <= bessel_k(nu, x) <= 1e-300
+@pytest.mark.parametrize("s", [0.3, 50.5, 400.5])
+def test_psi_zero_beyond_the_cutoff(s):
+    # past y = 2s + 2000 the bound c_s y^s sqrt(2 pi / y) e^{-y + s^2 / 2y}
+    # on psi_s(y) lies below the smallest double, so the cut loses nothing
+    y = 2.0 * s + 2000.0
+    assert psi(s, math.nextafter(y, math.inf)) == 0.0
+    log_bound = (special._log_c(s) + s * math.log(y)
+                 + 0.5 * math.log(2.0 * math.pi / y) - y + s * s / (2.0 * y))
+    assert log_bound < math.log(math.ulp(0.0))
+    assert 0.0 <= psi(s, y) <= 1e-300
 
 
 # ---------------------------------------------------------------------------
@@ -476,8 +436,9 @@ def test_companion_hit_has_the_bits_of_a_cold_call(s):
 
 
 def test_exp_neg_scaling_is_exact_up_to_the_largest_cut():
-    # the int32 exponents of _times_exp_neg against math.ldexp on Python
-    # integers, for y up to the live cut of the largest order, 2 * 1e5 + 2000
+    # v e^{-y} = ldexp(v e^{-r}, e - k) from the int32 split of _exp_neg, as
+    # _climb applies it, against math.ldexp on Python integers, for y up to
+    # the live cut of the largest order, 2 * 1e5 + 2000
     rng = np.random.default_rng(4)
     ys = np.concatenate(([0.0, 2e5 + 2000.0],
                          rng.uniform(0.0, 2e5 + 2000.0, 3000),
@@ -486,19 +447,17 @@ def test_exp_neg_scaling_is_exact_up_to_the_largest_cut():
     k = np.floor(ys * (1.0 / special._LN2))
     er = np.exp(-((ys - k * special._LN2_HI) - k * special._LN2_LO))
     # exponents that put every result below 2^1022, normal, subnormal or
-    # zero: an int32 array, as a climb has, or one int, as bessel_k has
-    for e in ((k + rng.integers(-1100, 1022, ys.size)).astype(np.int32),
-              290_000):
-        sel = np.broadcast_to(e, ys.shape) - k <= 1022
-        want = [math.ldexp(float(x), int(ei) - int(ki)) for x, ei, ki in
-                zip((v * er)[sel], np.broadcast_to(e, ys.shape)[sel], k[sel])]
-        got = special._times_exp_neg(v[sel], e if np.ndim(e) == 0 else e[sel],
-                                     ys[sel])
-        assert len(want) > 300 and _bits(got) == _bits(want)
+    # zero
+    e = (k + rng.integers(-1100, 1022, ys.size)).astype(np.int32)
+    want = [math.ldexp(float(x), int(ei) - int(ki))
+            for x, ei, ki in zip(v * er, e, k)]
+    er32, k32 = special._exp_neg(ys)
+    assert k32.dtype == np.int32
+    assert _bits(np.ldexp(v * er32, e - k32)) == _bits(want)
 
 
 def test_int32_exponents_leave_the_largest_order_unchanged():
-    # the profile and K_nu at order 99999.5 come out as with int64 exponents
+    # the profile at order 99999.5 comes out as with int64 exponents
     exp_neg = special._exp_neg
 
     def exp_neg_int64(y):
@@ -506,13 +465,11 @@ def test_int32_exponents_leave_the_largest_order_unchanged():
         return er, k.astype(np.int64)
 
     ys = np.concatenate((np.geomspace(1.0, 3e4, 12), [1.5e5, 2.01e5]))
-    xs = (66050.0, 66300.0, 66600.0)  # K_nu in the double range
-    got = _bits(psi(99999.5, ys)), [bessel_k(99999.5, x) for x in xs]
+    got = _bits(psi(99999.5, ys))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(special, "_exp_neg", exp_neg_int64)
         mp.setattr(special, "_pairs", ())
-        assert got == (_bits(psi(99999.5, ys)),
-                       [bessel_k(99999.5, x) for x in xs])
+        assert got == _bits(psi(99999.5, ys))
     assert np.count_nonzero(psi(99999.5, ys)) >= 10
 
 
@@ -723,13 +680,10 @@ def test_frac_params_fields():
 @pytest.mark.parametrize("order", [1e5 + 0.5, 1e9 + 0.5, 1.7e308])
 def test_order_above_the_ceiling_fails_fast(order):
     # one recurrence step per unit of order: psi at s = 1e9 + 0.5 ran for
-    # minutes; the largest order either routine accepts is 1e5
+    # minutes; the largest order psi accepts is 1e5
     start = time.perf_counter()
     with pytest.raises(ValueError, match="100000"):
         psi(order, np.linspace(0.1, 10.0, 64))
-    for nu in (order, -order):
-        with pytest.raises(ValueError, match="100000"):
-            bessel_k(nu, 1.0)
     assert time.perf_counter() - start < 1.0
 
 
