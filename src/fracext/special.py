@@ -18,11 +18,10 @@ the trace constant
           \\frac{\\lfloor s\\rfloor!}{\\Gamma(s)} .
 
 Every routine's value is a pure function of its arguments.  The one shared
-state is a memory of the last kernel pair and its companion profile
-(below), which holds read-only arrays and its own copy of the key, and
-which returns exactly what a recomputation would; a call that races
-another may lose the entry, never get a wrong one, so all routines are
-safe to call concurrently.
+state is a memory of the last companion profile (below), which holds a
+read-only array and its own copy of the key, and which returns exactly
+what a recomputation would; a call that races another may lose the entry,
+never get a wrong one, so all routines are safe to call concurrently.
 
 ``psi`` rests on one array kernel in numpy, with no special-function
 dependency.  It returns the pair
@@ -45,19 +44,18 @@ the Hankel rows) once per call and then runs over its points in blocks of
 ``_BLOCK`` points, as do the climb and the ``e^{-y}`` scaling of ``psi``,
 so the temporaries scale with the block, not with the number of points;
 a point's arithmetic does not depend on its block or on the size of the
-array, so a value comes out the same bits in every call.  The kernel
-remembers its last pair, keyed by ``mu`` and the abscissae, and beside it
-the companion of the last climb on that pair: the profile at the order of
-``psi_s'`` (s - 1 above 1, 1 - s below; DLMF 10.29.1), which the climb to
-s passes one rung before the top or reads off the base pair, and scales
-by the same ``e^{-y}`` split.  So a curve and its first derivative on one
-array make one kernel evaluation and one climb, and the derivative's
-profile call returns a copy of the companion.  The companion is kept when
-its order has the same ``mu``: always above 1/2, and below 1/2 when
-``1 - (1 - s)`` rounds back to s.  ``e^{-y} = 2^{-k} e^{-r}`` is applied
-with int32 exponents ``k``, which keep ``np.ldexp`` on its vector loop.
-``psi_series`` evaluates the ascending series (DLMF 10.25.2 / 10.27.4) as
-an independent oracle.
+array, so a value comes out the same bits in every call.  ``psi``
+remembers the companion of its last climb, keyed by its order and the
+abscissae: the profile at the order of ``psi_s'`` (s - 1 above 1, 1 - s
+below; DLMF 10.29.1), which the climb to s passes one rung before the top
+or reads off the base pair, and scales by the same ``e^{-y}`` split.  So a
+curve and its first derivative on one array make one kernel evaluation
+and one climb, and the derivative's profile call returns a copy of the
+companion.  The companion is kept when its order has the same ``mu``:
+always above 1/2, and below 1/2 when ``1 - (1 - s)`` rounds back to s.
+``e^{-y} = 2^{-k} e^{-r}`` is applied with int32 exponents ``k``, which
+keep ``np.ldexp`` on its vector loop.  ``psi_series`` evaluates the
+ascending series (DLMF 10.25.2 / 10.27.4) as an independent oracle.
 """
 
 from __future__ import annotations
@@ -295,34 +293,10 @@ def _kernel_pair(mu, y):
     return a, b
 
 
-# the last kernel evaluation, a tuple of at most one entry (mu, abscissae,
-# a, b, companion order, companion): one is enough, as no profile call
-# falls between a curve and its derivative.  The companion is the profile
-# at the first-derivative order of the last climb on the pair, or None
-_pairs = ()
-
-
-def _k_pair(mu, y):
-    """The memory entry (mu, key, a, b, companion order, companion) of the
-    pair of ``_kernel_pair`` at mu on y: the remembered one when the last
-    call had the same mu and the same abscissae, else a new one with no
-    companion, which takes its place.
-
-    The orders s, s - 1 and 1 - s of a profile and its first derivative
-    share mu, so the second of them on one array pays at most the climb.
-    The entry keeps its own copy of y, and its arrays are read-only:
-    neither the caller's array nor a returned one can change a later
-    result.  A hit returns exactly the arrays a recomputation would give."""
-    global _pairs
-    for entry in _pairs:
-        key = entry[1]
-        if entry[0] == mu and key.shape == y.shape and (key == y).all():
-            return entry
-    a, b = _kernel_pair(mu, y)
-    a.flags.writeable = b.flags.writeable = False
-    entry = (mu, y.copy(), a, b, None, None)
-    _pairs = (entry,)
-    return entry
+# the companion of the last climb, a tuple of at most one entry (order,
+# abscissae, profile), empty when that climb kept none: one is enough, as
+# no profile call falls between a curve and its derivative
+_companion = ()
 
 
 def _exp_neg(y):
@@ -452,19 +426,20 @@ def _psi_positive(s, y):
 
     The kernel pair at mu serves the orders g and 1 - g and every order
     they climb to, so it is formed on all of y, before the order-dependent
-    cuts below: s, s - 1 and 1 - s on one array then share one kernel
-    evaluation.  The climb to s also gives the companion, the profile at
+    cuts below.  The climb to s also gives the companion, the profile at
     the order of psi_s' (``_first_deriv_order``), when that order is
-    positive and has the same mu; the memory keeps it beside the pair, and
-    a call at that order on the same abscissae returns a copy of it.  The
+    positive and has the same mu.  The memory keeps it, read-only, with its
+    own copy of y, and a call at that order on equal abscissae returns a
+    copy of it: the bits a cold call gives, with no kernel evaluation.  The
     climb and the final e^{-y} run over blocks of ``_BLOCK`` points into
     the results, so their temporaries scale with the block and not with y.
     """
-    global _pairs
+    global _companion
+    for kept, key, companion in _companion:
+        if kept == s and key.shape == y.shape and (key == y).all():
+            return companion.copy()
     g, mu = _base(s)
-    _, key, a, b, kept, companion = _k_pair(mu, y)
-    if kept == s:
-        return companion.copy()
+    a, b = _kernel_pair(mu, y)
     order = _first_deriv_order(s)
     # psi_v(y) <= c_v y^v sqrt(2 pi / y) e^{-y + v^2 / 2y} (cosh t >=
     # 1 + t^2/2 in the integral representation of K_v) rounds to 0 beyond
@@ -487,7 +462,9 @@ def _psi_positive(s, y):
             block[ys >= cut] = 0.0
     if len(outs) > 1:
         outs[1].flags.writeable = False
-        _pairs = ((mu, key, a, b, order, outs[1]),)
+        _companion = ((order, y.copy(), outs[1]),)
+    else:
+        _companion = ()
     return outs[0]
 
 

@@ -237,6 +237,12 @@ def _check_kernel_use(u: ModalVector, power: float, what: str):
                 f"{bad[0]} (zero eigenvalue, nonzero coefficient)")
 
 
+def _check_same_spectrum(what: str, u: ModalVector, v: ModalVector):
+    if not np.array_equal(u.spectrum.eigenvalues, v.spectrum.eigenvalues):
+        raise ValueError(f"{what} needs vectors on matching spectra: equal "
+                         f"eigenvalues, mode by mode")
+
+
 def _active_modes(u: ModalVector, *others: ModalVector) -> np.ndarray:
     """Mask of the modes with a positive eigenvalue and a nonzero
     coefficient in u and in every further vector on its spectrum."""
@@ -279,6 +285,9 @@ def sobolev_norm(u: ModalVector, sigma: float) -> float:
     negative orders undefined unless their coefficients vanish.  A norm
     beyond the double range comes back as inf.
     """
+    if not math.isfinite(sigma):
+        raise ValueError(
+            f"sobolev_norm needs a finite order sigma, got {sigma}")
     if sigma == 0.0:
         mask = u.coeffs != 0.0
     else:
@@ -305,6 +314,8 @@ def apply_power(u: ModalVector, t: float) -> ModalVector:
     t = 0 is the identity; kernel modes are annihilated for t > 0 and
     rejected (if populated) for t < 0.
     """
+    if not math.isfinite(t):
+        raise ValueError(f"apply_power needs a finite power t, got {t}")
     if t == 0.0:
         return ModalVector(u.coeffs.copy(), u.spectrum)
     _check_kernel_use(u, t, "apply_power")
@@ -326,7 +337,6 @@ def kernel_split(u: ModalVector):
 
 
 def duality_pairing(zeta: ModalVector, v: ModalVector) -> float:
-    """Dual pairing <zeta, v> = sum_j zeta_j v_j for compatible spectra."""
-    if len(zeta) != len(v):
-        raise ValueError("duality_pairing needs vectors of equal length")
+    """Dual pairing <zeta, v> = sum_j zeta_j v_j on one spectrum."""
+    _check_same_spectrum("duality_pairing", zeta, v)
     return float(np.dot(zeta.coeffs, v.coeffs))

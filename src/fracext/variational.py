@@ -47,6 +47,7 @@ from .special import FracParams, _apply_operator_power, _term_derivative, psi
 from .spectral import (
     ModalVector,
     _active_modes,
+    _check_same_spectrum,
     _require_finite,
     apply_power,
     sobolev_norm,
@@ -287,8 +288,7 @@ def orthogonality_check(u: ModalVector, s: float, v: ModalVector,
     params = FracParams.from_order(s)
     if params.ceil_s > 2:
         raise ValueError("orthogonality check implemented for ceil(s) <= 2")
-    if len(u) != len(v):
-        raise ValueError("u and v need matching spectra")
+    _check_same_spectrum("orthogonality_check", u, v)
     mask = _active_modes(u, v)
     lam = u.spectrum.eigenvalues[mask][:, None]
     root = np.sqrt(lam)

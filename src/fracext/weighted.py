@@ -171,8 +171,11 @@ def power_weighted_integral(g, beta, upper, n=_DEFAULT_NODES):
     ``g`` receives the N nodes of the geometric cells on [0, upper] and may
     return a (J, N) array, for J integrals on the same grid at once.
     """
-    if beta <= -1.0:
-        raise ValueError(f"exponent {beta} is not integrable at the origin")
+    if not -1.0 < beta < math.inf:
+        raise ValueError(f"the weight y^beta needs a finite beta > -1, got "
+                         f"{beta}; beta <= -1 is not integrable at the origin")
+    if not 0.0 < upper < math.inf:
+        raise ValueError(f"the upper limit needs 0 < upper < inf, got {upper}")
     nodes, weights = _cells_geometric(float(beta), float(upper), int(n))
     out = g(nodes) @ weights
     return float(out) if out.ndim == 0 else out

@@ -217,6 +217,10 @@ def test_duality_pairing():
     with pytest.raises(ValueError):
         duality_pairing(zeta, ModalVector(np.ones(3),
                                           explicit_spectrum([1, 2, 3])))
+    # equal length is not enough: the eigenvalues must match
+    with pytest.raises(ValueError, match="matching spectra"):
+        duality_pairing(zeta, ModalVector(np.ones(2),
+                                          explicit_spectrum([1.0, 2.0])))
 
 
 @given(st.lists(st.floats(-5, 5), min_size=2, max_size=6),
@@ -262,6 +266,12 @@ def test_non_finite_spectrum_and_coefficients_rejected(bad):
     # a power that overflows cannot hand on an infinite vector either
     with pytest.raises(ValueError, match="finite"):
         apply_power(ModalVector(np.ones(1), explicit_spectrum([1e300])), 2.0)
+    # nor can a non-finite order of the norm or the power
+    u = ModalVector(np.array([1.0, 2.0]), explicit_spectrum([1.0, 4.0]))
+    with pytest.raises(ValueError, match=f"sigma, got {bad}"):
+        sobolev_norm(u, bad)
+    with pytest.raises(ValueError, match=f"power t, got {bad}"):
+        apply_power(u, bad)
 
 
 def test_json_descriptors():

@@ -499,6 +499,14 @@ def test_orthogonality_check_refuses_spectra_of_different_sizes():
         orthogonality_check(u, 0.5, v, GaussianBump())
 
 
+def test_orthogonality_check_refuses_another_spectrum_of_equal_size():
+    # u's eigenvalues alone gave a passing report for v on [1, 2, 3]
+    u = ModalVector(np.ones(3), explicit_spectrum([1.0, 4.0, 9.0]))
+    v = ModalVector(np.ones(3), explicit_spectrum([1.0, 2.0, 3.0]))
+    with pytest.raises(ValueError, match="matching spectra"):
+        orthogonality_check(u, 0.5, v, GaussianBump())
+
+
 def test_minimize_negative_kernel_rejection():
     spec = explicit_spectrum([0.0, 1.0])
     bad = ModalVector(np.array([1.0, 1.0]), spec)

@@ -122,6 +122,27 @@ def test_singular_cell_never_samples_origin():
         power_weighted_integral(np.ones_like, -1.0, 1.0)
 
 
+@pytest.mark.parametrize("beta", [math.nan, math.inf])
+def test_power_weighted_integral_refuses_a_bad_exponent(beta):
+    # NaN reached the Gauss-Jacobi eigensolver, which did not converge
+    with pytest.raises(ValueError, match=f"beta > -1, got {beta}"):
+        power_weighted_integral(np.ones_like, beta, 1.0)
+
+
+@pytest.mark.parametrize("upper", [0.0, -1.0, math.inf, math.nan])
+def test_power_weighted_integral_refuses_a_bad_upper_limit(upper):
+    # 0 divided by zero in the cell ratio; inf and NaN gave a NaN integral
+    with pytest.raises(ValueError, match=f"upper < inf, got {upper}"):
+        power_weighted_integral(np.ones_like, 0.0, upper)
+
+
+@pytest.mark.parametrize("profile", [PsiProfile(0.3), GaussianBump()],
+                         ids=["psi", "sampled"])
+def test_mode_energy_refuses_a_nan_weight(profile):
+    with pytest.raises(ValueError, match="got nan"):
+        mode_energy(profile, 1.0, 1, math.nan)
+
+
 def test_grid_doubling_stability():
     for b in (-0.5, 0.4):
         a, c = (power_weighted_integral(lambda y: np.exp(-2.0 * y), b, 45.0, n)
