@@ -9,11 +9,11 @@ equals 2 d_s lam^s and is attained by the Macdonald profile.  This module
 rebuilds that minimum from scratch: piecewise-linear elements on a mesh
 graded from the order, element integrals of the weight computed from exact
 power moments (never sampling y = 0), a direct tridiagonal solve by
-odd-even cyclic reduction, and a far-field cutoff f(y_max) = 0 whose error
-is exponentially small.  Because the discrete space is a subspace, the
-discrete minimum sits on or above the closed form and converges to it like
-n^-2 at every s in (0, 1): an oracle that knows nothing about Bessel
-functions.
+odd-even cyclic reduction finished by a Thomas sweep, and a far-field
+cutoff f(y_max) = 0 whose error is exponentially small.  Because the
+discrete space is a subspace, the discrete minimum sits on or above the
+closed form and converges to it like n^-2 at every s in (0, 1): an oracle
+that knows nothing about Bessel functions.
 
 Verification of higher orders goes through the energy identities and ODE
 residuals instead; conforming weighted elements for k >= 2 are deliberately
@@ -23,9 +23,11 @@ orthogonality check accepts ceil(s) = 2.
 
 Every mode is the lam = 1 problem rescaled by z = sqrt(lam) y, so the
 lam = 1 constrained minimum E is the only quantity solved for: one
-tridiagonal solve per (s, n), about log2(n) vectorised levels, kept for
-the last (s, n) asked and shared by ``minimize_curve``,
-``minimize_negative`` and the minimize check.  The curve minimum is
+tridiagonal solve per (s, n), kept for the last (s, n) asked and shared
+by ``minimize_curve``, ``minimize_negative`` and the minimize check.  The
+trace datum is its only right-hand side, T x = c e_0, so the reduction
+carries the matrix alone: about log2(n / 24) vectorised levels down to 24
+rows, then a Thomas sweep over Python floats.  The curve minimum is
 E |u|^2_{H^s}.  The dual problem of negative orders, with the trace free,
 is least at a multiple of the constrained minimiser, so its minimum
 -4 d_s^2 |zeta|^2_{H^{-s}} / E and its trace (2 d_s / E) L^{-s} zeta follow
@@ -90,6 +92,8 @@ def graded_mesh(y_max: float, n: int, s: float) -> np.ndarray:
     converges like n^-2 (Nochetto, Otarola & Salgado, Found. Comput. Math.
     15 (2015)); 2/s measured best above s = 1/2.  Nodes below 1e-150 y_max,
     where h^2 underflows, are dropped: s < 2 log10(n-1)/150 keeps fewer."""
+    if not (math.isfinite(n) and n == math.floor(n)):
+        raise ValueError(f"the mesh needs a whole number of nodes, got n={n}")
     if n < 8:
         raise ValueError("mesh needs at least 8 nodes")
     expo = np.log(np.arange(1, n) / (n - 1))  # in log space
@@ -103,18 +107,47 @@ def _elements(mesh, b):
 
     Element integrals use the exact moments int y^{b+k} dy, k = 0,1,2, so
     the singular weight never gets sampled; the leading cell is exact for
-    linears despite b < 0.
+    linears despite b < 0.  Built in place, in the operation order of
+    the per-cell formulas, so the bits are theirs.
     """
     y0 = mesh[:-1]
     y1 = mesh[1:]
-    h = y1 - y0
-    # each node raised once per moment, shared by its two cells
-    m0, m1, m2 = (np.diff(mesh ** (b + k)) / (b + k) for k in (1.0, 2.0, 3.0))
-    h2 = h * h
-    k_el = m0 / h2
-    mass00 = (y1 * y1 * m0 - 2.0 * y1 * m1 + m2) / h2
-    mass01 = ((y0 + y1) * m1 - y0 * y1 * m0 - m2) / h2
-    mass11 = (m2 - 2.0 * y0 * m1 + y0 * y0 * m0) / h2
+    h2 = y1 - y0
+    h2 *= h2
+    moments = []
+    for p in (b + 1.0, b + 2.0, b + 3.0):
+        power = mesh ** p  # each node raised once, shared by its two cells
+        moment = power[1:] - power[:-1]
+        moment /= p
+        moments.append(moment)
+    m0, m1, m2 = moments
+    # (y1 y1 m0 - 2 y1 m1 + m2) / h2
+    mass00 = y1 * y1
+    mass00 *= m0
+    tmp = 2.0 * y1
+    tmp *= m1
+    mass00 -= tmp
+    mass00 += m2
+    mass00 /= h2
+    # ((y0 + y1) m1 - y0 y1 m0 - m2) / h2
+    mass01 = y0 + y1
+    mass01 *= m1
+    np.multiply(y0, y1, out=tmp)
+    tmp *= m0
+    mass01 -= tmp
+    mass01 -= m2
+    mass01 /= h2
+    # (m2 - 2 y0 m1 + y0 y0 m0) / h2, in the buffer of m2
+    mass11 = m2
+    np.multiply(2.0, y0, out=tmp)
+    tmp *= m1
+    mass11 -= tmp
+    np.multiply(y0, y0, out=tmp)
+    tmp *= m0
+    mass11 += tmp
+    mass11 /= h2
+    k_el = m0  # m0 / h2, in its own buffer
+    k_el /= h2
     return k_el, mass00, mass01, mass11
 
 
@@ -122,49 +155,86 @@ def _assemble(elements, lam):
     """Tridiagonal arrays of the form 2*int y^b (f'g' + lam f g), built from
     the element arrays of :func:`_elements`."""
     k_el, mass00, mass01, mass11 = elements
-    n = k_el.size + 1
-    diag = np.zeros(n)
-    off = np.zeros(n - 1)
-    diag[:-1] += k_el + lam * mass00
-    diag[1:] += k_el + lam * mass11
-    off[:] = -k_el + lam * mass01
-    return 2.0 * diag, 2.0 * off  # doubled: integrals over R of even profiles
+    diag = np.empty(k_el.size + 1)
+    diag[-1] = 0.0
+    # each node gets the (k_el + lam m00) of the cell above it, then the
+    # (k_el + lam m11) of the cell below it
+    np.multiply(lam, mass00, out=diag[:-1])
+    diag[:-1] += k_el
+    below = lam * mass11
+    below += k_el
+    diag[1:] += below
+    off = lam * mass01
+    off -= k_el
+    diag *= 2.0  # doubled: integrals over R of even profiles
+    off *= 2.0
+    return diag, off
 
 
-def _solve_spd_tridiagonal(diag, off, rhs):
-    """Solve T x = rhs for the SPD tridiagonal T with main diagonal ``diag``
-    and both off-diagonals ``off``, by odd-even cyclic reduction.
+_SWEEP_ROWS = 24  # systems up to this size finish with a scalar sweep
+
+
+def _sweep_unit_datum(diag, couple, datum):
+    """Solve T x = datum e_0 for a short SPD tridiagonal T, with main
+    diagonal ``diag`` and off-diagonals ``-couple``, by a Thomas sweep on
+    Python floats.  Elimination from the top turns row i into
+    x_i = r_i + c_i x_{i+1}, with c_i = couple_i / pivot_i,
+    r_0 = datum / pivot_0 and r_i = couple_{i-1} r_{i-1} / pivot_i; x is
+    then read from the last row up."""
+    diag = diag.tolist()
+    couple = couple.tolist()
+    pivot = diag[0]
+    r = [datum / pivot]
+    c = []
+    for d, q in zip(diag[1:], couple):
+        c.append(q / pivot)
+        pivot = d - q * c[-1]
+        r.append(q * r[-1] / pivot)
+    x = [r.pop()]
+    while r:
+        x.append(r.pop() + c.pop() * x[-1])
+    x.reverse()
+    return np.array(x)
+
+
+def _solve_unit_datum(diag, off, datum):
+    """Solve T x = datum e_0 for the SPD tridiagonal T with main diagonal
+    ``diag`` and both off-diagonals ``off``, by odd-even cyclic reduction.
 
     Each level eliminates the odd rows, leaving an SPD tridiagonal system in
-    the even rows, and fills the odd rows back in once that is solved: about
-    log2(n) levels of slice arithmetic and no loop over rows.  This is
-    Gaussian elimination on an odd-even permutation of T, which is SPD too,
-    so no pivoting is needed.  Leading axes of the arguments are a batch of
-    independent systems.
+    the even rows: Gaussian elimination on an odd-even permutation of T,
+    which is SPD too, so no pivoting is needed.  Row 0 is even and the odd
+    rows of datum e_0 are zero, so the right-hand side stays datum e_0 on
+    every level and only the matrix is reduced.  Once the even rows are
+    solved, each odd row is its two multipliers times its even neighbours.
+    Levels stop at :data:`_SWEEP_ROWS` rows, which a scalar Thomas sweep
+    solves: about log2(n / _SWEEP_ROWS) levels of slice arithmetic.  The
+    levels carry the couplings -off, whose signs then drop out.
     """
-    n = diag.shape[-1]
-    if n == 1:
-        return rhs / diag
-    m = n // 2  # odd rows, eliminated at this level
-    h = n - 1 - m  # odd rows with an even row below them
-    inv = 1.0 / diag[..., 1::2]
-    # row 2k+1 couples to row 2k through off[2k], to row 2k+2 through off[2k+1]
-    lo = off[..., ::2] * inv
-    hi = off[..., 1::2] * inv[..., :h]
-    diag_even = diag[..., ::2].copy()
-    diag_even[..., :m] -= off[..., ::2] * lo
-    diag_even[..., 1:] -= off[..., 1::2] * hi
-    rhs_odd = rhs[..., 1::2]
-    rhs_even = rhs[..., ::2].copy()
-    rhs_even[..., :m] -= lo * rhs_odd
-    rhs_even[..., 1:] -= hi * rhs_odd[..., :h]
-    x_even = _solve_spd_tridiagonal(
-        diag_even, -lo[..., :h] * off[..., 1::2], rhs_even)
-    x = np.empty(rhs.shape, dtype=x_even.dtype)
-    x[..., ::2] = x_even
-    x_odd = rhs_odd * inv - lo * x_even[..., :m]
-    x_odd[..., :h] -= hi * x_even[..., 1:]
-    x[..., 1::2] = x_odd
+    couple = -off
+    levels = []
+    while diag.size > _SWEEP_ROWS:
+        inv = 1.0 / diag[1::2]
+        # odd row 2k+1 couples to row 2k through couple[2k], to row 2k+2
+        # through couple[2k+1]
+        q_lo = couple[::2]
+        q_hi = couple[1::2]
+        lo = q_lo * inv
+        hi = q_hi * inv[:q_hi.size]
+        even = diag[::2].copy()
+        even[:lo.size] -= q_lo * lo
+        even[1:] -= q_hi * hi
+        couple = lo[:q_hi.size] * q_hi
+        diag = even
+        levels.append((lo, hi))
+    x = _sweep_unit_datum(diag, couple, datum)
+    for lo, hi in reversed(levels):
+        full = np.empty(x.size + lo.size)
+        full[::2] = x
+        odd = full[1::2]
+        np.multiply(lo, x[:lo.size], out=odd)
+        odd[:hi.size] += hi * x[1:]
+        x = full
     return x
 
 
@@ -178,8 +248,22 @@ def _energy(elements, lam, f):
     k_el, mass00, mass01, mass11 = elements
     f0 = f[:-1]
     f1 = f[1:]
-    mass = mass00 * f0 * f0 + 2.0 * mass01 * f0 * f1 + mass11 * f1 * f1
-    return 2.0 * float(np.sum(k_el * (f1 - f0) ** 2 + lam * mass))
+    # k_el (f1 - f0)^2 + lam (m00 f0 f0 + 2 m01 f0 f1 + m11 f1 f1), in place
+    mass = mass00 * f0
+    mass *= f0
+    tmp = 2.0 * mass01
+    tmp *= f0
+    tmp *= f1
+    mass += tmp
+    np.multiply(mass11, f1, out=tmp)
+    tmp *= f1
+    mass += tmp
+    mass *= lam
+    np.subtract(f1, f0, out=tmp)
+    np.square(tmp, out=tmp)
+    tmp *= k_el
+    tmp += mass
+    return 2.0 * float(np.sum(tmp))
 
 
 def _fe_form(params, lam, n_nodes):
@@ -212,10 +296,9 @@ def minimize_profile(s: float, lam: float, n_nodes: int = 2000):
         raise ValueError(f"minimize_profile needs a finite eigenvalue "
                          f"lam > 0, got lam={lam}")
     mesh, elements, (diag, off) = _fe_form(params, lam, n_nodes)
-    # Dirichlet data: f(0) = 1, f(y_max) = 0; unknowns are the interior nodes
-    rhs = np.zeros(mesh.size - 2)
-    rhs[0] = -off[0]
-    inner = _solve_spd_tridiagonal(diag[1:-1], off[1:-1], rhs)
+    # Dirichlet data: f(0) = 1, f(y_max) = 0; unknowns are the interior
+    # nodes, and the trace moves -off[0] to the first of their rows
+    inner = _solve_unit_datum(diag[1:-1], off[1:-1], -off[0])
     full = np.concatenate(([1.0], inner, [0.0]))
     value = _energy(elements, lam, full)
     return value, ProfileFE(grid=mesh, values=full)

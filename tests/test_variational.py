@@ -20,11 +20,12 @@ from fracext.spectral import (
 )
 from fracext.special import FracParams, psi_lambda
 from fracext.variational import (
+    _SWEEP_ROWS,
     _assemble,
     _elements,
     _energy,
     _fe_form,
-    _solve_spd_tridiagonal,
+    _solve_unit_datum,
     _unit_minimum,
     graded_mesh,
     minimize_curve,
@@ -58,12 +59,17 @@ def _thomas(diag, off, rhs):
     return x
 
 
-def _random_spd(rng, shape):
+def _random_spd(rng, n):
     # |off| < 1 and diag >= 2 make every row strictly diagonally dominant
-    n = shape[-1]
-    diag = 2.0 + rng.uniform(0.0, 1.0, shape)
-    off = rng.uniform(-1.0, 1.0, shape[:-1] + (n - 1,))
-    return diag, off, rng.standard_normal(shape)
+    diag = 2.0 + rng.uniform(0.0, 1.0, n)
+    off = rng.uniform(-1.0, 1.0, n - 1)
+    return diag, off, float(rng.standard_normal())
+
+
+def _unit(n, datum):
+    rhs = np.zeros(n)
+    rhs[0] = datum
+    return rhs
 
 
 def _dense(diag, off):
@@ -99,28 +105,22 @@ def geometric_default_mesh(monkeypatch):
     _unit_minimum.cache_clear()
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 4000])
+@pytest.mark.parametrize("n", sorted(
+    set(range(1, 18)) | {_SWEEP_ROWS - 1, _SWEEP_ROWS, _SWEEP_ROWS + 1,
+                         2 * _SWEEP_ROWS - 1, 2 * _SWEEP_ROWS,
+                         2 * _SWEEP_ROWS + 1, 4000}))
 def test_spd_tridiagonal_solve_matches_dense(n):
-    diag, off, rhs = _random_spd(np.random.default_rng(n), (n,))
-    x = _solve_spd_tridiagonal(diag, off, rhs)
-    want = np.linalg.solve(_dense(diag, off), rhs)
+    # at and around the size where the reduction hands over to the sweep
+    diag, off, datum = _random_spd(np.random.default_rng(n), n)
+    x = _solve_unit_datum(diag, off, datum)
+    want = np.linalg.solve(_dense(diag, off), _unit(n, datum))
     np.testing.assert_allclose(x, want, rtol=0, atol=1e-13)
 
 
-def test_spd_tridiagonal_batch_equals_row_solves():
-    for n in (1, 2, 7, 16, 17, 301):
-        diag, off, rhs = _random_spd(np.random.default_rng(n), (3, n))
-        x = _solve_spd_tridiagonal(diag, off, rhs)
-        assert x.shape == (3, n)
-        for row in range(3):
-            assert np.array_equal(
-                x[row], _solve_spd_tridiagonal(diag[row], off[row], rhs[row]))
-
-
 def test_spd_tridiagonal_solve_is_deterministic():
-    diag, off, rhs = _random_spd(np.random.default_rng(3), (1000,))
-    x = _solve_spd_tridiagonal(diag, off, rhs)
-    assert np.array_equal(x, _solve_spd_tridiagonal(diag, off, rhs))
+    diag, off, datum = _random_spd(np.random.default_rng(3), 1000)
+    x = _solve_unit_datum(diag, off, datum)
+    assert np.array_equal(x, _solve_unit_datum(diag, off, datum))
 
 
 @settings(max_examples=60, deadline=None)
@@ -133,11 +133,34 @@ def test_spd_tridiagonal_solve_property(n, seed, margin):
     side = np.abs(np.concatenate(([0.0], off))) + np.abs(
         np.concatenate((off, [0.0])))
     diag = side * (1.0 + margin) + margin
-    rhs = rng.standard_normal(n)
-    x = _solve_spd_tridiagonal(diag, off, rhs)
+    rhs = _unit(n, float(rng.standard_normal()))
+    x = _solve_unit_datum(diag, off, rhs[0])
     full = _dense(diag, off)
     scale = np.abs(full) @ np.abs(x) + np.abs(rhs)
-    assert np.all(np.abs(full @ x - rhs) <= 1e-13 * scale)
+    # far from row 0 the solution of a unit datum decays past the smallest
+    # normal float, where rounding is absolute
+    tiny = np.finfo(float).tiny
+    assert np.all(np.abs(full @ x - rhs) <= 1e-13 * scale + tiny)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="long double is no wider than double here")
+@pytest.mark.parametrize("n", [1000, 4000, 16000])
+@pytest.mark.parametrize("s", [0.05, 0.1, 0.5, 0.95])
+def test_minimize_profile_matches_long_double_solve(s, n):
+    # the same assembled system solved by a Thomas sweep in long double:
+    # measured within 1 ulp at these (s, n), and within 9 ulp over s in
+    # [0.01, 0.99], n <= 16000
+    params = FracParams.from_order(s)
+    _, elements, (diag, off) = _fe_form(params, 1.0, n)
+    rhs = np.zeros(diag.size - 2, dtype=np.longdouble)
+    rhs[0] = -np.longdouble(off[0])
+    x = _thomas(diag[1:-1].astype(np.longdouble),
+                off[1:-1].astype(np.longdouble), rhs)
+    want = _energy(elements, 1.0,
+                   np.concatenate(([1.0], x.astype(float), [0.0])))
+    got, _ = minimize_profile(s, 1.0, n_nodes=n)
+    assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 def test_fe_path_does_not_load_scipy_linalg():
@@ -263,8 +286,8 @@ def test_zero_trace_constraint_gives_zero_minimum():
     # with f(0) = 0 imposed as well, the quadratic form minimum is 0 at f = 0
     mesh = graded_mesh(40.0, 200, 0.5)
     diag, off = _assemble(_elements(mesh, 0.0), 1.0)
-    x = _solve_spd_tridiagonal(diag[1:-1], off[1:-1], np.zeros(mesh.size - 2))
-    assert np.all(x == 0.0)
+    x = _solve_unit_datum(diag[1:-1], off[1:-1], 0.0)
+    assert x.shape == (mesh.size - 2,) and np.all(x == 0.0)
 
 
 def test_minimize_curve_two_modes():
@@ -415,13 +438,12 @@ def test_curve_minima_match_per_mode_solves(geometric_default_mesh, s):
     want_trace = np.zeros(lam.size)
     for j in np.flatnonzero(active):
         _, elements, (diag, off) = _fe_form(params, lam[j], n)
-        rhs = np.zeros(n - 1)
-        rhs[0] = 2.0 * params.d_s * c[j]
-        x = _solve_spd_tridiagonal(diag[:-1], off[:-1], rhs)
+        datum = 2.0 * params.d_s * c[j]
+        x = _solve_unit_datum(diag[:-1], off[:-1], datum)
         unit = (_energy(elements, lam[j], np.append(x, 0.0))
-                - 2.0 * rhs[0] * x[0])
+                - 2.0 * datum * x[0])
         want_min += unit
-        want_trace[j] = -unit / rhs[0]
+        want_trace[j] = -unit / datum
     rep, trace = minimize_negative(u, s, n_nodes=n)
     assert rep.lhs == pytest.approx(want_min, rel=5e-12, abs=0.0)
     np.testing.assert_allclose(trace.coeffs, want_trace, rtol=1e-10, atol=0)
@@ -430,22 +452,16 @@ def test_curve_minima_match_per_mode_solves(geometric_default_mesh, s):
 
 @pytest.fixture
 def top_level_solves(monkeypatch):
-    """Mesh sizes of the top-level tridiagonal solves, from a cold
-    unit-minimum cache."""
-    solve = variational._solve_spd_tridiagonal
+    """Mesh sizes of the tridiagonal solves, from a cold unit-minimum
+    cache."""
+    solve = variational._solve_unit_datum
     sizes = []
-    depth = [0]
 
-    def counting(diag, off, rhs):  # the solver recurses through this name
-        if depth[0] == 0:
-            sizes.append(rhs.shape[-1] + 2)  # plus the two Dirichlet nodes
-        depth[0] += 1
-        try:
-            return solve(diag, off, rhs)
-        finally:
-            depth[0] -= 1
+    def counting(diag, off, datum):
+        sizes.append(diag.size + 2)  # plus the two Dirichlet nodes
+        return solve(diag, off, datum)
 
-    monkeypatch.setattr(variational, "_solve_spd_tridiagonal", counting)
+    monkeypatch.setattr(variational, "_solve_unit_datum", counting)
     _unit_minimum.cache_clear()
     yield sizes
     _unit_minimum.cache_clear()
@@ -571,6 +587,29 @@ def test_graded_mesh_shape():
     assert np.all(np.diff(tiny) > 0)
     with pytest.raises(ValueError):
         graded_mesh(40.0, 4, 0.5)
+
+
+@pytest.mark.parametrize("n_nodes", [4000.5, 9.7, math.nan, math.inf,
+                                     -math.inf])
+def test_a_node_count_that_is_not_a_whole_number_is_refused(n_nodes):
+    # 4000.5 solved on a 4001-node mesh whose last node lay past y_max and
+    # passed its check; 9.7 solved on 9 nodes; nan failed inside np.arange
+    u = ModalVector(np.array([1.0, 1.0]), explicit_spectrum([1.0, 4.0]))
+    solves = (lambda: graded_mesh(40.0, n_nodes, 0.5),
+              lambda: minimize_profile(0.5, 1.0, n_nodes=n_nodes),
+              lambda: minimize_curve(u, 0.5, n_nodes=n_nodes),
+              lambda: minimize_negative(u, 0.5, n_nodes=n_nodes))
+    for solve in solves:
+        with pytest.raises(ValueError, match=f"whole number of nodes, got "
+                                             f"n={n_nodes}$"):
+            solve()
+
+
+def test_a_whole_float_node_count_is_the_integer_count():
+    assert np.array_equal(graded_mesh(40.0, 1000.0, 0.5),
+                          graded_mesh(40.0, 1000, 0.5))
+    assert minimize_profile(0.5, 1.0, n_nodes=500.0)[0] == minimize_profile(
+        0.5, 1.0, n_nodes=500)[0]
 
 
 _CONVERGENCE_NODES = (2000, 4000, 8000, 16000)
