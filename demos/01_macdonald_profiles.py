@@ -11,9 +11,18 @@ which makes them perfect sanity anchors:
     psi_{1/2}(y) = e^{-|y|},   psi_{3/2}(y) = (1+|y|) e^{-|y|}.
 """
 
+import math
+
 import numpy as np
 
-from fracext import FracParams, constants, psi, psi_deriv
+from fracext import (
+    FracParams,
+    ModalVector,
+    explicit_spectrum,
+    psi,
+    psi_deriv,
+    taylor_expand,
+)
 
 ys = np.array([0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0])
 
@@ -50,8 +59,13 @@ y = 1.0
 print(f"\npsi'_1.5(1) = {psi_deriv(1.5, y, 1):.12f}  "
       f"(elementary: {-y * np.exp(-y):.12f})")
 
-# The constants attached to an order: the best trace constant m_b and the
-# boundary curvature coefficients kappa.
-c = constants(FracParams.from_order(2.5))
-print(f"\norder 2.5 constants: m_b={c.m_b:.6f} kappa={c.kappa} "
-      f"gamma={tuple(round(g, 6) for g in c.gamma_coeff)}")
+# The constants attached to an order: the best trace constant m_b of its
+# weight, from the bundle, and the boundary curvature coefficients kappa_m,
+# which taylor_expand returns as T_m = kappa_m / (2m)! L^m u; on one mode
+# lam = 1 with u = 1 that is kappa_m / (2m)! itself.
+p = FracParams.from_order(2.5)
+one = ModalVector(np.ones(1), explicit_spectrum([1.0]))
+terms = taylor_expand(one, p.s, p.floor_s)
+kappa = [math.factorial(2 * m) * float(t.coeffs[0])
+         for m, t in enumerate(terms)][1:]
+print(f"\norder 2.5 constants: m_b={p.m_b:.6f} kappa={tuple(kappa)}")

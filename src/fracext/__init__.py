@@ -10,8 +10,6 @@ expansions, Fourier isometries, and variational minimality.
 
 from .special import (
     FracParams,
-    ProfileConstants,
-    constants,
     psi,
     psi_deriv,
     psi_fourier,
@@ -31,7 +29,6 @@ from .spectral import (
     explicit_spectrum,
     kernel_split,
     neumann_laplacian_1d,
-    operator_from_json,
     sobolev_norm,
     tridiag_eigh,
     tridiagonal_spectrum,

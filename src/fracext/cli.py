@@ -49,7 +49,6 @@ from .spectral import (
     _BUILDERS,
     ModalVector,
     _require_finite,
-    _split_descriptor,
     apply_power,
     build_operator,
     sobolev_norm,
@@ -94,6 +93,16 @@ def _finite_json(token):
 _SHORTHAND = {"dirichlet": "dirichlet_laplacian_1d",
               "neumann": "neumann_laplacian_1d",
               "explicit": "explicit_eigenvalues"}
+
+
+def _split_descriptor(desc):
+    """``(kind, fields)`` of a parsed descriptor, which must be a JSON
+    object with a string kind; anything else is a ValueError."""
+    if not isinstance(desc, dict) or not isinstance(desc.get("kind"), str):
+        raise ValueError(f"an operator descriptor is a JSON object with a "
+                         f"string 'kind' field, one of {tuple(_BUILDERS)}")
+    fields = dict(desc)
+    return fields.pop("kind"), fields
 
 
 def _parse_operator(text):

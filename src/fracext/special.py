@@ -67,13 +67,11 @@ import numpy as np
 
 __all__ = [
     "FracParams",
-    "ProfileConstants",
     "psi",
     "psi_lambda",
     "psi_deriv",
     "psi_series",
     "psi_taylor_remainder",
-    "constants",
     "psi_fourier",
     "seminorm_sq",
     "weight_exponent",
@@ -366,8 +364,9 @@ class FracParams:
     """Parameter bundle attached to a non-integer order s > 0.
 
     ``b`` is the weight exponent of the degenerate operator, ``c_s`` the
-    profile normalisation making psi_s(0) = 1, and ``d_s`` the constant in
-    the energy identity ``|psi_{s,lam}|^2 = 2 d_s lam^s``.
+    profile normalisation making psi_s(0) = 1, ``d_s`` the constant in the
+    energy identity ``|psi_{s,lam}|^2 = 2 d_s lam^s``, and ``m_b`` the best
+    constant of the weighted trace inequality at weight b.
     """
 
     s: float
@@ -383,6 +382,12 @@ class FracParams:
         fl = math.floor(s)
         return cls(s=s, floor_s=fl, ceil_s=fl + 1, b=weight_exponent(s),
                    c_s=math.exp(_log_c(s)), d_s=trace_constant(s))
+
+    @property
+    def m_b(self) -> float:
+        # a property, not a field: where b rounds to 1 the formula meets
+        # lgamma(0), and from_order must not raise there
+        return _m_b(self.b)
 
 
 # ---------------------------------------------------------------------------
@@ -678,33 +683,6 @@ def psi_taylor_remainder(s: float, y: float, k: int) -> float:
     sign = (-1.0) ** (math.floor(s) + 1)
     return total + sign * math.exp(math.lgamma(-s) - math.lgamma(s)
                                    + 2.0 * s * math.log(0.5 * abs(y))) * series
-
-
-@dataclass(frozen=True)
-class ProfileConstants:
-    """Closed-form constants attached to one order s.
-
-    m_b       best constant of the weighted trace inequality,
-    kappa     limits of the even derivatives of the extension at the origin
-              (kappa[m-1] multiplies the m-th operator power, m = 1..floor(s)),
-    gamma_coeff   Beta-function ratios B(s-l, 1/2) / B(s, 1/2) of the binomial
-                  derivative sum of psi_deriv, l = 0..floor(s).
-    """
-
-    m_b: float
-    kappa: tuple
-    gamma_coeff: tuple
-
-
-def constants(params: FracParams) -> ProfileConstants:
-    """All closed-form constants for the order bundled in ``params``."""
-    s = params.s
-    kappa = tuple(math.factorial(2 * m) * _taylor_coeff(s, m)
-                  for m in range(1, params.floor_s + 1))
-    gamma_coeff = tuple(_gamma_coeff(s, ell)
-                        for ell in range(params.floor_s + 1))
-    return ProfileConstants(m_b=_m_b(params.b), kappa=kappa,
-                            gamma_coeff=gamma_coeff)
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,6 @@ __all__ = [
     "explicit_spectrum",
     "tridiagonal_spectrum",
     "build_operator",
-    "operator_from_json",
     "sobolev_norm",
     "apply_power",
     "kernel_split",
@@ -101,9 +100,6 @@ class ModalVector:
     def __len__(self):
         return self.coeffs.size
 
-    def to_json(self) -> str:
-        return json.dumps(self.coeffs.tolist())
-
 
 @dataclass(frozen=True)
 class EigenBasis:
@@ -129,24 +125,40 @@ class EigenBasis:
 # builders
 
 
-def dirichlet_laplacian_1d(length: float, modes: int) -> Spectrum:
-    """Eigenvalues (j pi / L)^2, j = 1..modes, of -d^2/dx^2 with zero BCs."""
-    if length <= 0:
-        raise ValueError("interval length must be positive")
+_TINY = np.finfo(float).tiny
+_HUGE = np.finfo(float).max
+
+
+def _laplacian_1d(length, modes, first):
+    """Eigenvalues (j pi / L)^2, j = first .. first + modes - 1, of
+    -d^2/dx^2 on (0, L).  A length that is not finite and positive, or that
+    puts a positive eigenvalue outside the normal double range, is refused:
+    it would turn modes into kernel modes or overflow."""
+    if not 0.0 < length < math.inf:
+        raise ValueError(f"interval length must be positive and finite, "
+                         f"got length {length!r}")
     if modes < 1 or modes != int(modes):
         raise ValueError(f"need a whole number of modes >= 1, got {modes}")
-    j = np.arange(1, modes + 1)
+    last = first + int(modes) - 1
+    # the extreme positive eigenvalues on Python floats, rounded as the
+    # array rounds them and with no warning (x * x, as x ** 2 raises)
+    lo, hi = max(first, 1) * math.pi / length, last * math.pi / length
+    if last and not (_TINY <= lo * lo and hi * hi <= _HUGE):
+        raise ValueError(f"interval length must leave the eigenvalues "
+                         f"(j pi / L)^2 in [{_TINY:g}, {_HUGE:g}], got "
+                         f"length {length!r}")
+    j = np.arange(first, last + 1)
     return Spectrum((j * math.pi / length) ** 2)
+
+
+def dirichlet_laplacian_1d(length: float, modes: int) -> Spectrum:
+    """Eigenvalues (j pi / L)^2, j = 1..modes, of -d^2/dx^2 with zero BCs."""
+    return _laplacian_1d(length, modes, 1)
 
 
 def neumann_laplacian_1d(length: float, modes: int) -> Spectrum:
     """Eigenvalues 0, (pi/L)^2, (2 pi/L)^2, ... with the constant mode first."""
-    if length <= 0:
-        raise ValueError("interval length must be positive")
-    if modes < 1 or modes != int(modes):
-        raise ValueError(f"need a whole number of modes >= 1, got {modes}")
-    j = np.arange(0, modes)
-    return Spectrum((j * math.pi / length) ** 2)
+    return _laplacian_1d(length, modes, 0)
 
 
 def explicit_spectrum(values) -> Spectrum:
@@ -206,23 +218,6 @@ def build_operator(kind: str, **params):
     return built if isinstance(built, tuple) else (built, None)
 
 
-def _split_descriptor(desc):
-    """``(kind, fields)`` of a parsed descriptor, which must be a JSON
-    object with a string kind; anything else is a ValueError."""
-    if not isinstance(desc, dict) or not isinstance(desc.get("kind"), str):
-        raise ValueError(f"an operator descriptor is a JSON object with a "
-                         f"string 'kind' field, one of {tuple(_BUILDERS)}")
-    fields = dict(desc)
-    return fields.pop("kind"), fields
-
-
-def operator_from_json(text: str):
-    """Build an operator from its JSON descriptor (string or parsed dict)."""
-    kind, fields = _split_descriptor(
-        json.loads(text) if isinstance(text, str) else text)
-    return build_operator(kind, **fields)
-
-
 # ---------------------------------------------------------------------------
 # fractional calculus on modal vectors
 
@@ -257,10 +252,6 @@ def _require_finite(what, *values):
     ``np.errstate(over="ignore")`` left the floating-point range."""
     if not all(np.all(np.isfinite(v)) for v in values):
         raise ValueError(f"{what} overflows: the result must be finite")
-
-
-_TINY = np.finfo(float).tiny
-_HUGE = np.finfo(float).max
 
 
 def _scaled_power(lam, t, c):

@@ -284,18 +284,26 @@ def _random_vectors(spectrum, seed, count):
             for _ in range(count)]
 
 
+def _unit_curve(s, n):
+    """extend of the all-ones vector on the 16-mode Dirichlet spectrum of
+    (0, pi), on its n-point default grid: the profiles psi_s(sqrt(lam_j) y),
+    which a vector's coefficients scale row by row into its own curve."""
+    spec = dirichlet_laplacian_1d(math.pi, 16)
+    return extend(ModalVector(np.ones(spec.size), spec), s,
+                  default_grid(spec, n))
+
+
 @_orders((0.5, 1.5))
 def check_nonexpansive(s, cfg):
     """Per-column norms of the curve never exceed the data norm: the lhs
     is the largest ratio of a column norm to the data norm, bounded by 1
     with 1e-12 of slack.  The weights are (lam/lam_max)^sigma, which leave
     each ratio as it is and cannot overflow; a NaN ratio fails."""
-    spec = dirichlet_laplacian_1d(math.pi, 16)
-    grid = default_grid(spec, 120)
-    psi_mat = psi(s, np.sqrt(spec.eigenvalues)[:, None] * grid)
+    unit = _unit_curve(s, 120)
+    spec = unit.spectrum
     ratios = []
     for u in _random_vectors(spec, _SEED, 10):
-        cols = psi_mat * u.coeffs[:, None]
+        cols = unit.values * u.coeffs[:, None]
         for sigma in (-1.0, 0.0, 1.0, s):
             w = (spec.eigenvalues / spec.eigenvalues[-1]) ** sigma
             norms = np.sqrt(w @ cols ** 2)
@@ -307,14 +315,16 @@ def check_nonexpansive(s, cfg):
 
 @_orders((0.5, 1.5))
 def check_commute(s, cfg):
-    """extend(L^sigma u) equals L^sigma applied column-wise to extend(u)."""
-    spec = dirichlet_laplacian_1d(math.pi, 16)
-    grid = default_grid(spec, 80)
+    """extend(L^sigma u) equals L^sigma applied column-wise to extend(u).
+    Both curves scale the unit curve by their coefficients, as extend forms
+    a curve, so one profile evaluation serves every vector."""
+    unit = _unit_curve(s, 80)
     sigma = 0.7
     worst = 0.0
-    for u in _random_vectors(spec, _SEED + 1, 10):
-        left = extend(apply_power(u, sigma), s, grid).values
-        right = spec.eigenvalues[:, None] ** sigma * extend(u, s, grid).values
+    for u in _random_vectors(unit.spectrum, _SEED + 1, 10):
+        left = apply_power(u, sigma).coeffs[:, None] * unit.values
+        right = (unit.spectrum.eigenvalues[:, None] ** sigma
+                 * (u.coeffs[:, None] * unit.values))
         scale = np.max(np.abs(right))
         worst = max(worst, float(np.max(np.abs(left - right))) / scale)
     return [report_equal(f"commute(s={s}, sigma={sigma})", worst, 0.0, 0.0,

@@ -96,6 +96,11 @@ def graded_mesh(y_max: float, n: int, s: float) -> np.ndarray:
         raise ValueError(f"the mesh needs a whole number of nodes, got n={n}")
     if n < 8:
         raise ValueError("mesh needs at least 8 nodes")
+    if not 0.0 < s < math.inf:
+        raise ValueError(f"graded_mesh needs a finite order s > 0, got s={s}")
+    if not 0.0 < y_max < math.inf:
+        raise ValueError(f"graded_mesh needs a finite y_max > 0, "
+                         f"got y_max={y_max}")
     expo = np.log(np.arange(1, n) / (n - 1))  # in log space
     expo = expo[expo >= 0.5 * s * math.log(1e-150)]
     return np.concatenate(([0.0], y_max * np.exp(expo * 2.0 / s)))

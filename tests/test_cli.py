@@ -309,6 +309,24 @@ def test_operator_outside_its_domain_is_domain_error(capsys, argv, named):
     assert err.startswith("domain error") and named in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("apply", "--op", "dirichlet:1e308:2", "--u", "1,1", "--s", "0.5"),
+    ("apply", "--op", "dirichlet:1e-300:2", "--u", "1,1", "--s", "0.5"),
+    ("extend", "--op", "neumann:1e200:3", "--u", "1,1,1", "--s", "0.5"),
+], ids=["underflow", "overflow", "all-kernel"])
+def test_laplacian_length_outside_the_double_range_is_domain_error(
+        capsys, argv):
+    # these printed [0, 0] and constant curves with exit 0, and an overflow
+    # warning that -W error turned into a traceback
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("domain error") and err.count("\n") == 1
+    assert f"length {float(argv[2].split(':')[1])!r}" in err
+
+
 def test_verify_large_order_runs_as_before(capsys):
     code, out, _ = run_cli(capsys, "verify", "--checks", "dtn",
                            "--s", "400.5")
@@ -715,7 +733,9 @@ def test_operator_descriptor_file_with_nan_is_usage_error(tmp_path, capsys):
     ('"kind"', True),
     ('{"kind": [1]}', False),
     ('{"kind": 3}', True),
-], ids=["file-list", "file-string", "inline-list-kind", "file-number-kind"])
+    ('{"length": 1, "modes": 2}', False),
+], ids=["file-list", "file-string", "inline-list-kind", "file-number-kind",
+        "inline-no-kind"])
 def test_operator_descriptor_not_an_object_with_string_kind_is_usage_error(
         tmp_path, capsys, text, in_file):
     # these died with a TypeError or AttributeError traceback

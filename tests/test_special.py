@@ -1,5 +1,6 @@
 """Tests for the Macdonald-function layer: K_nu, psi_s, constants, Fourier."""
 
+import dataclasses
 import math
 import sys
 import threading
@@ -13,10 +14,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fracext import special
-from fracext.extension import conormal_trace, derivative_curve, extend
+from fracext.extension import (
+    conormal_trace,
+    derivative_curve,
+    extend,
+    taylor_expand,
+)
 from fracext.special import (
     FracParams,
-    constants,
     psi,
     psi_deriv,
     psi_fourier,
@@ -27,7 +32,11 @@ from fracext.special import (
     trace_constant,
     weight_exponent,
 )
-from fracext.spectral import ModalVector, dirichlet_laplacian_1d
+from fracext.spectral import (
+    ModalVector,
+    dirichlet_laplacian_1d,
+    explicit_spectrum,
+)
 from finite_differences import central_derivative
 
 # reference values computed with mpmath at 30 significant digits
@@ -723,21 +732,24 @@ def test_trace_constant_reference_values():
     assert trace_constant(3.7) == pytest.approx(3.26162737352945926, rel=1e-14)
 
 
+def _kappa(s, m):
+    """kappa_{s,m} through taylor_expand: (2m)! T_m on one mode lam = 1."""
+    one = ModalVector(np.ones(1), explicit_spectrum([1.0]))
+    return math.factorial(2 * m) * taylor_expand(one, s, m)[m].coeffs[0]
+
+
 def test_constants_closed_forms():
-    c = constants(FracParams.from_order(2.5))
-    assert c.gamma_coeff[0] == 1.0
+    assert special._gamma_coeff(2.5, 0) == 1.0
     # kappa_1 = -1/(2(s-1)) at s = 2.5
-    assert c.kappa[0] == pytest.approx(-1.0 / 3.0, rel=1e-13)
-    assert c.kappa[1] == pytest.approx(1.0, rel=1e-13)
-    m0 = constants(FracParams.from_order(0.5)).m_b
-    assert m0 == pytest.approx(2.0, rel=1e-14)
+    assert _kappa(2.5, 1) == pytest.approx(-1.0 / 3.0, rel=1e-13)
+    assert _kappa(2.5, 2) == pytest.approx(1.0, rel=1e-13)
+    assert FracParams.from_order(0.5).m_b == pytest.approx(2.0, rel=1e-14)
 
 
 def test_constants_leading_gamma_coeff_is_exactly_one():
     # the log differences cancel pairwise at ell = 0; summed in the other
     # order they left 0.9999999999999999 here
-    c = constants(FracParams.from_order(0.5076284947565249))
-    assert c.gamma_coeff[0] == 1.0
+    assert special._gamma_coeff(0.5076284947565249, 0) == 1.0
 
 
 def test_constants_kappa_matches_binomial_beta_sum():
@@ -746,20 +758,39 @@ def test_constants_kappa_matches_binomial_beta_sum():
         return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
 
     for s in (2.5, 3.7):
-        c = constants(FracParams.from_order(s))
         for m in range(1, math.floor(s) + 1):
             total = sum(math.comb(m, ell) * (-1) ** ell
                         * beta_fn(s - ell, 0.5) for ell in range(m + 1))
-            assert c.kappa[m - 1] == pytest.approx(total / beta_fn(s, 0.5),
-                                                   rel=1e-12)
+            assert _kappa(s, m) == pytest.approx(total / beta_fn(s, 0.5),
+                                                 rel=1e-12)
 
 
 def test_trace_constant_equals_best_trace_constant():
     # m_b = 2 d_s at s = (1-b)/2: the trace inequality is saturated by psi_s
     for b in (-0.5, 0.0, 0.4):
-        m_b = constants(FracParams.from_order(0.5 * (1 - b))).m_b
+        m_b = FracParams.from_order(0.5 * (1 - b)).m_b
         assert m_b == pytest.approx(2.0 * trace_constant(0.5 * (1 - b)),
                                     rel=1e-13)
+
+
+@given(st.floats(1e-3, 60.0))
+@settings(max_examples=80, deadline=None)
+@example(5e-324)
+@example(2e-300)
+def test_best_trace_constant_is_a_read_only_property_of_the_weight(s):
+    # an eager field made from_order raise at orders whose b rounds to 1,
+    # where the formula meets lgamma(0)
+    if s == math.floor(s):
+        return
+    params = FracParams.from_order(s)
+    assert "m_b" not in {f.name for f in dataclasses.fields(params)}
+    with pytest.raises(AttributeError):
+        params.m_b = 0.0
+    if params.b == 1.0:
+        return
+    assert params.m_b == special._m_b(weight_exponent(s))
+    if s < 1.0:
+        assert params.m_b == pytest.approx(2.0 * params.d_s, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

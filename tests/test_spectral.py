@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -19,7 +20,6 @@ from fracext.spectral import (
     explicit_spectrum,
     kernel_split,
     neumann_laplacian_1d,
-    operator_from_json,
     sobolev_norm,
     tridiag_eigh,
     tridiagonal_spectrum,
@@ -57,6 +57,48 @@ def test_laplacian_rejects_non_integral_mode_count(builder):
     with pytest.raises(ValueError, match="whole number"):
         builder(math.pi, 2.5)
     assert builder(math.pi, 3.0).size == 3
+
+
+_NORMAL_RANGE = (np.finfo(float).tiny, np.finfo(float).max)
+
+
+@pytest.mark.parametrize("builder", [dirichlet_laplacian_1d,
+                                     neumann_laplacian_1d])
+@pytest.mark.parametrize("length,modes", [
+    (math.inf, 3), (math.nan, 3), (0.0, 3), (-1.0, 3),
+    (1e308, 2), (1e200, 3), (1e160, 2), (1e-300, 2),
+], ids=["inf", "nan", "zero", "negative", "underflow-1e308", "underflow-1e200",
+        "subnormal-1e160", "overflow-1e-300"])
+def test_laplacian_refuses_a_length_outside_the_double_range(
+        builder, length, modes):
+    # inf gave three zero eigenvalues (kernel_dim 3), 1e308 and 1e200 all
+    # kernel modes, 1e160 subnormal eigenvalues, and 1e-300 warned of an
+    # overflow in square
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(f"length {length!r}")):
+            builder(length, modes)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(1e-200, 1e200), st.integers(1, 64))
+@example(1.4e-154 * 64 * math.pi, 64)  # the largest eigenvalue near the top
+@example(math.pi / 1.5e-154, 2)  # the smallest eigenvalue near the bottom
+def test_laplacian_kernel_is_fixed_by_the_boundary_condition(length, modes):
+    # a length either is refused, or leaves every positive eigenvalue a
+    # normal double: no kernel for Dirichlet, one mode for Neumann
+    for builder, kernel in ((dirichlet_laplacian_1d, 0),
+                            (neumann_laplacian_1d, 1)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                spec = builder(length, modes)
+            except ValueError as err:
+                assert f"length {length!r}" in str(err)
+                continue
+        assert spec.kernel_dim == min(kernel, modes)
+        lo, hi = _NORMAL_RANGE
+        assert np.all((spec.positive >= lo) & (spec.positive <= hi))
 
 
 @pytest.mark.parametrize("fields", [{"length": 1.0},
@@ -275,26 +317,21 @@ def test_non_finite_spectrum_and_coefficients_rejected(bad):
 
 
 def test_json_descriptors():
-    spec, basis = operator_from_json(
+    # a parsed descriptor is build_operator's keywords; malformed ones are
+    # the CLI reader's usage errors (tests/test_cli.py)
+    spec, basis = build_operator(**json.loads(
         '{"kind":"dirichlet_laplacian_1d","length":3.141592653589793,'
-        '"modes":64}')
+        '"modes":64}'))
     assert basis is None
     assert spec.size == 64
     assert spec.eigenvalues[0] == pytest.approx(1.0, rel=1e-12)
-    spec2, _ = operator_from_json('{"kind":"explicit_eigenvalues",'
-                                  '"values":[1.0,4.0]}')
+    spec2, _ = build_operator(**json.loads('{"kind":"explicit_eigenvalues",'
+                                           '"values":[1.0,4.0]}'))
     np.testing.assert_allclose(spec2.eigenvalues, [1.0, 4.0])
-    spec3, basis3 = operator_from_json(
+    spec3, basis3 = build_operator(**json.loads(
         json.dumps({"kind": "tridiagonal", "diag": [2.0, 2.0],
-                    "off": [-1.0]}))
+                    "off": [-1.0]})))
     assert basis3 is not None
-    # a descriptor without a kind used to die with a bare KeyError
-    with pytest.raises(ValueError, match="'kind' field"):
-        operator_from_json('{"length": 1, "modes": 2}')
-    # neither an object nor a string kind: AttributeError and TypeError
-    for text in ('"kind"', '{"kind": [1]}', '[1, 2]'):
-        with pytest.raises(ValueError, match="string 'kind' field"):
-            operator_from_json(text)
     # spectra serialise back to explicit descriptors
     desc = json.loads(spec2.to_json())
     assert desc["kind"] == "explicit_eigenvalues"

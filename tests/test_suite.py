@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fracext import suite
+from fracext import extension, special, suite
 from fracext.special import trace_constant
 from fracext.spectral import ModalVector, apply_power
 from fracext.suite import CheckFailure, RunConfig, run_checks
@@ -134,12 +134,31 @@ def test_nonexpansive_reports_the_largest_ratio_of_norms(x):
 
 
 def test_nonexpansive_fails_on_a_column_above_the_data_norm(monkeypatch):
-    monkeypatch.setattr(suite, "psi",
+    # the fault goes into the profile that extend reads
+    monkeypatch.setattr(extension, "psi",
                         lambda s, y: np.full(np.shape(y), 1.0 + 1e-9))
     (report,) = _restricted(0.5, ["nonexpansive"])
     assert not report.passed
     assert report.lhs == pytest.approx(1.0 + 1e-9, rel=1e-12)
     assert report.rel_err == pytest.approx(1e-9, rel=1e-3)
+
+
+@pytest.mark.parametrize("name", ["commute", "nonexpansive"])
+def test_curve_checks_make_one_kernel_evaluation_per_order(monkeypatch, name):
+    # commute extended its data twice for each of 10 vectors, 20 kernel
+    # evaluations at s = 1.5; both checks now scale one extend per order
+    calls = []
+    kernel = special._kernel_pair
+
+    def counted(mu, y):
+        calls.append(y.size)
+        return kernel(mu, y)
+
+    monkeypatch.setattr(special, "_kernel_pair", counted)
+    monkeypatch.setattr(special, "_companion", ())
+    reports = run_checks([name])
+    assert len(reports) == 2 and all(r.passed for r in reports)
+    assert len(calls) == 2
 
 
 def test_taylor_remainder_of_nan_fails_with_a_nan_error(monkeypatch):

@@ -2,8 +2,10 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -587,6 +589,23 @@ def test_graded_mesh_shape():
     assert np.all(np.diff(tiny) > 0)
     with pytest.raises(ValueError):
         graded_mesh(40.0, 4, 0.5)
+
+
+@pytest.mark.parametrize("y_max,s,named", [
+    (40.0, 0.0, "s=0.0"), (40.0, -0.5, "s=-0.5"), (40.0, math.nan, "s=nan"),
+    (40.0, math.inf, "s=inf"), (math.inf, 0.5, "y_max=inf"),
+    (0.0, 0.5, "y_max=0.0"), (-1.0, 0.5, "y_max=-1.0"),
+    (math.nan, 0.5, "y_max=nan"),
+])
+def test_graded_mesh_refuses_an_order_or_range_outside_its_domain(
+        y_max, s, named):
+    # s = 0 warned of an invalid divide, s < 0 and NaN gave the one-node
+    # mesh [0.], and y_max = inf, 0 and -1 gave inf, all-zero and negative
+    # nodes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"{re.escape(named)}$"):
+            graded_mesh(y_max, 100, s)
 
 
 @pytest.mark.parametrize("n_nodes", [4000.5, 9.7, math.nan, math.inf,

@@ -15,7 +15,6 @@ from fracext.special import (
     _apply_operator_power,
     _Term,
     _term_derivative,
-    constants,
     psi,
     trace_constant,
 )
@@ -237,9 +236,8 @@ def test_curve_energy_trace_continuity():
     for s in (0.5, 1.5):
         params = FracParams.from_order(s)
         curve = extend(u, s)
-        m_b = constants(params).m_b
         tr = trace0(curve)
-        lhs = m_b * sobolev_norm(tr, params.ceil_s - 0.5 * (1 + params.b)) ** 2
+        lhs = params.m_b * sobolev_norm(tr, params.ceil_s - 0.5 * (1 + params.b)) ** 2
         assert lhs <= curve_energy(curve) * (1 + 1e-9)
 
 
