@@ -101,9 +101,16 @@ def default_grid(spectrum: Spectrum, n: int = 160) -> np.ndarray:
 
 
 def _geometric_grid(lo, hi, n):
-    """n points from lo to hi in geometric progression."""
-    ratio = (hi / lo) ** (1.0 / (n - 1))
-    return lo * ratio ** np.arange(n)
+    """n points from lo to hi in geometric progression.  Where hi / lo
+    leaves the double range, the inner points come from log space."""
+    if hi / lo < math.inf:
+        ratio = (hi / lo) ** (1.0 / (n - 1))
+        return lo * ratio ** np.arange(n)
+    step = (math.log(hi) - math.log(lo)) / (n - 1)
+    grid = np.empty(n)
+    grid[0], grid[-1] = lo, hi
+    grid[1:-1] = np.exp(math.log(lo) + step * np.arange(1, n - 1))
+    return grid
 
 
 def _check_grid(grid):
@@ -123,6 +130,18 @@ def _active_roots(u):
     return mask, np.sqrt(u.spectrum.eigenvalues[mask])[:, None]
 
 
+def _mode_rows(mask, active, rest=0.0):
+    """The (mode, point) matrix of the rows ``active`` on the modes of
+    ``mask`` and the per-mode constants ``rest`` on the others: the active
+    rows themselves when every mode is active."""
+    if mask.all():
+        return active
+    values = np.empty((mask.size, active.shape[1]))
+    values[...] = rest
+    values[mask] = active
+    return values
+
+
 def extend(u: ModalVector, s: float, grid=None) -> ExtensionCurve:
     """Extension curve of u: per-mode profile samples scaled by u_j.
 
@@ -133,11 +152,13 @@ def extend(u: ModalVector, s: float, grid=None) -> ExtensionCurve:
     if grid is None:
         grid = default_grid(u.spectrum)
     grid = _check_grid(grid)
-    values = np.zeros((u.spectrum.size, grid.size))
-    kernel = u.spectrum.eigenvalues == 0.0
-    values[kernel] = u.coeffs[kernel, None]
     mask, root = _active_roots(u)
-    values[mask] = u.coeffs[mask, None] * psi(s, root * grid)
+    with np.errstate(over="ignore"):  # psi is 0 where sqrt(lambda) y is inf
+        y = root * grid
+    active = psi(s, y)
+    active *= u.coeffs[mask, None]
+    kernel = u.spectrum.eigenvalues == 0.0
+    values = _mode_rows(mask, active, np.where(kernel, u.coeffs, 0.0)[:, None])
     return ExtensionCurve(spectrum=u.spectrum, grid=grid, values=values,
                           params=params, source=u)
 
@@ -236,11 +257,12 @@ def derivative_curve(u: ModalVector, s: float, k: int, grid=None) -> CurveSample
     if grid is None:
         grid = default_grid(u.spectrum)
     grid = _check_grid(grid)
-    values = np.zeros((u.spectrum.size, grid.size))
     mask, root = _active_roots(u)
     amp = _scaled_power(u.spectrum.eigenvalues[mask], 0.5 * k, u.coeffs[mask])
     with np.errstate(over="ignore", invalid="ignore"):  # inf amp * 0 is NaN
-        values[mask] = amp[:, None] * psi_deriv(s, root * grid, k)
+        active = psi_deriv(s, root * grid, k)
+        active *= amp[:, None]
+    values = _mode_rows(mask, active)
     _require_finite(f"derivative_curve(s={s}, k={k})", values)
     return CurveSamples(spectrum=u.spectrum, grid=grid, values=values)
 

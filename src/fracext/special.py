@@ -24,35 +24,38 @@ what a recomputation would; a call that races another may lose the entry,
 never get a wrong one, so all routines are safe to call concurrently.
 
 ``psi`` rests on one array kernel in numpy, with no special-function
-dependency.  It returns the pair
-``e^y (2/Gamma(1+|mu|)) (y/2)^|mu| K_mu`` and ``e^y psi_{mu+1}`` for an order
-``mu`` in [-1/2, 0], by one of three routes chosen per point: Temme's series
-(J. Comput. Phys. 19 (1975)) for y <= 1, a trapezoidal rule on
+dependency.  It forms the pair ``(2/Gamma(1+|mu|)) (y/2)^|mu| K_mu`` and
+``psi_{mu+1}`` for an order ``mu`` in [-1/2, 0], by one of three routes
+chosen per point: Temme's series (J. Comput. Phys. 19 (1975)) for y <= 1,
+a trapezoidal rule on
 ``e^y K_nu(y) = int_0^inf exp(-y (cosh t - 1)) cosh(nu t) dt`` with an
 exponentially convergent step (Trefethen & Weideman, SIAM Rev. 56 (2014))
-for 1 < y <= 50, and the Hankel expansion (DLMF 10.40.2) above.  At
-``mu = -1/2`` the Hankel sum terminates, so half-integer orders are exact
-at every y.  The powers of y are formed inside the series, so no bare
-``K`` overflows near the origin.  One pair at ``mu = -min(g, 1-g)``,
-``g = s - floor(s)``, serves the orders g and 1 - g: ``psi`` takes the base
-orders g and g + 1 from it, one step of a positive sum apart, and climbs
-to ``s`` by the positive order recurrence (DLMF 10.29.1), rescaled by
-powers of two, applying ``e^{-y}`` once at the end.  It is the library's
-only route to Macdonald values.  Each route makes its set-up at ``mu``
-(Temme's g1, g2 and coefficient table, the trapezoid ``cosh`` columns,
-the Hankel rows) once per call and then runs over its points in blocks of
-``_BLOCK`` points, as do the climb and the ``e^{-y}`` scaling of ``psi``,
-so the temporaries scale with the block, not with the number of points;
-a point's arithmetic does not depend on its block or on the size of the
-array, so a value comes out the same bits in every call.  ``psi``
-remembers the companion of its last climb, keyed by its order and the
-abscissae: the profile at the order of ``psi_s'`` (s - 1 above 1, 1 - s
-below; DLMF 10.29.1), which the climb to s passes one rung before the top
-or reads off the base pair, and scales by the same ``e^{-y}`` split.  So a
-curve and its first derivative on one array make one kernel evaluation
-and one climb, and the derivative's profile call returns a copy of the
-companion.  The companion is kept when its order has the same ``mu``:
-always above 1/2, and below 1/2 when ``1 - (1 - s)`` rounds back to s.
+for 1 < y <= 50, and the Hankel expansion (DLMF 10.40.2) above; the last
+two carry the factor e^y, the series none.  At ``mu = -1/2`` the Hankel
+sum terminates, and one closed form serves every y.  The powers of y are
+formed inside the series, so no bare ``K`` overflows near the origin.  One
+pair at ``mu = -min(g, 1-g)``, ``g = s - floor(s)``, serves the orders g
+and 1 - g: ``psi`` takes the base orders g and g + 1 from it, one step of
+a positive sum apart, and climbs to ``s`` by the positive order recurrence
+(DLMF 10.29.1), applying ``e^{-y}`` at the end where the pair carried
+``e^y``.  It is the library's only route to Macdonald values.  The kernel
+is route-major: each route makes its set-up at ``mu`` (Temme's g1, g2 and
+coefficient table, the trapezoid ``cosh`` columns, the Hankel rows) once
+per call, picks its points of a window of ``_WINDOW`` points by
+comparisons, and runs over them in blocks of ``_BLOCK`` points, each block
+evaluating the pair, climbing to s and scattering the two outputs; points
+past the order's cut take no kernel work.  So the temporaries scale with
+the window, not with the number of points, and a point's arithmetic
+depends only on its route, that is on y: a value comes out the same bits
+in every call.  ``psi`` remembers the companion of its last climb, keyed
+by the climb's order and the abscissae: the profile at the order of
+``psi_s'`` (s - 1 above 1, 1 - s below; DLMF 10.29.1), which the climb to
+s passes one rung before the top or reads off the base pair.  The
+derivative's profile always comes from the climb to s, so a curve and its
+first derivative on one array make one kernel evaluation and one climb at
+every order.  A direct ``psi`` call at the companion's order returns a
+copy of it only where a cold call there would take the same pair: always
+above 1/2, and below 1/2 when ``1 - (1 - s)`` rounds back to s.
 ``e^{-y} = 2^{-k} e^{-r}`` is applied with int32 exponents ``k``, which
 keep ``np.ldexp`` on its vector loop.  ``psi_series`` evaluates the
 ascending series (DLMF 10.25.2 / 10.27.4) as an independent oracle.
@@ -88,6 +91,9 @@ _LN2_HI = 6.93147180369123816490e-01
 _LN2_LO = 1.90821492927058770002e-10
 _SERIES_EPS = 1e-17
 _HANKEL_TERMS = 18
+# (2k - 1)^2 and 8k, k = 1 .. _HANKEL_TERMS - 1, of the Hankel coefficients
+_HANKEL_ODD2 = ((2.0 * np.arange(1, _HANKEL_TERMS) - 1.0) ** 2)[:, None]
+_HANKEL_8K = 8.0 * np.arange(1, _HANKEL_TERMS)[:, None]
 
 # Taylor coefficients of 1/Gamma(1+x) = sum_j _INV_GAMMA[j] x^j, |x| <= 1
 # (Abramowitz & Stegun 6.1.34, shifted by one index)
@@ -105,27 +111,29 @@ _INV_GAMMA = (
 
 
 def _trapezoid_nodes(lo, hi):
-    """Nodes t, weights and cosh(t) - 1 of the trapezoidal rule for y in
+    """Nodes t, weights and 1 - cosh(t) of the trapezoidal rule for y in
     [lo, hi]: step 0.6 / sqrt(hi), cut where lo (cosh t - 1) > 40."""
     h = 0.6 / math.sqrt(hi)
     t = h * np.arange(math.ceil(math.acosh(1.0 + 40.0 / lo) / h) + 1)
     w = np.full(t.size, h)
     w[0] = 0.5 * h
-    return t, w, 2.0 * np.sinh(0.5 * t) ** 2
+    return t, w[:, None], -2.0 * np.sinh(0.5 * t) ** 2
 
 
-# y <= 1: series; (1, 8] and (8, 50]: trapezoid buckets; above: Hankel
-_EDGES = np.array([1.0, 8.0, 50.0])
+# y <= 1: series, without e^y; (1, 8] and (8, 50]: trapezoid buckets;
+# above: Hankel; the upper end of each route, the last closed by the cut
+_ROUTE_TOPS = (1.0, 8.0, 50.0)
+
 _BUCKETS = (_trapezoid_nodes(1.0, 8.0), _trapezoid_nodes(8.0, 50.0))
 
 
 def _combine(rows, table):
-    """sum_k rows[k] table[k]: (n, N) by (n, m) to (m, N).
+    """sum_k rows[k] table[k]: (n, N) by (n, ...) to (..., N).
 
     einsum, not BLAS: a matrix product sums in an order that depends on
     the number of points, and a point must come out the same in every call.
     """
-    return np.einsum("kn,kj->jn", rows, table)
+    return np.einsum("kn,k...->...n", rows, table)
 
 
 def _powers(x, n):
@@ -141,32 +149,37 @@ def _temme_table(mu):
     """Temme's series (Numerical Recipes 6.7) from its k = 1 term on.
 
     f_k, p_k, q_k for k >= 1 are linear in (f_1, p_0, q_0), so the
-    coefficient of t^k, t = y^2/4, in K_mu - f_0 = sum_{k>=1} c_k f_k and in
-    (y/2) K_{mu+1} = sum_k c_k (p_k - k f_k), c_k = t^k / k!, splits into
-    one scalar per starting value: the rows of the returned (n, 6) table.
-    Relative to the sums the terms are below k t^(k-|mu|) / k!^2, which
-    fixes n at the series edge.
+    coefficient of y^2k in K_mu - f_0 = sum_{k>=1} c_k f_k and in
+    (y/2) K_{mu+1} = sum_k c_k (p_k - k f_k), c_k = (y^2/4)^k / k!, splits
+    into one scalar per starting value: the returned (n, 2, 3) table, by
+    power, sum and starting value, with (1 - mu^2) f_1 in place of f_1.
+    Relative to the sums the terms are below k t^(k-|mu|) / k!^2,
+    t = y^2/4, which fixes n at the series edge.
     """
-    t_max = 0.25 * _EDGES[0] ** 2
+    t_max = 0.25 * _ROUTE_TOPS[0] ** 2
     # f_k = (ff, fp, fq), p_k = (0, pp, 0), q_k = (0, 0, qq) in that basis
-    ff, fp, fq, pp, qq = 1.0, 0.0, 0.0, 1.0 / (1.0 - mu), 1.0 / (1.0 + mu)
+    ff, fp, fq = 1.0 / (1.0 - mu * mu), 0.0, 0.0
+    pp, qq = 1.0 / (1.0 - mu), 1.0 / (1.0 + mu)
     rows = [(0.0, 0.0, 0.0, 0.0, 1.0, 0.0)]
-    c, k = 1.0, 1
+    # c = 1 / k! and w = 4^-k / k!, one exact power of two apart
+    c, w, k = 1.0, 0.25, 1
     while k * t_max ** (k - abs(mu)) * c * c >= _SERIES_EPS:
-        rows.append((c * ff, c * fp, c * fq,
-                     -c * k * ff, c * (pp - k * fp), -c * k * fq))
+        rows.append((w * ff, w * fp, w * fq,
+                     -w * k * ff, w * (pp - k * fp), -w * k * fq))
         k += 1
         den = k * k - mu * mu
         ff, fp, fq = k * ff / den, (k * fp + pp) / den, (k * fq + qq) / den
         pp /= k - mu
         qq /= k + mu
         c /= k
-    return np.array(rows)
+        w /= 4 * k
+    return np.array(rows).reshape(-1, 2, 3)
 
 
 def _series_route(mu):
-    """Temme's series for the pair of ``_kernel_pair``, y <= 1: the
-    mu-dependent set-up, and the function that evaluates one block of y."""
+    """Temme's series, y <= 1: the mu-dependent set-up, and the function
+    that evaluates one block of y to the kernel pair of ``_climb``
+    without its factor e^y, and (y/2)^|mu|."""
     # g1 and g2 of Temme from the odd and even Taylor coefficients of
     # 1/Gamma(1+x), free of the cancellation in their defining differences
     m2 = mu * mu
@@ -177,7 +190,7 @@ def _series_route(mu):
     small = abs(mu) < 1e-8
     fact = 1.0 if small else math.pi * mu / math.sin(math.pi * mu)
     # start values times 2 / Gamma(1+mu), so that p_0 is (2/y)^mu itself
-    # and the K_{mu+1} term comes out as exactly e^y at y -> 0
+    # and the K_{mu+1} term comes out as exactly 1 at y -> 0
     ratio = math.gamma(1.0 - mu) / math.gamma(1.0 + mu)
     c0 = 2.0 * fact / math.gamma(1.0 + mu)
     tab = _temme_table(mu)
@@ -189,47 +202,54 @@ def _series_route(mu):
         ell_sinhc = (ell * (1.0 + sig * sig / 6.0) if small
                      else np.sinh(sig) / mu)
         f0 = c0 * (g1 * np.cosh(sig) + g2 * ell_sinhc)
-        p0 = np.exp(sig)  # (2/y)^mu
-        q0 = ratio / p0
-        # f_1 on the array: the one cancellation of the series happens here
-        f1 = (f0 + p0 + q0) / (1.0 - m2)
-        s = _combine(_powers(0.25 * y * y, len(tab)), tab)
-        k0 = f0 + (f1 * s[0] + p0 * s[1] + q0 * s[2])
-        k1 = f1 * s[3] + p0 * s[4] + q0 * s[5]
+        # (1 - mu^2) f_1, (2/y)^mu and q_0: the one cancellation of the
+        # series happens in the first
+        start = np.empty((3, y.size))
+        f1, p0, q0 = start
+        np.exp(sig, out=p0)
+        np.divide(ratio, p0, out=q0)
+        np.add(f0, p0, out=f1)
+        f1 += q0
+        # per point sum_j start[j] s[i, j], in einsum as _combine's sums
+        k = np.einsum("jn,ijn->in", start,
+                      _combine(_powers(y * y, len(tab)), tab))
+        k[0] += f0
         # (y/2)^|mu| = p0 and (y/2)^mu = 1 / p0 from the same exponential;
         # 2 / Gamma(1+|mu|) differs from 2 / Gamma(1+mu) by the factor
         # 1 / ratio
-        e = np.exp(y)
-        return k0 * e * (p0 / ratio), k1 * e / p0
+        k[0] *= p0 / ratio
+        k[1] /= p0
+        return k[0], k[1], p0
 
     return pair
 
 
-def _trapezoid_route(mu, bucket):
-    """e^y (K_mu, K_{mu+1}) by the trapezoidal rule of one bucket, y > 1:
-    the cosh columns once, then a function of one block of y."""
-    t, w, cm1 = _BUCKETS[bucket]
-    cols = w[:, None] * np.cosh(np.multiply.outer(t, (mu, mu + 1.0)))
+def _trapezoid_route(mu, bucket, scale):
+    """e^y (K_mu, K_{mu+1}) times ``scale`` by the trapezoidal rule of one
+    bucket, y > 1: the cosh columns once, then a function of one block of
+    y."""
+    t, w, one_minus_cosh = _BUCKETS[bucket]
+    cols = np.cosh(np.multiply.outer(t, (mu, mu + 1.0)))
+    cols *= w
+    cols *= scale
 
     def pair(y):
-        nodes = np.multiply.outer(-cm1, y)
+        nodes = np.multiply.outer(one_minus_cosh, y)
         return _combine(np.exp(nodes, out=nodes), cols)
 
     return pair
 
 
-def _hankel_route(mu):
-    """e^y (K_mu, K_{mu+1}) by the Hankel expansion, y >= 50: the
-    coefficient rows once, then a function of one block of y."""
+def _hankel_route(mu, scale):
+    """e^y (K_mu, K_{mu+1}) times ``scale`` by the Hankel expansion,
+    y >= 50: the coefficient rows once, then a function of one block of
+    y."""
     # a_k(nu) = a_{k-1}(nu) (4 nu^2 - (2k-1)^2) / (8k), a_0 = 1
-    a, b = 1.0, 1.0
-    rows = [(a, b)]
-    for k in range(1, _HANKEL_TERMS):
-        odd2 = (2 * k - 1) ** 2
-        a *= (4.0 * mu * mu - odd2) / (8 * k)
-        b *= (4.0 * (mu + 1.0) ** 2 - odd2) / (8 * k)
-        rows.append((a, b))
-    table = np.array(rows)
+    table = np.ones((_HANKEL_TERMS, 2))
+    nu = np.array((mu, mu + 1.0))
+    np.cumprod((4.0 * nu * nu - _HANKEL_ODD2) / _HANKEL_8K, axis=0,
+               out=table[1:])
+    table *= scale
 
     def pair(y):
         return _combine(_powers(1.0 / y, _HANKEL_TERMS), table) * np.sqrt(
@@ -239,19 +259,25 @@ def _hankel_route(mu):
 
 
 def _route(mu, r):
-    """The pair of ``_kernel_pair`` by route r (0 series, 1 and 2 the
-    trapezoid buckets, 3 Hankel): its set-up at mu, once per kernel call,
-    and the function that evaluates one block of y."""
+    """Route r of the kernel pair at mu (0 series, 1 and 2 the trapezoid
+    buckets, 3 Hankel, and at mu = -1/2 the closed form): its set-up, once
+    per profile call, and the function that evaluates one block of y to
+    the pair and (y/2)^|mu|."""
+    if mu == -0.5:  # K_{+-1/2} = sqrt(pi / 2y) e^{-y}: the Hankel sum ends
+        return lambda y: (2.0, 1.0, None)
     if r == 0:
         return _series_route(mu)
-    k_pair = _trapezoid_route(mu, r - 1) if r < 3 else _hankel_route(mu)
-    ca = 2.0 / math.gamma(1.0 + abs(mu))
-    cb = 2.0 / math.gamma(1.0 + mu)
+    scale = (2.0 / math.gamma(1.0 - mu), 2.0 / math.gamma(1.0 + mu))
+    k_pair = (_trapezoid_route(mu, r - 1, scale) if r < 3
+              else _hankel_route(mu, scale))
 
     def pair(y):
         ka, kb = k_pair(y)
         half = 0.5 * y
-        return ka * ca * half ** abs(mu), kb * cb * half ** (mu + 1.0)
+        p = half ** -mu  # (y/2)^|mu|, and (y/2)^(mu+1) = (y/2) / p
+        ka *= p
+        kb *= half / p
+        return ka, kb, p
 
     return pair
 
@@ -259,42 +285,9 @@ def _route(mu, r):
 # points per block of a route: each route's temporaries, up to about 30
 # rows of one block, stay near 0.5 MB whatever the size of the array
 _BLOCK = 2048
-
-
-def _kernel_pair(mu, y):
-    """e^y (2 / Gamma(1+|mu|)) (y/2)^|mu| K_mu(y) and e^y psi_{mu+1}(y)
-    = e^y (2 / Gamma(1+mu)) (y/2)^(mu+1) K_{mu+1}(y) on a 1-d array of
-    finite y > 0, for -1/2 <= mu <= 0.
-
-    The factors 2 / Gamma keep both finite at every mu: toward the origin
-    the first tends to 1 / |mu| (about 2 log(2/y) at mu = 0) and the second
-    to 1, which the series returns exactly.  At large y the first decays
-    like y^(|mu| - 1/2) and the second grows like y^(mu + 1/2) <= sqrt(y),
-    so no finite y overflows them.
-
-    Each route makes its mu-dependent set-up once per call and then runs
-    over its points in blocks of ``_BLOCK``, writing into the two results,
-    so the temporaries scale with the block and not with y.  A point's
-    arithmetic does not depend on its block."""
-    if mu == -0.5:  # K_{+-1/2} = sqrt(pi / 2y) e^{-y}: the Hankel sum ends
-        return np.full(y.shape, 2.0), np.ones(y.shape)
-    a, b = np.empty(y.shape), np.empty(y.shape)
-    route = np.searchsorted(_EDGES, y)
-    counts = np.bincount(route, minlength=4)
-    for r in np.flatnonzero(counts):
-        pair = _route(mu, r)
-        whole = counts[r] == y.size
-        idx = None if whole else np.flatnonzero(route == r)
-        for lo in range(0, counts[r], _BLOCK):
-            sel = slice(lo, lo + _BLOCK) if whole else idx[lo:lo + _BLOCK]
-            a[sel], b[sel] = pair(y[sel])
-    return a, b
-
-
-# the companion of the last climb, a tuple of at most one entry (order,
-# abscissae, profile), empty when that climb kept none: one is enough, as
-# no profile call falls between a curve and its derivative
-_companion = ()
+# points per window of the array: a route gathers its points of one window
+# and scatters its two outputs back, so those copies stay near 0.4 MB
+_WINDOW = 8 * _BLOCK
 
 
 def _exp_neg(y):
@@ -302,7 +295,7 @@ def _exp_neg(y):
 
     k is int32, which keeps ``np.ldexp`` on its vector loop (an int64
     exponent takes a scalar one); |k| stays below 2^19 for every y that
-    a profile keeps, 2 * 1e5 + 2000 at most."""
+    a profile keeps, 2 * (1e5 + 1) + 2000 at most."""
     k = np.floor(y * (1.0 / _LN2))
     r = (y - k * _LN2_HI) - k * _LN2_LO
     return np.exp(-r), k.astype(np.int32)
@@ -393,6 +386,31 @@ class FracParams:
 # ---------------------------------------------------------------------------
 # the profile psi_s and friends
 
+def _check_profile_order(s):
+    s = float(s)
+    if not 0.0 < s <= _MAX_ORDER:
+        raise ValueError(
+            f"psi requires a finite order 0 < s <= {_MAX_ORDER:g}, got {s}")
+    return s
+
+
+def _on_abscissae(y, positive):
+    """A profile on y, scalar or array, from ``positive`` on a 1-d array of
+    finite y > 0: 1 at the origin, even, 0 at +-inf and NaN at NaN."""
+    y = np.asarray(y, dtype=float)
+    # the common case, every point finite and positive, needs no mask and
+    # no |y| copy (a NaN fails the first test)
+    if y.size and y.min() > 0.0 and y.max() < math.inf:
+        out = positive(y.ravel()).reshape(y.shape)
+    else:
+        ay = np.abs(y)
+        out = np.where(ay == 0.0, 1.0, np.where(ay > 0.0, 0.0, np.nan))
+        pos = (ay > 0.0) & (ay < math.inf)
+        if pos.any():
+            out[pos] = positive(ay[pos])
+    return float(out) if out.ndim == 0 else out
+
+
 def psi(s: float, y):
     """Profile psi_s(y) = c_s |y|^s K_s(|y|); accepts scalars or arrays.
 
@@ -401,22 +419,8 @@ def psi(s: float, y):
     The cost grows with floor(s), one array step of the order recurrence
     per unit of order, so s above 1e5 raises ``ValueError``.
     """
-    s = float(s)
-    if not 0.0 < s <= _MAX_ORDER:
-        raise ValueError(
-            f"psi requires a finite order 0 < s <= {_MAX_ORDER:g}, got {s}")
-    y = np.asarray(y, dtype=float)
-    # the common case, every point finite and positive, needs no mask and
-    # no |y| copy (a NaN fails the first test)
-    if y.size and y.min() > 0.0 and y.max() < math.inf:
-        out = _psi_positive(s, y.ravel()).reshape(y.shape)
-    else:
-        ay = np.abs(y)
-        out = np.where(ay == 0.0, 1.0, np.where(ay > 0.0, 0.0, np.nan))
-        pos = (ay > 0.0) & (ay < math.inf)
-        if pos.any():
-            out[pos] = _psi_positive(s, ay[pos])
-    return float(out) if out.ndim == 0 else out
+    s = _check_profile_order(s)
+    return _on_abscissae(y, lambda ay: _psi_positive(s, ay))
 
 
 def _base(s):
@@ -426,92 +430,166 @@ def _base(s):
     return g, -min(g, 1.0 - g)
 
 
-def _psi_positive(s, y):
-    """psi_s on a 1-d array of finite y > 0.
+# the companion of the last climb, a tuple of at most one entry (climbed
+# order, direct order, abscissae, profile), empty when that climb kept
+# none: one is enough, as no profile call falls between a curve and its
+# derivative.  The direct order is the companion's order where a cold
+# ``psi`` call there takes the same kernel pair, else None
+_companion = ()
 
-    The kernel pair at mu serves the orders g and 1 - g and every order
-    they climb to, so it is formed on all of y, before the order-dependent
-    cuts below.  The climb to s also gives the companion, the profile at
-    the order of psi_s' (``_first_deriv_order``), when that order is
-    positive and has the same mu.  The memory keeps it, read-only, with its
-    own copy of y, and a call at that order on equal abscissae returns a
-    copy of it: the bits a cold call gives, with no kernel evaluation.  The
-    climb and the final e^{-y} run over blocks of ``_BLOCK`` points into
-    the results, so their temporaries scale with the block and not with y.
+
+def _remembered(y, climbed=None, direct=None):
+    """The remembered companion on abscissae equal to y, of the climb to
+    the order ``climbed`` or else at the direct order ``direct``; None on
+    a miss."""
+    for c_order, d_order, key, companion in _companion:
+        if ((c_order == climbed if direct is None else d_order == direct)
+                and key.shape == y.shape and (key == y).all()):
+            return companion
+    return None
+
+
+def _psi_positive(s, y):
+    """psi_s on a 1-d array of finite y > 0, a copy of the remembered
+    companion where it holds that profile."""
+    hit = _remembered(y, direct=s)
+    return hit.copy() if hit is not None else _climb(s, y)[0]
+
+
+def _first_deriv_profile(s, y):
+    """The profile at ``_first_deriv_order(s)`` on a 1-d array of finite
+    y > 0, as the climb to s forms it: read-only where remembered."""
+    hit = _remembered(y, climbed=s)
+    return hit if hit is not None else _climb(s, y)[1]
+
+
+def _climb(s, y):
+    """psi_s on a 1-d array of finite y > 0 and the companion, the profile
+    at the order of psi_s' (``_first_deriv_order``), or None at s = 1.
+
+    The kernel pair at mu = -min(g, 1 - g), g = s - floor(s), is
+    ``e^y (2 / Gamma(1+|mu|)) (y/2)^|mu| K_mu(y)`` and ``e^y psi_{mu+1}(y)``.
+    The factors 2 / Gamma keep both finite at every mu: toward the origin
+    the first tends to 1 / |mu| (about 2 log(2/y) at mu = 0) and the second
+    to 1, which the series returns exactly.  At large y the first decays
+    like y^(|mu| - 1/2) and the second grows like y^(mu + 1/2) <= sqrt(y),
+    so no finite y overflows them.  The series route, y <= 1, leaves out
+    the factor e^y.
+
+    The routes run one after the other, each over its own points of a
+    window of ``_WINDOW`` points in blocks of ``_BLOCK``: it evaluates the
+    pair, climbs to s (``_climb_block``) and scatters the two outputs.
+    Points at or past the larger cut take no kernel work.  A point's
+    arithmetic depends on its route, that is on y, and on nothing else.
+    The memory keeps the companion, read-only, with its own copy of y.
     """
     global _companion
-    for kept, key, companion in _companion:
-        if kept == s and key.shape == y.shape and (key == y).all():
-            return companion.copy()
     g, mu = _base(s)
-    a, b = _kernel_pair(mu, y)
     order = _first_deriv_order(s)
     # psi_v(y) <= c_v y^v sqrt(2 pi / y) e^{-y + v^2 / 2y} (cosh t >=
     # 1 + t^2/2 in the integral representation of K_v) rounds to 0 beyond
     # 2v + 2000
-    cuts = [2.0 * s + 2000.0]
-    if order > 0.0 and _base(order)[1] == mu:
-        cuts.append(2.0 * order + 2000.0)
+    cuts = [2.0 * s + 2000.0] + ([2.0 * order + 2000.0] if order > 0 else [])
     reach = max(cuts)
+    steps = round(s - g)
+    if g >= 0.5:  # a carries K_{1-g}
+        ratio = math.gamma(2.0 - g) / math.gamma(1.0 + g)
+    else:  # b is psi_{1-g}
+        ratio = math.gamma(1.0 - g) / math.gamma(1.0 + g)
+    plan = (g, steps, ratio)
+    # route r takes the points above the top of route r - 1 up to its own;
+    # the last one ends below the larger cut, and at mu = -1/2 it serves
+    # every y
+    routes = list(enumerate(_ROUTE_TOPS + (math.nextafter(reach, 0.0),)))
+    if mu == -0.5:
+        routes = routes[-1:]
     outs = [np.empty(y.shape) for _ in cuts]
-    for lo in range(0, y.size, _BLOCK):
-        sel = slice(lo, lo + _BLOCK)
-        ys = y[sel]
-        live = ys < reach
-        # a point past every cut climbs from y = 1, where nothing overflows,
-        # and is zeroed below with the points past their own cut
-        blocks = [out[sel] for out in outs]
-        _climb(s, g, ys if live.all() else np.where(live, ys, 1.0), a[sel],
-               b[sel], blocks)
-        for block, cut in zip(blocks, cuts):
-            block[ys >= cut] = 0.0
+    pairs = {}
+    for w0 in range(0, y.size, _WINDOW):
+        yw = y[w0:w0 + _WINDOW]
+        ows = [out[w0:w0 + _WINDOW] for out in outs]
+        below = None
+        for r, top in routes:
+            upto = yw <= top
+            mask = upto if below is None else upto ^ below
+            below = upto
+            n = np.count_nonzero(mask)
+            if not n:
+                continue
+            if r not in pairs:
+                pairs[r] = _route(mu, r)
+            whole = n == yw.size
+            ys = yw if whole else yw[mask]
+            rs = ows if whole else [np.empty(n) for _ in ows]
+            for b0 in range(0, n, _BLOCK):
+                yb = ys[b0:b0 + _BLOCK]
+                # every route but the series carries the factor e^y
+                _climb_block(plan, yb, *pairs[r](yb), r > 0,
+                             [rb[b0:b0 + _BLOCK] for rb in rs])
+            if not whole:
+                for ow, rb in zip(ows, rs):
+                    ow[mask] = rb
+    for out, cut in zip(outs, cuts):
+        out[y >= cut] = 0.0
     if len(outs) > 1:
         outs[1].flags.writeable = False
-        _companion = ((order, y.copy(), outs[1]),)
-    else:
-        _companion = ()
-    return outs[0]
+        direct = order if _base(order)[1] == mu else None
+        _companion = ((s, direct, y.copy(), outs[1]),)
+        return tuple(outs)
+    _companion = ()
+    return outs[0], None
 
 
-def _climb(s, g, y, a, b, outs):
-    """psi_s from the kernel pair at mu = -min(g, 1 - g) into outs[0], and
-    with a second array in ``outs`` the profile at the order of psi_s'.
+def _climb_block(plan, y, a, b, p, scaled, outs):
+    """psi_s from the kernel pair at mu = -min(g, 1 - g) on one block into
+    outs[0], and with a second array in ``outs`` the profile at the order
+    of psi_s'.
 
     psi_v = (2 / Gamma(v)) (y/2)^v K_v at the base order g is b (g >= 1/2,
     mu = g - 1) or g a (g < 1/2, mu = -g); one step of K_{g+1} = K_{g-1} +
     (2g/y) K_g with K_{g-1} = K_{1-g}, a sum of positive terms, gives
-    psi_{g+1}, and the positive recurrence psi_{v+1} = psi_v + (y/2)^2 /
-    (v (v-1)) psi_{v-1} (DLMF 10.29.1) climbs from there to s.  Every value
-    carries the factor e^y 2^{-e}, with e from a power-of-two rescale every
-    8 steps.  The companion is psi_{s-1}, the last rung but one, for s > 1,
-    and psi_{1-g} for s < 1: the base order of 1 - g, b (g <= 1/2) or
-    (1 - g) a.  The split of e^{-y} is made once for both.
+    psi_{g+1}, with (y/2)^{2g} from the route's p = (y/2)^|mu|, and the
+    positive recurrence psi_{v+1} = psi_v + (y/2)^2 / (v (v-1)) psi_{v-1}
+    (DLMF 10.29.1) climbs from there to s.  A scaled pair carries the
+    factor e^y, and every value of its climb the factor e^y 2^{-e}, with e
+    from a power-of-two rescale every 8 steps; the unscaled series pair
+    stays below 1 and needs neither.  The companion is psi_{s-1}, the last
+    rung but one, for s > 1, and psi_{1-g} for s < 1: the base order of
+    1 - g, b (g <= 1/2) or (1 - g) a.  The split of e^{-y} is made once
+    for both.
     """
-    steps = round(s - g)
-    if g >= 0.5:  # a carries K_{1-g}
-        lo, other, ratio = b, a, math.gamma(2.0 - g) / math.gamma(1.0 + g)
-    else:  # b is psi_{1-g}
-        lo, other, ratio = g * a, b, math.gamma(1.0 - g) / math.gamma(1.0 + g)
+    g, steps, ratio = plan
+    if g >= 0.5:
+        lo, other = b, a
+    else:
+        lo, other = g * a, b
     e = 0
     if steps:
-        hi = ratio * (0.5 * y) ** (2.0 * g) * other + lo
+        half = 0.5 * y
+        if g == 0.5:  # the closed-form route forms no power
+            w = half
+        else:
+            w = p * p if g < 0.5 else np.square(half / p)
+        hi = ratio * w * other + lo
         q = 0.25 * y * y
         for i in range(1, steps):
             v = g + i
             lo, hi = hi, hi + (1.0 / (v * (v - 1.0))) * q * lo
-            if i % 8 == 0:
+            if scaled and i % 8 == 0:
                 hi, de = np.frexp(hi)
                 lo = np.ldexp(lo, -de)
                 e = e + de
         lo, hi = hi, lo
     else:
         hi = b if g <= 0.5 else (1.0 - g) * a
-    er, k = _exp_neg(y)
-    e = e - k
+    if scaled:
+        er, k = _exp_neg(y)
+        e = e - k
     for v, out in zip((lo, hi), outs):
-        np.ldexp(np.multiply(v, er, out=out), e, out=out)
+        if scaled:
+            np.ldexp(np.multiply(v, er, out=out), e, out=out)
         # psi < 1 for y > 0: a rounding above 1 is cut back
-        np.minimum(out, 1.0, out=out)
+        np.minimum(out if scaled else v, 1.0, out=out)
 
 
 def psi_lambda(s: float, lam: float, y):
@@ -584,9 +662,12 @@ def _term_derivative(term, lam):
 
 def _psi_first_deriv(s, y):
     coef, expo, order = _first_deriv_factors(s)
-    # (coef y^expo) psi_order, with no copy for y^1 and the product in place
+    _check_profile_order(order)
+    # (coef y^expo) psi_order, with no copy for y^1 and the product in
+    # place; psi_order comes from the climb to s, so that a curve and its
+    # derivative make one climb at every order
     out = coef * (y if expo == 1.0 else y ** expo)
-    out *= psi(order, y)
+    out *= _on_abscissae(y, lambda ay: _first_deriv_profile(s, ay))
     return out
 
 
@@ -601,11 +682,12 @@ def psi_deriv(s: float, y, order: int):
 
         psi_s^{(k)} = sum_{l=0}^{m} C(m, l) (-1)^l g_l psi_{s-l}^{(r)},
 
-    with the closed-form first derivative for r = 1.  ``y`` may be a scalar
-    or an array of positive abscissae; every term is one ``psi`` call on the
-    whole array.  Admissible k: 1 always; otherwise m <= floor(s), where the
-    top odd order 2 floor(s) + 1 also needs frac(s) >= 1/2.  Beyond that
-    range the derivatives are unbounded near the origin.
+    with the closed-form first derivative for r = 1, whose profile comes
+    from the climb to s - l.  ``y`` may be a scalar or an array of positive
+    abscissae; every term is one profile evaluation on the whole array.
+    Admissible k: 1 always; otherwise m <= floor(s), where the top odd
+    order 2 floor(s) + 1 also needs frac(s) >= 1/2.  Beyond that range the
+    derivatives are unbounded near the origin.
     """
     s = _check_noninteger_order(s)
     y = np.asarray(y, dtype=float)
@@ -624,10 +706,13 @@ def psi_deriv(s: float, y, order: int):
             f"or order // 2 <= floor(s) with frac(s) >= 1/2 at order "
             f"2 floor(s) + 1")
     f = _psi_first_deriv if r else psi
-    terms = [math.comb(m, ell) * (-1.0) ** ell * _gamma_coeff(s, ell)
-             * f(s - ell, y) for ell in range(m + 1)]
-    # started at the l = 0 term, so that order 1 keeps the sign of a -0.0
-    return sum(terms[1:], terms[0])
+    # the l = 0 term has coefficient 1; the sum starts there, so that order
+    # 1 keeps the sign of a -0.0
+    total = f(s, y)
+    for ell in range(1, m + 1):
+        total = total + (math.comb(m, ell) * (-1.0) ** ell
+                         * _gamma_coeff(s, ell) * f(s - ell, y))
+    return total
 
 
 def psi_series(s: float, y: float) -> float:

@@ -134,6 +134,32 @@ def test_extend_bad_grid_is_usage_error(capsys):
     assert "grid" in err
 
 
+@pytest.mark.parametrize("argv,ends", [
+    (("--op", "explicit:1", "--u=1", "--s=0.3", "--grid=1e-320:0.1:3"),
+     (1e-320, 0.1)),
+    (("--op", "explicit:1", "--u=1", "--s=0.3", "--grid=1e-300:1e160:3"),
+     (1e-300, 1e160)),
+    # the default grid, from 1e-4 / sqrt(1e300) to 40 / sqrt(1e-320)
+    (("--op", "explicit:1e-320,1e300", "--u", "1,1", "--s", "0.5"),
+     (1e-4 / math.sqrt(1e300), 40.0 / math.sqrt(1e-320))),
+], ids=["subnormal-end", "wide-spec", "default-grid"])
+def test_extend_grid_with_ends_beyond_the_double_range_apart(capsys, argv,
+                                                              ends):
+    # hi / lo overflowed in the geometric grid, which became [lo, inf, inf];
+    # np.diff then warned of inf - inf, and the domain error blamed a grid
+    # the spec never asked for
+    code, out, err = run_cli(capsys, "extend", *argv)
+    assert (code, err) == (0, "")
+    rows = [line.split(",") for line in out.splitlines()[2:]]
+    ys = np.array([float(row[0]) for row in rows])
+    values = np.array([[float(v) for v in row[1:]] for row in rows])
+    assert np.all(np.isfinite(ys)) and np.all(ys[1:] > ys[:-1])
+    assert ys[0] == pytest.approx(ends[0], rel=1e-12)
+    assert ys[-1] == pytest.approx(ends[1], rel=1e-12)
+    assert np.all(np.isfinite(values))
+    assert np.all((values >= 0.0) & (values <= 1.0))
+
+
 def test_extend_two_point_grid_is_usage_error(capsys):
     # default_grid needs n >= 3; the CLI grid follows the same rule
     code, out, err = run_cli(capsys, "extend", "--op", "explicit:1",

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from fracext.extension import (
     ExtensionCurve,
+    _geometric_grid,
     conormal_trace,
     curve_to_csv,
     curve_to_json,
@@ -615,6 +616,36 @@ def test_default_grid_coverage():
     grid = default_grid(spec)
     assert grid[0] <= 1e-4 / 10.0 * (1 + 1e-12)
     assert grid[-1] >= 40.0 * (1 - 1e-12)
+
+
+@pytest.mark.parametrize("lo,hi,n", [(1e-4, 40.0, 160), (1e-150, 1e150, 4),
+                                    (2.5e-3, 7.0, 3)])
+def test_geometric_grid_keeps_its_bits_where_the_ratio_is_finite(lo, hi, n):
+    ratio = (hi / lo) ** (1.0 / (n - 1))
+    want = lo * ratio ** np.arange(n)
+    assert _geometric_grid(lo, hi, n).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("lo,hi,n", [(1e-320, 0.1, 3), (1e-300, 1e160, 3),
+                                    (1e-160, 1e160, 4), (5e-324, 1.7e308, 200),
+                                    (1e-154, 4e161, 160)])
+def test_geometric_grid_where_the_ratio_overflows(lo, hi, n):
+    # hi / lo overflowed to inf, and the grid to [lo, inf, ...]
+    assert hi / lo == math.inf
+    grid = _geometric_grid(lo, hi, n)
+    assert grid[0] == lo and grid[-1] == hi
+    assert np.all(grid[1:] > grid[:-1])
+    # equal steps in log y, up to the rounding of subnormal points
+    step = (math.log(hi) - math.log(lo)) / (n - 1)
+    normal = np.log(grid[grid >= np.finfo(float).tiny])
+    np.testing.assert_allclose(np.diff(normal), step, rtol=1e-9)
+
+
+def test_default_grid_of_a_spectrum_beyond_the_double_range_apart():
+    grid = default_grid(explicit_spectrum([1e-320, 1e300]))
+    assert grid[0] == 1e-4 / math.sqrt(1e300)
+    assert grid[-1] == 40.0 / math.sqrt(1e-320)  # 1e-320 is subnormal
+    assert grid.size == 160 and np.all(grid[1:] > grid[:-1])
 
 
 @pytest.mark.parametrize("n", [-1, 0, 1, 2])

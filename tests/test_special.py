@@ -66,10 +66,13 @@ def test_psi_matches_the_macdonald_reference_values(nu, x, ref):
 
 
 def test_kernel_pair_gives_k0_at_the_reference_value():
-    # at mu = 0 the first of the pair is 2 e^y K_0(y)
+    # at mu = 0 the first of the pair is 2 K_0(y) on the series route, which
+    # leaves out the factor e^y, and (y/2)^|mu| is 1
     (nu, x, ref), = [row for row in K_TABLE if row[0] == 0]
-    a = special._kernel_pair(nu, np.array([x]))[0]
-    assert a[0] / (2.0 * math.exp(x)) == pytest.approx(ref, rel=1e-14)
+    assert x <= special._ROUTE_TOPS[0]
+    a, _, p = special._route(nu, 0)(np.array([x]))
+    assert a[0] / 2.0 == pytest.approx(ref, rel=1e-14)
+    assert p[0] == 1.0
 
 
 @pytest.mark.parametrize("s", [0.3, 50.5, 400.5])
@@ -284,29 +287,16 @@ def test_first_derivative_below_one_against_mpmath(s):
     assert _rel_err_mp(psi_deriv(s, _BASE_YS, 1), ref) <= 5e-15
 
 
-# the companion memory of special._psi_positive
+# the companion memory of special._climb; the kernel_calls fixture counts
+# its evaluations (conftest.py)
 
 
-@pytest.fixture
-def kernel_calls(monkeypatch):
-    """Sizes of the real kernel evaluations, from a cold memory on."""
-    sizes = []
-    uncached = special._kernel_pair
-
-    def counted(mu, y):
-        sizes.append(y.size)
-        return uncached(mu, y)
-
-    monkeypatch.setattr(special, "_companion", ())
-    monkeypatch.setattr(special, "_kernel_pair", counted)
-    return sizes
-
-
-@pytest.mark.parametrize("s", [0.7, 1.3, 2.6, 3.4])
+@pytest.mark.parametrize("s", [0.3, 0.7, 1.3, 2.6, 3.4])
 def test_curve_and_its_derivative_share_one_kernel_evaluation(s,
                                                               kernel_calls):
     # psi_s and the first-derivative profile psi_{s-1} (s > 1) or psi_{1-s}
-    # (s < 1) share their kernel pair; the conormal trace between them is a
+    # (s < 1) share their kernel pair, also at s = 0.3, where 1 - (1 - s)
+    # does not round back to s; the conormal trace between them is a
     # closed form and evaluates no profile
     u = ModalVector(np.random.default_rng(7).normal(size=16),
                     dirichlet_laplacian_1d(2.0, 16))
@@ -333,10 +323,17 @@ def test_psi_does_not_depend_on_earlier_calls(monkeypatch):
     for _ in range(6):
         for s in rng.permutation(orders):
             assert _bits(psi(s, ys)) == cold[s], s
-    # and the remembered companion is exactly the recomputed one
-    for order, key, companion in special._companion:
+    # and the remembered companion is exactly the recomputed one: a cold
+    # call at its order where that takes the same kernel pair, the
+    # companion of a cold climb to the same order in every case
+    assert special._companion
+    for climbed, direct, key, companion in special._companion:
         monkeypatch.setattr(special, "_companion", ())
-        assert _bits(companion) == _bits(psi(order, key.copy()))
+        assert _bits(companion) == _bits(special._climb(climbed,
+                                                        key.copy())[1])
+        if direct is not None:
+            monkeypatch.setattr(special, "_companion", ())
+            assert _bits(companion) == _bits(psi(direct, key.copy()))
 
 
 def test_kernel_memory_is_not_shared_with_the_caller(kernel_calls):
@@ -350,7 +347,7 @@ def test_kernel_memory_is_not_shared_with_the_caller(kernel_calls):
     assert _bits(psi(1.3, ys)) == _bits(psi(1.3, 2.0 * kept))
     # the remembered companion cannot be written, its key is a copy, and a
     # hit is a copy
-    _, key, companion = special._companion[0]
+    _, _, key, companion = special._companion[0]
     with pytest.raises(ValueError):
         companion[0] = 0.0
     assert not np.shares_memory(key, ys)
@@ -403,7 +400,7 @@ def _no_climb(*args):
 @example(s=10.3)  # climbs past a power-of-two rescale
 @example(s=40.7)
 @example(s=400.5)  # live cut 2s + 2000, companion cut 2(s - 1) + 2000
-@example(s=0.3)  # g < 1/2
+@example(s=0.3)  # g < 1/2, and 1 - (1 - s) != s
 @example(s=0.7)  # g > 1/2
 @example(s=0.5)  # g = 1/2: psi_{1-s} is psi_s itself
 @example(s=1.5)
@@ -422,13 +419,19 @@ def test_companion_hit_has_the_bits_of_a_cold_call(s):
     special._companion = ()
     psi(s, ys)
     if not special._companion:
-        # only s <= 1 can lose its companion: to order 0, or to 1 - s
-        # rounded onto another kernel pair
-        assert s <= 1.0
-        assert order == 0.0 or special._base(order)[1] != special._base(s)[1]
+        # only s = 1 keeps no companion: psi_1' has the order-0 profile
+        assert order == 0.0
         return
-    (kept, key, companion), = special._companion
-    assert kept == order and not companion.flags.writeable
+    (climbed, direct, key, companion), = special._companion
+    assert climbed == s and not companion.flags.writeable
+    if direct is None:
+        # 1 - s rounded onto another kernel pair: a direct call there
+        # climbs, and gives the bits of a cold call
+        assert s < 1.0
+        assert special._base(order)[1] != special._base(s)[1]
+        assert _bits(psi(order, ys)) == cold
+        return
+    assert direct == order
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(special, "_climb", _no_climb)
         hit = psi(order, ys)
@@ -508,11 +511,42 @@ def test_block_boundaries_leave_no_trace(s, seed):
     assert _bits(psi(s, mixed)) == _bits(want)
 
 
+def test_window_boundaries_leave_no_trace():
+    # an array longer than two windows, against its pieces: each window
+    # routes its own points, and a point's bits do not depend on that
+    rng = np.random.default_rng(12)
+    n = 2 * special._WINDOW + 7
+    ys = np.exp(rng.uniform(math.log(1e-8), math.log(3e3), n))
+    for s in (0.3, 0.5, 2.7):
+        whole = psi(s, ys)
+        parts = [psi(s, ys[lo:lo + 5000]) for lo in range(0, n, 5000)]
+        assert _bits(np.concatenate(parts)) == _bits(whole)
+
+
+@pytest.mark.parametrize("s", [0.1, 0.2, 0.3, 0.45, 0.7, 1.3, 2.7])
+def test_first_derivative_does_not_depend_on_earlier_calls(s, monkeypatch):
+    # psi_s' takes its profile from the climb to s, remembered after a
+    # curve on the same abscissae or climbed afresh: the same bits either
+    # way, also where 1 - (1 - s) != s and a cold psi(1 - s) takes another
+    # kernel pair
+    ys = np.geomspace(1e-6, 2500.0, 300)
+    monkeypatch.setattr(special, "_companion", ())
+    cold = _bits(psi_deriv(s, ys, 1))
+    psi(s, ys)
+    with monkeypatch.context() as mp:
+        mp.setattr(special, "_climb", _no_climb)
+        assert _bits(psi_deriv(s, ys, 1)) == cold
+    psi(s + 1.0, ys)
+    assert _bits(psi_deriv(s, ys, 1)) == cold
+
+
 @pytest.mark.parametrize("s", [0.3, 1.3, 3.7])
 def test_curve_working_memory_scales_with_the_result(s, monkeypatch):
     # the traced peak of a 4096-mode curve stays within a few copies of the
-    # result, and between calls the one-entry memory holds at most the key
-    # copy and the companion, each the size of the result
+    # result (4 for extend, 5 for the derivative: 7 and 8 with a
+    # whole-array kernel pair), and between calls the one-entry memory
+    # holds at most the key copy and the companion, each the size of the
+    # result
     u = ModalVector(np.random.default_rng(11).normal(size=4096),
                     dirichlet_laplacian_1d(math.pi, 4096))
     for make in (extend, lambda u, s: derivative_curve(u, s, 1)):
@@ -523,7 +557,7 @@ def test_curve_working_memory_scales_with_the_result(s, monkeypatch):
             current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 9 * values.nbytes
+        assert peak < 6 * values.nbytes
         if make is extend:
             # up to a few hundred bytes of array and tuple headers
             assert current - values.nbytes < 2.01 * values.nbytes
@@ -536,6 +570,15 @@ def test_psi_bounds_and_monotonicity(s):
     assert np.all(vals > 0.0)
     assert np.all(vals <= 1.0)
     assert np.all(np.diff(vals) < 0.0)
+
+
+def test_psi_never_rises_near_the_origin():
+    # the series route once carried e^y, divided back out by the climb;
+    # the round trip left values of 1 - 2^-53 next to 1.0, and psi(2.0, .)
+    # rose 44 times on these points
+    vals = psi(2.0, np.geomspace(1e-13, 1e-9, 200))
+    assert np.all(np.diff(vals) <= 0.0)
+    assert np.all(vals <= 1.0)
 
 
 def test_psi_series_matches_bessel_route():

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fracext import extension, special, suite
+from fracext import extension, suite
 from fracext.special import trace_constant
 from fracext.spectral import ModalVector, apply_power
 from fracext.suite import CheckFailure, RunConfig, run_checks
@@ -144,21 +144,22 @@ def test_nonexpansive_fails_on_a_column_above_the_data_norm(monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["commute", "nonexpansive"])
-def test_curve_checks_make_one_kernel_evaluation_per_order(monkeypatch, name):
+def test_curve_checks_make_one_kernel_evaluation_per_order(kernel_calls,
+                                                           name):
     # commute extended its data twice for each of 10 vectors, 20 kernel
     # evaluations at s = 1.5; both checks now scale one extend per order
-    calls = []
-    kernel = special._kernel_pair
-
-    def counted(mu, y):
-        calls.append(y.size)
-        return kernel(mu, y)
-
-    monkeypatch.setattr(special, "_kernel_pair", counted)
-    monkeypatch.setattr(special, "_companion", ())
     reports = run_checks([name])
     assert len(reports) == 2 and all(r.passed for r in reports)
-    assert len(calls) == 2
+    assert len(kernel_calls) == 2
+
+
+def test_default_run_makes_at_most_37_kernel_evaluations(kernel_calls):
+    # 56 before nonexpansive and commute shared one extend per order; a
+    # memory keyed by the climbed order alone, which direct calls at the
+    # first-derivative order miss, made 45
+    reports = run_checks()
+    assert len(reports) == 80 and all(r.passed for r in reports)
+    assert len(kernel_calls) <= 37
 
 
 def test_taylor_remainder_of_nan_fails_with_a_nan_error(monkeypatch):
