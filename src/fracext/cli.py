@@ -44,7 +44,7 @@ from .extension import (
     extend,
     extend_negative,
 )
-from .special import _MAX_ORDER, FracParams, psi_lambda
+from .special import FracParams, _check_profile_order, psi_lambda
 from .spectral import (
     _BUILDERS,
     ModalVector,
@@ -231,10 +231,8 @@ def _cmd_verify(args):
     cfg = RunConfig(tol=_parse_tol(args.tol))
     # the order and eigenvalue are checked here, before any check runs
     if args.s is not None:
-        s = FracParams.from_order(_parse_order(args.s)).s
-        if s > _MAX_ORDER:  # every check would meet the profile's ceiling
-            raise ValueError(f"verify needs an order s <= {_MAX_ORDER:g}, "
-                             f"got {args.s}")
+        # every check would meet the profile's ceiling
+        s = _check_profile_order(FracParams.from_order(_parse_order(args.s)).s)
         cfg.s_values = (s,)
     if args.lam is not None:
         lam = _parse_number(args.lam, "eigenvalue")

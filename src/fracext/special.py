@@ -47,18 +47,18 @@ evaluating the pair, climbing to s and scattering the two outputs; points
 past the order's cut take no kernel work.  So the temporaries scale with
 the window, not with the number of points, and a point's arithmetic
 depends only on its route, that is on y: a value comes out the same bits
-in every call.  ``psi`` remembers the companion of its last climb, keyed
-by the climb's order and the abscissae: the profile at the order of
-``psi_s'`` (s - 1 above 1, 1 - s below; DLMF 10.29.1), which the climb to
-s passes one rung before the top or reads off the base pair.  The
-derivative's profile always comes from the climb to s, so a curve and its
-first derivative on one array make one kernel evaluation and one climb at
-every order.  A direct ``psi`` call at the companion's order returns a
-copy of it only where a cold call there would take the same pair: always
-above 1/2, and below 1/2 when ``1 - (1 - s)`` rounds back to s.
+in every call.  Each climb also forms the companion, the profile at the
+order of ``psi_s'`` (s - 1 above 1, 1 - s below, 0 at s = 1; DLMF
+10.29.1), one rung before the top or off the base pair, and ``psi``
+remembers the last one, keyed by the climb's order and the abscissae.
+``psi_s'`` takes its profile from the climb to s, so a curve and its
+first derivative on one array make one kernel evaluation and one climb
+at every order, and it keeps psi's rules: the ceiling at s and 0 at
++inf.  A direct ``psi`` call at the companion's order returns a copy of
+it only where a cold call there would take the same pair: always above
+1/2, and below 1/2 when ``1 - (1 - s)`` rounds back to s.
 ``e^{-y} = 2^{-k} e^{-r}`` is applied with int32 exponents ``k``, which
-keep ``np.ldexp`` on its vector loop.  ``psi_series`` evaluates the
-ascending series (DLMF 10.25.2 / 10.27.4) as an independent oracle.
+keep ``np.ldexp`` on its vector loop.
 """
 
 from __future__ import annotations
@@ -73,7 +73,6 @@ __all__ = [
     "psi",
     "psi_lambda",
     "psi_deriv",
-    "psi_series",
     "psi_taylor_remainder",
     "psi_fourier",
     "seminorm_sq",
@@ -295,7 +294,7 @@ def _exp_neg(y):
 
     k is int32, which keeps ``np.ldexp`` on its vector loop (an int64
     exponent takes a scalar one); |k| stays below 2^19 for every y that
-    a profile keeps, 2 * (1e5 + 1) + 2000 at most."""
+    a profile keeps, 2e5 + 2000 at most."""
     k = np.floor(y * (1.0 / _LN2))
     r = (y - k * _LN2_HI) - k * _LN2_LO
     return np.exp(-r), k.astype(np.int32)
@@ -430,19 +429,21 @@ def _base(s):
     return g, -min(g, 1.0 - g)
 
 
-# the companion of the last climb, a tuple of at most one entry (climbed
-# order, direct order, abscissae, profile), empty when that climb kept
-# none: one is enough, as no profile call falls between a curve and its
-# derivative.  The direct order is the companion's order where a cold
-# ``psi`` call there takes the same kernel pair, else None
-_companion = ()
+# the companion of the last climb, (climbed order, direct order,
+# abscissae, profile), or None before the first climb: one entry is
+# enough, as no profile call falls between a curve and its derivative.
+# The direct order is the companion's order where a cold ``psi`` call
+# there takes the same kernel pair, else None
+_companion = None
 
 
 def _remembered(y, climbed=None, direct=None):
     """The remembered companion on abscissae equal to y, of the climb to
     the order ``climbed`` or else at the direct order ``direct``; None on
     a miss."""
-    for c_order, d_order, key, companion in _companion:
+    entry = _companion  # one read: another thread may replace the entry
+    if entry is not None:
+        c_order, d_order, key, companion = entry
         if ((c_order == climbed if direct is None else d_order == direct)
                 and key.shape == y.shape and (key == y).all()):
             return companion
@@ -465,7 +466,8 @@ def _first_deriv_profile(s, y):
 
 def _climb(s, y):
     """psi_s on a 1-d array of finite y > 0 and the companion, the profile
-    at the order of psi_s' (``_first_deriv_order``), or None at s = 1.
+    at the order of psi_s' (``_first_deriv_order``): at s = 1 the order
+    0, where the profile is 0 (1 / Gamma(0) = 0) and no call reads it.
 
     The kernel pair at mu = -min(g, 1 - g), g = s - floor(s), is
     ``e^y (2 / Gamma(1+|mu|)) (y/2)^|mu| K_mu(y)`` and ``e^y psi_{mu+1}(y)``.
@@ -477,10 +479,11 @@ def _climb(s, y):
     the factor e^y.
 
     The routes run one after the other, each over its own points of a
-    window of ``_WINDOW`` points in blocks of ``_BLOCK``: it evaluates the
-    pair, climbs to s (``_climb_block``) and scatters the two outputs.
-    Points at or past the larger cut take no kernel work.  A point's
-    arithmetic depends on its route, that is on y, and on nothing else.
+    window of ``_WINDOW`` points in blocks of ``_BLOCK``: it gathers them,
+    evaluates the pair, climbs to s (``_climb_block``) and scatters the two
+    outputs.  Points at or past the larger cut take no kernel work.  A
+    point's arithmetic depends on its route, that is on y, and on nothing
+    else.
     The memory keeps the companion, read-only, with its own copy of y.
     """
     global _companion
@@ -489,7 +492,7 @@ def _climb(s, y):
     # psi_v(y) <= c_v y^v sqrt(2 pi / y) e^{-y + v^2 / 2y} (cosh t >=
     # 1 + t^2/2 in the integral representation of K_v) rounds to 0 beyond
     # 2v + 2000
-    cuts = [2.0 * s + 2000.0] + ([2.0 * order + 2000.0] if order > 0 else [])
+    cuts = (2.0 * s + 2000.0, 2.0 * order + 2000.0)
     reach = max(cuts)
     steps = round(s - g)
     if g >= 0.5:  # a carries K_{1-g}
@@ -503,11 +506,10 @@ def _climb(s, y):
     routes = list(enumerate(_ROUTE_TOPS + (math.nextafter(reach, 0.0),)))
     if mu == -0.5:
         routes = routes[-1:]
-    outs = [np.empty(y.shape) for _ in cuts]
+    outs = (np.empty(y.shape), np.empty(y.shape))
     pairs = {}
     for w0 in range(0, y.size, _WINDOW):
         yw = y[w0:w0 + _WINDOW]
-        ows = [out[w0:w0 + _WINDOW] for out in outs]
         below = None
         for r, top in routes:
             upto = yw <= top
@@ -518,32 +520,26 @@ def _climb(s, y):
                 continue
             if r not in pairs:
                 pairs[r] = _route(mu, r)
-            whole = n == yw.size
-            ys = yw if whole else yw[mask]
-            rs = ows if whole else [np.empty(n) for _ in ows]
+            ys = yw[mask]
+            rs = (np.empty(n), np.empty(n))
             for b0 in range(0, n, _BLOCK):
                 yb = ys[b0:b0 + _BLOCK]
                 # every route but the series carries the factor e^y
                 _climb_block(plan, yb, *pairs[r](yb), r > 0,
                              [rb[b0:b0 + _BLOCK] for rb in rs])
-            if not whole:
-                for ow, rb in zip(ows, rs):
-                    ow[mask] = rb
+            for out, rb in zip(outs, rs):
+                out[w0:w0 + _WINDOW][mask] = rb
     for out, cut in zip(outs, cuts):
         out[y >= cut] = 0.0
-    if len(outs) > 1:
-        outs[1].flags.writeable = False
-        direct = order if _base(order)[1] == mu else None
-        _companion = ((s, direct, y.copy(), outs[1]),)
-        return tuple(outs)
-    _companion = ()
-    return outs[0], None
+    outs[1].flags.writeable = False
+    direct = order if _base(order)[1] == mu else None
+    _companion = (s, direct, y.copy(), outs[1])
+    return outs
 
 
 def _climb_block(plan, y, a, b, p, scaled, outs):
     """psi_s from the kernel pair at mu = -min(g, 1 - g) on one block into
-    outs[0], and with a second array in ``outs`` the profile at the order
-    of psi_s'.
+    outs[0], and the profile at the order of psi_s' into outs[1].
 
     psi_v = (2 / Gamma(v)) (y/2)^v K_v at the base order g is b (g >= 1/2,
     mu = g - 1) or g a (g < 1/2, mu = -g); one step of K_{g+1} = K_{g-1} +
@@ -554,9 +550,9 @@ def _climb_block(plan, y, a, b, p, scaled, outs):
     factor e^y, and every value of its climb the factor e^y 2^{-e}, with e
     from a power-of-two rescale every 8 steps; the unscaled series pair
     stays below 1 and needs neither.  The companion is psi_{s-1}, the last
-    rung but one, for s > 1, and psi_{1-g} for s < 1: the base order of
-    1 - g, b (g <= 1/2) or (1 - g) a.  The split of e^{-y} is made once
-    for both.
+    rung but one, for s > 1, and psi_{1-g} for s <= 1: the base order of
+    1 - g, b (g <= 1/2) or (1 - g) a, which is 0 at s = 1.  The split of
+    e^{-y} is made once for both.
     """
     g, steps, ratio = plan
     if g >= 0.5:
@@ -661,14 +657,27 @@ def _term_derivative(term, lam):
 
 
 def _psi_first_deriv(s, y):
+    """psi_s' on y > 0, with psi's order ceiling at s and 0 at +inf."""
+    s = _check_profile_order(s)
     coef, expo, order = _first_deriv_factors(s)
-    _check_profile_order(order)
-    # (coef y^expo) psi_order, with no copy for y^1 and the product in
-    # place; psi_order comes from the climb to s, so that a curve and its
-    # derivative make one climb at every order
-    out = coef * (y if expo == 1.0 else y ** expo)
-    out *= _on_abscissae(y, lambda ay: _first_deriv_profile(s, ay))
-    return out
+    cut = 2.0 * order + 2000.0  # psi_order is 0 from there (``_climb``)
+
+    def positive(ay):
+        # (coef y^expo) psi_order in place, y held at the cut so that no
+        # huge y overflows; psi_order comes from the climb to s, so that a
+        # curve and its derivative make one climb at every order
+        out = np.minimum(ay, cut)
+        if expo != 1.0:
+            with np.errstate(over="ignore"):
+                out **= expo
+        out *= coef
+        if expo < 0.0:  # y^expo alone can overflow at subnormal y
+            big = np.isinf(out)
+            out[big] = -np.exp(math.log(-coef) + expo * np.log(ay[big]))
+        out *= _first_deriv_profile(s, ay)
+        return out
+
+    return _on_abscissae(y, positive)
 
 
 def psi_deriv(s: float, y, order: int):
@@ -713,23 +722,6 @@ def psi_deriv(s: float, y, order: int):
         total = total + (math.comb(m, ell) * (-1.0) ** ell
                          * _gamma_coeff(s, ell) * f(s - ell, y))
     return total
-
-
-def psi_series(s: float, y: float) -> float:
-    """psi_s(y) from the ascending power series, independent of the kernel.
-
-    For non-integer s,
-
-        psi_s(y) = sum_k (y^2/4)^k / (k! (1-s)_k)
-                   + (Gamma(-s)/Gamma(s)) (y/2)^{2s}
-                     sum_k (y^2/4)^k / (k! (1+s)_k),
-
-    (DLMF 10.25.2 / 10.27.4 folded into the profile normalisation), that is
-    1 plus the remainder of order k = 0 of :func:`psi_taylor_remainder`.
-    Rapidly convergent and fully accurate for |y| <= 2; used as an oracle
-    for the small-argument behaviour.
-    """
-    return 1.0 + psi_taylor_remainder(s, y, 0)
 
 
 def psi_taylor_remainder(s: float, y: float, k: int) -> float:

@@ -222,14 +222,14 @@ def build_operator(kind: str, **params):
 # fractional calculus on modal vectors
 
 
-def _check_kernel_use(u: ModalVector, power: float, what: str):
-    kd = u.spectrum.kernel_dim
-    if power < 0 and kd > 0:
-        bad = np.nonzero(u.coeffs[:kd])[0]
-        if bad.size:
-            raise ValueError(
-                f"{what} with negative power touches kernel mode "
-                f"{bad[0]} (zero eigenvalue, nonzero coefficient)")
+def _check_kernel_use(u: ModalVector, what: str):
+    """Refuse a nonzero coefficient on a kernel mode, where negative
+    powers and the identities that leave the kernel out are undefined."""
+    bad = np.flatnonzero(u.coeffs[:u.spectrum.kernel_dim])
+    if bad.size:
+        raise ValueError(
+            f"{what} needs zero kernel coefficients: kernel mode {bad[0]} "
+            f"(zero eigenvalue) has a nonzero coefficient")
 
 
 def _check_same_spectrum(what: str, u: ModalVector, v: ModalVector):
@@ -279,11 +279,9 @@ def sobolev_norm(u: ModalVector, sigma: float) -> float:
     if not math.isfinite(sigma):
         raise ValueError(
             f"sobolev_norm needs a finite order sigma, got {sigma}")
-    if sigma == 0.0:
-        mask = u.coeffs != 0.0
-    else:
-        _check_kernel_use(u, sigma, "sobolev_norm")
-        mask = _active_modes(u)
+    if sigma < 0.0:
+        _check_kernel_use(u, "sobolev_norm with a negative power")
+    mask = u.coeffs != 0.0 if sigma == 0.0 else _active_modes(u)
     if not np.any(mask):
         return 0.0
     # the per-mode magnitudes lambda^{sigma/2} |u_j|, not the weights
@@ -309,7 +307,8 @@ def apply_power(u: ModalVector, t: float) -> ModalVector:
         raise ValueError(f"apply_power needs a finite power t, got {t}")
     if t == 0.0:
         return ModalVector(u.coeffs.copy(), u.spectrum)
-    _check_kernel_use(u, t, "apply_power")
+    if t < 0.0:
+        _check_kernel_use(u, "apply_power with a negative power")
     # a zero coefficient stays 0 even where lambda^t overflows
     mask = _active_modes(u)
     out = np.zeros_like(u.coeffs)

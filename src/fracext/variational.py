@@ -49,6 +49,7 @@ from .special import FracParams, _apply_operator_power, _term_derivative, psi
 from .spectral import (
     ModalVector,
     _active_modes,
+    _check_kernel_use,
     _check_same_spectrum,
     _require_finite,
     apply_power,
@@ -324,8 +325,7 @@ def minimize_curve(u: ModalVector, s: float,
     |u|^2_{H^s}, against 2 d_s |u|^2_{H^s}.  It sits above the closed form
     and closes in under refinement."""
     params = FracParams.from_order(s)
-    if u.spectrum.kernel_dim and np.any(u.coeffs[:u.spectrum.kernel_dim]):
-        raise ValueError("minimize_curve needs zero kernel coefficients")
+    _check_kernel_use(u, "minimize_curve")
     unit = _unit_minimum(params.s, n_nodes)
     norm = sobolev_norm(u, s)
     # norm * norm, not norm ** 2: a float power raises OverflowError

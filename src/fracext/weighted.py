@@ -57,6 +57,7 @@ from .special import (
 from .spectral import (
     ModalVector,
     _active_modes,
+    _check_kernel_use,
     _require_finite,
     sobolev_norm,
     tridiag_eigh,
@@ -568,8 +569,7 @@ def fourier_isometry(u: ModalVector, s: float, sigma: float = 0.0,
         raise ValueError("pass exactly one of alpha (Sobolev) or b (weighted)")
     if not s > 0:
         raise ValueError("fourier_isometry needs s > 0")
-    if u.spectrum.kernel_dim and np.any(u.coeffs[:u.spectrum.kernel_dim]):
-        raise ValueError("fourier isometries need zero kernel coefficients")
+    _check_kernel_use(u, "fourier_isometry")
     norm_sq = sobolev_norm(u, sigma) ** 2
 
     if b is not None:

@@ -488,7 +488,7 @@ def test_order_above_the_profile_ceiling_fails_fast(capsys):
         assert code == 3
         assert out == ""
         assert err.startswith("domain error") and err.count("\n") == 1
-        assert "100000" in err
+        assert "100000" in err and s in err
     assert time.perf_counter() - start < 1.0
 
 

@@ -415,6 +415,41 @@ def test_derivative_curve_is_finite_where_the_product_is():
     np.testing.assert_allclose(got.values[1], want, rtol=1e-12)
 
 
+def test_derivative_curve_is_zero_where_the_abscissa_overflows():
+    # sqrt(1e300) y overflows to inf on the default grid's upper points,
+    # where the derivative is 0; it was -inf * 0 there, and the curve was
+    # refused as "derivative_curve(s=1.3, k=1) overflows"
+    u = ModalVector(np.ones(2), explicit_spectrum([1e-320, 1e300]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = derivative_curve(u, 1.3, 1)
+    with np.errstate(over="ignore"):
+        y = math.sqrt(1e300) * got.grid
+    assert np.all(np.isfinite(got.values))
+    far = np.isinf(y)
+    assert far.any() and np.all(got.values[1, far] == 0.0)
+    want = math.sqrt(1e300) * psi_deriv(1.3, y[~far], 1)
+    np.testing.assert_array_equal(got.values[1, ~far], want)
+
+
+def _no_profile(t):
+    raise AssertionError("a refused stencil evaluated its function")
+
+
+@pytest.mark.parametrize("times", [0, -1])
+def test_apply_db_refuses_a_power_below_one(times):
+    with pytest.raises(ValueError, match="times must be >= 1"):
+        apply_db(_no_profile, 1.0, 0.0, 1.0, times=times)
+
+
+@pytest.mark.parametrize("y, h, times", [(0.1, 0.05, 1), (1.0, 0.2, 2),
+                                         (np.array([1.0, 0.3]), 0.1, 1)])
+def test_apply_db_refuses_a_window_past_the_origin(y, h, times):
+    # the window y +- 4 times h must stay on y > 0, where D_b is defined
+    with pytest.raises(ValueError, match="leaves the positive half line"):
+        apply_db(_no_profile, y, 0.0, 1.0, times=times, h=h)
+
+
 def test_iterated_db_matches_recurrence():
     # (D_b+1)^m psi_s = (d_s/d_{s-m}) psi_{s-m}, nested finite differences
     s, m = 2.5, 2

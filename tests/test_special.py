@@ -6,6 +6,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -26,7 +27,6 @@ from fracext.special import (
     psi_deriv,
     psi_fourier,
     psi_lambda,
-    psi_series,
     psi_taylor_remainder,
     seminorm_sq,
     trace_constant,
@@ -127,7 +127,8 @@ def test_psi_large_order_flat_region():
     # confirms the moderate-argument values
     assert psi(60.5, 1e-5) == pytest.approx(psi_mp(60.5, 1e-5), rel=1e-13)
     assert psi(60.5, 1e-5) < 1.0
-    assert psi(60.5, 1.0) == pytest.approx(psi_series(60.5, 1.0), rel=1e-12)
+    assert psi(60.5, 1.0) == pytest.approx(
+        1.0 + psi_taylor_remainder(60.5, 1.0, 0), rel=1e-12)
     assert psi(60.5, 1.0) == pytest.approx(1.0 - 1.0 / (4.0 * 59.5), rel=1e-4)
 
 
@@ -220,8 +221,8 @@ def _taylor_remainder_mp(s, y, k):
 def test_ascending_series_beyond_gamma_overflow():
     # Gamma(s) overflows above s ~ 171; the singular-branch factor
     # Gamma(-s)/Gamma(s) must still come out finite (here it underflows)
-    assert psi_series(200.5, 1.0) == pytest.approx(psi_mp(200.5, 1.0),
-                                                   rel=1e-15)
+    assert 1.0 + psi_taylor_remainder(200.5, 1.0, 0) == pytest.approx(
+        psi_mp(200.5, 1.0), rel=1e-15)
     for s, y, k in ((180.5, 0.5, 1), (200.5, 1.0, 2), (2.5, 2.0 ** -8, 2)):
         assert psi_taylor_remainder(s, y, k) == pytest.approx(
             _taylor_remainder_mp(s, y, k), rel=1e-14, abs=0.0), (s, y, k)
@@ -317,7 +318,7 @@ def test_psi_does_not_depend_on_earlier_calls(monkeypatch):
     orders = (0.3, 0.7, 1.3, 2.3, 2.7, 0.5, 1.5)
     cold = {}
     for s in orders:
-        monkeypatch.setattr(special, "_companion", ())
+        monkeypatch.setattr(special, "_companion", None)
         cold[s] = _bits(psi(s, ys))
     rng = np.random.default_rng(3)
     for _ in range(6):
@@ -326,14 +327,12 @@ def test_psi_does_not_depend_on_earlier_calls(monkeypatch):
     # and the remembered companion is exactly the recomputed one: a cold
     # call at its order where that takes the same kernel pair, the
     # companion of a cold climb to the same order in every case
-    assert special._companion
-    for climbed, direct, key, companion in special._companion:
-        monkeypatch.setattr(special, "_companion", ())
-        assert _bits(companion) == _bits(special._climb(climbed,
-                                                        key.copy())[1])
-        if direct is not None:
-            monkeypatch.setattr(special, "_companion", ())
-            assert _bits(companion) == _bits(psi(direct, key.copy()))
+    climbed, direct, key, companion = special._companion
+    monkeypatch.setattr(special, "_companion", None)
+    assert _bits(companion) == _bits(special._climb(climbed, key.copy())[1])
+    if direct is not None:
+        monkeypatch.setattr(special, "_companion", None)
+        assert _bits(companion) == _bits(psi(direct, key.copy()))
 
 
 def test_kernel_memory_is_not_shared_with_the_caller(kernel_calls):
@@ -347,7 +346,7 @@ def test_kernel_memory_is_not_shared_with_the_caller(kernel_calls):
     assert _bits(psi(1.3, ys)) == _bits(psi(1.3, 2.0 * kept))
     # the remembered companion cannot be written, its key is a copy, and a
     # hit is a copy
-    _, _, key, companion = special._companion[0]
+    _, _, key, companion = special._companion
     with pytest.raises(ValueError):
         companion[0] = 0.0
     assert not np.shares_memory(key, ys)
@@ -367,7 +366,7 @@ def test_kernel_memory_under_threads(monkeypatch):
     want = {}
     for k, ys in enumerate(arrays):
         for s in orders:
-            monkeypatch.setattr(special, "_companion", ())
+            monkeypatch.setattr(special, "_companion", None)
             want[k, s] = _bits(psi(s, ys))
     wrong = []
 
@@ -404,7 +403,7 @@ def _no_climb(*args):
 @example(s=0.7)  # g > 1/2
 @example(s=0.5)  # g = 1/2: psi_{1-s} is psi_s itself
 @example(s=1.5)
-@example(s=1.0)  # psi_1' has the order-0 profile, which is not kept
+@example(s=1.0)  # psi_1' has the order-0 profile, 0, which no call reads
 @example(s=2.0)
 @example(s=3.0)
 @settings(max_examples=30, deadline=None)
@@ -414,16 +413,24 @@ def test_companion_hit_has_the_bits_of_a_cold_call(s):
         np.geomspace(1e-8, 3000.0, 400),
         2.0 * s + 2000.0 + np.array([-1.0, -0.5, 0.0, 0.5]),
         2.0 * order + 2000.0 + np.array([-0.5, 0.0, 0.5])))
-    special._companion = ()
+    special._companion = None
     cold = _bits(psi(order, ys)) if order > 0.0 else None
-    special._companion = ()
+    special._companion = None
     psi(s, ys)
-    if not special._companion:
-        # only s = 1 keeps no companion: psi_1' has the order-0 profile
-        assert order == 0.0
-        return
-    (climbed, direct, key, companion), = special._companion
+    climbed, direct, key, companion = special._companion
     assert climbed == s and not companion.flags.writeable
+    if order == 0.0:
+        # s = 1: psi_1' has the order-0 profile, 0 as 1 / Gamma(0) is, and
+        # no call is served it: psi refuses the order 0, psi_deriv the
+        # integer order 1
+        assert not companion.any()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(special, "_climb", _no_climb)
+            with pytest.raises(ValueError, match="order"):
+                psi(order, ys)
+            with pytest.raises(ValueError, match="non-integer"):
+                psi_deriv(s, ys, 1)
+        return
     if direct is None:
         # 1 - s rounded onto another kernel pair: a direct call there
         # climbs, and gives the bits of a cold call
@@ -472,7 +479,7 @@ def test_int32_exponents_leave_the_largest_order_unchanged():
     got = _bits(psi(99999.5, ys))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(special, "_exp_neg", exp_neg_int64)
-        mp.setattr(special, "_companion", ())
+        mp.setattr(special, "_companion", None)
         assert got == _bits(psi(99999.5, ys))
     assert np.count_nonzero(psi(99999.5, ys)) >= 10
 
@@ -530,7 +537,7 @@ def test_first_derivative_does_not_depend_on_earlier_calls(s, monkeypatch):
     # way, also where 1 - (1 - s) != s and a cold psi(1 - s) takes another
     # kernel pair
     ys = np.geomspace(1e-6, 2500.0, 300)
-    monkeypatch.setattr(special, "_companion", ())
+    monkeypatch.setattr(special, "_companion", None)
     cold = _bits(psi_deriv(s, ys, 1))
     psi(s, ys)
     with monkeypatch.context() as mp:
@@ -550,7 +557,7 @@ def test_curve_working_memory_scales_with_the_result(s, monkeypatch):
     u = ModalVector(np.random.default_rng(11).normal(size=4096),
                     dirichlet_laplacian_1d(math.pi, 4096))
     for make in (extend, lambda u, s: derivative_curve(u, s, 1)):
-        monkeypatch.setattr(special, "_companion", ())
+        monkeypatch.setattr(special, "_companion", None)
         tracemalloc.start()
         try:
             values = make(u, s).values
@@ -561,6 +568,35 @@ def test_curve_working_memory_scales_with_the_result(s, monkeypatch):
         if make is extend:
             # up to a few hundred bytes of array and tuple headers
             assert current - values.nbytes < 2.01 * values.nbytes
+
+
+# every positive double, with the largest, the smallest normal and the
+# smallest subnormal drawn often, and +inf
+_EXTREME_ABSCISSAE = st.one_of(
+    st.floats(5e-324, sys.float_info.max),
+    st.sampled_from([5e-324, sys.float_info.min, sys.float_info.max,
+                     math.inf]))
+
+
+@given(s=st.floats(0.0, 50.0, exclude_min=True).filter(
+           lambda s: s != math.floor(s)),
+       ys=st.lists(_EXTREME_ABSCISSAE, min_size=1, max_size=24))
+@settings(max_examples=40, deadline=None)
+def test_profile_and_first_derivative_on_extreme_abscissae(s, ys):
+    # psi lies in [0, 1] on every abscissa, 0 and negatives included, and
+    # psi_s' is finite and <= 0 wherever its size fits a double: below
+    # s = 1/2 it grows like d_s y^(2s-1) toward the origin, past the
+    # double range at the smallest subnormals
+    ys = np.array(ys)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals = psi(s, np.concatenate((ys, -ys, [0.0])))
+        if s < 0.5:
+            size = math.log(trace_constant(s)) + (2.0 * s - 1.0) * np.log(ys)
+            ys = ys[size < math.log(sys.float_info.max) - 1.0]
+        slopes = psi_deriv(s, ys, 1)
+    assert np.all((vals >= 0.0) & (vals <= 1.0))
+    assert np.all(np.isfinite(slopes) & (slopes <= 0.0))
 
 
 @pytest.mark.parametrize("s", [0.25, 0.5, 0.75, 1.3, 2.5, 3.7])
@@ -581,10 +617,12 @@ def test_psi_never_rises_near_the_origin():
     assert np.all(vals <= 1.0)
 
 
-def test_psi_series_matches_bessel_route():
+def test_ascending_series_matches_bessel_route():
+    # psi_s = 1 + the remainder of order 0, the whole ascending series
     for s in (0.3, 0.7, 1.5, 2.5, 3.7):
         for y in (1e-3, 0.1, 0.7, 1.6):
-            assert psi_series(s, y) == pytest.approx(psi(s, y), rel=1e-13)
+            assert 1.0 + psi_taylor_remainder(s, y, 0) == pytest.approx(
+                psi(s, y), rel=1e-13)
 
 
 def test_psi_lambda():
@@ -696,6 +734,16 @@ def test_psi_deriv_every_admissible_order_against_mpmath(s):
                 ref[k], rel=1e-11, abs=0.0), (s, k, y)
 
 
+@pytest.mark.parametrize("s", [0.3, 1.3, 2.7])
+def test_first_derivative_is_zero_at_infinity(s):
+    # psi_s' takes psi's rule at +inf: 0, where coef y^expo psi_order was
+    # -inf * 0, a NaN with "invalid value encountered in multiply"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = psi_deriv(s, np.array([1.0, np.inf]), 1)
+    assert _bits(got[0]) == _bits(psi_deriv(s, 1.0, 1)) and got[1] == 0.0
+
+
 def test_psi_deriv_admissible_range():
     with pytest.raises(ValueError):
         psi_deriv(1.5, 1.0, 0)
@@ -732,6 +780,19 @@ def test_order_above_the_ceiling_fails_fast(order):
     with pytest.raises(ValueError, match="100000"):
         psi(order, np.linspace(0.1, 10.0, 64))
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("s", [1e5 + 0.5, 1e5 + 0.99])
+def test_first_derivative_above_the_ceiling_fails_fast(s):
+    # psi_s' climbs to s, so it meets psi's ceiling at s, not at the order
+    # of its profile: s = 100000.5 once climbed for 0.19 s on two points
+    u = ModalVector(np.ones(2), explicit_spectrum([1.0, 4.0]))
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="100000"):
+        psi_deriv(s, np.array([0.5, 2.0]), 1)
+    with pytest.raises(ValueError, match="100000"):
+        derivative_curve(u, s, 1)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_fourier_side_refuses_a_nonpositive_order():
