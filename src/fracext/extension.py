@@ -14,11 +14,12 @@ The Dirichlet trace is fitted to the known leading power laws on a small
 geometric sample (the curve behaves like L + A y^{p1} + B y^{p2}), which
 converges much faster than plain Richardson with guessed exponents.
 
-Curve assembly is independent per (mode, grid point): every routine makes
-one profile call on the whole (mode, abscissa) matrix, with kernel modes
-and zero coefficients masked out; the ODE residual makes one too, on the
-stencil windows of every (mode, point) pair.  All results are deterministic
-pure functions of the inputs.
+Curve assembly is independent per (mode, grid point): one builder,
+:func:`derivative_curve`, makes one profile call on the whole (mode,
+abscissa) matrix, with kernel modes and zero coefficients masked out, for
+every derivative order k >= 0, and :func:`extend` is its k = 0 case; the
+ODE residual makes one call too, on the stencil windows of every (mode,
+point) pair.  All results are deterministic pure functions of the inputs.
 """
 
 from __future__ import annotations
@@ -89,8 +90,8 @@ def default_grid(spectrum: Spectrum, n: int = 160) -> np.ndarray:
     fastest mode is resolved near 0 and the slowest has decayed at the end.
     At least three points are required, as :func:`trace0` needs them.
     """
-    if n < 3:
-        raise ValueError(f"default_grid needs n >= 3 points, got n={n}")
+    if not (n >= 3 and float(n).is_integer()):
+        raise ValueError(f"default_grid needs a whole n >= 3, got n={n}")
     lam = spectrum.positive
     if lam.size == 0:
         lo, hi = 1e-4, 40.0
@@ -124,43 +125,15 @@ def _check_grid(grid):
     return grid
 
 
-def _active_roots(u):
-    """Active-mode mask of u and the square roots of its eigenvalues."""
-    mask = _active_modes(u)
-    return mask, np.sqrt(u.spectrum.eigenvalues[mask])[:, None]
-
-
-def _mode_rows(mask, active, rest=0.0):
-    """The (mode, point) matrix of the rows ``active`` on the modes of
-    ``mask`` and the per-mode constants ``rest`` on the others: the active
-    rows themselves when every mode is active."""
-    if mask.all():
-        return active
-    values = np.empty((mask.size, active.shape[1]))
-    values[...] = rest
-    values[mask] = active
-    return values
-
-
 def extend(u: ModalVector, s: float, grid=None) -> ExtensionCurve:
     """Extension curve of u: per-mode profile samples scaled by u_j.
 
     Kernel modes (zero eigenvalue) are carried as constant curves, so the
     value at 0 is u exactly and the transform is the identity on the kernel.
+    The samples are those of :func:`derivative_curve` at k = 0.
     """
-    params = FracParams.from_order(s)
-    if grid is None:
-        grid = default_grid(u.spectrum)
-    grid = _check_grid(grid)
-    mask, root = _active_roots(u)
-    with np.errstate(over="ignore"):  # psi is 0 where sqrt(lambda) y is inf
-        y = root * grid
-    active = psi(s, y)
-    active *= u.coeffs[mask, None]
-    kernel = u.spectrum.eigenvalues == 0.0
-    values = _mode_rows(mask, active, np.where(kernel, u.coeffs, 0.0)[:, None])
-    return ExtensionCurve(spectrum=u.spectrum, grid=grid, values=values,
-                          params=params, source=u)
+    return ExtensionCurve(**vars(derivative_curve(u, s, 0, grid)),
+                          params=FracParams.from_order(s), source=u)
 
 
 def extend_negative(zeta: ModalVector, s: float, grid=None) -> ExtensionCurve:
@@ -250,19 +223,26 @@ def derivative_curve(u: ModalVector, s: float, k: int, grid=None) -> CurveSample
     Per mode,  d^k/dy^k [psi_s(sqrt(lambda) y)] = lambda^{k/2}
     (d^k psi_s)(sqrt(lambda) y), with the derivative given in closed form by
     Beta-coefficient combinations of lower-order profiles.  Admissible k as
-    in :func:`fracext.special.psi_deriv`; a value beyond the double range
-    is a ValueError naming it.
+    in :func:`fracext.special.psi_deriv`, k = 0 being the curve itself; a
+    value beyond the double range is a ValueError naming it.
     """
-    FracParams.from_order(s)
     if grid is None:
         grid = default_grid(u.spectrum)
     grid = _check_grid(grid)
-    mask, root = _active_roots(u)
-    amp = _scaled_power(u.spectrum.eigenvalues[mask], 0.5 * k, u.coeffs[mask])
-    with np.errstate(over="ignore", invalid="ignore"):  # inf amp * 0 is NaN
-        active = psi_deriv(s, root * grid, k)
-        active *= amp[:, None]
-    values = _mode_rows(mask, active)
+    mask = _active_modes(u)
+    lam = u.spectrum.eigenvalues[mask]
+    # the profile and its derivatives are 0 where sqrt(lambda) y is inf,
+    # and an amplitude past the range times that 0 is NaN, named below
+    with np.errstate(over="ignore", invalid="ignore"):
+        active = psi_deriv(s, np.sqrt(lam)[:, None] * grid, k)
+        active *= _scaled_power(lam, 0.5 * k, u.coeffs[mask])[:, None]
+    values = active  # the rows themselves when every mode is active
+    if not mask.all():
+        values = np.zeros((mask.size, grid.size))
+        values[mask] = active
+        if k == 0:  # kernel modes carry u_j, and 0 in every derivative
+            kernel = u.spectrum.eigenvalues == 0.0
+            values[kernel] = u.coeffs[kernel, None]
     _require_finite(f"derivative_curve(s={s}, k={k})", values)
     return CurveSamples(spectrum=u.spectrum, grid=grid, values=values)
 
@@ -299,8 +279,8 @@ def ode_residual(u: ModalVector, s: float, y):
     """
     params = FracParams.from_order(s)
     y = np.asarray(y, dtype=float)
-    if np.any(y <= 0.05):
-        raise ValueError("ode_residual needs y bounded away from 0")
+    if not np.all((y > 0.05) & (y < math.inf)):
+        raise ValueError(f"ode_residual needs finite y > 0.05, got y={y}")
     mask = _active_modes(u)
     lam = u.spectrum.eigenvalues[mask].reshape((-1,) + (1,) * y.ndim)
     root = np.sqrt(lam)

@@ -673,11 +673,22 @@ def _psi_first_deriv(s, y):
         out *= coef
         if expo < 0.0:  # y^expo alone can overflow at subnormal y
             big = np.isinf(out)
-            out[big] = -np.exp(math.log(-coef) + expo * np.log(ay[big]))
+            with np.errstate(over="ignore"):
+                out[big] = -np.exp(math.log(-coef) + expo * np.log(ay[big]))
+            if np.isinf(out[big]).any():
+                raise ValueError(f"psi_deriv(s={s}, k=1) overflows: the "
+                                 f"result must be finite")
         out *= _first_deriv_profile(s, ay)
         return out
 
     return _on_abscissae(y, positive)
+
+
+def _whole_order(k, what):
+    """k as an int; a ValueError naming it unless it is a whole number."""
+    if not float(k).is_integer():
+        raise ValueError(f"{what} order k must be a whole number, got k={k}")
+    return int(k)
 
 
 def psi_deriv(s: float, y, order: int):
@@ -693,27 +704,28 @@ def psi_deriv(s: float, y, order: int):
 
     with the closed-form first derivative for r = 1, whose profile comes
     from the climb to s - l.  ``y`` may be a scalar or an array of positive
-    abscissae; every term is one profile evaluation on the whole array.
-    Admissible k: 1 always; otherwise m <= floor(s), where the top odd
-    order 2 floor(s) + 1 also needs frac(s) >= 1/2.  Beyond that range the
-    derivatives are unbounded near the origin.
+    abscissae (order 0, psi itself, also takes y = 0); every term is one
+    profile evaluation on the whole array.  Admissible k: 0 and 1 always;
+    otherwise m <= floor(s), where the top odd order 2 floor(s) + 1 also
+    needs frac(s) >= 1/2.  Beyond that range the derivatives are unbounded
+    near the origin.
     """
     s = _check_noninteger_order(s)
-    y = np.asarray(y, dtype=float)
-    if np.any(y <= 0.0):
-        raise ValueError(f"psi_deriv requires y > 0, got min {np.min(y)}")
-    if y.ndim == 0:
-        y = float(y)
-    order = int(order)
+    order = _whole_order(order, "derivative")
     fl = math.floor(s)
     m, r = divmod(order, 2)
-    admissible = order == 1 or (1 < order and m <= fl and not (
+    admissible = 0 <= order <= 1 or (1 < order and m <= fl and not (
         order == 2 * fl + 1 and s - fl < 0.5))
     if not admissible:
         raise ValueError(
-            f"derivative order {order} is not admissible at s={s}: need 1, "
-            f"or order // 2 <= floor(s) with frac(s) >= 1/2 at order "
+            f"derivative order {order} is not admissible at s={s}: need 0 "
+            f"or 1, or order // 2 <= floor(s) with frac(s) >= 1/2 at order "
             f"2 floor(s) + 1")
+    y = np.asarray(y, dtype=float)
+    if np.any(y < 0.0) or (order and np.any(y == 0.0)):
+        raise ValueError(f"psi_deriv requires y > 0, got min {np.min(y)}")
+    if y.ndim == 0:
+        y = float(y)
     f = _psi_first_deriv if r else psi
     # the l = 0 term has coefficient 1; the sum starts there, so that order
     # 1 keeps the sign of a -0.0
@@ -776,8 +788,8 @@ def psi_fourier(s: float, xi) -> float:
     Valid for every s > 0, integer orders included.
     """
     s = float(s)
-    if not s > 0.0:
-        raise ValueError(f"psi_fourier requires s > 0, got {s}")
+    if not 0.0 < s < math.inf:
+        raise ValueError(f"psi_fourier requires s > 0 and finite, got {s}")
     amp = _SQRT2 * math.exp(math.lgamma(s + 0.5) - math.lgamma(s))
     xi = np.asarray(xi, dtype=float)
     out = amp * (1.0 + xi ** 2) ** (-(1.0 + 2.0 * s) / 2.0)
@@ -794,8 +806,8 @@ def seminorm_sq(s: float, alpha: float) -> float:
     finite exactly for alpha in (-1/2, 2s + 1/2).
     """
     s = float(s)
-    if not s > 0.0:
-        raise ValueError(f"seminorm_sq requires s > 0, got {s}")
+    if not 0.0 < s < math.inf:
+        raise ValueError(f"seminorm_sq requires s > 0 and finite, got {s}")
     if not (-0.5 < alpha < 2.0 * s + 0.5):
         raise ValueError(
             f"seminorm_sq diverges outside alpha in (-1/2, 2s+1/2); "

@@ -50,6 +50,7 @@ from .special import (
     _psi_l2_sq,
     _Term,
     _term_derivative,
+    _whole_order,
     psi,
     psi_fourier,
     seminorm_sq,
@@ -370,25 +371,35 @@ def _term_l2b_sq(term, lam, b):
 # energies
 
 
+def _energy_parts(s, lam, k, b):
+    """The gradient and zero-order parts of |psi_{s,lam}|^2_{lam, H^{k;b}}:
+    for odd k, |d/dy (D_b+lam)^{(k-1)/2} psi|^2 and lam |(D_b+lam)^{(k-1)/2}
+    psi|^2, for even k, 0 and |(D_b+lam)^{k/2} psi|^2."""
+    t = _apply_operator_power(s, lam, b, k // 2)
+    if k % 2 == 0:
+        return 0.0, _term_l2b_sq(t, lam, b)
+    grad = _term_derivative(t, lam)
+    return _term_l2b_sq(grad, lam, b), lam * _term_l2b_sq(t, lam, b)
+
+
 def mode_energy(profile, lam, k: int, b: float):
     """Squared weighted energy |profile(sqrt(lam) .)|^2_{lam, H^{k;b}} over R.
 
-    ``profile`` is either a :class:`PsiProfile` (all k with an analytic
-    operator collapse) or any object with ``value``/``d1`` callables, in
-    which case only k = 1 is available.  ``lam`` is one eigenvalue (float
-    result) or an array of them (one energy per entry, one lam = 1 integral).
+    ``profile`` is either a :class:`PsiProfile` (all whole k >= 1 with an
+    analytic operator collapse) or any object with ``value``/``d1``
+    callables, in which case only k = 1 is available.  ``lam`` is one
+    finite eigenvalue (float result) or an array of them (one energy per
+    entry, one lam = 1 integral).
     """
-    if not np.all(np.asarray(lam) > 0):
-        raise ValueError("mode energy needs lam > 0")
+    if not np.all(np.greater(lam, 0) & np.isfinite(lam)):
+        raise ValueError(f"mode energy needs lam > 0 and finite, "
+                         f"got lam={lam}")
+    k = _whole_order(k, "energy")
     if k < 1:
         raise ValueError("energy order k must be >= 1")
     if isinstance(profile, PsiProfile):
-        s = profile.s
-        t = _apply_operator_power(s, lam, b, k // 2)
-        if k % 2 == 0:
-            return _term_l2b_sq(t, lam, b)
-        grad = _term_derivative(t, lam)
-        return _term_l2b_sq(grad, lam, b) + lam * _term_l2b_sq(t, lam, b)
+        grad, zero = _energy_parts(profile.s, lam, k, b)
+        return grad + zero
     if k != 1:
         raise ValueError(
             "sampled profiles only support k = 1; higher orders need the "
@@ -399,22 +410,16 @@ def mode_energy(profile, lam, k: int, b: float):
         b, _TAIL_SCALE)
 
 
-def curve_energy(curve, k: int | None = None,
-                 b: float | None = None) -> float:
-    """Total energy of an extension curve: sum of per-mode energies.
-
-    Defaults to the natural exponents of the curve order (k = ceil(s),
-    b the matched weight exponent).  Kernel modes ride along as constant
-    curves and contribute zero energy.
+def curve_energy(curve) -> float:
+    """Total energy of an extension curve: sum of per-mode energies at
+    k = ceil(s) and the matched weight exponent b.  Kernel modes ride along
+    as constant curves and contribute zero energy.
     """
     params = curve.params
-    if k is None:
-        k = params.ceil_s
-    if b is None:
-        b = params.b
     mask = _active_modes(curve.source)
     energies = mode_energy(PsiProfile(params.s),
-                           curve.spectrum.eigenvalues[mask], k, b)
+                           curve.spectrum.eigenvalues[mask], params.ceil_s,
+                           params.b)
     return float(curve.source.coeffs[mask] ** 2 @ energies)
 
 
@@ -447,11 +452,7 @@ def virial_check(s: float):
     params = FracParams.from_order(s)
     if params.floor_s % 2 != 0:
         raise ValueError(f"virial split needs floor(s) even, got s={s}")
-    m = params.floor_s // 2
-    t = _apply_operator_power(s, 1.0, params.b, m)
-    grad = _term_derivative(t, 1.0)
-    zero_part = _term_l2b_sq(t, 1.0, params.b)
-    grad_part = _term_l2b_sq(grad, 1.0, params.b)
+    grad_part, zero_part = _energy_parts(s, 1.0, params.ceil_s, params.b)
     total = 2.0 * params.d_s
     return (
         report_equal(f"virial_zero_order(s={s})", zero_part,

@@ -70,6 +70,40 @@ def test_extend_kernel_mode_is_constant():
     np.testing.assert_allclose(curve.values[1], np.exp(-grid), rtol=1e-12)
 
 
+def test_extend_is_the_order_zero_derivative_curve():
+    # kernel modes carry u_j in the curve and 0 in its derivatives; a zero
+    # coefficient is a zero row in both
+    spec = explicit_spectrum([0.0, 1.0, 4.0, 9.0])
+    u = ModalVector(np.array([2.0, -1.0, 0.0, 0.5]), spec)
+    curve = extend(u, 1.3)
+    zeroth = derivative_curve(u, 1.3, 0)
+    np.testing.assert_array_equal(zeroth.grid, curve.grid)
+    np.testing.assert_array_equal(zeroth.values, curve.values)
+    assert np.all(curve.values[0] == 2.0) and np.all(curve.values[2] == 0.0)
+    assert np.all(derivative_curve(u, 1.3, 1).values[0] == 0.0)
+
+
+def test_extend_is_u_where_the_abscissa_underflows():
+    # sqrt(1e-320) y underflows to 0 on the first points, where psi is 1
+    u = ModalVector(np.array([3.0]), explicit_spectrum([1e-320]))
+    grid = np.array([1e-300, 1e-200, 0.1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = extend(u, 0.3, grid).values[0]
+    assert values[0] == 3.0
+    assert values[2] == 3.0 * psi(0.3, math.sqrt(1e-320) * 0.1)
+
+
+@pytest.mark.parametrize("k", [1.5, math.nan, math.inf])
+def test_derivative_curve_refuses_an_order_that_is_not_whole(k):
+    # int(k) truncated 1.5 to 1, and the curve came back as psi' scaled by
+    # lam^{3/4}: sqrt(2) too large at lam = 4
+    u = ModalVector(np.ones(2), explicit_spectrum([1.0, 4.0]))
+    with pytest.raises(ValueError, match=rf"order k must be a whole number, "
+                                         rf"got k={k}"):
+        derivative_curve(u, 0.5, k)
+
+
 def test_extend_rejects_integer_order_and_empty_grid():
     with pytest.raises(ValueError):
         extend(one_mode(), 2.0)
@@ -345,6 +379,15 @@ def test_ode_residual_fully_numerical_cross_check():
 def test_ode_residual_rejects_near_origin():
     with pytest.raises(ValueError):
         ode_residual(one_mode(), 0.5, 0.01)
+
+
+@pytest.mark.parametrize("y", [math.nan, math.inf,
+                               np.array([1.0, math.nan])])
+def test_ode_residual_refuses_a_point_that_is_not_finite(y):
+    # nan <= 0.05 is false, so a NaN point passed the check and was
+    # reported as "ode_residual(s=0.3) overflows"
+    with pytest.raises(ValueError, match=r"ode_residual needs finite y"):
+        ode_residual(one_mode(), 0.3, y)
 
 
 def test_ode_residual_overflow_is_named_without_a_numpy_warning():
@@ -683,9 +726,10 @@ def test_default_grid_of_a_spectrum_beyond_the_double_range_apart():
     assert grid.size == 160 and np.all(grid[1:] > grid[:-1])
 
 
-@pytest.mark.parametrize("n", [-1, 0, 1, 2])
+# 3.5 gave 4 points
+@pytest.mark.parametrize("n", [-1, 0, 1, 2, 3.5, math.nan, math.inf])
 def test_default_grid_needs_three_points(n):
-    with pytest.raises(ValueError, match="n >= 3"):
+    with pytest.raises(ValueError, match=rf"n >= 3, got n={n}"):
         default_grid(explicit_spectrum([1.0, 100.0]), n)
     assert default_grid(explicit_spectrum([1.0, 100.0]), 3).size == 3
 

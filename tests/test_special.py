@@ -581,19 +581,24 @@ _EXTREME_ABSCISSAE = st.one_of(
 @given(s=st.floats(0.0, 50.0, exclude_min=True).filter(
            lambda s: s != math.floor(s)),
        ys=st.lists(_EXTREME_ABSCISSAE, min_size=1, max_size=24))
+@example(s=0.01, ys=[5e-324, 1.0])
 @settings(max_examples=40, deadline=None)
 def test_profile_and_first_derivative_on_extreme_abscissae(s, ys):
     # psi lies in [0, 1] on every abscissa, 0 and negatives included, and
     # psi_s' is finite and <= 0 wherever its size fits a double: below
     # s = 1/2 it grows like d_s y^(2s-1) toward the origin, past the
-    # double range at the smallest subnormals
+    # double range at the smallest subnormals, where it is a named overflow
     ys = np.array(ys)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         vals = psi(s, np.concatenate((ys, -ys, [0.0])))
         if s < 0.5:
             size = math.log(trace_constant(s)) + (2.0 * s - 1.0) * np.log(ys)
-            ys = ys[size < math.log(sys.float_info.max) - 1.0]
+            top = math.log(sys.float_info.max)
+            for y in ys[size > top + 1.0]:
+                with pytest.raises(ValueError, match="overflows"):
+                    psi_deriv(s, y, 1)
+            ys = ys[size < top - 1.0]
         slopes = psi_deriv(s, ys, 1)
     assert np.all((vals >= 0.0) & (vals <= 1.0))
     assert np.all(np.isfinite(slopes) & (slopes <= 0.0))
@@ -744,9 +749,32 @@ def test_first_derivative_is_zero_at_infinity(s):
     assert _bits(got[0]) == _bits(psi_deriv(s, 1.0, 1)) and got[1] == 0.0
 
 
+@pytest.mark.parametrize("k", [1.5, math.nan, math.inf])
+def test_psi_deriv_refuses_an_order_that_is_not_whole(k):
+    # int(k) truncated 1.5 to 1
+    with pytest.raises(ValueError, match=rf"order k must be a whole number, "
+                                         rf"got k={k}"):
+        psi_deriv(0.5, 1.0, k)
+
+
+def test_first_derivative_beyond_the_double_range_is_a_named_overflow():
+    # |psi_s'| ~ d_s y^(2s-1) leaves the double range at subnormal y below
+    # s = 1/2: -inf with "overflow encountered in exp" before
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError,
+                           match=r"psi_deriv\(s=0\.01, k=1\) overflows"):
+            psi_deriv(0.01, 5e-324, 1)
+        with pytest.raises(ValueError, match="overflows"):
+            psi_deriv(0.01, np.array([1.0, 5e-324]), 1)
+
+
 def test_psi_deriv_admissible_range():
+    # order 0 is psi itself
+    y = np.geomspace(1e-3, 60.0, 50)
+    assert _bits(psi_deriv(1.5, y, 0)) == _bits(psi(1.5, y))
     with pytest.raises(ValueError):
-        psi_deriv(1.5, 1.0, 0)
+        psi_deriv(1.5, 1.0, -1)
     with pytest.raises(ValueError):
         psi_deriv(0.5, -1.0, 1)
     with pytest.raises(ValueError):
@@ -800,6 +828,14 @@ def test_fourier_side_refuses_a_nonpositive_order():
         psi_fourier(-1, 0)
     with pytest.raises(ValueError, match="seminorm_sq requires s > 0"):
         seminorm_sq(0, 0.1)
+
+
+def test_fourier_side_refuses_an_infinite_order():
+    # both returned NaN
+    with pytest.raises(ValueError, match="psi_fourier requires s > 0.*inf"):
+        psi_fourier(math.inf, 1.0)
+    with pytest.raises(ValueError, match="seminorm_sq requires s > 0.*inf"):
+        seminorm_sq(math.inf, 0.0)
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])

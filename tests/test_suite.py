@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fracext import extension, suite
+from fracext import special, suite
 from fracext.special import trace_constant
 from fracext.spectral import ModalVector, apply_power
 from fracext.suite import CheckFailure, RunConfig, run_checks
@@ -134,8 +134,8 @@ def test_nonexpansive_reports_the_largest_ratio_of_norms(x):
 
 
 def test_nonexpansive_fails_on_a_column_above_the_data_norm(monkeypatch):
-    # the fault goes into the profile that extend reads
-    monkeypatch.setattr(extension, "psi",
+    # the fault goes into the profile that the curve builder reads
+    monkeypatch.setattr(special, "psi",
                         lambda s, y: np.full(np.shape(y), 1.0 + 1e-9))
     (report,) = _restricted(0.5, ["nonexpansive"])
     assert not report.passed

@@ -202,6 +202,21 @@ def test_mode_energy_errors():
         mode_energy(PsiProfile(2.5), 1.0, 7, 0.0)  # too many powers
 
 
+@pytest.mark.parametrize("k", [1.5, math.nan, math.inf])
+def test_mode_energy_refuses_an_order_that_is_not_whole(k):
+    # 1.5 % 2 is odd and 1.5 // 2 is 0: the k = 1 energy, 2.0
+    with pytest.raises(ValueError, match=rf"order k must be a whole number, "
+                                         rf"got k={k}"):
+        mode_energy(PsiProfile(0.5), 1.0, k, 0.0)
+
+
+@pytest.mark.parametrize("lam", [math.inf, np.array([1.0, math.inf])])
+def test_mode_energy_refuses_an_infinite_eigenvalue(lam):
+    # lam = inf gave NaN
+    with pytest.raises(ValueError, match=r"lam > 0 and finite, got lam=.*inf"):
+        mode_energy(PsiProfile(0.5), lam, 1, 0.0)
+
+
 def test_curve_energy_single_mode_reduces_to_mode_energy():
     u = ModalVector(np.array([2.0]), explicit_spectrum([1.0]))
     curve = extend(u, 0.5)
@@ -221,12 +236,15 @@ def test_curve_energy_isometry():
 def test_curve_energy_embedding_ordering():
     spec = explicit_spectrum([1.0, 4.0])
     u = ModalVector(np.array([1.0, 0.5]), spec)
-    curve = extend(u, 2.5)
     lam1 = 1.0
+
+    def energy(k):  # the curve energy of extend(u, 2.5) at order k, b = 0
+        return float(u.coeffs ** 2
+                     @ mode_energy(PsiProfile(2.5), spec.eigenvalues, k, 0.0))
+
     for k in (2, 3):
         for j in range(1, k):
-            assert curve_energy(curve, k, 0.0) >= \
-                lam1 ** (k - j) * curve_energy(curve, j, 0.0) * (1 - 1e-12)
+            assert energy(k) >= lam1 ** (k - j) * energy(j) * (1 - 1e-12)
 
 
 def test_curve_energy_trace_continuity():
