@@ -50,13 +50,14 @@ depends only on its route, that is on y: a value comes out the same bits
 in every call.  Each climb also forms the companion, the profile at the
 order of ``psi_s'`` (s - 1 above 1, 1 - s below, 0 at s = 1; DLMF
 10.29.1), one rung before the top or off the base pair, and ``psi``
-remembers the last one, keyed by the climb's order and the abscissae.
-``psi_s'`` takes its profile from the climb to s, so a curve and its
-first derivative on one array make one kernel evaluation and one climb
-at every order, and it keeps psi's rules: the ceiling at s and 0 at
-+inf.  A direct ``psi`` call at the companion's order returns a copy of
-it only where a cold call there would take the same pair: always above
-1/2, and below 1/2 when ``1 - (1 - s)`` rounds back to s.
+remembers the last one, keyed by the profile it holds: its order, the
+``mu`` of its kernel pair and the abscissae.  ``psi_s`` is read under
+``(s, mu(s))`` and the profile of ``psi_s'`` under the order of
+``psi_s'`` and ``mu(s)``, so a curve and its first derivative on one
+array make one kernel evaluation and one climb at every order, and
+``psi_s'`` keeps psi's rules: the ceiling at s and 0 at +inf.  A hit has
+the bits of a cold call, which takes the same pair and the same float
+factor on it.
 ``e^{-y} = 2^{-k} e^{-r}`` is applied with int32 exponents ``k``, which
 keep ``np.ldexp`` on its vector loop.
 """
@@ -393,9 +394,10 @@ def _check_profile_order(s):
     return s
 
 
-def _on_abscissae(y, positive):
+def _on_abscissae(y, positive, origin=1.0):
     """A profile on y, scalar or array, from ``positive`` on a 1-d array of
-    finite y > 0: 1 at the origin, even, 0 at +-inf and NaN at NaN."""
+    finite y > 0: ``origin`` at the origin, even, 0 at +-inf and NaN at
+    NaN."""
     y = np.asarray(y, dtype=float)
     # the common case, every point finite and positive, needs no mask and
     # no |y| copy (a NaN fails the first test)
@@ -403,7 +405,7 @@ def _on_abscissae(y, positive):
         out = positive(y.ravel()).reshape(y.shape)
     else:
         ay = np.abs(y)
-        out = np.where(ay == 0.0, 1.0, np.where(ay > 0.0, 0.0, np.nan))
+        out = np.where(ay == 0.0, origin, np.where(ay > 0.0, 0.0, np.nan))
         pos = (ay > 0.0) & (ay < math.inf)
         if pos.any():
             out[pos] = positive(ay[pos])
@@ -419,7 +421,7 @@ def psi(s: float, y):
     per unit of order, so s above 1e5 raises ``ValueError``.
     """
     s = _check_profile_order(s)
-    return _on_abscissae(y, lambda ay: _psi_positive(s, ay))
+    return _on_abscissae(y, lambda ay: _profile(s, ay))
 
 
 def _base(s):
@@ -429,39 +431,26 @@ def _base(s):
     return g, -min(g, 1.0 - g)
 
 
-# the companion of the last climb, (climbed order, direct order,
-# abscissae, profile), or None before the first climb: one entry is
-# enough, as no profile call falls between a curve and its derivative.
-# The direct order is the companion's order where a cold ``psi`` call
-# there takes the same kernel pair, else None
+# the companion of the last climb, (order, mu, abscissae, profile), or
+# None before the first climb: the profile at ``order`` from the kernel
+# pair at ``mu``.  One entry is enough, as no profile call falls between a
+# curve and its derivative
 _companion = None
 
 
-def _remembered(y, climbed=None, direct=None):
-    """The remembered companion on abscissae equal to y, of the climb to
-    the order ``climbed`` or else at the direct order ``direct``; None on
-    a miss."""
+def _profile(s, y, first_deriv=False):
+    """psi_s on a 1-d array of finite y > 0, or with ``first_deriv`` the
+    profile of psi_s' as the climb to s forms it: a copy of the remembered
+    companion, or the companion itself, read-only, where it holds that
+    profile, else a climb to s."""
+    order = _first_deriv_order(s) if first_deriv else s
     entry = _companion  # one read: another thread may replace the entry
     if entry is not None:
-        c_order, d_order, key, companion = entry
-        if ((c_order == climbed if direct is None else d_order == direct)
-                and key.shape == y.shape and (key == y).all()):
-            return companion
-    return None
-
-
-def _psi_positive(s, y):
-    """psi_s on a 1-d array of finite y > 0, a copy of the remembered
-    companion where it holds that profile."""
-    hit = _remembered(y, direct=s)
-    return hit.copy() if hit is not None else _climb(s, y)[0]
-
-
-def _first_deriv_profile(s, y):
-    """The profile at ``_first_deriv_order(s)`` on a 1-d array of finite
-    y > 0, as the climb to s forms it: read-only where remembered."""
-    hit = _remembered(y, climbed=s)
-    return hit if hit is not None else _climb(s, y)[1]
+        key = entry[2]
+        if (entry[:2] == (order, _base(s)[1]) and key.shape == y.shape
+                and (key == y).all()):
+            return entry[3] if first_deriv else entry[3].copy()
+    return _climb(s, y)[1 if first_deriv else 0]
 
 
 def _climb(s, y):
@@ -532,8 +521,7 @@ def _climb(s, y):
     for out, cut in zip(outs, cuts):
         out[y >= cut] = 0.0
     outs[1].flags.writeable = False
-    direct = order if _base(order)[1] == mu else None
-    _companion = (s, direct, y.copy(), outs[1])
+    _companion = (order, mu, y.copy(), outs[1])
     return outs
 
 
@@ -657,7 +645,8 @@ def _term_derivative(term, lam):
 
 
 def _psi_first_deriv(s, y):
-    """psi_s' on y > 0, with psi's order ceiling at s and 0 at +inf."""
+    """psi_s' on y >= 0, with psi's order ceiling at s and 0 at +inf; at 0
+    the right limit, 0 above s = 1/2 and -1 at it (psi_{1/2} = e^{-y})."""
     s = _check_profile_order(s)
     coef, expo, order = _first_deriv_factors(s)
     cut = 2.0 * order + 2000.0  # psi_order is 0 from there (``_climb``)
@@ -678,10 +667,10 @@ def _psi_first_deriv(s, y):
             if np.isinf(out[big]).any():
                 raise ValueError(f"psi_deriv(s={s}, k=1) overflows: the "
                                  f"result must be finite")
-        out *= _first_deriv_profile(s, ay)
+        out *= _profile(s, ay, first_deriv=True)
         return out
 
-    return _on_abscissae(y, positive)
+    return _on_abscissae(y, positive, -1.0 if s == 0.5 else 0.0)
 
 
 def _whole_order(k, what):
@@ -703,12 +692,14 @@ def psi_deriv(s: float, y, order: int):
         psi_s^{(k)} = sum_{l=0}^{m} C(m, l) (-1)^l g_l psi_{s-l}^{(r)},
 
     with the closed-form first derivative for r = 1, whose profile comes
-    from the climb to s - l.  ``y`` may be a scalar or an array of positive
-    abscissae (order 0, psi itself, also takes y = 0); every term is one
-    profile evaluation on the whole array.  Admissible k: 0 and 1 always;
-    otherwise m <= floor(s), where the top odd order 2 floor(s) + 1 also
-    needs frac(s) >= 1/2.  Beyond that range the derivatives are unbounded
-    near the origin.
+    from the climb to s - l.  ``y`` may be a scalar or an array of
+    abscissae y >= 0; every term is one profile evaluation on the whole
+    array.  At y = 0 the value is the right limit: every psi_v(0) is 1 and
+    psi_v'(0+) is 0 for v > 1/2 and -1 at v = 1/2.  Admissible k: 0 and 1
+    always; otherwise m <= floor(s), where the top odd order 2 floor(s) + 1
+    also needs frac(s) >= 1/2.  Beyond that range the derivatives are
+    unbounded near the origin, as psi_s' is for s < 1/2, where y = 0 is
+    refused.
     """
     s = _check_noninteger_order(s)
     order = _whole_order(order, "derivative")
@@ -722,8 +713,11 @@ def psi_deriv(s: float, y, order: int):
             f"or 1, or order // 2 <= floor(s) with frac(s) >= 1/2 at order "
             f"2 floor(s) + 1")
     y = np.asarray(y, dtype=float)
-    if np.any(y < 0.0) or (order and np.any(y == 0.0)):
-        raise ValueError(f"psi_deriv requires y > 0, got min {np.min(y)}")
+    if np.any(y < 0.0):
+        raise ValueError(f"psi_deriv requires y >= 0, got min {np.min(y)}")
+    if order == 1 and s < 0.5 and np.any(y == 0.0):
+        raise ValueError(f"psi_deriv(s={s}, k=1) is unbounded at y = 0: "
+                         f"psi_s'(y) ~ -d_s y^(2s-1) below s = 1/2")
     if y.ndim == 0:
         y = float(y)
     f = _psi_first_deriv if r else psi

@@ -46,6 +46,7 @@ import numpy as np
 from .special import (
     FracParams,
     _apply_operator_power,
+    _check_profile_order,
     _m_b,
     _psi_l2_sq,
     _Term,
@@ -526,6 +527,10 @@ def psi_fourier_numeric(s: float, xi: float) -> float:
     up to the profile's tail.  At large order and xi > 0 the cosine sum
     cancels: the transform is (1 + xi^2)^{-s-1/2} of its xi = 0 value, about
     2e-15 of it at s = 20.5, xi = 2, and the result is off by 8e-2 there."""
+    s = _check_profile_order(s)
+    if not math.isfinite(xi):
+        raise ValueError(f"psi_fourier_numeric requires a finite frequency "
+                         f"xi, got {xi}")
     xi = abs(float(xi))
     upper = _profile_tail(s)
     # resolve the oscillation: enough cells for a few panels per wavelength
@@ -568,8 +573,8 @@ def fourier_isometry(u: ModalVector, s: float, sigma: float = 0.0,
     """
     if (alpha is None) == (b is None):
         raise ValueError("pass exactly one of alpha (Sobolev) or b (weighted)")
-    if not s > 0:
-        raise ValueError("fourier_isometry needs s > 0")
+    if not 0.0 < s < math.inf:
+        raise ValueError(f"fourier_isometry needs s > 0 and finite, got s={s}")
     _check_kernel_use(u, "fourier_isometry")
     norm_sq = sobolev_norm(u, sigma) ** 2
 

@@ -94,6 +94,32 @@ def test_extend_is_u_where_the_abscissa_underflows():
     assert values[2] == 3.0 * psi(0.3, math.sqrt(1e-320) * 0.1)
 
 
+def test_derivative_curve_is_finite_where_the_abscissa_underflows():
+    # psi_deriv refused the y = 0 of sqrt(1e-320) y at every k >= 1, so the
+    # derivative curve was refused where extend returns u
+    u = ModalVector(np.array([3.0]), explicit_spectrum([1e-320]))
+    grid = np.array([1e-300, 1e-200, 0.1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = derivative_curve(u, 1.3, 1, grid).values[0]
+    assert np.all(np.isfinite(values))
+    assert values[0] == values[1] == 0.0 and values[2] < 0.0
+
+
+@pytest.mark.parametrize("s, k", [(1.3, 1), (1.3, 2), (0.5, 1), (1.5, 3),
+                                  (2.5, 5)])
+def test_derivative_curve_is_the_limit_where_the_abscissa_underflows(s, k):
+    # sqrt(1e-100) y underflows to 0 on the first two points, where the
+    # curve takes the right limit of psi_s^(k) at 0
+    u = ModalVector(np.array([3.0]), explicit_spectrum([1e-100]))
+    grid = np.array([1e-300, 1e-290, 0.1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = derivative_curve(u, s, k, grid).values[0]
+    want = 3.0 * 1e-50 ** k * psi_deriv(s, np.array([0.0, 0.0, 1e-51]), k)
+    np.testing.assert_allclose(values, want, rtol=1e-14, atol=0.0)
+
+
 @pytest.mark.parametrize("k", [1.5, math.nan, math.inf])
 def test_derivative_curve_refuses_an_order_that_is_not_whole(k):
     # int(k) truncated 1.5 to 1, and the curve came back as psi' scaled by

@@ -202,8 +202,11 @@ def test_psi_deriv_array_matches_scalar():
         ref = np.array([[psi_deriv(s, float(y), k) for y in row]
                         for row in ys])
         np.testing.assert_allclose(vals, ref, rtol=1e-14, atol=0.0)
-    with pytest.raises(ValueError):
-        psi_deriv(1.5, np.array([1.0, 0.0]), 1)
+    # y = 0 takes the right limit, 0 for psi_{1.5}', and y < 0 is refused
+    got = psi_deriv(1.5, np.array([1.0, 0.0]), 1)
+    assert _bits(got) == _bits([psi_deriv(1.5, 1.0, 1), 0.0])
+    with pytest.raises(ValueError, match=r"requires y >= 0, got min -1\.0"):
+        psi_deriv(1.5, np.array([1.0, -1.0]), 1)
 
 
 def _taylor_remainder_mp(s, y, k):
@@ -320,19 +323,26 @@ def test_psi_does_not_depend_on_earlier_calls(monkeypatch):
     for s in orders:
         monkeypatch.setattr(special, "_companion", None)
         cold[s] = _bits(psi(s, ys))
+    climbed = []
+    climb = special._climb
+    monkeypatch.setattr(special, "_climb",
+                        lambda s, y: climbed.append(s) or climb(s, y))
     rng = np.random.default_rng(3)
     for _ in range(6):
         for s in rng.permutation(orders):
             assert _bits(psi(s, ys)) == cold[s], s
-    # and the remembered companion is exactly the recomputed one: a cold
-    # call at its order where that takes the same kernel pair, the
-    # companion of a cold climb to the same order in every case
-    climbed, direct, key, companion = special._companion
+    # and the remembered companion is exactly the recomputed one: the
+    # companion of a cold climb to the same order in every case, and a
+    # cold call at its order where that takes the same kernel pair
+    order, mu, key, companion = special._companion
+    last = climbed[-1]
+    assert (order, mu) == (special._first_deriv_order(last),
+                           special._base(last)[1])
     monkeypatch.setattr(special, "_companion", None)
-    assert _bits(companion) == _bits(special._climb(climbed, key.copy())[1])
-    if direct is not None:
+    assert _bits(companion) == _bits(climb(last, key.copy())[1])
+    if special._base(order)[1] == mu:
         monkeypatch.setattr(special, "_companion", None)
-        assert _bits(companion) == _bits(psi(direct, key.copy()))
+        assert _bits(companion) == _bits(psi(order, key.copy()))
 
 
 def test_kernel_memory_is_not_shared_with_the_caller(kernel_calls):
@@ -417,8 +427,11 @@ def test_companion_hit_has_the_bits_of_a_cold_call(s):
     cold = _bits(psi(order, ys)) if order > 0.0 else None
     special._companion = None
     psi(s, ys)
-    climbed, direct, key, companion = special._companion
-    assert climbed == s and not companion.flags.writeable
+    # the entry is keyed by the profile it holds: its order and the mu of
+    # the kernel pair it came from
+    held, mu, key, companion = special._companion
+    assert (held, mu) == (order, special._base(s)[1])
+    assert not companion.flags.writeable
     if order == 0.0:
         # s = 1: psi_1' has the order-0 profile, 0 as 1 / Gamma(0) is, and
         # no call is served it: psi refuses the order 0, psi_deriv the
@@ -431,19 +444,40 @@ def test_companion_hit_has_the_bits_of_a_cold_call(s):
             with pytest.raises(ValueError, match="non-integer"):
                 psi_deriv(s, ys, 1)
         return
-    if direct is None:
+    if special._base(order)[1] != mu:
         # 1 - s rounded onto another kernel pair: a direct call there
-        # climbs, and gives the bits of a cold call
+        # misses, climbs, and gives the bits of a cold call
         assert s < 1.0
-        assert special._base(order)[1] != special._base(s)[1]
         assert _bits(psi(order, ys)) == cold
         return
-    assert direct == order
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(special, "_climb", _no_climb)
         hit = psi(order, ys)
     assert hit.flags.writeable and hit is not companion
     assert _bits(hit) == cold
+
+
+@given(s=st.floats(1.0, 2.0, exclude_min=True, exclude_max=True))
+@example(s=1.3)
+@example(s=1.5)  # 2 - s = s - 1 = 1/2
+@example(s=1.7)
+@example(s=1.01)
+@example(s=1.99)
+@example(s=1.123456789)
+@settings(max_examples=30, deadline=None)
+def test_first_derivative_at_two_minus_s_reads_the_climb_to_s(s):
+    # psi_{2-s}' has the profile psi_{s-1}, which the climb to s keeps from
+    # the same kernel pair: 1 - (2 - s) = s - 1 exactly, and both orders
+    # take mu = -min(s - 1, 2 - s)
+    ys = np.concatenate((np.geomspace(1e-8, 3000.0, 400),
+                         2.0 * s + 2000.0 + np.array([-1.0, 0.0, 1.0])))
+    special._companion = None
+    cold = _bits(psi_deriv(2.0 - s, ys, 1))
+    special._companion = None
+    psi(s, ys)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(special, "_climb", _no_climb)
+        assert _bits(psi_deriv(2.0 - s, ys, 1)) == cold
 
 
 def test_exp_neg_scaling_is_exact_up_to_the_largest_cut():
@@ -767,6 +801,39 @@ def test_first_derivative_beyond_the_double_range_is_a_named_overflow():
             psi_deriv(0.01, 5e-324, 1)
         with pytest.raises(ValueError, match="overflows"):
             psi_deriv(0.01, np.array([1.0, 5e-324]), 1)
+
+
+@pytest.mark.parametrize("s, k, want", [
+    (1.3, 2, -1.0 / 0.6),  # 1 - g_1, g_1 = (s - 1/2) / (s - 1)
+    (1.5, 3, 2.0),  # -g_1 psi_{1/2}'(0+), psi_{1/2} = e^{-y}
+    (0.5, 1, -1.0),
+    (2.5, 5, -8.0 / 3.0),  # g_2 psi_{1/2}'(0+)
+    (0.7, 1, 0.0),  # psi_v'(0+) = 0 for v > 1/2
+    (2.5, 3, 0.0),
+    (3.4, 4, 1.0 - 2.0 * 2.9 / 2.4 + 2.9 * 1.9 / (2.4 * 1.4)),
+])
+def test_psi_deriv_at_the_origin_is_the_right_limit(s, k, want):
+    # every y = 0 was refused at k >= 1, also where the limit is finite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = psi_deriv(s, 0.0, k)
+        row = psi_deriv(s, np.array([0.0, 1.0]), k)
+    assert got == pytest.approx(want, rel=1e-13, abs=1e-300)
+    assert _bits(row) == _bits([got, psi_deriv(s, 1.0, k)])
+    # and the derivative tends to it
+    assert psi_deriv(s, 1e-300, k) == pytest.approx(want, rel=1e-12,
+                                                    abs=1e-100)
+
+
+@pytest.mark.parametrize("s", [0.3, 0.01, 0.4999999999])
+def test_first_derivative_below_one_half_is_unbounded_at_the_origin(s):
+    # psi_s' ~ -d_s y^(2s-1) for s < 1/2, the one admissible order without
+    # a finite limit at y = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"psi_deriv\(s={s}, k=1\) is "
+                                             rf"unbounded at y = 0"):
+            psi_deriv(s, np.array([1.0, 0.0]), 1)
 
 
 def test_psi_deriv_admissible_range():

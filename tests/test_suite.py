@@ -156,7 +156,9 @@ def test_curve_checks_make_one_kernel_evaluation_per_order(kernel_calls,
 def test_default_run_makes_at_most_37_kernel_evaluations(kernel_calls):
     # 56 before nonexpansive and commute shared one extend per order; a
     # memory keyed by the climbed order alone, which direct calls at the
-    # first-derivative order miss, made 45
+    # first-derivative order miss, made 45.  The memory is keyed by the
+    # order and kernel pair of the profile it holds: the run's 8 hits are
+    # psi calls at s = 1/2, the companion of the climb to 1/2
     reports = run_checks()
     assert len(reports) == 80 and all(r.passed for r in reports)
     assert len(kernel_calls) <= 37

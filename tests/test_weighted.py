@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -447,7 +448,10 @@ def test_xi_moment_refuses_a_divergent_power():
     ([1.0, 4.0], 0.0, 0.0, "needs s > 0"),
     ([1.0, 4.0], 0.5, 1.5, r"b must lie in \(-1, 1\)"),
     ([0.0, 1.0], 0.5, 0.0, "zero kernel coefficients"),
-], ids=["order", "weight", "kernel"])
+    # an infinite order reached the quadrature, which named its upper limit
+    ([1.0, 4.0], math.inf, 0.0, r"needs s > 0 and finite, got s=inf"),
+    ([1.0, 4.0], math.nan, 0.0, r"needs s > 0 and finite, got s=nan"),
+], ids=["order", "weight", "kernel", "infinite order", "nan order"])
 def test_fourier_isometry_refusals(eigenvalues, s, b, named):
     u = ModalVector(np.array([1.0, 1.0]), explicit_spectrum(eigenvalues))
     with pytest.raises(ValueError, match=named):
@@ -561,6 +565,22 @@ def test_psi_fourier_numeric_matches_closed_form():
         for xi in (0.0, 0.5, 2.0, 10.0):
             assert psi_fourier_numeric(s, xi) == pytest.approx(
                 psi_fourier(s, xi), rel=1e-7, abs=1e-12)
+
+
+@pytest.mark.parametrize("s, xi, named", [
+    (math.inf, 1.0, r"order 0 < s <= 100000, got inf"),
+    (0.5, math.inf, r"finite frequency xi, got inf"),
+    (0.5, -math.inf, r"finite frequency xi, got -inf"),
+    (0.5, math.nan, r"finite frequency xi, got nan"),
+])
+def test_psi_fourier_numeric_refuses_a_non_finite_order_or_frequency(s, xi,
+                                                                     named):
+    # the node count int(24 upper xi / pi) raised a bare OverflowError or
+    # "cannot convert float NaN to integer", naming neither input
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=named):
+            psi_fourier_numeric(s, xi)
 
 
 @pytest.mark.parametrize("s", [20.5, 100.5, 200.5])
