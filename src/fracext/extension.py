@@ -33,7 +33,7 @@ import numpy as np
 from .numdiff import apply_db, power_fit_limit
 from .special import (
     FracParams,
-    _apply_operator_power,
+    _collapse,
     _taylor_coeff,
     psi,
     psi_deriv,
@@ -285,19 +285,20 @@ def ode_residual(u: ModalVector, s: float, y):
     lam = u.spectrum.eigenvalues[mask].reshape((-1,) + (1,) * y.ndim)
     root = np.sqrt(lam)
     with np.errstate(over="ignore"):  # lam^floor(s) at large orders
-        term = _apply_operator_power(s, lam, params.b, params.floor_s)
-    _require_finite(f"ode_residual(s={s})", term.coef)
-    coef = np.asarray(term.coef)[..., None]  # over the stencil window axis
+        coef = _collapse(s, lam, params.floor_s)
+    _require_finite(f"ode_residual(s={s})", coef)
+    coef = np.asarray(coef)[..., None]  # over the stencil window axis
+    order = s - params.floor_s
     # step size: half-integer orders collapse to elementary exponential
     # profiles (derivatives bounded), so a wide stencil minimises roundoff;
     # otherwise the high derivatives grow like z^{2 frac(s) - k} toward the
     # origin and the stencil must both shrink and keep its distance
     scale = np.maximum(1.0, root / 2.0)
-    if abs(term.order - 0.5) < 1e-12:
+    if abs(order - 0.5) < 1e-12:
         h = np.minimum(0.04, y / 4.2) / scale
     else:
         h = np.minimum(0.01, y / 60.0) / scale
-    res = apply_db(lambda t: coef * psi(term.order, root[..., None] * t),
+    res = apply_db(lambda t: coef * psi(order, root[..., None] * t),
                    y, params.b, lam, h=h)
     with np.errstate(over="ignore"):
         norms = np.linalg.norm(res * u.coeffs[mask].reshape(lam.shape),

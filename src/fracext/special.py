@@ -608,40 +608,14 @@ def _first_deriv_factors(s):
     return -trace_constant(s), 2.0 * s - 1.0, order
 
 
-# internal algebra on terms coef * y^expo * psi_order(sqrt(lam) y); coef
-# holds one entry per mode when lam is an array of eigenvalues
-@dataclass(frozen=True)
-class _Term:
-    coef: float | np.ndarray
-    expo: float
-    order: float
-
-
-def _apply_operator_power(s, lam, b, m):
-    """(D_b + lam)^m applied to psi_{s,lam}, as a single analytic term:
-    lam^m (d_s / d_{s-m}) psi_{s-m,lam}, for the matched weight b and
-    m <= floor(s)."""
+def _collapse(s, lam, m):
+    """lam^m d_s / d_{s-m}, exactly 1.0 at m = 0: the coefficient of the
+    collapse (D_b + lam)^m psi_{s,lam} = lam^m (d_s / d_{s-m})
+    psi_{s-m,lam}, valid at the matched weight b and m <= floor(s), which
+    the caller owes.  ``lam`` is one eigenvalue or an array of them."""
     if m == 0:
-        return _Term(1.0, 0.0, s)
-    if abs(b - weight_exponent(s)) > 1e-12:
-        raise ValueError(
-            "analytic operator powers need the grid weight matched to the "
-            f"order: b={b} vs required {weight_exponent(s)}")
-    if m > math.floor(s):
-        raise ValueError(
-            f"(D_b+lam)^{m} of the order-{s} profile has no analytic "
-            f"collapse (need m <= floor(s))")
-    coef = lam ** m * trace_constant(s) / trace_constant(s - m)
-    return _Term(coef, 0.0, s - m)
-
-
-def _term_derivative(term, lam):
-    """d/dy of an expo-0 term, via the two first-derivative branches."""
-    if term.expo != 0.0:
-        raise ValueError("derivative only needed for pure profile terms")
-    coef, expo, order = _first_deriv_factors(term.order)
-    # the chain rule on psi(sqrt(lam) y) brings lam^{(1+expo)/2}
-    return _Term(term.coef * coef * lam ** (0.5 * (1.0 + expo)), expo, order)
+        return 1.0
+    return lam ** m * trace_constant(s) / trace_constant(s - m)
 
 
 def _psi_first_deriv(s, y):

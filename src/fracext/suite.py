@@ -32,7 +32,7 @@ from .extension import (
 )
 from .numdiff import power_fit_limit
 from .special import (
-    _apply_operator_power,
+    _collapse,
     psi,
     psi_fourier,
     psi_taylor_remainder,
@@ -154,8 +154,7 @@ def check_dtn(s, cfg):
     ys = np.array([1e-3, 5e-4, 2.5e-4])
     vals = (psi(g, np.sqrt(lam)[:, None] * ys) - 1.0) / ys ** (2.0 * g)
     limit = 2.0 * g * power_fit_limit(ys, vals.T, (2.0 - 2.0 * g, 2.0))
-    lift = _apply_operator_power(s, lam, 1.0 - 2.0 * g, math.floor(s))
-    got = lift.coef * limit * u.coeffs
+    got = _collapse(s, lam, math.floor(s)) * limit * u.coeffs
     return [report_equal(f"dtn(s={s}, mode={j + 1})", got[j], want[j], 1e-4)
             for j in range(len(u))]
 

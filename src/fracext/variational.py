@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special import FracParams, _apply_operator_power, _term_derivative, psi
+from .special import FracParams, _collapse, _first_deriv_factors, psi
 from .spectral import (
     ModalVector,
     _active_modes,
@@ -383,19 +383,21 @@ def orthogonality_check(u: ModalVector, s: float, v: ModalVector,
     b = params.b
     n = _ORTHOGONALITY_NODES
     # the profile side collapsed to floor(s) in {0, 1} operator powers
-    t = _apply_operator_power(s, lam, b, params.floor_s)
     if params.ceil_s == 1:
-        # gradient part: y^b psi' eta' has the weight exactly cancelled
-        grad = _term_derivative(t, lam)
+        # gradient part: y^b psi' eta' has the weight exactly cancelled;
+        # the chain rule on psi(sqrt(lam) y) brings lam^{(1+expo)/2}
+        coef, expo, order = _first_deriv_factors(s)
+        coef = coef * lam ** (0.5 * (1.0 + expo))
         grad_part = power_weighted_integral(
-            lambda y: grad.coef * psi(grad.order, root * y) * eta.d1(y),
-            b + grad.expo, _TAIL_SCALE, n)
+            lambda y: coef * psi(order, root * y) * eta.d1(y),
+            b + expo, _TAIL_SCALE, n)
         mass = power_weighted_integral(
             lambda y: psi(s, root * y) * eta.value(y), b, _TAIL_SCALE, n)
         per_mode = 2.0 * (grad_part + lam[:, 0] * mass)
     else:
+        coef = _collapse(s, lam, 1)
         per_mode = 2.0 * power_weighted_integral(
-            lambda y: t.coef * psi(t.order, root * y)
+            lambda y: coef * psi(s - 1.0, root * y)
             * (-eta.d2(y) - b * eta.d1_over_y(y) + lam * eta.value(y)),
             b, _TAIL_SCALE, n)
     lhs = float(u.coeffs[mask] * v.coeffs[mask] @ per_mode)

@@ -45,16 +45,16 @@ import numpy as np
 
 from .special import (
     FracParams,
-    _apply_operator_power,
     _check_profile_order,
+    _collapse,
+    _first_deriv_factors,
     _m_b,
     _psi_l2_sq,
-    _Term,
-    _term_derivative,
     _whole_order,
     psi,
     psi_fourier,
     seminorm_sq,
+    weight_exponent,
 )
 from .spectral import (
     ModalVector,
@@ -358,14 +358,14 @@ def _profile_l2_sq(order, beta):
                                    _profile_tail(order))
 
 
-def _term_l2b_sq(term, lam, b):
-    """int_R |y|^b |term|^2 dy (even integrand, so 2x half line) for one
-    eigenvalue lam or an array of them: z = sqrt(lam) y turns it into the
-    lam = 1 integral times lam^{-(beta+1)/2}, beta = b + 2 expo."""
-    beta = b + 2.0 * term.expo
+def _term_l2b_sq(coef, expo, order, lam, b):
+    """int_R |y|^b |coef y^expo psi_order(sqrt(lam) y)|^2 dy (2x the half
+    line) for one eigenvalue lam or an array of them: z = sqrt(lam) y turns
+    it into the lam = 1 integral times lam^{-(beta+1)/2}, beta = b + 2 expo."""
+    beta = b + 2.0 * expo
     # coef * coef, not coef ** 2: a float power raises OverflowError
-    return (2.0 * term.coef * term.coef * lam ** (-0.5 * (beta + 1.0))
-            * _profile_l2_sq(term.order, beta))
+    return (2.0 * coef * coef * lam ** (-0.5 * (beta + 1.0))
+            * _profile_l2_sq(order, beta))
 
 
 # ---------------------------------------------------------------------------
@@ -375,12 +375,17 @@ def _term_l2b_sq(term, lam, b):
 def _energy_parts(s, lam, k, b):
     """The gradient and zero-order parts of |psi_{s,lam}|^2_{lam, H^{k;b}}:
     for odd k, |d/dy (D_b+lam)^{(k-1)/2} psi|^2 and lam |(D_b+lam)^{(k-1)/2}
-    psi|^2, for even k, 0 and |(D_b+lam)^{k/2} psi|^2."""
-    t = _apply_operator_power(s, lam, b, k // 2)
+    psi|^2, for even k, 0 and |(D_b+lam)^{k/2} psi|^2, at the matched b."""
+    m = k // 2
+    coef = _collapse(s, lam, m)
+    zero = _term_l2b_sq(coef, 0.0, s - m, lam, b)
     if k % 2 == 0:
-        return 0.0, _term_l2b_sq(t, lam, b)
-    grad = _term_derivative(t, lam)
-    return _term_l2b_sq(grad, lam, b), lam * _term_l2b_sq(t, lam, b)
+        return 0.0, zero
+    # the chain rule on psi(sqrt(lam) y) brings lam^{(1+expo)/2}
+    d_coef, expo, order = _first_deriv_factors(s - m)
+    grad = _term_l2b_sq(coef * d_coef * lam ** (0.5 * (1.0 + expo)), expo,
+                        order, lam, b)
+    return grad, lam * zero
 
 
 def mode_energy(profile, lam, k: int, b: float):
@@ -399,7 +404,16 @@ def mode_energy(profile, lam, k: int, b: float):
     if k < 1:
         raise ValueError("energy order k must be >= 1")
     if isinstance(profile, PsiProfile):
-        grad, zero = _energy_parts(profile.s, lam, k, b)
+        s = profile.s
+        if k >= 2 and abs(b - weight_exponent(s)) > 1e-12:
+            raise ValueError(
+                "analytic operator powers need the grid weight matched to "
+                f"the order: b={b} vs required {weight_exponent(s)}")
+        if k // 2 > math.floor(s):
+            raise ValueError(
+                f"(D_b+lam)^{k // 2} of the order-{s} profile has no "
+                f"analytic collapse (need m <= floor(s))")
+        grad, zero = _energy_parts(s, lam, k, b)
         return grad + zero
     if k != 1:
         raise ValueError(
@@ -514,10 +528,9 @@ def parts_check(s: float, eta, b: float | None = None) -> CheckReport:
             "with the matched weight exponent")
     lhs = 2.0 * power_weighted_integral(
         lambda y: db_psi(y) * eta.value(y), b, upper) + flux
-    grad = _term_derivative(_Term(1.0, 0.0, s), 1.0)
+    coef, expo, order = _first_deriv_factors(s)
     rhs = 2.0 * power_weighted_integral(
-        lambda y: grad.coef * psi(grad.order, y) * eta.d1(y),
-        b + grad.expo, upper)
+        lambda y: coef * psi(order, y) * eta.d1(y), b + expo, upper)
     return report_equal(f"parts_check(s={s}, b={b})", lhs, rhs, 1e-6,
                         abs_tol=1e-10)
 
@@ -583,7 +596,7 @@ def fourier_isometry(u: ModalVector, s: float, sigma: float = 0.0,
             raise ValueError("b must lie in (-1, 1)")
         mask = _active_modes(u)
         lam = u.spectrum.eigenvalues[mask]
-        parts = _term_l2b_sq(_Term(1.0, 0.0, s), lam, b)
+        parts = _term_l2b_sq(1.0, 0.0, s, lam, b)
         lhs = float(lam ** (sigma + 0.5 * (1.0 + b)) * u.coeffs[mask] ** 2
                     @ parts)
         rhs = 2.0 * _psi_l2_sq(s, b) * norm_sq

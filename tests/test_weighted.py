@@ -13,9 +13,6 @@ from fracext.spectral import ModalVector, explicit_spectrum, sobolev_norm
 from fracext.extension import extend, trace0
 from fracext.special import (
     FracParams,
-    _apply_operator_power,
-    _Term,
-    _term_derivative,
     psi,
     trace_constant,
 )
@@ -197,9 +194,11 @@ def test_mode_energy_errors():
         mode_energy(PsiProfile(0.5), -1.0, 1, 0.0)
     with pytest.raises(ValueError):
         mode_energy(GaussianBump(), 1.0, 2, 0.0)  # sampled profile, k >= 2
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"grid weight matched to the "
+                                         r"order: b=0\.3 vs required 0\.0"):
         mode_energy(PsiProfile(2.5), 1.0, 2, 0.3)  # mismatched weight
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"\(D_b\+lam\)\^3 of the order-2\.5 "
+                                         r"profile has no analytic collapse"):
         mode_energy(PsiProfile(2.5), 1.0, 7, 0.0)  # too many powers
 
 
@@ -332,22 +331,32 @@ def test_batched_mode_integrals_equal_single_mode_sums():
 # scaled lam = 1 integrals against each mode's own grid
 
 
-def _l2b_sq_on_mode_grid(term, lam, b, n):
-    """The per-mode route: int_R |y|^b |term|^2 on the grid of
-    [0, 45/sqrt(lam)]."""
+def _l2b_sq_on_mode_grid(coef, expo, order, lam, b, n):
+    """The per-mode route: int_R |y|^b |coef y^expo psi_order(sqrt(lam) y)|^2
+    on the grid of [0, 45/sqrt(lam)]."""
     root = math.sqrt(lam)
-    nodes, weights = _cells_geometric(b + 2.0 * term.expo, 45.0 / root, n)
-    return 2.0 * term.coef ** 2 * float(
-        weights @ psi(term.order, root * nodes) ** 2)
+    nodes, weights = _cells_geometric(b + 2.0 * expo, 45.0 / root, n)
+    return 2.0 * coef ** 2 * float(weights @ psi(order, root * nodes) ** 2)
 
 
 def _energy_on_mode_grid(profile, lam, k, b, n=1024):
     if isinstance(profile, PsiProfile):
-        t = _apply_operator_power(profile.s, lam, b, k // 2)
+        # the closed forms written out: (D_b + lam)^m psi_{s,lam} =
+        # lam^m (d_s / d_{s-m}) psi_{s-m,lam}, and psi_v' = -y psi_{v-1} /
+        # (2(v-1)) above v = 1, -d_v y^{2v-1} psi_{1-v} below
+        m = k // 2
+        v = profile.s - m
+        coef = lam ** m * trace_constant(profile.s) / trace_constant(v)
+        zero = _l2b_sq_on_mode_grid(coef, 0.0, v, lam, b, n)
         if k % 2 == 0:
-            return _l2b_sq_on_mode_grid(t, lam, b, n)
-        return (_l2b_sq_on_mode_grid(_term_derivative(t, lam), lam, b, n)
-                + lam * _l2b_sq_on_mode_grid(t, lam, b, n))
+            return zero
+        if v > 1.0:
+            slope, expo, order = -1.0 / (2.0 * (v - 1.0)), 1.0, v - 1.0
+        else:
+            slope, expo, order = -trace_constant(v), 2.0 * v - 1.0, 1.0 - v
+        # the chain rule on psi(sqrt(lam) y) brings lam^{(1+expo)/2}
+        grad = coef * slope * lam ** (0.5 * (1.0 + expo))
+        return _l2b_sq_on_mode_grid(grad, expo, order, lam, b, n) + lam * zero
     root = math.sqrt(lam)
     nodes, weights = _cells_geometric(b, 45.0 / root, n)
     z = root * nodes
@@ -379,8 +388,7 @@ def test_scaled_integrals_match_per_mode_grids():
             sigma = 0.3
             close(fourier_isometry(_on(lam, u0), s, sigma=sigma, b=b).lhs,
                   sum(lam[j] ** (sigma + 0.5 * (1.0 + b)) * u0[j] ** 2
-                      * _l2b_sq_on_mode_grid(_Term(1.0, 0.0, s), lam[j], b,
-                                             1024)
+                      * _l2b_sq_on_mode_grid(1.0, 0.0, s, lam[j], b, 1024)
                       for j in np.flatnonzero(active)))
     for b in (-0.5, 0.0, 0.4):
         close(mode_energy(GaussianBump(0.7), positive, 1, b),
