@@ -267,6 +267,9 @@ def _cmd_verify(args):
 
 
 def _cmd_minimize(args):
+    if args.negative_order and args.dump_profile:
+        raise UsageError("--dump-profile writes the positive-order minimiser "
+                         "and does not combine with --negative-order")
     spectrum, _ = _parse_operator(args.op)
     u = _parse_vector(args.u, spectrum)
     s = _parse_order(args.s)

@@ -35,6 +35,7 @@ from .special import (
     FracParams,
     _collapse,
     _taylor_coeff,
+    _whole_order,
     psi,
     psi_deriv,
 )
@@ -253,11 +254,12 @@ def taylor_expand(u: ModalVector, s: float, k: int) -> list:
         P_s[u](y) = sum_m T_m y^{2m} + o(y^{2k}),
         T_0 = u,   T_m = (-1)^m Gamma(s-m) / (Gamma(s) 2^{2m} m!) L^m u.
 
-    Requires s > 1 and k <= floor(s).
+    Requires s > 1 and a whole k <= floor(s).
     """
     params = FracParams.from_order(s)
     if params.floor_s < 1:
         raise ValueError(f"taylor_expand needs s > 1, got s={s}")
+    k = _whole_order(k, "expansion")
     if not 1 <= k <= params.floor_s:
         raise ValueError(f"expansion order k={k} outside 1..floor(s)")
     terms = [ModalVector(u.coeffs.copy(), u.spectrum)]

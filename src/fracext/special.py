@@ -714,11 +714,15 @@ def psi_taylor_remainder(s: float, y: float, k: int) -> float:
     small y never happens in floating point.  The analytic-series terms of
     order m <= k equal the Taylor terms, since (1-s)_m = (-1)^m Gamma(s) /
     Gamma(s-m), so the remainder is the analytic tail from m = k+1 plus the
-    singular branch.  Requires 0 <= k <= floor(s).
+    singular branch.  Requires a whole 0 <= k <= floor(s) and a finite y.
     """
     s = _check_noninteger_order(s)
+    k = _whole_order(k, "remainder")
     if not 0 <= k <= math.floor(s):
         raise ValueError(f"remainder order k={k} outside 0..floor(s)")
+    if not math.isfinite(y):
+        raise ValueError(f"psi_taylor_remainder requires a finite y, "
+                         f"got y={y}")
     t = 0.25 * y * y
     term = 1.0
     total = 0.0

@@ -544,10 +544,16 @@ def psi_fourier_numeric(s: float, xi: float) -> float:
     if not math.isfinite(xi):
         raise ValueError(f"psi_fourier_numeric requires a finite frequency "
                          f"xi, got {xi}")
-    xi = abs(float(xi))
     upper = _profile_tail(s)
-    # resolve the oscillation: enough cells for a few panels per wavelength
-    n = max(_DEFAULT_NODES, int(24 * upper * max(xi, 1.0) / math.pi))
+    # resolve the oscillation: enough cells for a few panels per wavelength,
+    # counted as a float, which may be inf, before any int()
+    nodes = 24.0 * upper * max(abs(float(xi)), 1.0) / math.pi
+    if nodes > 2.0 ** 18:
+        raise ValueError(f"psi_fourier_numeric(s={s}, xi={xi}) needs "
+                         f"{nodes:.3g} quadrature nodes, above the ceiling "
+                         f"of 2^18")
+    xi = abs(float(xi))
+    n = max(_DEFAULT_NODES, int(nodes))
     return math.sqrt(2.0 / math.pi) * power_weighted_integral(
         lambda y: np.cos(xi * y) * psi(s, y), 0.0, upper, n)
 

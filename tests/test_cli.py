@@ -903,6 +903,34 @@ def test_minimize_profile_dump_needs_a_positive_eigenvalue(tmp_path,
     assert not dump.exists()
 
 
+@pytest.mark.parametrize("via", ["flags", "config"])
+def test_minimize_negative_order_with_a_profile_dump_is_usage_error(
+        tmp_path, capsys, monkeypatch, via):
+    # the dump belongs to the positive-order problem: the pair used to
+    # write nothing and exit 0; it is refused before any FE solve
+    def unreachable(*args, **kwargs):
+        raise AssertionError("an FE solve ran")
+
+    for name in ("minimize_curve", "minimize_negative", "minimize_profile"):
+        monkeypatch.setattr(cli, name, unreachable)
+    dump = tmp_path / "profile.csv"
+    argv = ("minimize", "--op", "dirichlet:pi:3", "--u", "1,1,1", "--s", "0.5")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if via == "flags":
+            code, out, err = run_cli(capsys, *argv, "--negative-order",
+                                     "--dump-profile", str(dump))
+        else:
+            code, out, err = run_config(
+                tmp_path, capsys,
+                {"negative-order": True, "dump-profile": str(dump)}, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error") and err.count("\n") == 1
+    assert "--negative-order" in err and "--dump-profile" in err
+    assert not dump.exists()
+
+
 def test_minimize_profile_dump_evaluates_the_profile_once(
         tmp_path, capsys, monkeypatch):
     # the closed-form column is one array call, not one call per mesh node

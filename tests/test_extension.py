@@ -367,6 +367,29 @@ def test_taylor_validation():
         taylor_expand(one_mode(), 2.5, 3)
 
 
+def test_taylor_expand_takes_a_whole_float_order():
+    # k = 2.0 raised "TypeError: 'float' object cannot be interpreted as an
+    # integer" from range(); it is the order 2, with the same bits
+    u = ModalVector(np.array([0.7, -0.2]), explicit_spectrum([1.0, 4.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = taylor_expand(u, 2.5, 2.0)
+    want = taylor_expand(u, 2.5, 2)
+    assert len(got) == len(want) == 3
+    for g, w in zip(got, want):
+        assert np.array_equal(g.coeffs, w.coeffs)
+
+
+@pytest.mark.parametrize("k", [1.5, math.nan, math.inf])
+def test_taylor_expand_refuses_an_order_that_is_not_whole(k):
+    # 1.5 raised the same TypeError, which named no input
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"expansion order k must be a "
+                                             rf"whole number, got k={k}"):
+            taylor_expand(one_mode(), 2.5, k)
+
+
 # ---------------------------------------------------------------------------
 # ODE residual
 

@@ -1047,6 +1047,35 @@ def test_taylor_remainder_series_route():
         psi_taylor_remainder(2.5, 0.1, 3)
 
 
+def test_taylor_remainder_takes_a_whole_float_order():
+    # k = 2.0 raised "TypeError: 'float' object cannot be interpreted as an
+    # integer" from range(); it is the order 2, with the same bits
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for y in (0.0, 0.1, 1.0):
+            assert (psi_taylor_remainder(2.5, y, 2.0)
+                    == psi_taylor_remainder(2.5, y, 2))
+
+
+@pytest.mark.parametrize("k", [1.5, math.nan])
+def test_taylor_remainder_refuses_an_order_that_is_not_whole(k):
+    # 1.5 raised the same TypeError, which named no input
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"remainder order k must be a "
+                                             rf"whole number, got k={k}"):
+            psi_taylor_remainder(2.5, 0.1, k)
+
+
+@pytest.mark.parametrize("y", [math.nan, math.inf, -math.inf])
+def test_taylor_remainder_refuses_a_non_finite_abscissa(y):
+    # returned NaN without a word
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"finite y, got y={y}"):
+            psi_taylor_remainder(2.5, y, 1)
+
+
 @pytest.mark.parametrize("s,k", [(0.3, 0), (1.5, 1), (2.5, 2), (3.7, 0)])
 def test_taylor_remainder_vanishes_at_the_origin(s, k):
     # psi_s(0) = 1 is the constant Taylor term: nothing remains at y = 0

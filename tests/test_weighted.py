@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 import warnings
 
 import mpmath
@@ -589,6 +590,41 @@ def test_psi_fourier_numeric_refuses_a_non_finite_order_or_frequency(s, xi,
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=named):
             psi_fourier_numeric(s, xi)
+
+
+@pytest.mark.parametrize("xi, nodes", [(1e6, "3.44e+08"), (-1e6, "3.44e+08"),
+                                       (1e307, "inf")])
+def test_psi_fourier_numeric_refuses_a_frequency_past_its_node_ceiling(
+        monkeypatch, xi, nodes):
+    # int(24 upper xi / pi) asked for 3.4e8 nodes at xi = 1e6, gigabytes of
+    # temporaries, and raised a bare OverflowError at xi = 1e307; the
+    # quadrature must not be reached
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the quadrature ran")
+
+    monkeypatch.setattr("fracext.weighted.power_weighted_integral",
+                        unreachable)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(
+                f"s=0.5, xi={xi!r}) needs {nodes} quadrature nodes, above "
+                f"the ceiling of 2^18")):
+            psi_fourier_numeric(0.5, xi)
+
+
+def test_psi_fourier_numeric_below_its_node_ceiling_reaches_the_quadrature(
+        monkeypatch):
+    # at upper = 45 the ceiling of 2^18 nodes admits xi up to about 762
+    asked = []
+
+    def stub(g, beta, upper, n):
+        asked.append((upper, n))
+        return 0.0
+
+    monkeypatch.setattr("fracext.weighted.power_weighted_integral", stub)
+    assert psi_fourier_numeric(0.5, 700.0) == 0.0
+    assert asked == [(45.0, int(24 * 45.0 * 700.0 / math.pi))]
+    assert asked[0][1] <= 2 ** 18
 
 
 @pytest.mark.parametrize("s", [20.5, 100.5, 200.5])
