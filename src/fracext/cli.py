@@ -64,6 +64,13 @@ class UsageError(Exception):
     """Configuration or argument problem: maps to exit code 2."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's own refusals are usage errors too: one line, exit 2."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def _parse_number(text, what):
     """A finite float from a flag or a descriptor field; ``pi`` is
     accepted.  Anything else is a usage error."""
@@ -298,7 +305,7 @@ def _cmd_minimize(args):
 
 
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fracext",
         description="Fractional operator powers via Bessel-kernel extension "
                     "curves: transforms and identity verification.")
@@ -373,8 +380,8 @@ def _with_config(argv, args):
 def main(argv=None) -> int:
     parser = _build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         if args.config:
             args = parser.parse_args(_with_config(argv, args))
         return args.run(args)

@@ -86,6 +86,7 @@ __all__ = [
 
 _MAX_ORDER = 1e5  # a 10 240-point psi call takes about 2 s there
 _LN2 = math.log(2.0)
+_LOG_HUGE = math.log(np.finfo(float).max)  # math.exp overflows above it
 # Cody-Waite split of log 2: k * _LN2_HI is exact for |k| < 2^20
 _LN2_HI = 6.93147180369123816490e-01
 _LN2_LO = 1.90821492927058770002e-10
@@ -714,9 +715,13 @@ def psi_taylor_remainder(s: float, y: float, k: int) -> float:
     small y never happens in floating point.  The analytic-series terms of
     order m <= k equal the Taylor terms, since (1-s)_m = (-1)^m Gamma(s) /
     Gamma(s-m), so the remainder is the analytic tail from m = k+1 plus the
-    singular branch.  Requires a whole 0 <= k <= floor(s) and a finite y.
+    singular branch.  Requires psi's orders, a whole 0 <= k <= floor(s) and
+    a finite y.
+    Away from the origin the series cancel: where the sum of their terms'
+    magnitudes exceeds the remainder by more than 1e4 (at s = 2.5, k = 1
+    from about y = 10 on) the remainder is a ValueError naming s, y and k.
     """
-    s = _check_noninteger_order(s)
+    s = _check_profile_order(_check_noninteger_order(s))
     k = _whole_order(k, "remainder")
     if not 0 <= k <= math.floor(s):
         raise ValueError(f"remainder order k={k} outside 0..floor(s)")
@@ -724,26 +729,47 @@ def psi_taylor_remainder(s: float, y: float, k: int) -> float:
         raise ValueError(f"psi_taylor_remainder requires a finite y, "
                          f"got y={y}")
     t = 0.25 * y * y
-    term = 1.0
-    total = 0.0
-    for m in range(1, k + 20):
-        term *= t / (m * (m - s))
-        if m > k:
-            total += term
+    total, size = _ascending_tail(t, -s, k + 1)
     if y == 0.0:
         return total
     # the singular branch y^{2s}, entirely beyond the polynomial part:
     # (Gamma(-s)/Gamma(s)) (|y|/2)^{2s} sum_m (y^2/4)^m / (m! (1+s)_m), the
     # Gamma ratio and the power in log space, so that it stays finite where
     # Gamma(s) overflows; sign(Gamma(-s)) = (-1)^{floor(s)+1}
-    term = 1.0
-    series = 1.0
-    for m in range(1, 20):
-        term *= t / (m * (m + s))
-        series += term
+    series, _ = _ascending_tail(t, s, 0)  # positive terms
     sign = (-1.0) ** (math.floor(s) + 1)
-    return total + sign * math.exp(math.lgamma(-s) - math.lgamma(s)
-                                   + 2.0 * s * math.log(0.5 * abs(y))) * series
+    log_scale = (math.lgamma(-s) - math.lgamma(s)
+                 + 2.0 * s * math.log(0.5 * abs(y)))
+    scale = math.exp(log_scale) if log_scale < _LOG_HUGE else math.inf
+    result = total + sign * scale * series
+    if not size + scale * series <= 1e4 * abs(result) < math.inf:
+        raise ValueError(f"psi_taylor_remainder(s={s}, y={y}, k={k}) loses "
+                         f"more than 4 digits to cancellation between its "
+                         f"ascending series")
+    return result
+
+
+def _ascending_tail(t, a, start):
+    """sum_{m >= start} t^m / prod_{j <= m} j (j + a), and the sum of the
+    terms' magnitudes.
+
+    Summed until a term leaves the sum unchanged and no later term is
+    larger: every ratio t / (j (j + a)), j > m, is below 1 once t is below
+    (m + 1) times the distance from a to the integers, or, past m = -a,
+    once the next ratio is.  A sum that leaves the double range ends there.
+    """
+    gap = abs(a - round(a))
+    term, total, size, m = 1.0, 0.0, 0.0, 0
+    while math.isfinite(total):
+        if m >= start:
+            if total + term == total and (
+                    t < (m + 1) * gap or m > -a and t < (m + 1) * (m + 1 + a)):
+                break
+            total += term
+            size += abs(term)
+        m += 1
+        term *= t / (m * (m + a))
+    return total, size
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from fracext import cli
 from fracext.cli import main
 from fracext.special import psi_lambda
 from fracext.variational import minimize_profile
+from refusal import assert_cli_refusal
 
 # the names and order of the default `verify` reports, one a line
 VERIFY_NAMES = (Path(__file__).resolve().parents[1]
@@ -81,19 +82,6 @@ def test_apply_zero_power_is_identity(capsys):
                                [0.5, -2.0])
 
 
-def test_apply_negative_power_on_kernel_is_domain_error(capsys):
-    code, _, err = run_cli(capsys, "apply", "--op", "neumann:pi:3",
-                           "--u", "1,1,1", "--s", "-0.5")
-    assert code == 3
-    assert "kernel mode 0" in err
-
-
-def test_apply_missing_option_is_usage_error(capsys):
-    code, _, err = run_cli(capsys, "apply", "--op", "explicit:1")
-    assert code == 2
-    assert "--u" in err
-
-
 def test_extend_single_mode_csv(capsys):
     code, out, _ = run_cli(capsys, "extend", "--op", "explicit:1",
                            "--u", "1", "--s", "0.5", "--grid", "0.5:4:6")
@@ -114,6 +102,16 @@ def test_extend_json_format(capsys):
     data = json.loads(out)
     assert data["s"] == 0.5
     assert len(data["values"][0]) == 4
+    # 64 modes on the default grid: a CSV comment, header and 160 rows, and
+    # JSON without a NaN or Infinity token
+    argv = ("extend", "--op", "dirichlet:pi:64", "--u", ",".join("1" * 64),
+            "--s", "1.3")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and len(out.splitlines()) == 162
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    data = json.loads(out, parse_constant=pytest.fail)
+    assert code == 0 and len(data["grid"]) == 160
+    assert [len(row) for row in data["values"]] == [160] * 64
 
 
 def test_extend_negative_order_dispatch(capsys):
@@ -125,13 +123,6 @@ def test_extend_negative_order_dispatch(capsys):
     for row in rows:
         y, v = (float(t) for t in row.split(","))
         assert v == pytest.approx(math.exp(-2.0 * y), rel=1e-12)
-
-
-def test_extend_bad_grid_is_usage_error(capsys):
-    code, _, err = run_cli(capsys, "extend", "--op", "explicit:1",
-                           "--u", "1", "--s", "0.5", "--grid", "2:1:0")
-    assert code == 2
-    assert "grid" in err
 
 
 @pytest.mark.parametrize("argv,ends", [
@@ -160,16 +151,6 @@ def test_extend_grid_with_ends_beyond_the_double_range_apart(capsys, argv,
     assert np.all((values >= 0.0) & (values <= 1.0))
 
 
-def test_extend_two_point_grid_is_usage_error(capsys):
-    # default_grid needs n >= 3; the CLI grid follows the same rule
-    code, out, err = run_cli(capsys, "extend", "--op", "explicit:1",
-                             "--u", "1", "--s", "0.5",
-                             "--grid", "0.001:1:2")
-    assert code == 2
-    assert out == ""
-    assert "n >= 3" in err
-
-
 @pytest.mark.parametrize("argv", [
     ("apply", "--op", "explicit:1,4", "--u", "nan,1", "--s", "0.5"),
     ("apply", "--op", "explicit:1,inf", "--u", "1,1", "--s", "0.5"),
@@ -183,10 +164,7 @@ def test_extend_two_point_grid_is_usage_error(capsys):
 ], ids=["u", "eigenvalue", "order", "json-eigenvalue", "verify-tol",
         "minimize-tol"])
 def test_non_finite_input_is_usage_error(capsys, argv):
-    code, out, err = run_cli(capsys, *argv)
-    assert code == 2
-    assert out == ""
-    assert "must be finite" in err
+    assert_cli_refusal(capsys, argv, 2, "must be finite")
 
 
 @pytest.mark.parametrize("argv", [
@@ -197,26 +175,15 @@ def test_non_finite_input_is_usage_error(capsys, argv):
 def test_negative_tol_is_usage_error(capsys, argv):
     # no report can pass a negative tolerance: the flag is at fault, not
     # the identities, so it exits 2 before any report
-    code, out, err = run_cli(capsys, *argv)
-    assert code == 2
-    assert out == ""
-    assert "must not be negative" in err
+    assert_cli_refusal(capsys, argv, 2,
+                       f"tolerance must not be negative, got '{argv[-1]}'")
 
 
 @pytest.mark.parametrize("nodes", ["abc", "2.5"])
 def test_minimize_non_integer_nodes_is_usage_error(capsys, nodes):
-    code, out, err = run_cli(capsys, "minimize", "--op", "explicit:1",
-                             "--u", "1", "--s", "0.5", "--nodes", nodes)
-    assert code == 2
-    assert out == ""
-    assert "node count" in err
-
-
-def test_extend_integer_order_is_domain_error(capsys):
-    code, _, err = run_cli(capsys, "extend", "--op", "explicit:1",
-                           "--u", "1", "--s", "2")
-    assert code == 3
-    assert "non-integer" in err
+    assert_cli_refusal(capsys, ("minimize", "--op", "explicit:1", "--u", "1",
+                                "--s", "0.5", "--nodes", nodes), 2,
+                       f"bad node count '{nodes}'")
 
 
 def test_verify_single_energy_check(capsys):
@@ -242,31 +209,6 @@ def test_verify_ode_restricted_to_general_order(capsys):
     assert all("closed_form" not in r["name"] for r in reports)
 
 
-def test_verify_unknown_check_lists_names(capsys):
-    code, _, err = run_cli(capsys, "verify", "--checks", "bogus")
-    assert code == 2
-    assert "energy" in err and "holder_slope" in err
-
-
-def test_verify_selection_without_reports_is_usage_error(capsys):
-    # the virial split needs floor(s) even: restricted to s = 1.5 it runs no
-    # check, and a vacuous "0/0 passed" must not exit 0
-    code, out, err = run_cli(capsys, "verify", "--checks", "virial",
-                             "--s", "1.5")
-    assert code == 2
-    assert out == ""
-    assert "no check" in err
-
-
-def test_verify_fourier_at_a_requested_order_is_usage_error(capsys):
-    # its fixed (s, xi) pairs span two orders, so it runs at no requested one
-    code, out, err = run_cli(capsys, "verify", "--checks", "fourier",
-                             "--s", "0.5")
-    assert code == 2
-    assert out == ""
-    assert "no check" in err
-
-
 def test_verify_order_above_two_runs_only_checks_defined_there(capsys):
     # orthogonality stops at ceil(s) = 2; it used to raise here and exit 1
     code, out, _ = run_cli(capsys, "verify", "--s", "3.5")
@@ -288,21 +230,17 @@ def test_verify_minimize_at_the_requested_order(capsys):
 
 
 @pytest.mark.parametrize("argv, named", [
-    (("--s", "-1"), "-1"),
-    (("--s", "2"), "non-integer"),
-    (("--lambda", "0"), "--lambda"),
-    (("--lambda", "-3"), "-3"),
+    (("--s", "-1"), "order s must be positive, got -1.0"),
+    (("--s", "2"), "order s must be non-integer, got 2.0"),
+    (("--lambda", "0"), "--lambda must be positive, got 0"),
+    (("--lambda", "-3"), "--lambda must be positive, got -3"),
 ], ids=["negative-order", "integer-order", "zero-lambda", "negative-lambda"])
 def test_verify_order_and_eigenvalue_are_checked_before_any_check(
         capsys, argv, named):
     # these used to print one failed record and traceback per check, or a
     # failed energy record, and exit 1
-    code, out, err = run_cli(capsys, "verify", "--checks", "energy,dtn",
-                             *argv)
-    assert code == 3
-    assert out == ""
-    assert err.startswith("domain error:") and err.count("\n") == 1
-    assert named in err
+    assert_cli_refusal(capsys, ("verify", "--checks", "energy,dtn", *argv), 3,
+                       named)
 
 
 @pytest.mark.parametrize("argv, named", [
@@ -316,10 +254,7 @@ def test_verify_order_and_eigenvalue_are_checked_before_any_check(
       "--grid", "1:2"), "bad grid spec '1:2'"),
 ], ids=["order", "missing-op", "missing-s", "vector-length", "grid-fields"])
 def test_malformed_arguments_are_usage_errors(capsys, argv, named):
-    code, out, err = run_cli(capsys, *argv)
-    assert code == 2
-    assert out == ""
-    assert err.startswith("usage error") and named in err
+    assert_cli_refusal(capsys, argv, 2, named)
 
 
 @pytest.mark.parametrize("argv, named", [
@@ -329,10 +264,7 @@ def test_malformed_arguments_are_usage_errors(capsys, argv, named):
       "--u", "1,1", "--s", "0.5"), "not nonnegative"),
 ], ids=["zero-length", "negative-tridiagonal"])
 def test_operator_outside_its_domain_is_domain_error(capsys, argv, named):
-    code, out, err = run_cli(capsys, *argv)
-    assert code == 3
-    assert out == ""
-    assert err.startswith("domain error") and named in err
+    assert_cli_refusal(capsys, argv, 3, named)
 
 
 @pytest.mark.parametrize("argv", [
@@ -344,13 +276,8 @@ def test_laplacian_length_outside_the_double_range_is_domain_error(
         capsys, argv):
     # these printed [0, 0] and constant curves with exit 0, and an overflow
     # warning that -W error turned into a traceback
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code, out, err = run_cli(capsys, *argv)
-    assert code == 3
-    assert out == ""
-    assert err.startswith("domain error") and err.count("\n") == 1
-    assert f"length {float(argv[2].split(':')[1])!r}" in err
+    assert_cli_refusal(capsys, argv, 3,
+                       f"length {float(argv[2].split(':')[1])!r}")
 
 
 def test_verify_large_order_runs_as_before(capsys):
@@ -424,21 +351,16 @@ def test_verify_non_finite_report_is_one_failed_record(capsys, monkeypatch):
     assert lines[2] == "# 1/2 checks passed"
 
 
-@pytest.mark.parametrize("argv", [
-    ("apply", "--op", "explicit:1e300", "--u", "1", "--s", "2"),
-    ("minimize", "--op", "explicit:1e300", "--u", "1e200", "--s", "0.5",
-     "--nodes", "200"),
+@pytest.mark.parametrize("argv, named", [
+    (("apply", "--op", "explicit:1e300", "--u", "1", "--s", "2"),
+     "L^2.0 u overflows"),
+    (("minimize", "--op", "explicit:1e300", "--u", "1e200", "--s", "0.5",
+      "--nodes", "200"), "minimize_curve(s=0.5) overflows"),
 ], ids=["apply", "minimize"])
-def test_overflow_is_domain_error(capsys, argv):
+def test_overflow_is_domain_error(capsys, argv, named):
     # used to print inf/Infinity/NaN tokens and exit 0 or 1, and later a
     # numpy RuntimeWarning ahead of the error
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code, out, err = run_cli(capsys, *argv)
-    assert code == 3
-    assert out == ""
-    assert err.startswith("domain error")
-    assert "overflow" in err
+    assert_cli_refusal(capsys, argv, 3, named)
 
 
 @pytest.mark.parametrize("s", ["0.015", "0.01", "0.005", "0.001"])
@@ -453,21 +375,6 @@ def test_minimize_tiny_order_exits_cleanly(capsys, s):
     assert err == ""
     report = json.loads(out)
     assert report["lhs"] >= report["rhs"] > 0.0
-
-
-def test_minimize_order_that_leaves_too_few_mesh_nodes(capsys):
-    # the order-graded mesh keeps only 0 and y_max at s = 1e-6; the
-    # geometric mesh reported a minimum 1.5e3 times the closed form.  The
-    # user gave no mesh, so the message names the order, the nodes kept
-    # and the node floor that emptied it
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code, out, err = run_cli(capsys, "minimize", "--op", "explicit:1",
-                                 "--u", "1", "--s", "1e-6")
-    assert code == 3
-    assert out == ""
-    assert err.startswith("domain error") and "mesh" in err
-    assert "s=1e-06" in err and "2 of 2000 nodes" in err and "1e-150" in err
 
 
 def test_order_above_the_profile_ceiling_fails_fast(capsys):
@@ -527,24 +434,6 @@ def test_apply_zero_coefficient_on_overflowing_mode(capsys):
                            "--u", "1,0", "--s", "2")
     assert code == 0
     assert json.loads(out.split("\n")[0]) == [1.0, 0.0]
-
-
-def test_flags_no_subcommand_reads_are_usage_errors(capsys):
-    # --sigma was accepted by every subcommand and --tol by apply, and
-    # neither value was read, so this used to exit 0
-    with pytest.raises(SystemExit) as exc:
-        main(["apply", "--op", "explicit:1,4", "--u", "1,1", "--s", "0.5",
-              "--sigma", "banana", "--tol", "nan"])
-    assert exc.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
-    # verify reads no operator and no vector
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--checks", "holder_slope", "--op", "banana",
-              "--u", "1,2,3"])
-    assert exc.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "unrecognized arguments: --op banana --u 1,2,3" in captured.err
 
 
 def test_verify_output_is_reproducible(tmp_path, capsys):
@@ -641,15 +530,10 @@ def test_config_that_is_not_an_object_is_usage_error(tmp_path, capsys):
 
 
 def run_config(tmp_path, capsys, entries, *argv):
-    """Run ``argv --config FILE`` with the JSON object ``entries`` in FILE;
-    a refusal by argparse returns its exit code like main's own."""
+    """Run ``argv --config FILE`` with the JSON object ``entries`` in FILE."""
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps(entries))
-    try:
-        return run_cli(capsys, *argv, "--config", str(cfg))
-    except SystemExit as exc:
-        captured = capsys.readouterr()
-        return exc.code, captured.out, captured.err
+    return run_cli(capsys, *argv, "--config", str(cfg))
 
 
 _EXTEND = ("extend", "--op", "explicit:4", "--u", "2", "--s", "0.5",
@@ -781,28 +665,9 @@ def test_operator_descriptor_not_an_object_with_string_kind_is_usage_error(
 def test_operator_shorthand_field_count_is_usage_error(capsys, op):
     # an extra field used to be dropped silently, a missing one to fail
     # with "list index out of range"
-    code, out, err = run_cli(capsys, "apply", "--op", op, "--u", "1,1,1",
-                             "--s", "0.5")
-    assert code == 2
-    assert out == ""
-    assert "dirichlet:L:J" in err
-
-
-def test_apply_unsorted_explicit_spectrum_is_domain_error(capsys):
-    # sorting the eigenvalues would pair u = (1, 0) with (1, 4), not (4, 1)
-    code, out, err = run_cli(capsys, "apply", "--op", "explicit:4,1",
-                             "--u", "1,0", "--s", "1")
-    assert code == 3
-    assert out == ""
-    assert "nondecreasing" in err
-
-
-def test_operator_unknown_kind_is_usage_error(capsys):
-    op = '{"kind":"banded","values":[1.0,4.0]}'
-    code, _, err = run_cli(capsys, "apply", "--op", op, "--u", "1,1",
-                           "--s", "0.5")
-    assert code == 2
-    assert "unknown operator kind 'banded'" in err
+    assert_cli_refusal(capsys, ("apply", "--op", op, "--u", "1,1,1", "--s",
+                                "0.5"), 2,
+                       f"cannot parse operator '{op}': expected dirichlet:L:J")
 
 
 @pytest.mark.parametrize("op", [
@@ -812,20 +677,8 @@ def test_operator_unknown_kind_is_usage_error(capsys):
 def test_operator_descriptor_field_errors_are_usage_errors(capsys, op):
     # a missing field used to raise KeyError (exit 1), an unknown one was
     # silently ignored
-    code, out, err = run_cli(capsys, "apply", "--op", op, "--u", "1",
-                             "--s", "0.5")
-    assert code == 2
-    assert out == ""
-    assert "takes the fields ('length', 'modes')" in err
-
-
-def test_operator_non_integral_mode_count_is_domain_error(capsys):
-    op = '{"kind":"dirichlet_laplacian_1d","length":3,"modes":2.5}'
-    code, out, err = run_cli(capsys, "apply", "--op", op, "--u", "1,1,1",
-                             "--s", "0.5")
-    assert code == 3
-    assert out == ""
-    assert "whole number" in err
+    assert_cli_refusal(capsys, ("apply", "--op", op, "--u", "1", "--s", "0.5"),
+                       2, "takes the fields ('length', 'modes')")
 
 
 def test_minimize_subcommand(capsys):
@@ -864,6 +717,11 @@ def test_minimize_stays_above_closed_form_at_fine_mesh(capsys):
     assert report["rhs"] == pytest.approx(2.0 * d_s, rel=1e-12)
     assert report["lhs"] >= 2.0 * d_s
     assert report["lhs"] - 2.0 * d_s < 1e-5 * d_s
+    # and the dual minimum of the negative order passes there too
+    code, out, _ = run_cli(capsys, "minimize", "--op", "explicit:1",
+                           "--u", "1", "--s", "0.95", "--nodes", "8000",
+                           "--negative-order")
+    assert code == 0 and json.loads(out.split("\n")[0])["pass"] is True
 
 
 def test_minimize_small_order_meets_closed_form(capsys):
@@ -973,3 +831,10 @@ def test_minimize_profile_dump(tmp_path, capsys):
     assert lines[0] == "y,fe_minimizer,profile"
     y, fe, prof = (float(t) for t in lines[10].split(","))
     assert fe == pytest.approx(prof, abs=5e-3)
+    # two modes at 4000 nodes: the header and one row per node of mode 1
+    code, _, _ = run_cli(capsys, "minimize", "--op", "explicit:1,4",
+                         "--u", "1,1", "--s", "0.5", "--nodes", "4000",
+                         "--dump-profile", str(dump))
+    lines = dump.read_text().splitlines()
+    assert code == 0 and lines[0] == "y,fe_minimizer,profile"
+    assert len(lines) == 4001

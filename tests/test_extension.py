@@ -130,15 +130,6 @@ def test_derivative_curve_refuses_an_order_that_is_not_whole(k):
         derivative_curve(u, 0.5, k)
 
 
-def test_extend_rejects_integer_order_and_empty_grid():
-    with pytest.raises(ValueError):
-        extend(one_mode(), 2.0)
-    with pytest.raises(ValueError):
-        extend(one_mode(), 0.5, np.array([]))
-    with pytest.raises(ValueError):
-        extend(one_mode(), 0.5, np.array([0.3, 0.2]))
-
-
 @pytest.mark.parametrize("grid", [[0.1, math.nan, 1.0], [math.nan, 1.0],
                                   [[0.1, 1.0]]],
                          ids=["nan-inside", "nan-first", "2-d"])
@@ -148,7 +139,7 @@ def test_extend_rejects_integer_order_and_empty_grid():
 def test_curves_reject_a_nan_or_non_1d_grid(curve, grid):
     # a NaN point used to pass every comparison and give a NaN column, and
     # a 2-D grid ended in numpy's "truth value ... is ambiguous"
-    with pytest.raises(ValueError, match="grid"):
+    with pytest.raises(ValueError, match="grid must be"):
         curve(one_mode(), 0.5, grid)
 
 
@@ -180,27 +171,6 @@ def test_trace0_single_mode_small_order():
 def test_trace0_zero_curve():
     curve = extend(one_mode(c=0.0), 0.5)
     assert trace0(curve).coeffs[0] == 0.0
-
-
-def test_trace0_refuses_a_curve_without_an_order():
-    # bare samples used to be fitted with guessed exponents (2, 4): this
-    # derivative diverges like y^(2s-1) at 0, and trace0 returned -63.78
-    curve = derivative_curve(one_mode(), 0.3, 1, np.geomspace(1e-5, 1, 20))
-    with pytest.raises(TypeError, match="ExtensionCurve"):
-        trace0(curve)
-
-
-def test_trace0_refuses_a_two_point_curve():
-    curve = extend(one_mode(), 0.5, np.array([1e-5, 1e-4]))
-    with pytest.raises(ValueError, match="at least three points"):
-        trace0(curve)
-
-
-def test_trace0_reports_coarse_grid():
-    grid = np.geomspace(0.5, 10.0, 20)
-    curve = extend(one_mode(), 0.5, grid)
-    with pytest.raises(ValueError, match="too coarse"):
-        trace0(curve)
 
 
 def test_power_fit_limit_exact_on_model_data():
@@ -315,11 +285,6 @@ def test_bounded_derivative_ratio_stable_under_refinement():
     assert sups[1] <= sups[0] * 1.05
 
 
-def test_derivative_curve_rejects_out_of_range_order():
-    with pytest.raises(ValueError):
-        derivative_curve(one_mode(), 1.3, 3, np.array([1.0]))
-
-
 # ---------------------------------------------------------------------------
 # Taylor expansion at the boundary
 
@@ -360,13 +325,6 @@ def test_taylor_remainder_matches_direct_subtraction_at_moderate_y():
         assert direct == pytest.approx(stable, rel=1e-6)
 
 
-def test_taylor_validation():
-    with pytest.raises(ValueError):
-        taylor_expand(one_mode(), 0.5, 1)
-    with pytest.raises(ValueError):
-        taylor_expand(one_mode(), 2.5, 3)
-
-
 def test_taylor_expand_takes_a_whole_float_order():
     # k = 2.0 raised "TypeError: 'float' object cannot be interpreted as an
     # integer" from range(); it is the order 2, with the same bits
@@ -380,6 +338,10 @@ def test_taylor_expand_takes_a_whole_float_order():
         assert np.array_equal(g.coeffs, w.coeffs)
 
 
+# ---------------------------------------------------------------------------
+# ODE residual
+
+
 @pytest.mark.parametrize("k", [1.5, math.nan, math.inf])
 def test_taylor_expand_refuses_an_order_that_is_not_whole(k):
     # 1.5 raised the same TypeError, which named no input
@@ -388,10 +350,6 @@ def test_taylor_expand_refuses_an_order_that_is_not_whole(k):
         with pytest.raises(ValueError, match=rf"expansion order k must be a "
                                              rf"whole number, got k={k}"):
             taylor_expand(one_mode(), 2.5, k)
-
-
-# ---------------------------------------------------------------------------
-# ODE residual
 
 
 def test_ode_residual_closed_form_cases_vanish():
@@ -423,11 +381,6 @@ def test_ode_residual_fully_numerical_cross_check():
         got = apply_db(lambda t: psi(s, t), 1.0, params.b, 1.0, times=m,
                        h=min(0.05, 1.0 / (4 * m + 2)))
         assert abs(got) < 1e-4
-
-
-def test_ode_residual_rejects_near_origin():
-    with pytest.raises(ValueError):
-        ode_residual(one_mode(), 0.5, 0.01)
 
 
 @pytest.mark.parametrize("y", [math.nan, math.inf,
@@ -484,17 +437,6 @@ def test_conormal_trace_is_finite_where_the_product_is():
                                       * 1e308], rtol=1e-14)
 
 
-def test_derivative_curve_overflow_is_named_without_a_numpy_warning():
-    # lam^2 = 1e400 was a bare power: two numpy warnings, and a curve with
-    # inf and 149 NaN among its 320 values
-    u = ModalVector(np.ones(2), explicit_spectrum([1.0, 1e200]))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValueError, match=r"derivative_curve\(s=2\.5, "
-                                             r"k=4\) overflows"):
-            derivative_curve(u, 2.5, 4)
-
-
 def test_derivative_curve_is_finite_where_the_product_is():
     # lam^{3/2} = 1e375 alone leaves the range, lam^{3/2} u = 1e175 does
     # not: the values near 1e171 used to come back as inf
@@ -517,7 +459,7 @@ def test_derivative_curve_is_zero_where_the_abscissa_overflows():
         got = derivative_curve(u, 1.3, 1)
     with np.errstate(over="ignore"):
         y = math.sqrt(1e300) * got.grid
-    assert np.all(np.isfinite(got.values))
+    assert got.values.shape == (2, 160) and np.all(np.isfinite(got.values))
     far = np.isinf(y)
     assert far.any() and np.all(got.values[1, far] == 0.0)
     want = math.sqrt(1e300) * psi_deriv(1.3, y[~far], 1)

@@ -39,17 +39,6 @@ def test_neumann_eigenvalues_and_kernel():
     assert spec.kernel_dim == 1
 
 
-def test_builder_validation():
-    with pytest.raises(ValueError):
-        dirichlet_laplacian_1d(-1.0, 3)
-    with pytest.raises(ValueError):
-        dirichlet_laplacian_1d(math.pi, 0)
-    with pytest.raises(ValueError):
-        explicit_spectrum([1.0, -2.0])
-    with pytest.raises(ValueError):
-        build_operator("banded", length=1.0, modes=2)
-
-
 @pytest.mark.parametrize("builder", [dirichlet_laplacian_1d,
                                      neumann_laplacian_1d])
 def test_laplacian_rejects_non_integral_mode_count(builder):
@@ -105,7 +94,8 @@ def test_laplacian_kernel_is_fixed_by_the_boundary_condition(length, modes):
                                     {"length": 1.0, "modes": 2, "extra": 1}],
                          ids=["missing", "unknown"])
 def test_build_operator_rejects_missing_and_unknown_fields(fields):
-    with pytest.raises(TypeError, match="takes the fields"):
+    with pytest.raises(TypeError,
+                       match=r"takes the fields \('length', 'modes'\)"):
         build_operator("dirichlet_laplacian_1d", **fields)
 
 
@@ -286,27 +276,17 @@ def test_power_roundtrip_identity(coeffs, t):
     np.testing.assert_allclose(back.coeffs, u.coeffs, rtol=1e-12, atol=1e-14)
 
 
-def test_spectrum_validation():
-    with pytest.raises(ValueError):
-        Spectrum(np.array([2.0, 1.0]))  # not sorted
-    with pytest.raises(ValueError):
-        Spectrum(np.array([-1.0, 1.0]))
-    with pytest.raises(ValueError):
-        Spectrum(np.array([]))
-    with pytest.raises(ValueError):
-        ModalVector(np.ones(3), explicit_spectrum([1.0, 2.0]))
-
-
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_spectrum_and_coefficients_rejected(bad):
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ValueError, match="eigenvalues must be finite"):
         explicit_spectrum([1.0, bad])
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ValueError, match="eigenvalues must be finite"):
         Spectrum(np.array([bad]))
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ValueError, match="coefficients must be finite"):
         ModalVector(np.array([bad, 1.0]), explicit_spectrum([1.0, 2.0]))
     # a power that overflows cannot hand on an infinite vector either
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ValueError, match=r"L\^2\.0 u overflows: the result "
+                                         r"must be finite"):
         apply_power(ModalVector(np.ones(1), explicit_spectrum([1e300])), 2.0)
     # nor can a non-finite order of the norm or the power
     u = ModalVector(np.array([1.0, 2.0]), explicit_spectrum([1.0, 4.0]))

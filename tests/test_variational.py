@@ -272,15 +272,11 @@ def test_minimize_profile_lambda_scaling():
     assert v2 / v1 == pytest.approx(3.0 ** 0.5, rel=1e-3)
 
 
-def test_minimize_profile_rejects_large_order():
-    with pytest.raises(ValueError):
-        minimize_profile(1.5, 1.0)
-
-
 @pytest.mark.parametrize("lam", [0.0, -1.0, math.nan, math.inf])
 def test_minimize_profile_rejects_a_bad_eigenvalue(lam):
     # these raised ZeroDivisionError or "math domain error", or returned NaN
-    with pytest.raises(ValueError, match="lam"):
+    with pytest.raises(ValueError, match=f"needs a finite eigenvalue lam > 0, "
+                                         f"got lam={lam}"):
         minimize_profile(0.5, lam)
 
 
@@ -503,35 +499,6 @@ def test_unit_minimum_is_the_minimize_profile_value(s, n):
     assert cold == want and warm == want
 
 
-def test_minimize_curve_refuses_a_kernel_coefficient():
-    spec = explicit_spectrum([0.0, 1.0])
-    with pytest.raises(ValueError, match="zero kernel coefficients"):
-        minimize_curve(ModalVector(np.array([1.0, 1.0]), spec), 0.5,
-                       n_nodes=200)
-
-
-def test_orthogonality_check_refuses_spectra_of_different_sizes():
-    u = ModalVector(np.array([1.0, 1.0]), explicit_spectrum([1.0, 4.0]))
-    v = ModalVector(np.array([1.0]), explicit_spectrum([1.0]))
-    with pytest.raises(ValueError, match="matching spectra"):
-        orthogonality_check(u, 0.5, v, GaussianBump())
-
-
-def test_orthogonality_check_refuses_another_spectrum_of_equal_size():
-    # u's eigenvalues alone gave a passing report for v on [1, 2, 3]
-    u = ModalVector(np.ones(3), explicit_spectrum([1.0, 4.0, 9.0]))
-    v = ModalVector(np.ones(3), explicit_spectrum([1.0, 2.0, 3.0]))
-    with pytest.raises(ValueError, match="matching spectra"):
-        orthogonality_check(u, 0.5, v, GaussianBump())
-
-
-def test_minimize_negative_kernel_rejection():
-    spec = explicit_spectrum([0.0, 1.0])
-    bad = ModalVector(np.array([1.0, 1.0]), spec)
-    with pytest.raises(ValueError):
-        minimize_negative(bad, 0.5)
-
-
 def test_minimize_negative_refuses_a_kernel_coefficient_before_solving(
         monkeypatch):
     # the norm's own kernel check refuses the input, before any FE solve
@@ -648,9 +615,11 @@ def test_minimize_profile_converges_like_n_squared(s):
         assert coarse >= 3.0 * fine
 
 
+
 @pytest.mark.parametrize("s", [1e-6, 2e-300, 5e-324])
 def test_minimize_profile_rejects_order_that_leaves_too_few_nodes(s):
     # below about s = 3e-6 at 2000 nodes, every node but 0 and y_max lies
     # under 1e-150 of the range; the "minimum" was 1.5e3 times too large
-    with pytest.raises(ValueError, match="mesh"):
+    with pytest.raises(ValueError,
+                       match=f"mesh at s={s} keeps 2 of 2000 nodes"):
         minimize_profile(s, 1.0)

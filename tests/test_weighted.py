@@ -40,7 +40,6 @@ from fracext.weighted import (
     report_upper_bound,
     trace_inequality,
     virial_check,
-    xi_moment,
 )
 
 
@@ -137,7 +136,7 @@ def test_power_weighted_integral_refuses_a_bad_upper_limit(upper):
 @pytest.mark.parametrize("profile", [PsiProfile(0.3), GaussianBump()],
                          ids=["psi", "sampled"])
 def test_mode_energy_refuses_a_nan_weight(profile):
-    with pytest.raises(ValueError, match="got nan"):
+    with pytest.raises(ValueError, match="finite beta > -1, got nan"):
         mode_energy(profile, 1.0, 1, math.nan)
 
 
@@ -186,21 +185,6 @@ def test_mode_energy_ordering_in_k():
         for k in (2, 3, 4):
             for j in range(1, k):
                 assert vals[k] >= lam ** (k - j) * vals[j] * (1 - 1e-12)
-
-
-def test_mode_energy_errors():
-    with pytest.raises(ValueError):
-        mode_energy(PsiProfile(0.5), 1.0, 0, 0.0)
-    with pytest.raises(ValueError):
-        mode_energy(PsiProfile(0.5), -1.0, 1, 0.0)
-    with pytest.raises(ValueError):
-        mode_energy(GaussianBump(), 1.0, 2, 0.0)  # sampled profile, k >= 2
-    with pytest.raises(ValueError, match=r"grid weight matched to the "
-                                         r"order: b=0\.3 vs required 0\.0"):
-        mode_energy(PsiProfile(2.5), 1.0, 2, 0.3)  # mismatched weight
-    with pytest.raises(ValueError, match=r"\(D_b\+lam\)\^3 of the order-2\.5 "
-                                         r"profile has no analytic collapse"):
-        mode_energy(PsiProfile(2.5), 1.0, 7, 0.0)  # too many powers
 
 
 @pytest.mark.parametrize("k", [1.5, math.nan, math.inf])
@@ -447,12 +431,6 @@ def test_trace_inequality_refuses_a_weight_outside_its_range(b):
         trace_inequality(b)
 
 
-def test_xi_moment_refuses_a_divergent_power():
-    # the moment is finite for q in (-1, 4s + 1) only
-    with pytest.raises(ValueError, match="diverges"):
-        xi_moment(0.5, 5.0)
-
-
 @pytest.mark.parametrize("eigenvalues, s, b, named", [
     ([1.0, 4.0], 0.0, 0.0, "needs s > 0"),
     ([1.0, 4.0], 0.5, 1.5, r"b must lie in \(-1, 1\)"),
@@ -657,11 +635,6 @@ def test_check_report_json_rejects_non_finite(name, bad):
                                  **{name: bad})
     with pytest.raises(ValueError, match="non-finite"):
         report.to_json()
-
-
-def test_check_report_json_of_nan_comparison():
-    with pytest.raises(ValueError):
-        report_equal("x", math.nan, 1.0).to_json()
 
 
 @pytest.mark.parametrize("lhs, rhs", [(math.nan, 1.0), (1.0, math.nan)],
