@@ -87,6 +87,7 @@ __all__ = [
 _MAX_ORDER = 1e5  # a 10 240-point psi call takes about 2 s there
 _LN2 = math.log(2.0)
 _LOG_HUGE = math.log(np.finfo(float).max)  # math.exp overflows above it
+_TINY = float(np.finfo(float).tiny)
 # Cody-Waite split of log 2: k * _LN2_HI is exact for |k| < 2^20
 _LN2_HI = 6.93147180369123816490e-01
 _LN2_LO = 1.90821492927058770002e-10
@@ -738,8 +739,11 @@ def psi_taylor_remainder(s: float, y: float, k: int) -> float:
     # Gamma(s) overflows; sign(Gamma(-s)) = (-1)^{floor(s)+1}
     series, _ = _ascending_tail(t, s, 0)  # positive terms
     sign = (-1.0) ** (math.floor(s) + 1)
-    log_scale = (math.lgamma(-s) - math.lgamma(s)
-                 + 2.0 * s * math.log(0.5 * abs(y)))
+    # below the normal range |y|/2 rounds, to 0 at the smallest
+    # subnormal, so there the log is log|y| - log 2
+    ay = abs(y)
+    log_half = math.log(0.5 * ay) if ay >= _TINY else math.log(ay) - _LN2
+    log_scale = math.lgamma(-s) - math.lgamma(s) + 2.0 * s * log_half
     scale = math.exp(log_scale) if log_scale < _LOG_HUGE else math.inf
     result = total + sign * scale * series
     if not size + scale * series <= 1e4 * abs(result) < math.inf:

@@ -233,6 +233,15 @@ def test_ascending_series_beyond_gamma_overflow():
             _taylor_remainder_mp(s, y, k), rel=1e-14, abs=0.0), (s, y, k)
 
 
+@pytest.mark.parametrize("y", [5e-324, -5e-324, 1.5e-323, 1e-323, 1e-310,
+                               2.0 ** -1022])
+def test_taylor_remainder_at_subnormal_y(y):
+    # |y|/2 rounds below the normal range, to 0 at the smallest subnormal,
+    # where log(|y|/2) raised a bare "math domain error"
+    assert psi_taylor_remainder(0.01, y, 0) == pytest.approx(
+        _taylor_remainder_mp(0.01, abs(y), 0), rel=1e-13, abs=0.0)
+
+
 @pytest.mark.parametrize("s", [0.001, 0.01, 0.1])
 @pytest.mark.parametrize("y", [1e-300, 1e-100, 1e-12, 0.99e-8, 1.01e-8])
 def test_psi_small_argument_against_mpmath(s, y):
