@@ -56,9 +56,9 @@ class Spectrum:
         object.__setattr__(self, "eigenvalues", vals)
         if vals.ndim != 1 or vals.size < 1:
             raise ValueError("spectrum needs at least one eigenvalue")
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             raise ValueError("eigenvalues must be finite")
-        if np.any(np.diff(vals) < 0):
+        if (vals[1:] < vals[:-1]).any():
             raise ValueError("eigenvalues must be nondecreasing")
         if vals[0] < 0:
             raise ValueError("eigenvalues must be nonnegative")
@@ -94,7 +94,7 @@ class ModalVector:
             raise ValueError(
                 f"coefficient length {c.shape} does not match spectrum size "
                 f"{self.spectrum.size}")
-        if not np.all(np.isfinite(c)):
+        if not np.isfinite(c).all():
             raise ValueError("coefficients must be finite")
 
     def __len__(self):
@@ -225,7 +225,10 @@ def build_operator(kind: str, **params):
 def _check_kernel_use(u: ModalVector, what: str):
     """Refuse a nonzero coefficient on a kernel mode, where negative
     powers and the identities that leave the kernel out are undefined."""
-    bad = np.flatnonzero(u.coeffs[:u.spectrum.kernel_dim])
+    kd = u.spectrum.kernel_dim
+    if not kd:
+        return
+    bad = np.flatnonzero(u.coeffs[:kd])
     if bad.size:
         raise ValueError(
             f"{what} needs zero kernel coefficients: kernel mode {bad[0]} "
@@ -250,19 +253,21 @@ def _active_modes(u: ModalVector, *others: ModalVector) -> np.ndarray:
 def _require_finite(what, *values):
     """ValueError naming the overflow when a value computed under
     ``np.errstate(over="ignore")`` left the floating-point range."""
-    if not all(np.all(np.isfinite(v)) for v in values):
+    if not all(np.isfinite(v).all() for v in values):
         raise ValueError(f"{what} overflows: the result must be finite")
 
 
 def _scaled_power(lam, t, c):
     """lam^t c per mode (lam > 0, c != 0).  Where lam^t alone leaves the
     normal double range, the product comes from sign(c) exp(t log lam +
-    log|c|), which stays finite wherever the product is."""
+    log|c|), which stays finite wherever the product is.  The extremes of
+    lam^t decide whether any mode needs that; most calls have none."""
     with np.errstate(over="ignore", under="ignore"):
         w = lam ** t
         out = w * c
-        far = ~((w >= _TINY) & (w <= _HUGE))
-        if far.any():
+        # min and max refuse an empty array: no active mode, nothing far
+        if w.size and not (_TINY <= w.min() and w.max() <= _HUGE):
+            far = ~((w >= _TINY) & (w <= _HUGE))
             out[far] = np.sign(c[far]) * np.exp(
                 t * np.log(lam[far]) + np.log(np.abs(c[far])))
     return out
@@ -282,7 +287,7 @@ def sobolev_norm(u: ModalVector, sigma: float) -> float:
     if sigma < 0.0:
         _check_kernel_use(u, "sobolev_norm with a negative power")
     mask = u.coeffs != 0.0 if sigma == 0.0 else _active_modes(u)
-    if not np.any(mask):
+    if not mask.any():
         return 0.0
     # the per-mode magnitudes lambda^{sigma/2} |u_j|, not the weights
     # lambda^sigma, which can overflow where the norm is finite
@@ -291,9 +296,9 @@ def sobolev_norm(u: ModalVector, sigma: float) -> float:
     # a power-of-two scale is exact: it keeps the squares of magnitudes
     # below about 1e-154 from underflowing, and with 2^(e-1) <= peak the
     # scale itself stays finite up to the largest double
-    scale = math.ldexp(1.0, math.frexp(float(np.max(mag)))[1] - 1)
+    scale = math.ldexp(1.0, math.frexp(float(mag.max()))[1] - 1)
     with np.errstate(over="ignore"):  # only an inf peak (scale 1/2) overflows
-        sq = float(np.sum((mag / scale) ** 2))
+        sq = float(((mag / scale) ** 2).sum())
     return scale * math.sqrt(sq)
 
 

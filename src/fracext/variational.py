@@ -102,8 +102,8 @@ def graded_mesh(y_max: float, n: int, s: float) -> np.ndarray:
     if not 0.0 < y_max < math.inf:
         raise ValueError(f"graded_mesh needs a finite y_max > 0, "
                          f"got y_max={y_max}")
-    expo = np.log(np.arange(1, n) / (n - 1))  # in log space
-    expo = expo[expo >= 0.5 * s * math.log(1e-150)]
+    expo = np.log(np.arange(1, n) / (n - 1))  # in log space, increasing
+    expo = expo[np.searchsorted(expo, 0.5 * s * math.log(1e-150)):]
     return np.concatenate(([0.0], y_max * np.exp(expo * 2.0 / s)))
 
 
@@ -113,16 +113,20 @@ def _elements(mesh, b):
 
     Element integrals use the exact moments int y^{b+k} dy, k = 0,1,2, so
     the singular weight never gets sampled; the leading cell is exact for
-    linears despite b < 0.  Built in place, in the operation order of
-    the per-cell formulas, so the bits are theirs.
+    linears despite b < 0.  The node powers y^{b+1} come from one ``pow``
+    per node, y^{b+2} and y^{b+3} from it by one and two products with y;
+    each cell differences the powers of its two nodes.  Built in place, in
+    the operation order of the per-cell formulas, so the bits are theirs.
     """
     y0 = mesh[:-1]
     y1 = mesh[1:]
     h2 = y1 - y0
     h2 *= h2
+    power = mesh ** (b + 1.0)
     moments = []
     for p in (b + 1.0, b + 2.0, b + 3.0):
-        power = mesh ** p  # each node raised once, shared by its two cells
+        if moments:
+            power *= mesh  # y^{b+2}, then y^{b+3}
         moment = power[1:] - power[:-1]
         moment /= p
         moments.append(moment)

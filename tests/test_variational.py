@@ -245,14 +245,16 @@ def test_assemble_matches_adaptive_quadrature():
 
 @pytest.mark.parametrize("s", [0.05, 0.4, 0.95])
 def test_elements_match_per_cell_moments(s):
-    # each node raised once per moment and differenced is the per-cell
-    # y1^p - y0^p, bit for bit
+    # each node raised once, to b + 1, times y and y y, and differenced is
+    # the per-cell y1^{b+1} y1 - y0^{b+1} y0 and so on, bit for bit
     b = FracParams.from_order(s).b
     mesh = graded_mesh(40.0, 4000, s)
     y0, y1 = mesh[:-1], mesh[1:]
     h2 = (y1 - y0) ** 2
-    m0, m1, m2 = ((y1 ** (b + k) - y0 ** (b + k)) / (b + k)
-                  for k in (1.0, 2.0, 3.0))
+    p0, p1 = y0 ** (b + 1.0), y1 ** (b + 1.0)
+    m0 = (p1 - p0) / (b + 1.0)
+    m1 = (p1 * y1 - p0 * y0) / (b + 2.0)
+    m2 = (p1 * y1 * y1 - p0 * y0 * y0) / (b + 3.0)
     want = (m0 / h2,
             (y1 * y1 * m0 - 2.0 * y1 * m1 + m2) / h2,
             ((y0 + y1) * m1 - y0 * y1 * m0 - m2) / h2,
