@@ -43,6 +43,14 @@ from fracext.spectral import (
 from fracext.suite import RunConfig, run_checks
 from fracext.weighted import curve_energy
 from finite_differences import central_derivative
+from reference_bits import (
+    conormal_trace_reference,
+    derivative_curve_reference,
+    modal_vectors,
+    outcome,
+    psi_deriv_reference,
+    trace0_reference,
+)
 
 
 def one_mode(lam=1.0, c=1.0):
@@ -803,6 +811,78 @@ def test_batched_derivative_curve_matches_per_mode_loop(s, k):
     want = amp[:, None] * _loop_profiles(u, lambda z: psi_deriv(s, z, k),
                                          got.grid)
     _assert_batched_equal(got.values, want)
+
+
+# ---------------------------------------------------------------------------
+# the curve layer against its reference formulas, bit for bit
+
+
+@st.composite
+def _caller_grids(draw):
+    """None, for the default grid, or a caller's grid of up to six points
+    from 1e-300 to 1e300, perhaps led by a subnormal point or closed by
+    +inf."""
+    if draw(st.booleans()):
+        return None
+    points = sorted(set(draw(st.lists(
+        st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e),
+        min_size=1, max_size=6))))
+    if draw(st.booleans()):
+        points.insert(0, draw(st.floats(5e-324, 2e-308)))
+    if draw(st.booleans()):
+        points.append(math.inf)
+    return np.array(points)
+
+
+def _flat(grid, values):
+    return np.concatenate((grid, values.ravel()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(modal_vectors(),
+       st.floats(0.01, 3.99).filter(lambda s: s != math.floor(s)),
+       _caller_grids())
+@example(ModalVector(np.array([2.0, 0.0, -1e300, 3.0]),
+                     explicit_spectrum([0.0, 1e-300, 1.0, 1e300])),
+         1.7, np.array([5e-324, 1e-10, 1.0, math.inf]))
+@example(ModalVector(np.array([0.0, 1.0]), explicit_spectrum([0.0, 0.0])),
+         0.3, None)  # every mode in the kernel
+@example(ModalVector(np.array([1e300, 1e-300]),
+                     explicit_spectrum([1e300, 1e300])), 2.6, None)
+def test_curve_layer_keeps_the_reference_bits(u, s, grid):
+    # the references check the default grid, scale by lam^{k/2} at k = 0
+    # and scan for overflow at every k; the library's bits must be theirs
+    for k in range(4):
+        def got():
+            curve = derivative_curve(u, s, k, grid)
+            return _flat(curve.grid, curve.values)
+        assert outcome(got) == outcome(
+            lambda: _flat(*derivative_curve_reference(u, s, k, grid)))
+    curve = extend(u, s, grid)
+    want_grid, want = derivative_curve_reference(u, s, 0, grid)
+    assert outcome(lambda: curve.grid) == outcome(lambda: want_grid)
+    assert outcome(lambda: curve.values) == outcome(lambda: want)
+    assert curve.params == FracParams.from_order(s) and curve.source is u
+    assert outcome(lambda: trace0(curve).coeffs) == outcome(
+        lambda: trace0_reference(curve))
+    assert outcome(lambda: conormal_trace(u, s).coeffs) == outcome(
+        lambda: conormal_trace_reference(u.spectrum.eigenvalues, u.coeffs, s))
+
+
+_ODD_ABSCISSAE = [math.nan, 0.0, -0.0, 2.5, -1.0, [], [math.nan], [0.0],
+                  [-0.0], [0.0, math.nan], [math.nan, 0.0], [-0.0, 1.0],
+                  [math.nan, -1.0], [-1.0, math.nan], [math.nan, math.inf],
+                  [[0.0, 2.0], [math.nan, 1e-320]], np.empty((0, 3))]
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+@pytest.mark.parametrize("s", [0.3, 0.5, 1.3, 1.7, 2.5])
+def test_psi_deriv_keeps_the_reference_bits_at_nan_zero_and_empty(s, k):
+    # a NaN minimum hides a 0 and a negative point: those arrays must be
+    # refused, or not, exactly as the full scans decide
+    for y in _ODD_ABSCISSAE:
+        assert outcome(lambda: psi_deriv(s, y, k)) == outcome(
+            lambda: psi_deriv_reference(s, y, k)), y
 
 
 # ---------------------------------------------------------------------------
