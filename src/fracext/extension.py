@@ -38,6 +38,7 @@ from .special import (
     _whole_order,
     psi,
     psi_deriv,
+    trace_constant,
 )
 from .spectral import (
     ModalVector,
@@ -208,12 +209,12 @@ def conormal_trace(u: ModalVector, s: float) -> ModalVector:
     is; a result beyond the double range is a ValueError naming it.
     ``fracext verify``'s ``dtn`` check measures the limit on the profile.
     """
-    params = FracParams.from_order(s)
+    d_s = trace_constant(s)
     mask = _active_modes(u)
     out = np.zeros(u.spectrum.size)
     amp = _scaled_power(u.spectrum.eigenvalues[mask], s, u.coeffs[mask])
     with np.errstate(over="ignore"):  # d_s > 1 can carry amp past the range
-        out[mask] = -params.d_s * amp
+        out[mask] = -d_s * amp
     _require_finite(f"conormal_trace(s={s})", out)
     return ModalVector(out, u.spectrum)
 
@@ -227,16 +228,15 @@ def derivative_curve(u: ModalVector, s: float, k: int, grid=None) -> CurveSample
     in :func:`fracext.special.psi_deriv`, k = 0 being the curve itself; a
     value beyond the double range is a ValueError naming it.
     """
-    if grid is None:
-        grid = default_grid(u.spectrum)
-    grid = _check_grid(grid)
+    grid = default_grid(u.spectrum) if grid is None else _check_grid(grid)
     mask = _active_modes(u)
-    lam = u.spectrum.eigenvalues[mask]
+    lam, amp = u.spectrum.eigenvalues[mask], u.coeffs[mask]
     # the profile and its derivatives are 0 where sqrt(lambda) y is inf,
     # and an amplitude past the range times that 0 is NaN, named below
     with np.errstate(over="ignore", invalid="ignore"):
         active = psi_deriv(s, np.sqrt(lam)[:, None] * grid, k)
-        active *= _scaled_power(lam, 0.5 * k, u.coeffs[mask])[:, None]
+        # at k = 0 the amplitude lam^0 u_j is u_j itself, bit for bit
+        active *= (_scaled_power(lam, 0.5 * k, amp) if k else amp)[:, None]
     values = active  # the rows themselves when every mode is active
     if not mask.all():
         values = np.zeros((mask.size, grid.size))
@@ -244,7 +244,8 @@ def derivative_curve(u: ModalVector, s: float, k: int, grid=None) -> CurveSample
         if k == 0:  # kernel modes carry u_j, and 0 in every derivative
             kernel = u.spectrum.eigenvalues == 0.0
             values[kernel] = u.coeffs[kernel, None]
-    _require_finite(f"derivative_curve(s={s}, k={k})", values)
+    if k:  # at k = 0, |psi| <= 1 times a finite u_j stays finite
+        _require_finite(f"derivative_curve(s={s}, k={k})", values)
     return CurveSamples(spectrum=u.spectrum, grid=grid, values=values)
 
 

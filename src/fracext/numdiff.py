@@ -43,14 +43,15 @@ def power_fit_limit(ys, vals, exponents):
     exponents = list(exponents)
     if ys.size != len(exponents) + 1:
         raise ValueError("need one sample per fitted exponent plus one")
-    # columns scaled to 1 at the first abscissa: the limit is unchanged,
+    # m^T by rows, m's columns scaled to 1 at ys[0]: the limit is unchanged,
     # while unscaled columns at abscissae near 1e-6 give condition ~1e13
-    cols = [np.ones_like(ys)] + [(ys / ys[0]) ** p for p in exponents]
-    m = np.column_stack(cols)
+    mt = np.ones((ys.size, ys.size))
+    for row, p in zip(mt[1:], exponents):
+        row[:] = (ys / ys[0]) ** p
     # L is the first row of m^{-1} applied to the samples: one solve serves
     # every curve, and each limit is the same weighted sum however many
     # curves share the call
-    weights = np.linalg.solve(m.T, np.eye(ys.size)[0])
+    weights = np.linalg.solve(mt, np.eye(ys.size)[0])
     limit = sum(w * v for w, v in zip(weights, vals))
     return float(limit) if vals.ndim == 1 else limit
 

@@ -94,8 +94,8 @@ _LN2_LO = 1.90821492927058770002e-10
 _SERIES_EPS = 1e-17
 _HANKEL_TERMS = 18
 # (2k - 1)^2 and 8k, k = 1 .. _HANKEL_TERMS - 1, of the Hankel coefficients
-_HANKEL_ODD2 = ((2.0 * np.arange(1, _HANKEL_TERMS) - 1.0) ** 2)[:, None]
-_HANKEL_8K = 8.0 * np.arange(1, _HANKEL_TERMS)[:, None]
+_HANKEL_STEPS = tuple((float((2 * k - 1) ** 2), 8.0 * k)
+                      for k in range(1, _HANKEL_TERMS))
 
 # Taylor coefficients of 1/Gamma(1+x) = sum_j _INV_GAMMA[j] x^j, |x| <= 1
 # (Abramowitz & Stegun 6.1.34, shifted by one index)
@@ -162,12 +162,12 @@ def _temme_table(mu):
     # f_k = (ff, fp, fq), p_k = (0, pp, 0), q_k = (0, 0, qq) in that basis
     ff, fp, fq = 1.0 / (1.0 - mu * mu), 0.0, 0.0
     pp, qq = 1.0 / (1.0 - mu), 1.0 / (1.0 + mu)
-    rows = [(0.0, 0.0, 0.0, 0.0, 1.0, 0.0)]
+    rows = [0.0, 0.0, 0.0, 0.0, 1.0, 0.0]  # one row after the other
     # c = 1 / k! and w = 4^-k / k!, one exact power of two apart
     c, w, k = 1.0, 0.25, 1
     while k * t_max ** (k - abs(mu)) * c * c >= _SERIES_EPS:
-        rows.append((w * ff, w * fp, w * fq,
-                     -w * k * ff, w * (pp - k * fp), -w * k * fq))
+        rows += (w * ff, w * fp, w * fq,
+                 -w * k * ff, w * (pp - k * fp), -w * k * fq)
         k += 1
         den = k * k - mu * mu
         ff, fp, fq = k * ff / den, (k * fp + pp) / den, (k * fq + qq) / den
@@ -181,7 +181,7 @@ def _temme_table(mu):
 def _series_route(mu):
     """Temme's series, y <= 1: the mu-dependent set-up, and the function
     that evaluates one block of y to the kernel pair of ``_climb``
-    without its factor e^y, and (y/2)^|mu|."""
+    without its factor e^y, (y/2)^|mu| and None for (y/2)^(mu+1)."""
     # g1 and g2 of Temme from the odd and even Taylor coefficients of
     # 1/Gamma(1+x), free of the cancellation in their defining differences
     m2 = mu * mu
@@ -221,65 +221,63 @@ def _series_route(mu):
         # 1 / ratio
         k[0] *= p0 / ratio
         k[1] /= p0
-        return k[0], k[1], p0
+        return k[0], k[1], p0, None
 
     return pair
 
 
-def _trapezoid_route(mu, bucket, scale):
-    """e^y (K_mu, K_{mu+1}) times ``scale`` by the trapezoidal rule of one
-    bucket, y > 1: the cosh columns once, then a function of one block of
-    y."""
-    t, w, one_minus_cosh = _BUCKETS[bucket]
-    cols = np.cosh(np.multiply.outer(t, (mu, mu + 1.0)))
+def _trapezoid_columns(mu, bucket, scale):
+    """cosh(nu t) w times ``scale`` at nu = (mu, mu + 1) on the nodes t of
+    one bucket, with the orders and the scale as arrays."""
+    t, w, _ = _BUCKETS[bucket]
+    cols = np.cosh(np.multiply.outer(t, np.array((mu, mu + 1.0))))
     cols *= w
-    cols *= scale
-
-    def pair(y):
-        nodes = np.multiply.outer(one_minus_cosh, y)
-        return _combine(np.exp(nodes, out=nodes), cols)
-
-    return pair
+    cols *= np.array(scale)
+    return cols
 
 
-def _hankel_route(mu, scale):
-    """e^y (K_mu, K_{mu+1}) times ``scale`` by the Hankel expansion,
-    y >= 50: the coefficient rows once, then a function of one block of
-    y."""
-    # a_k(nu) = a_{k-1}(nu) (4 nu^2 - (2k-1)^2) / (8k), a_0 = 1
-    table = np.ones((_HANKEL_TERMS, 2))
-    nu = np.array((mu, mu + 1.0))
-    np.cumprod((4.0 * nu * nu - _HANKEL_ODD2) / _HANKEL_8K, axis=0,
-               out=table[1:])
-    table *= scale
-
-    def pair(y):
-        return _combine(_powers(1.0 / y, _HANKEL_TERMS), table) * np.sqrt(
-            0.5 * math.pi / y)
-
-    return pair
+def _hankel_rows(mu, scale):
+    """Rows (a_k(mu), a_k(mu + 1)) times ``scale`` of the Hankel
+    coefficients, a_k(nu) = a_{k-1}(nu) (4 nu^2 - (2k-1)^2) / (8k), a_0 = 1,
+    on Python floats."""
+    (sa, sb), a, b = scale, 1.0, 1.0
+    nu_a, nu_b = 4.0 * mu * mu, 4.0 * (mu + 1.0) * (mu + 1.0)
+    rows = [sa, sb]
+    for odd2, eight_k in _HANKEL_STEPS:
+        a *= (nu_a - odd2) / eight_k
+        b *= (nu_b - odd2) / eight_k
+        rows += (a * sa, b * sb)
+    return np.array(rows).reshape(_HANKEL_TERMS, 2)
 
 
 def _route(mu, r):
     """Route r of the kernel pair at mu (0 series, 1 and 2 the trapezoid
     buckets, 3 Hankel, and at mu = -1/2 the closed form): its set-up, once
     per profile call, and the function that evaluates one block of y to
-    the pair and (y/2)^|mu|."""
+    the pair, (y/2)^|mu| and (y/2)^(mu+1), None where it forms no power."""
     if mu == -0.5:  # K_{+-1/2} = sqrt(pi / 2y) e^{-y}: the Hankel sum ends
-        return lambda y: (2.0, 1.0, None)
+        return lambda y: (2.0, 1.0, None, None)
     if r == 0:
         return _series_route(mu)
     scale = (2.0 / math.gamma(1.0 - mu), 2.0 / math.gamma(1.0 + mu))
-    k_pair = (_trapezoid_route(mu, r - 1, scale) if r < 3
-              else _hankel_route(mu, scale))
+    if r < 3:
+        cols = _trapezoid_columns(mu, r - 1, scale)
+    else:
+        table = _hankel_rows(mu, scale)
 
     def pair(y):
-        ka, kb = k_pair(y)
+        if r < 3:
+            nodes = np.multiply.outer(_BUCKETS[r - 1][2], y)
+            ka, kb = _combine(np.exp(nodes, out=nodes), cols)
+        else:
+            ka, kb = _combine(_powers(1.0 / y, _HANKEL_TERMS),
+                              table) * np.sqrt(0.5 * math.pi / y)
         half = 0.5 * y
         p = half ** -mu  # (y/2)^|mu|, and (y/2)^(mu+1) = (y/2) / p
+        hp = half / p
         ka *= p
-        kb *= half / p
-        return ka, kb, p
+        kb *= hp
+        return ka, kb, p, hp
 
     return pair
 
@@ -469,13 +467,9 @@ def _climb(s, y):
     so no finite y overflows them.  The series route, y <= 1, leaves out
     the factor e^y.
 
-    The routes run one after the other, each over its own points of a
-    window of ``_WINDOW`` points in blocks of ``_BLOCK``: it gathers them,
-    evaluates the pair, climbs to s (``_climb_block``) and scatters the two
-    outputs.  Points at or past the larger cut take no kernel work.  A
-    point's arithmetic depends on its route, that is on y, and on nothing
-    else.
-    The memory keeps the companion, read-only, with its own copy of y.
+    The routes run route-major over each window, as the module docstring
+    describes, a block at a time through ``_climb_block``.  The memory
+    keeps the companion, read-only, with its own copy of y.
     """
     global _companion
     g, mu = _base(s)
@@ -486,10 +480,8 @@ def _climb(s, y):
     cuts = (2.0 * s + 2000.0, 2.0 * order + 2000.0)
     reach = max(cuts)
     steps = round(s - g)
-    if g >= 0.5:  # a carries K_{1-g}
-        ratio = math.gamma(2.0 - g) / math.gamma(1.0 + g)
-    else:  # b is psi_{1-g}
-        ratio = math.gamma(1.0 - g) / math.gamma(1.0 + g)
+    # from g = 1/2 on a carries K_{1-g}, below it b is psi_{1-g}
+    ratio = math.gamma((2.0 if g >= 0.5 else 1.0) - g) / math.gamma(1.0 + g)
     plan = (g, steps, ratio)
     # route r takes the points above the top of route r - 1 up to its own;
     # the last one ends below the larger cut, and at mu = -1/2 it serves
@@ -527,22 +519,22 @@ def _climb(s, y):
     return outs
 
 
-def _climb_block(plan, y, a, b, p, scaled, outs):
+def _climb_block(plan, y, a, b, p, hp, scaled, outs):
     """psi_s from the kernel pair at mu = -min(g, 1 - g) on one block into
     outs[0], and the profile at the order of psi_s' into outs[1].
 
     psi_v = (2 / Gamma(v)) (y/2)^v K_v at the base order g is b (g >= 1/2,
     mu = g - 1) or g a (g < 1/2, mu = -g); one step of K_{g+1} = K_{g-1} +
     (2g/y) K_g with K_{g-1} = K_{1-g}, a sum of positive terms, gives
-    psi_{g+1}, with (y/2)^{2g} from the route's p = (y/2)^|mu|, and the
-    positive recurrence psi_{v+1} = psi_v + (y/2)^2 / (v (v-1)) psi_{v-1}
-    (DLMF 10.29.1) climbs from there to s.  A scaled pair carries the
-    factor e^y, and every value of its climb the factor e^y 2^{-e}, with e
-    from a power-of-two rescale every 8 steps; the unscaled series pair
-    stays below 1 and needs neither.  The companion is psi_{s-1}, the last
-    rung but one, for s > 1, and psi_{1-g} for s <= 1: the base order of
-    1 - g, b (g <= 1/2) or (1 - g) a, which is 0 at s = 1.  The split of
-    e^{-y} is made once for both.
+    psi_{g+1}, with (y/2)^{2g} from the route's p = (y/2)^|mu| or hp =
+    (y/2) / p, and the positive recurrence psi_{v+1} = psi_v + (y/2)^2 /
+    (v (v-1)) psi_{v-1} (DLMF 10.29.1) climbs from there to s.  A scaled
+    pair carries the factor e^y, and every value of its climb the factor
+    e^y 2^{-e}, with e from a power-of-two rescale every 8 steps; the
+    unscaled series pair stays below 1 and needs neither.  The companion
+    is psi_{s-1}, the last rung but one, for s > 1, and psi_{1-g} for s <=
+    1: the base order of 1 - g, b (g <= 1/2) or (1 - g) a, which is 0 at
+    s = 1.  The split of e^{-y} is made once for both.
     """
     g, steps, ratio = plan
     if g >= 0.5:
@@ -551,11 +543,11 @@ def _climb_block(plan, y, a, b, p, scaled, outs):
         lo, other = g * a, b
     e = 0
     if steps:
-        half = 0.5 * y
         if g == 0.5:  # the closed-form route forms no power
-            w = half
+            w = 0.5 * y
         else:
-            w = p * p if g < 0.5 else np.square(half / p)
+            w = p * p if g < 0.5 else np.square(
+                0.5 * y / p if hp is None else hp)
         hi = ratio * w * other + lo
         q = 0.25 * y * y
         for i in range(1, steps):
@@ -689,9 +681,12 @@ def psi_deriv(s: float, y, order: int):
             f"or 1, or order // 2 <= floor(s) with frac(s) >= 1/2 at order "
             f"2 floor(s) + 1")
     y = np.asarray(y, dtype=float)
-    if np.any(y < 0.0):
-        raise ValueError(f"psi_deriv requires y >= 0, got min {np.min(y)}")
-    if order == 1 and s < 0.5 and np.any(y == 0.0):
+    low = y.min(initial=math.inf)
+    # a NaN minimum hides a negative point and a 0: then the least number
+    bottom = low if low == low else np.fmin.reduce(y, None, initial=low)
+    if bottom < 0.0:
+        raise ValueError(f"psi_deriv requires y >= 0, got min {low}")
+    if order == 1 and s < 0.5 and bottom == 0.0:
         raise ValueError(f"psi_deriv(s={s}, k=1) is unbounded at y = 0: "
                          f"psi_s'(y) ~ -d_s y^(2s-1) below s = 1/2")
     if y.ndim == 0:

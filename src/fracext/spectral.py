@@ -287,12 +287,16 @@ def sobolev_norm(u: ModalVector, sigma: float) -> float:
     if sigma < 0.0:
         _check_kernel_use(u, "sobolev_norm with a negative power")
     mask = u.coeffs != 0.0 if sigma == 0.0 else _active_modes(u)
-    if not mask.any():
-        return 0.0
     # the per-mode magnitudes lambda^{sigma/2} |u_j|, not the weights
     # lambda^sigma, which can overflow where the norm is finite
-    mag = _scaled_power(u.spectrum.eigenvalues[mask], 0.5 * sigma,
-                        np.abs(u.coeffs[mask]))
+    return _norm_of(_scaled_power(u.spectrum.eigenvalues[mask], 0.5 * sigma,
+                                  np.abs(u.coeffs[mask])))
+
+
+def _norm_of(mag):
+    """Euclidean norm of magnitudes: 0 for none, inf beyond the range."""
+    if not mag.size:
+        return 0.0
     # a power-of-two scale is exact: it keeps the squares of magnitudes
     # below about 1e-154 from underflowing, and with 2^(e-1) <= peak the
     # scale itself stays finite up to the largest double

@@ -31,10 +31,10 @@ rows, then a Thomas sweep over Python floats.  The curve minimum is
 E |u|^2_{H^s}.  The dual problem of negative orders, with the trace free,
 is least at a multiple of the constrained minimiser, so its minimum
 -4 d_s^2 |zeta|^2_{H^{-s}} / E and its trace (2 d_s / E) L^{-s} zeta follow
-in closed form.  The eigenvalue weights come from ``sobolev_norm`` and
-``apply_power`` of the spectral layer.  The orthogonality check integrates
-all modes at once, as one (J, N) integrand: its test bump is not rescaled
-with the mode.
+in closed form.  The eigenvalue weights follow ``sobolev_norm`` and, for
+the dual, ``apply_power`` of the spectral layer, over one mask of the
+active modes.  The orthogonality check integrates all modes at once, as
+one (J, N) integrand: its test bump is not rescaled with the mode.
 """
 
 from __future__ import annotations
@@ -51,8 +51,9 @@ from .spectral import (
     _active_modes,
     _check_kernel_use,
     _check_same_spectrum,
+    _norm_of,
     _require_finite,
-    apply_power,
+    _scaled_power,
     sobolev_norm,
 )
 from .weighted import (
@@ -353,12 +354,18 @@ def minimize_negative(zeta: ModalVector, s: float, n_nodes: int = 2000):
     same (s, n_nodes).  Returns ``(report, trace_vector)``.
     """
     params = FracParams.from_order(s)
-    # first, so that a kernel coefficient is refused before the FE solve
-    norm = sobolev_norm(zeta, -s)
+    # the norm's kernel check first, so that it refuses before the FE solve
+    _check_kernel_use(zeta, "sobolev_norm with a negative power")
+    mask = _active_modes(zeta)
+    lam, c = zeta.spectrum.eigenvalues[mask], zeta.coeffs[mask]
+    norm = _norm_of(_scaled_power(lam, 0.5 * -s, np.abs(c)))
+    power = np.zeros_like(zeta.coeffs)
+    power[mask] = _scaled_power(lam, -s, c)
     unit = _unit_minimum(params.s, n_nodes)
+    _require_finite(f"L^{-s} u", power)  # after the solve, as apply_power
     unit_trace = 2.0 * params.d_s / unit
     total = -2.0 * params.d_s * unit_trace * norm * norm
-    trace = unit_trace * apply_power(zeta, -s).coeffs
+    trace = unit_trace * power
     _require_finite(f"minimize_negative(s={s})", total, trace)
     rhs = -2.0 * params.d_s * norm * norm
     report = report_equal(f"minimize_negative(s={s})", total, rhs, _FE_TOL)

@@ -169,3 +169,48 @@ def conormal_trace_reference(lam, c, s):
         raise ValueError(f"conormal_trace(s={s}) overflows: the result "
                          f"must be finite")
     return out
+
+
+# ---------------------------------------------------------------------------
+# the set-up of the kernel's routes
+
+
+def temme_table_reference(mu):
+    """Temme's table by rows of 6-tuples, each formed on its own."""
+    t_max = 0.25 * special._ROUTE_TOPS[0] ** 2
+    ff, fp, fq = 1.0 / (1.0 - mu * mu), 0.0, 0.0
+    pp, qq = 1.0 / (1.0 - mu), 1.0 / (1.0 + mu)
+    rows = [(0.0, 0.0, 0.0, 0.0, 1.0, 0.0)]
+    c, w, k = 1.0, 0.25, 1
+    while k * t_max ** (k - abs(mu)) * c * c >= special._SERIES_EPS:
+        rows.append((w * ff, w * fp, w * fq,
+                     -w * k * ff, w * (pp - k * fp), -w * k * fq))
+        k += 1
+        den = k * k - mu * mu
+        ff, fp, fq = k * ff / den, (k * fp + pp) / den, (k * fq + qq) / den
+        pp /= k - mu
+        qq /= k + mu
+        c /= k
+        w /= 4 * k
+    return np.array(rows).reshape(-1, 2, 3)
+
+
+def hankel_rows_reference(mu, scale):
+    """The Hankel rows by a cumulative product over numpy columns."""
+    terms = special._HANKEL_TERMS
+    odd2 = ((2.0 * np.arange(1, terms) - 1.0) ** 2)[:, None]
+    eight_k = 8.0 * np.arange(1, terms)[:, None]
+    table = np.ones((terms, 2))
+    nu = np.array((mu, mu + 1.0))
+    np.cumprod((4.0 * nu * nu - odd2) / eight_k, axis=0, out=table[1:])
+    table *= scale
+    return table
+
+
+def trapezoid_columns_reference(mu, bucket, scale):
+    """The cosh columns of one bucket from tuples of orders and scales."""
+    t, w, _ = special._BUCKETS[bucket]
+    cols = np.cosh(np.multiply.outer(t, (mu, mu + 1.0)))
+    cols *= w
+    cols *= scale
+    return cols

@@ -38,6 +38,12 @@ from fracext.spectral import (
     explicit_spectrum,
 )
 from finite_differences import central_derivative
+from reference_bits import (
+    hankel_rows_reference,
+    outcome,
+    temme_table_reference,
+    trapezoid_columns_reference,
+)
 
 # reference values computed with mpmath at 30 significant digits
 K_TABLE = [
@@ -70,9 +76,30 @@ def test_kernel_pair_gives_k0_at_the_reference_value():
     # leaves out the factor e^y, and (y/2)^|mu| is 1
     (nu, x, ref), = [row for row in K_TABLE if row[0] == 0]
     assert x <= special._ROUTE_TOPS[0]
-    a, _, p = special._route(nu, 0)(np.array([x]))
+    a, _, p, _ = special._route(nu, 0)(np.array([x]))
     assert a[0] / 2.0 == pytest.approx(ref, rel=1e-14)
     assert p[0] == 1.0
+
+
+# the kernel pair's orders: a grid over [-1/2, 0] with its ends, -0.0 of
+# the whole orders and the orders next to both ends
+_SETUP_ORDERS = np.linspace(-0.5, 0.0, 101).tolist() + [
+    -0.0, -1e-9, -0.5 + 1e-12]
+
+
+def test_route_set_up_keeps_the_reference_bits():
+    # Temme's table, the Hankel rows and the trapezoid columns come from
+    # fewer numpy calls than their references, with the same arithmetic
+    for mu in _SETUP_ORDERS:
+        scale = (2.0 / math.gamma(1.0 - mu), 2.0 / math.gamma(1.0 + mu))
+        assert outcome(lambda: special._temme_table(mu)) == outcome(
+            lambda: temme_table_reference(mu)), mu
+        assert outcome(lambda: special._hankel_rows(mu, scale)) == outcome(
+            lambda: hankel_rows_reference(mu, scale)), mu
+        for bucket in (0, 1):
+            assert outcome(lambda: special._trapezoid_columns(
+                mu, bucket, scale)) == outcome(
+                lambda: trapezoid_columns_reference(mu, bucket, scale)), mu
 
 
 @pytest.mark.parametrize("s", [0.3, 50.5, 400.5])

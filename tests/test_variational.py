@@ -9,7 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fracext
@@ -39,7 +39,9 @@ from fracext.weighted import (
     GaussianBump,
     QuadraticBump,
     power_weighted_integral,
+    report_equal,
 )
+from reference_bits import modal_vectors, outcome
 
 
 def _thomas(diag, off, rhs):
@@ -401,6 +403,44 @@ def test_minimize_negative_is_the_dual_of_the_constrained_minimum(s):
         trace.coeffs, 2.0 * d_s / unit * apply_power(zeta, -s).coeffs,
         rtol=1e-14, atol=0.0)
     assert rep.lhs >= rep.rhs  # Galerkin bound of the dual
+
+
+def _minimize_negative_reference(zeta, s, n_nodes):
+    """minimize_negative from sobolev_norm and apply_power, each with its
+    own checks and its own mask of the active modes."""
+    params = FracParams.from_order(s)
+    norm = sobolev_norm(zeta, -s)
+    unit = _unit_minimum(params.s, n_nodes)
+    unit_trace = 2.0 * params.d_s / unit
+    total = -2.0 * params.d_s * unit_trace * norm * norm
+    trace = unit_trace * apply_power(zeta, -s).coeffs
+    if not (math.isfinite(total) and np.isfinite(trace).all()):
+        raise ValueError(f"minimize_negative(s={s}) overflows: the result "
+                         f"must be finite")
+    rhs = -2.0 * params.d_s * norm * norm
+    return report_equal(f"minimize_negative(s={s})", total, rhs,
+                        variational._FE_TOL), ModalVector(trace, zeta.spectrum)
+
+
+def _dual_bits(report, trace):
+    return np.concatenate(([report.lhs, report.rhs, report.rel_err,
+                            report.tol, report.passed], trace.coeffs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(modal_vectors(), st.floats(0.05, 0.95))
+@example(ModalVector(np.array([0.0, 2.0, 1.0]),
+                     explicit_spectrum([0.0, 1e-300, 1e300])), 0.75)
+@example(ModalVector(np.array([1e-300, 1e300]),
+                     explicit_spectrum([1e-300, 1e-200])), 0.5)
+def test_minimize_negative_keeps_the_bits_of_sobolev_norm_and_apply_power(
+        zeta, s):
+    # one masked pass forms lam^{-s/2} |zeta| and lam^{-s} zeta by the
+    # formulas of sobolev_norm and apply_power: the same norm, trace and
+    # refusal
+    assert outcome(lambda: _dual_bits(
+        *minimize_negative(zeta, s, n_nodes=200))) == outcome(
+        lambda: _dual_bits(*_minimize_negative_reference(zeta, s, 200)))
 
 
 @pytest.mark.parametrize("s", [0.015, 0.01, 0.005, 0.001])
