@@ -228,11 +228,11 @@ def _series_route(mu):
 
 def _trapezoid_columns(mu, bucket, scale):
     """cosh(nu t) w times ``scale`` at nu = (mu, mu + 1) on the nodes t of
-    one bucket, with the orders and the scale as arrays."""
+    one bucket."""
     t, w, _ = _BUCKETS[bucket]
-    cols = np.cosh(np.multiply.outer(t, np.array((mu, mu + 1.0))))
+    cols = np.cosh(np.multiply.outer(t, (mu, mu + 1.0)))
     cols *= w
-    cols *= np.array(scale)
+    cols *= scale
     return cols
 
 
@@ -467,9 +467,13 @@ def _climb(s, y):
     so no finite y overflows them.  The series route, y <= 1, leaves out
     the factor e^y.
 
-    The routes run route-major over each window, as the module docstring
-    describes, a block at a time through ``_climb_block``.  The memory
-    keeps the companion, read-only, with its own copy of y.
+    The routes run one after the other, each over its own points of a
+    window of ``_WINDOW`` points in blocks of ``_BLOCK``: it gathers them,
+    evaluates the pair, climbs to s (``_climb_block``) and scatters the two
+    outputs.  Points at or past the larger cut take no kernel work.  A
+    point's arithmetic depends on its route, that is on y, and on nothing
+    else.
+    The memory keeps the companion, read-only, with its own copy of y.
     """
     global _companion
     g, mu = _base(s)
@@ -480,8 +484,10 @@ def _climb(s, y):
     cuts = (2.0 * s + 2000.0, 2.0 * order + 2000.0)
     reach = max(cuts)
     steps = round(s - g)
-    # from g = 1/2 on a carries K_{1-g}, below it b is psi_{1-g}
-    ratio = math.gamma((2.0 if g >= 0.5 else 1.0) - g) / math.gamma(1.0 + g)
+    if g >= 0.5:  # a carries K_{1-g}
+        ratio = math.gamma(2.0 - g) / math.gamma(1.0 + g)
+    else:  # b is psi_{1-g}
+        ratio = math.gamma(1.0 - g) / math.gamma(1.0 + g)
     plan = (g, steps, ratio)
     # route r takes the points above the top of route r - 1 up to its own;
     # the last one ends below the larger cut, and at mu = -1/2 it serves

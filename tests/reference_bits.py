@@ -208,7 +208,7 @@ def hankel_rows_reference(mu, scale):
 
 
 def trapezoid_columns_reference(mu, bucket, scale):
-    """The cosh columns of one bucket from tuples of orders and scales."""
+    """The cosh columns of one bucket."""
     t, w, _ = special._BUCKETS[bucket]
     cols = np.cosh(np.multiply.outer(t, (mu, mu + 1.0)))
     cols *= w

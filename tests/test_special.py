@@ -88,8 +88,9 @@ _SETUP_ORDERS = np.linspace(-0.5, 0.0, 101).tolist() + [
 
 
 def test_route_set_up_keeps_the_reference_bits():
-    # Temme's table, the Hankel rows and the trapezoid columns come from
-    # fewer numpy calls than their references, with the same arithmetic
+    # Temme's table and the Hankel rows come from fewer numpy calls than
+    # their references, with the same arithmetic; the trapezoid columns
+    # are pinned with them
     for mu in _SETUP_ORDERS:
         scale = (2.0 / math.gamma(1.0 - mu), 2.0 / math.gamma(1.0 + mu))
         assert outcome(lambda: special._temme_table(mu)) == outcome(
