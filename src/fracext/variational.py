@@ -31,10 +31,10 @@ rows, then a Thomas sweep over Python floats.  The curve minimum is
 E |u|^2_{H^s}.  The dual problem of negative orders, with the trace free,
 is least at a multiple of the constrained minimiser, so its minimum
 -4 d_s^2 |zeta|^2_{H^{-s}} / E and its trace (2 d_s / E) L^{-s} zeta follow
-in closed form.  The eigenvalue weights follow ``sobolev_norm`` and, for
-the dual, ``apply_power`` of the spectral layer, over one mask of the
-active modes.  The orthogonality check integrates all modes at once, as
-one (J, N) integrand: its test bump is not rescaled with the mode.
+in closed form.  The eigenvalue weights are those of ``sobolev_norm`` and
+``apply_power`` of the spectral layer; the dual forms both over one mask
+of the active modes.  The orthogonality check integrates all modes at
+once, as one (J, N) integrand: its test bump is not rescaled with the mode.
 """
 
 from __future__ import annotations
@@ -362,7 +362,7 @@ def minimize_negative(zeta: ModalVector, s: float, n_nodes: int = 2000):
     power = np.zeros_like(zeta.coeffs)
     power[mask] = _scaled_power(lam, -s, c)
     unit = _unit_minimum(params.s, n_nodes)
-    _require_finite(f"L^{-s} u", power)  # after the solve, as apply_power
+    _require_finite(f"L^{-s} u", power)  # apply_power's refusal, as before
     unit_trace = 2.0 * params.d_s / unit
     total = -2.0 * params.d_s * unit_trace * norm * norm
     trace = unit_trace * power
