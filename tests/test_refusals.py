@@ -51,6 +51,7 @@ from fracext.weighted import (
     GaussianBump,
     PsiProfile,
     mode_energy,
+    power_weighted_integral,
     report_equal,
     xi_moment,
 )
@@ -88,6 +89,12 @@ LIBRARY = [
     ("trace0-coarse-grid",
      lambda: trace0(extend(_u([1.0]), 0.5, np.geomspace(0.5, 10.0, 20))),
      ValueError, r"grid too coarse near 0 .* first point 5\.000e-01"),
+    # (y/y0)^p of the fit leaves the double range: no numpy warning first
+    *[(f"trace0-abscissae-too-far-apart-{case}",
+       lambda s=s, grid=grid: trace0(extend(_u([1.0]), s, np.array(grid))),
+       ValueError, r"power_fit_limit: the abscissae \[.*\] lie too far apart")
+      for case, s, grid in (("power", 2.5, [1e-100, 1e-10, 1.0]),
+                            ("ratio", 1.7, [5e-324, 1e-10, 1.0]))],
     ("taylor_expand-order-below-one", lambda: taylor_expand(_u([1.0]), 0.5, 1),
      ValueError, r"taylor_expand needs s > 1, got s=0\.5"),
     ("taylor_expand-k-above-floor",
@@ -165,6 +172,10 @@ LIBRARY = [
     ("mode_energy-too-many-powers",
      lambda: mode_energy(PsiProfile(2.5), 1.0, 7, 0.0), ValueError,
      r"\(D_b\+lam\)\^3 of the order-2\.5 profile has no analytic collapse"),
+    *[(f"power_weighted_integral-node-count-{n}",
+       lambda n=n: power_weighted_integral(lambda y: y, 0.0, 1.0, n),
+       ValueError, rf"whole number of nodes, got n={n}")
+      for n in (math.inf, math.nan, 2.5)],
     # the moment is finite for q in (-1, 4s + 1) only
     ("xi_moment-divergent", lambda: xi_moment(0.5, 5.0), ValueError,
      "diverges"),
@@ -227,6 +238,19 @@ CLI = [
      ("apply", "--op",
       '{"kind":"dirichlet_laplacian_1d","length":3,"modes":2.5}', "--u",
       "1,1,1", "--s", "0.5"), 3, "need a whole number of modes >= 1, got 2.5"),
+    # a descriptor field of the wrong JSON type is named before any build
+    *[(f"operator-field-type-{field}", ("apply", "--op", desc, "--u", u,
+                                        "--s", "0.5"), 2,
+       f"field {field!r} must be {want}, got {got}")
+      for field, desc, u, want, got in (
+          ("length", '{"kind":"dirichlet_laplacian_1d","length":"pi",'
+                     '"modes":2}', "1,1", "a number", "'pi'"),
+          ("modes", '{"kind":"dirichlet_laplacian_1d","length":3,'
+                    '"modes":true}', "1", "a number", "True"),
+          ("diag", '{"kind":"tridiagonal","diag":[2,"x"],"off":[-1]}', "1,1",
+           "a list of numbers", "[2, 'x']"),
+          ("values", '{"kind":"explicit_eigenvalues","values":[[1,2]]}',
+           "1,1", "a list of numbers", "[[1, 2]]"))],
     ("minimize-too-few-mesh-nodes",
      ("minimize", "--op", "explicit:1", "--u", "1", "--s", "1e-6"), 3,
      "the graded FE mesh at s=1e-06 keeps 2 of 2000 nodes, fewer than the 3 "
