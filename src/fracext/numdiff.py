@@ -36,7 +36,9 @@ def power_fit_limit(ys, vals, exponents):
     ``ys`` must contain exactly ``len(exponents) + 1`` distinct positive
     abscissae; the function solves the small Vandermonde-type system for L.
     ``vals`` may hold one column of samples per curve, shape (len(ys), J);
-    the limits of all J curves then come back as an array.
+    the limits of all J curves then come back as an array.  Abscissae so
+    far apart that a scaled power (y/y0)^p leaves the double range are a
+    ValueError.
     """
     ys = np.asarray(ys, dtype=float)
     vals = np.asarray(vals, dtype=float)
@@ -46,8 +48,14 @@ def power_fit_limit(ys, vals, exponents):
     # m^T by rows, m's columns scaled to 1 at ys[0]: the limit is unchanged,
     # while unscaled columns at abscissae near 1e-6 give condition ~1e13
     mt = np.ones((ys.size, ys.size))
-    for row, p in zip(mt[1:], exponents):
-        row[:] = (ys / ys[0]) ** p
+    with np.errstate(over="ignore"):
+        for row, p in zip(mt[1:], exponents):
+            row[:] = (ys / ys[0]) ** p
+    if not np.isfinite(mt).all():
+        raise ValueError(f"power_fit_limit: the abscissae {ys.tolist()} lie "
+                         f"too far apart for the exponents "
+                         f"{tuple(exponents)}: (y/y0)^p leaves the double "
+                         f"range")
     # L is the first row of m^{-1} applied to the samples: one solve serves
     # every curve, and each limit is the same weighted sum however many
     # curves share the call

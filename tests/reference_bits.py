@@ -129,9 +129,16 @@ def derivative_curve_reference(u, s, k, grid):
 
 
 def power_fit_limit_reference(ys, vals, exponents):
-    """The fit matrix through column_stack of a list of columns."""
-    cols = [np.ones_like(ys)] + [(ys / ys[0]) ** p for p in exponents]
+    """The fit matrix through column_stack of a list of columns, refused
+    where a column leaves the double range."""
+    with np.errstate(over="ignore"):
+        cols = [np.ones_like(ys)] + [(ys / ys[0]) ** p for p in exponents]
     m = np.column_stack(cols)
+    if not np.isfinite(m).all():
+        raise ValueError(f"power_fit_limit: the abscissae {ys.tolist()} lie "
+                         f"too far apart for the exponents "
+                         f"{tuple(exponents)}: (y/y0)^p leaves the double "
+                         f"range")
     weights = np.linalg.solve(m.T, np.eye(ys.size)[0])
     return sum(w * v for w, v in zip(weights, vals))
 
