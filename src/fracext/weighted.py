@@ -179,6 +179,9 @@ def power_weighted_integral(g, beta, upper, n=_DEFAULT_NODES):
                          f"{beta}; beta <= -1 is not integrable at the origin")
     if not 0.0 < upper < math.inf:
         raise ValueError(f"the upper limit needs 0 < upper < inf, got {upper}")
+    if not (math.isfinite(n) and n == math.floor(n)):
+        raise ValueError(f"the quadrature needs a whole number of nodes, "
+                         f"got n={n}")
     nodes, weights = _cells_geometric(float(beta), float(upper), int(n))
     out = g(nodes) @ weights
     return float(out) if out.ndim == 0 else out
