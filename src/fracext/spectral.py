@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -199,13 +200,39 @@ _BUILDERS = {
 }
 
 
+# descriptor fields that hold a list of numbers; the others hold one number
+_LIST_FIELDS = ("diag", "off", "values")
+
+
+def _is_number(x):
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def _check_field_type(kind, name, value):
+    """TypeError naming a descriptor field that is not a number, or not a
+    flat list of numbers; a bool or a string is neither, while numpy
+    scalars and 1-D numeric arrays are."""
+    if name in _LIST_FIELDS:
+        want = "a list of numbers"
+        ok = (value.ndim == 1 and value.dtype.kind in "iuf"
+              if isinstance(value, np.ndarray)
+              else isinstance(value, (list, tuple))
+              and all(map(_is_number, value)))
+    else:
+        want = "a number"
+        ok = _is_number(value)
+    if not ok:
+        raise TypeError(f"operator kind {kind!r} field {name!r} must be "
+                        f"{want}, got {value!r}")
+
+
 def build_operator(kind: str, **params):
     """Dispatch on the operator descriptor kind.
 
     Returns ``(Spectrum, EigenBasis | None)``; only the matrix-backed
     ``tridiagonal`` kind carries a basis.  An unknown kind is a ValueError;
-    a missing or unknown field is a TypeError, as for a call with the wrong
-    keyword arguments.
+    a missing or unknown field, or a field of the wrong type, is a
+    TypeError, as for a call with the wrong keyword arguments.
     """
     if kind not in _BUILDERS:
         raise ValueError(f"unknown operator kind {kind!r}; expected one of "
@@ -214,6 +241,8 @@ def build_operator(kind: str, **params):
     if sorted(params) != sorted(fields):
         raise TypeError(f"operator kind {kind!r} takes the fields "
                         f"{fields}, got {tuple(params)}")
+    for name, value in params.items():
+        _check_field_type(kind, name, value)
     built = builder(**params)
     return built if isinstance(built, tuple) else (built, None)
 
