@@ -53,9 +53,7 @@ def power_fit_limit(ys, vals, exponents):
             row[:] = (ys / ys[0]) ** p
     if not np.isfinite(mt).all():
         raise ValueError(f"power_fit_limit: the abscissae {ys.tolist()} lie "
-                         f"too far apart for the exponents "
-                         f"{tuple(exponents)}: (y/y0)^p leaves the double "
-                         f"range")
+                         f"too far apart: (y/y0)^p leaves the double range")
     # L is the first row of m^{-1} applied to the samples: one solve serves
     # every curve, and each limit is the same weighted sum however many
     # curves share the call

@@ -200,30 +200,9 @@ _BUILDERS = {
 }
 
 
-# descriptor fields that hold a list of numbers; the others hold one number
-_LIST_FIELDS = ("diag", "off", "values")
-
-
 def _is_number(x):
+    """A real number that is not a bool: numpy scalars included."""
     return isinstance(x, numbers.Real) and not isinstance(x, bool)
-
-
-def _check_field_type(kind, name, value):
-    """TypeError naming a descriptor field that is not a number, or not a
-    flat list of numbers; a bool or a string is neither, while numpy
-    scalars and 1-D numeric arrays are."""
-    if name in _LIST_FIELDS:
-        want = "a list of numbers"
-        ok = (value.ndim == 1 and value.dtype.kind in "iuf"
-              if isinstance(value, np.ndarray)
-              else isinstance(value, (list, tuple))
-              and all(map(_is_number, value)))
-    else:
-        want = "a number"
-        ok = _is_number(value)
-    if not ok:
-        raise TypeError(f"operator kind {kind!r} field {name!r} must be "
-                        f"{want}, got {value!r}")
 
 
 def build_operator(kind: str, **params):
@@ -242,7 +221,14 @@ def build_operator(kind: str, **params):
         raise TypeError(f"operator kind {kind!r} takes the fields "
                         f"{fields}, got {tuple(params)}")
     for name, value in params.items():
-        _check_field_type(kind, name, value)
+        listed = name in ("diag", "off", "values")  # the others hold a number
+        items = value.tolist() if isinstance(value, np.ndarray) else value
+        ok = (isinstance(items, (list, tuple)) and all(map(_is_number, items))
+              if listed else _is_number(value))
+        if not ok:
+            want = "a list of numbers" if listed else "a number"
+            raise TypeError(f"operator kind {kind!r} field {name!r} must be "
+                            f"{want}, got {value!r}")
     built = builder(**params)
     return built if isinstance(built, tuple) else (built, None)
 

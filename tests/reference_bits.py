@@ -136,9 +136,7 @@ def power_fit_limit_reference(ys, vals, exponents):
     m = np.column_stack(cols)
     if not np.isfinite(m).all():
         raise ValueError(f"power_fit_limit: the abscissae {ys.tolist()} lie "
-                         f"too far apart for the exponents "
-                         f"{tuple(exponents)}: (y/y0)^p leaves the double "
-                         f"range")
+                         f"too far apart: (y/y0)^p leaves the double range")
     weights = np.linalg.solve(m.T, np.eye(ys.size)[0])
     return sum(w * v for w, v in zip(weights, vals))
 
