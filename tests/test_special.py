@@ -38,6 +38,7 @@ from fracext.spectral import (
     explicit_spectrum,
 )
 from finite_differences import central_derivative
+from mp_profile import profile_mp
 from reference_bits import (
     hankel_rows_reference,
     outcome,
@@ -66,8 +67,7 @@ K_TABLE = [
 @pytest.mark.parametrize("nu,x,ref", [row for row in K_TABLE if row[0] > 0])
 def test_psi_matches_the_macdonald_reference_values(nu, x, ref):
     # psi_nu(x) = c_nu x^nu K_nu(x), c_nu = 2^(1-nu) / Gamma(nu)
-    want = float(mpmath.mpf(ref) * mpmath.mpf(2) ** (1 - nu)
-                 * mpmath.mpf(x) ** nu / mpmath.gamma(nu))
+    want = float(profile_mp(nu, x, mpmath.mpf(ref)))
     assert psi(nu, x) == pytest.approx(want, rel=1e-14)
 
 
@@ -144,9 +144,7 @@ def test_psi_underflows_to_zero_for_huge_argument():
 def psi_mp(s, y):
     """c_s y^s K_s(y) in 30-digit arithmetic, independent of fracext."""
     with mpmath.workdps(30):
-        s, y = mpmath.mpf(s), mpmath.mpf(y)
-        return float(2 ** (1 - s) / mpmath.gamma(s) * y ** s
-                     * mpmath.besselk(s, y))
+        return float(profile_mp(s, y))
 
 
 def test_psi_large_order_flat_region():
@@ -243,8 +241,7 @@ def _taylor_remainder_mp(s, y, k):
     digits = 60 + 2 * (k + 1) * max(0, -math.floor(math.log10(y)))
     with mpmath.workdps(digits):
         sm, ym = mpmath.mpf(s), mpmath.mpf(y)
-        ref = (2 ** (1 - sm) / mpmath.gamma(sm) * ym ** sm
-               * mpmath.besselk(sm, ym))
+        ref = profile_mp(sm, ym)
         for m in range(k + 1):
             ref -= ((-1) ** m * mpmath.gamma(sm - m) * ym ** (2 * m)
                     / (mpmath.gamma(sm) * 4 ** m * mpmath.factorial(m)))
@@ -268,9 +265,7 @@ def test_taylor_remainder_at_subnormal_y(y):
     # where log(|y|/2) raised a bare "math domain error".  psi_{0.01} - 1
     # is about -3.4e-7 there, so 40 digits leave 33
     with mpmath.workdps(40):
-        s, ym = mpmath.mpf(0.01), mpmath.mpf(abs(y))
-        want = float(2 ** (1 - s) / mpmath.gamma(s) * ym ** s
-                     * mpmath.besselk(s, ym) - 1)
+        want = float(profile_mp(0.01, abs(y)) - 1)
     assert psi_taylor_remainder(0.01, y, 0) == pytest.approx(
         want, rel=1e-13, abs=0.0)
 
@@ -319,9 +314,7 @@ def test_base_pair_against_mpmath(g):
     # order below 1/2 is g a, the step to g + 1 a sum of positive terms
     for s in (g, 1.0 - g, g + 1.0):
         with mpmath.workdps(40):
-            sm = mpmath.mpf(s)
-            ref = [2 ** (1 - sm) / mpmath.gamma(sm) * mpmath.mpf(y) ** sm
-                   * mpmath.besselk(sm, mpmath.mpf(y)) for y in _BASE_YS]
+            ref = [profile_mp(s, y) for y in _BASE_YS]
         assert _rel_err_mp(psi(s, _BASE_YS), ref) <= 5e-15, s
 
 
@@ -329,9 +322,8 @@ def test_base_pair_against_mpmath(g):
 def test_first_derivative_below_one_against_mpmath(s):
     # (y^s K_s)' = -y^s K_{s-1} = -y^s K_{1-s} (DLMF 10.29.4)
     with mpmath.workdps(40):
-        sm = mpmath.mpf(s)
-        ref = [-(2 ** (1 - sm)) / mpmath.gamma(sm) * mpmath.mpf(y) ** sm
-               * mpmath.besselk(1 - sm, mpmath.mpf(y)) for y in _BASE_YS]
+        ref = [-profile_mp(s, y, mpmath.besselk(1 - mpmath.mpf(s), y))
+               for y in _BASE_YS]
     assert _rel_err_mp(psi_deriv(s, _BASE_YS, 1), ref) <= 5e-15
 
 
@@ -778,10 +770,8 @@ def _psi_derivs_mp(s, y, n):
     """d^k/dy^k psi_s(y) for k = 0..n by mpmath's numerical
     differentiation at 20 digits (as doubles, equal to 40-digit values)."""
     with mpmath.workdps(20):
-        sm = mpmath.mpf(s)
-        c = 2 ** (1 - sm) / mpmath.gamma(sm)
         return [float(d) for d in mpmath.diffs(
-            lambda t: c * t ** sm * mpmath.besselk(sm, t), mpmath.mpf(y), n)]
+            lambda t: profile_mp(s, t), mpmath.mpf(y), n)]
 
 
 # admissible orders k in 1..9: 1 always, then k // 2 <= floor(s), and the
