@@ -93,7 +93,8 @@ def report(num, ok, text):
     assert ok, f"criterion {num}: {text}"
 
 
-@pytest.mark.parametrize("name", NAMES)
+@pytest.mark.parametrize("name", NAMES,
+                         ids=[name.replace(" ", "") for name in NAMES])
 def test_report_passes_at_its_family_bound(reports, name):
     rep = reports[name]
     assert rep.passed and rep.tol == BOUNDS[family(name)], rep

@@ -714,10 +714,9 @@ def _spread_vector():
 
 
 def _loop_profiles(u, fn, grid):
-    """fn(sqrt(lambda_j) y), one call per row, for every mode with a
-    positive eigenvalue and a nonzero coefficient; zero rows elsewhere.
-    That an array call gives each point the bits of a scalar call is
-    pinned in test_special.py (elementwise, block and window tests)."""
+    """fn(sqrt(lambda_j) y), one call per row, for every mode with a positive
+    eigenvalue and a nonzero coefficient; zero rows elsewhere.  test_special
+    pins that an array call gives each point the bits of a scalar call."""
     lam = u.spectrum.eigenvalues
     out = np.zeros((lam.size, grid.size))
     for j in range(lam.size):
