@@ -160,6 +160,14 @@ def test_monotone_decay_along_the_grid():
         assert np.all(np.diff(col) < 0.0)
 
 
+def test_trace0_recovers_data():
+    spec = explicit_spectrum([1.0, 4.0, 9.0])
+    u = ModalVector(np.array([1.0, -0.5, 0.25]), spec)
+    for s in (0.3, 0.5, 1.5, 2.5):
+        got = trace0(extend(u, s))
+        np.testing.assert_allclose(got.coeffs, u.coeffs, rtol=1e-8)
+
+
 def test_trace0_single_mode_small_order():
     # explicit sequence from the contract: y in {1e-4, 5e-5, 2.5e-5}
     grid = np.array([2.5e-5, 5e-5, 1e-4, 1.0])
@@ -289,6 +297,12 @@ def test_bounded_derivative_ratio_stable_under_refinement():
 # Taylor expansion at the boundary
 
 
+def test_taylor_first_coefficient_closed_form():
+    terms = taylor_expand(one_mode(), 1.5, 1)
+    assert terms[0].coeffs[0] == 1.0
+    assert terms[1].coeffs[0] == pytest.approx(-0.5, rel=1e-14)
+
+
 def test_taylor_leading_term_is_the_data():
     spec = explicit_spectrum([1.0, 4.0])
     u = ModalVector(np.array([0.7, -0.2]), spec)
@@ -297,6 +311,13 @@ def test_taylor_leading_term_is_the_data():
     # T_2 = kappa_{s,2}/4! L^2 u with kappa_{2.5,2} = 1
     np.testing.assert_allclose(
         terms[2].coeffs, spec.eigenvalues ** 2 * u.coeffs / 24.0, rtol=1e-13)
+
+
+def test_taylor_remainder_scaled_ratio_decreases():
+    s, k = 2.5, 2
+    ratios = [abs(psi_taylor_remainder(s, 2.0 ** (-n), k)) / 2.0 ** (-4 * n)
+              for n in range(4, 11)]
+    assert all(b < a for a, b in zip(ratios, ratios[1:]))
 
 
 def test_taylor_remainder_matches_direct_subtraction_at_moderate_y():
@@ -337,6 +358,22 @@ def test_taylor_expand_refuses_an_order_that_is_not_whole(k):
         with pytest.raises(ValueError, match=rf"expansion order k must be a "
                                              rf"whole number, got k={k}"):
             taylor_expand(one_mode(), 2.5, k)
+
+
+def test_ode_residual_closed_form_cases_vanish():
+    for s in (0.5, 1.5):
+        worst = max(ode_residual(one_mode(), s, y)
+                    for y in (0.2, 0.5, 1.0, 2.0, 5.0))
+        assert worst <= 1e-12
+
+
+def test_ode_residual_general_orders_small():
+    spec = explicit_spectrum([1.0, 4.0])
+    u = ModalVector(np.array([1.0, 1.0]), spec)
+    bound = 1e-4 * sobolev_norm(u, 0.0)
+    for s in (0.3, 2.5, 3.7):
+        worst = max(ode_residual(u, s, y) for y in np.geomspace(0.2, 5.0, 9))
+        assert worst <= bound
 
 
 def test_ode_residual_zero_data():
@@ -641,6 +678,14 @@ def test_extension_commutes_with_powers_on_random_data(exps, seed, s):
     right = u.spectrum.eigenvalues[:, None] ** sigma * extend(u, s,
                                                               grid).values
     assert np.max(np.abs(left - right)) <= 1e-13 * np.max(np.abs(right))
+
+
+def test_holder_slope_probe():
+    s = 0.3
+    ys = np.geomspace(1e-4, 1e-2, 13)
+    gap = np.array([abs(psi_taylor_remainder(s, y, 0)) for y in ys])
+    slope = np.polyfit(np.log(ys), np.log(gap), 1)[0]
+    assert slope == pytest.approx(0.6, abs=0.05)
 
 
 def test_default_grid_coverage():

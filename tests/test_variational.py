@@ -37,6 +37,7 @@ from fracext.variational import (
 )
 from fracext.weighted import (
     GaussianBump,
+    QuadraticBump,
     power_weighted_integral,
     report_equal,
 )
@@ -342,6 +343,14 @@ def test_minimize_curve_two_modes():
     assert rep0.lhs == 0.0 and rep0.rhs == 0.0 and rep0.passed
 
 
+def test_refinement_ratio_at_least_1_7():
+    target = 2.0
+    errs = [abs(minimize_profile(0.5, 1.0, n_nodes=n)[0] - target)
+            for n in (1000, 2000, 4000)]
+    assert errs[0] / errs[1] >= 1.7
+    assert errs[1] / errs[2] >= 1.7
+
+
 def test_minimize_negative_single_mode():
     zeta = ModalVector(np.array([1.0]), explicit_spectrum([1.0]))
     rep, _ = minimize_negative(zeta, 0.5, n_nodes=4000)
@@ -572,6 +581,26 @@ def test_minimize_negative_refuses_a_kernel_coefficient_before_solving(
     bad = ModalVector(np.array([1.0, 1.0]), explicit_spectrum([0.0, 1.0]))
     with pytest.raises(ValueError, match="kernel mode 0"):
         minimize_negative(bad, 0.5)
+
+
+def test_orthogonality_check_values():
+    one = ModalVector(np.array([1.0]), explicit_spectrum([1.0]))
+    r = orthogonality_check(one, 0.5, one, GaussianBump())
+    # 2 d_s lam^s u v eta(0) = 2
+    assert r.rhs == pytest.approx(2.0, rel=1e-14)
+    assert r.passed and r.rel_err <= 1e-5
+    r2 = orthogonality_check(one, 1.5, one, GaussianBump())
+    assert r2.rhs == pytest.approx(4.0, rel=1e-14)
+    assert r2.passed and r2.rel_err <= 1e-5
+
+
+def test_orthogonality_zero_trace_test_curve():
+    one = ModalVector(np.array([1.0]), explicit_spectrum([1.0]))
+    for s in (0.5, 1.5):
+        r = orthogonality_check(one, s, one, QuadraticBump())
+        assert r.rhs == 0.0
+        assert abs(r.lhs) <= 1e-6
+        assert r.passed
 
 
 def test_orthogonality_multimode_and_errors():

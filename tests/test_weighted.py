@@ -210,6 +210,15 @@ def test_curve_energy_single_mode_reduces_to_mode_energy():
         4.0 * mode_energy(PsiProfile(0.5), 1.0, 1, 0.0), rel=1e-12)
 
 
+def test_curve_energy_isometry():
+    spec = explicit_spectrum([1.0, 4.0, 9.0])
+    u = ModalVector(np.ones(3), spec)
+    for s in (0.5, 1.5):
+        curve = extend(u, s)
+        rhs = 2.0 * trace_constant(s) * sobolev_norm(u, s) ** 2
+        assert curve_energy(curve) == pytest.approx(rhs, rel=1e-6)
+
+
 def test_curve_energy_embedding_ordering():
     spec = explicit_spectrum([1.0, 4.0])
     u = ModalVector(np.array([1.0, 0.5]), spec)
